@@ -3,11 +3,16 @@ optional numba-compiled twins.
 
 The numba path is a pure accelerator: identical semantics, used only where
 the intermediate products provably fit in unsigned 64-bit words (bounds are
-checked per call), and every kernel keeps its Python twin so the two can be
-cross-tested. With numba absent everything still works, just slower.
+checked per call), and every compiled kernel keeps its Python twin so the two
+can be cross-tested. With numba absent everything still works, just slower.
+`bell_mod` and `gertsch_wilson_scan` have no compiled twin: their Python
+route is O(p) per prime.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
+from math import gcd, isqrt
 
 from .errors import InvariantViolation
 
@@ -81,7 +86,33 @@ def bell_seq_mod_py(n: int, m: int) -> list[int]:
 
 
 def bell_mod_py(n: int, m: int) -> int:
+    """Bell_n mod m from the Aitken triangle: O(n^2), valid for every m."""
     return bell_seq_mod_py(n, m)[n]
+
+
+def _bell_stirling_mod(n: int, m: int, fact_n: int) -> int:
+    """Bell_n mod m = sum_{j=1..n} (j^n / j!) * D_{n-j}, D_t = sum_{i<=t} (-1)^i / i!.
+
+    The finite explicit-Stirling sum; needs n >= 1 and fact_n = n! mod m a
+    unit. O(n) multiplies plus one pow per prime j <= n.
+    """
+    inv_fact = [0] * (n + 1)
+    x = pow(fact_n, -1, m)
+    for i in range(n, 0, -1):
+        inv_fact[i] = x
+        x = x * i % m
+    inv_fact[0] = x
+    # each term is below m, so the prefix sums stay small unreduced
+    d = list(accumulate(x if i % 2 == 0 else -x for i, x in enumerate(inv_fact)))
+    # smallest prime factor of j (0 for primes): j^n = q^n * (j/q)^n
+    spf = [0] * (n + 1)
+    for i in range(isqrt(n), 1, -1):
+        spf[i * i::i] = [i] * len(range(i * i, n + 1, i))
+    pw = [0, 1 % m] + [0] * (n - 1)
+    for j in range(2, n + 1):
+        q = spf[j]
+        pw[j] = pw[q] * pw[j // q] % m if q else pow(j, n, m)
+    return sum(pw[j] * inv_fact[j] * d[n - j] for j in range(1, n + 1)) % m
 
 
 def inverse_table_py(p: int) -> list[int]:
@@ -158,22 +189,24 @@ def wilson_scan_py(primes) -> list[int]:
     return out
 
 
+def gertsch_quotient(p: int, k2: int, b2: int) -> int:
+    """Gertsch_p mod p = ((!p - Bell_{p-1} + 1) mod p^2) / p, from k2 = !p
+    and b2 = Bell_{p-1} mod p^2.
+
+    The numerator is divisible by p for every odd prime (the !p = Bell - 1
+    congruence); a failure signals a composite input or a kernel bug.
+    """
+    num = (k2 - b2 + 1) % (p * p)
+    if num % p:
+        raise InvariantViolation(f"Gertsch numerator not divisible by {p}")
+    return num // p
+
+
 def gertsch_wilson_scan_py(primes) -> tuple[list[int], list[int]]:
     """(Gertsch_p mod p, W_p mod p) per prime, via mod-p^2 kernels."""
-    gs, ws = [], []
-    for p in primes:
-        m2 = p * p
-        k2 = kurepa_mod_py(p, m2)
-        b2 = bell_mod_py(p - 1, m2)
-        num = (k2 - b2 + 1) % m2
-        if num % p:
-            raise InvariantViolation(f"Gertsch numerator not divisible at {p}")
-        gs.append(num // p % p)
-        f = factorial_mod_py(p - 1, m2)
-        if (f + 1) % p:
-            raise InvariantViolation(f"Wilson congruence failed at {p}")
-        ws.append((f + 1) // p % p)
-    return gs, ws
+    gs = [gertsch_quotient(p, kurepa_mod_py(p, p * p), bell_mod(p - 1, p * p))
+          for p in primes]
+    return gs, wilson_scan_py(primes)
 
 
 # ---------------------------------------------------------------------------
@@ -224,21 +257,6 @@ if HAVE_NUMBA:
             length += 1
             out[i] = row[0]
         return out
-
-    @_jit
-    def _nb_bell_mod(n, m):
-        row = np.empty(n + 1, dtype=np.uint64)
-        row[0] = 1 % m
-        length = 1
-        for i in range(1, n + 1):
-            carry = row[length - 1]
-            for j in range(length):
-                nxt = (carry + row[j]) % m
-                row[j] = carry
-                carry = nxt
-            row[length] = carry
-            length += 1
-        return row[0]
 
     @_jit
     def _nb_inverse_table(p):
@@ -320,30 +338,6 @@ if HAVE_NUMBA:
             out[i] = (f + 1) // p % p
         return out
 
-    @_jit
-    def _nb_gertsch_wilson_scan(ps):
-        gs = np.empty(ps.shape[0], dtype=np.uint64)
-        ws = np.empty(ps.shape[0], dtype=np.uint64)
-        ok = np.ones(ps.shape[0], dtype=np.uint8)
-        for i in range(ps.shape[0]):
-            p = ps[i]
-            m2 = p * p
-            k2 = _nb_kurepa_mod(p, m2)
-            b2 = _nb_bell_mod(p - 1, m2)
-            num = (k2 + m2 - b2 + 1) % m2
-            if num % p != 0:
-                ok[i] = 0
-                gs[i] = 0
-            else:
-                gs[i] = num // p % p
-            f = _nb_factorial_mod(p - 1, m2)
-            if (f + 1) % p != 0:
-                ok[i] = 0
-                ws[i] = 0
-            else:
-                ws[i] = (f + 1) // p % p
-        return gs, ws, ok
-
 
 # ---------------------------------------------------------------------------
 # Dispatchers (fast=None means auto: numba when present and in-bounds)
@@ -373,10 +367,14 @@ def kurepa_gf_mod(p: int, fast=None) -> int:
 
 
 def bell_mod(n: int, m: int, fast=None) -> int:
-    # additions only: safe whenever m fits a 63-bit word
-    if (fast is not False) and HAVE_NUMBA and m < _U63 and n >= 1:
-        return int(_nb_bell_mod(n, m))
-    return bell_mod_py(n, m)
+    """Bell_n mod m: the O(n) explicit-Stirling sum when n! is a unit mod m
+    (n = p-1, m = p^e for an odd prime p), else the O(n^2) triangle."""
+    if n == 0:
+        return 1 % m
+    f = factorial_mod_py(n, m)
+    if gcd(f, m) != 1:
+        return bell_mod_py(n, m)
+    return _bell_stirling_mod(n, m, f)
 
 
 def bell_seq_mod(n: int, m: int, fast=None) -> list[int]:
@@ -425,12 +423,4 @@ def wilson_scan(primes: list[int], fast=None) -> list[int]:
 
 
 def gertsch_wilson_scan(primes: list[int], fast=None) -> tuple[list[int], list[int]]:
-    if (fast is not False) and HAVE_NUMBA and primes \
-            and _fits(primes[-1] ** 2, primes[-1]):
-        ps = np.asarray(primes, dtype=np.uint64)
-        gs, ws, ok = _nb_gertsch_wilson_scan(ps)
-        if not ok.all():
-            bad = int(ps[int(np.argmin(ok))])
-            raise InvariantViolation(f"divisibility invariant failed at {bad}")
-        return [int(x) for x in gs], [int(x) for x in ws]
     return gertsch_wilson_scan_py(primes)

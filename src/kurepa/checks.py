@@ -135,18 +135,16 @@ class PrimeContext:
 
     @cached_property
     def qsum(self) -> int:
-        """sum_a q_p(a) mod p."""
+        """sum_a q_p(a) mod p, from sum_a a^(p-1) = p-1 + p * sum_a q_p(a) (mod p^2)."""
         p = self.p
-        return sum(int(residues.fermat_quotient_mod(p, a)) for a in range(1, p)) % p
+        num = (int(residues.power_sum_mod(p, 2)) - (p - 1)) % (p * p)
+        if num % p:
+            raise InvariantViolation(f"Fermat power sum != p-1 mod {p}")
+        return num // p
 
     @cached_property
     def gertsch(self) -> int:
-        m2 = self.p * self.p
-        num = (self.k2 - self.bell2 + 1) % m2
-        if num % self.p:
-            raise InvariantViolation(
-                f"Gertsch numerator not divisible by {self.p}")
-        return num // self.p % self.p
+        return _kernels.gertsch_quotient(self.p, self.k2, self.bell2)
 
     def q(self, m: int) -> int:
         return int(residues.fermat_quotient_mod(self.p, m))

@@ -197,7 +197,8 @@ def _add_format(p):
 
 def _add_caps(p):
     p.add_argument("--bell-cap", type=int, default=config.BELL_MOD_CAP,
-                   help="largest n for the O(n^2) Bell triangle")
+                   help="largest n for Bell_n mod m (O(n) when n! is a unit "
+                        "mod m, else the O(n^2) triangle)")
     p.add_argument("--bernoulli-cap", type=int,
                    default=config.BERNOULLI_MOD_CAP,
                    help="largest p for the O(p^2) Bernoulli/Gregory tables")

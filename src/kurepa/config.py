@@ -18,7 +18,8 @@ def _env_int(name: str, default: int) -> int:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
-# O(n^2) Bell triangle: largest n for bell_mod / bell_sequence_mod.
+# Largest n for bell_mod (O(n) when n! is a unit mod m, else the O(n^2)
+# Bell triangle) and bell_sequence_mod (always the triangle).
 BELL_MOD_CAP = _env_int("KUREPA_BELL_CAP", 20000)
 
 # O(p^2) modular Bernoulli/Gregory recurrences: largest prime p.

@@ -78,7 +78,8 @@ def kurepa_gf_mod(p: int) -> Residue:
 
 
 def bell_mod(n: int, m: int, cap: int = config.BELL_MOD_CAP) -> Residue:
-    """Bell_n mod m via the Bell triangle: O(n^2) time, O(n) memory."""
+    """Bell_n mod m: O(n) by the explicit Stirling sum when n! is a unit mod m
+    (n = p-1, m = p^e), else the O(n^2) Bell triangle; O(n) memory."""
     if n < 0:
         raise DomainError("bell needs n >= 0")
     if m < 2:
@@ -89,7 +90,7 @@ def bell_mod(n: int, m: int, cap: int = config.BELL_MOD_CAP) -> Residue:
 
 
 def bell_sequence_mod(n: int, m: int, cap: int = config.BELL_MOD_CAP) -> list[int]:
-    """Bell_0..Bell_n mod m (same triangle, all row heads)."""
+    """Bell_0..Bell_n mod m (row heads of the O(n^2) Bell triangle)."""
     if n < 0:
         raise DomainError("bell needs n >= 0")
     if n > cap:
@@ -149,21 +150,13 @@ def lerch_quotient_mod(p: int) -> Residue:
 
 
 def gertsch_quotient_mod(p: int, cap: int = config.BELL_MOD_CAP) -> Residue:
-    """Gertsch_p mod p = ((!p - Bell_{p-1} + 1) mod p^2) / p.
-
-    The numerator is divisible by p for every odd prime (the !p = Bell - 1
-    congruence); a failure signals a composite input or a kernel bug.
-    """
+    """Gertsch_p mod p = ((!p - Bell_{p-1} + 1) mod p^2) / p."""
     _require_odd_prime(p)
     if p - 1 > cap:
         raise CapacityError(f"gertsch_quotient_mod capped at p <= {cap + 1}")
     m2 = p * p
-    k2 = _kernels.kurepa_mod(p, m2)
-    b2 = _kernels.bell_mod(p - 1, m2)
-    num = (k2 - b2 + 1) % m2
-    if num % p:
-        raise InvariantViolation(f"Gertsch numerator not divisible by {p}")
-    return Residue(num // p, p)
+    return Residue(_kernels.gertsch_quotient(
+        p, _kernels.kurepa_mod(p, m2), _kernels.bell_mod(p - 1, m2)), p)
 
 
 # ---------------------------------------------------------------------------

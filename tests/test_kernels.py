@@ -1,10 +1,13 @@
 """Dual-path tests: every numba kernel must agree with its pure-Python twin,
 and both must agree with the exact big-integer oracle reduced mod m."""
 
+import random
+
 import pytest
 
 from kurepa import _kernels as K
 from kurepa import exact
+from kurepa.errors import InvariantViolation
 from kurepa.modmath import rational_residue, sieve_primes
 
 FAST_MODES = [False] + ([None] if K.HAVE_NUMBA else [])
@@ -101,3 +104,40 @@ def test_gertsch_wilson_scan_values():
     gs, ws = K.gertsch_wilson_scan(primes)
     assert gs == [exact.gertsch_quotient_exact(p) % p for p in primes]
     assert ws == [exact.wilson_quotient_exact(p) % p for p in primes]
+
+
+# Bell_{p-1} mod p^e: the O(p) explicit-Stirling route against the triangle.
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_bell_mod_matches_triangle_small_primes(e):
+    for p in sieve_primes(2, 400):
+        assert K.bell_mod(p - 1, p ** e) == K.bell_mod_py(p - 1, p ** e), p
+
+
+@pytest.mark.parametrize("e", [2, 3])
+def test_bell_mod_matches_triangle_random_window(e):
+    rng = random.Random(20260409 + e)
+    pool = sieve_primes(1000, 5000)
+    start = rng.randrange(len(pool) - 20)
+    for p in pool[start:start + 20]:
+        assert K.bell_mod(p - 1, p ** e) == K.bell_mod_py(p - 1, p ** e), p
+
+
+def test_bell_mod_matches_exact_small_primes():
+    for p in sieve_primes(2, 101):
+        b = exact.bell_exact(p - 1)
+        for e in (1, 2, 3):
+            assert K.bell_mod(p - 1, p ** e) == b % p ** e, (p, e)
+
+
+def test_bell_mod_non_unit_factorial_uses_triangle():
+    # (n! shares a factor with m): composite "p" and its powers
+    for c in (4, 9, 15, 25):
+        for m in (c, c * c):
+            assert K.bell_mod(c - 1, m) == exact.bell_exact(c - 1) % m
+
+
+@pytest.mark.parametrize("c", [4, 9, 15, 21, 25])
+def test_gertsch_wilson_scan_rejects_composite(c):
+    with pytest.raises(InvariantViolation):
+        K.gertsch_wilson_scan([c])
