@@ -5,8 +5,10 @@ The numba path is a pure accelerator: identical semantics, used only where
 the intermediate products provably fit in unsigned 64-bit words (bounds are
 checked per call), and every compiled kernel keeps its Python twin so the two
 can be cross-tested. With numba absent everything still works, just slower.
-`bell_mod` and `gertsch_wilson_scan` have no compiled twin: their Python
-route is O(p) per prime.
+`bell_mod` (O(p) per prime) and the block scans (`kurepa_scan`,
+`wilson_scan`, `gertsch_scan`, `gertsch_wilson_scan`) have no compiled twin:
+the scans read one remainder-tree pass per block of primes, and the per-prime
+`kurepa_mod_py` and `factorial_mod_py` are their test oracles.
 """
 
 from __future__ import annotations
@@ -174,21 +176,6 @@ def stirling2_row_mod_py(n: int, m: int) -> list[int]:
     return row
 
 
-def kurepa_scan_py(primes) -> list[int]:
-    return [kurepa_mod_py(p, p) for p in primes]
-
-
-def wilson_scan_py(primes) -> list[int]:
-    """W_p mod p for each prime: ((p-1)! + 1)/p via (p-1)! mod p^2."""
-    out = []
-    for p in primes:
-        f = factorial_mod_py(p - 1, p * p)
-        if (f + 1) % p:
-            raise InvariantViolation(f"Wilson congruence failed at {p}")
-        out.append((f + 1) // p % p)
-    return out
-
-
 def gertsch_quotient(p: int, k2: int, b2: int) -> int:
     """Gertsch_p mod p = ((!p - Bell_{p-1} + 1) mod p^2) / p, from k2 = !p
     and b2 = Bell_{p-1} mod p^2.
@@ -202,11 +189,96 @@ def gertsch_quotient(p: int, k2: int, b2: int) -> int:
     return num // p
 
 
-def gertsch_wilson_scan_py(primes) -> tuple[list[int], list[int]]:
-    """(Gertsch_p mod p, W_p mod p) per prime, via mod-p^2 kernels."""
-    gs = [gertsch_quotient(p, kurepa_mod_py(p, p * p), bell_mod(p - 1, p * p))
-          for p in primes]
-    return gs, wilson_scan_py(primes)
+# ---------------------------------------------------------------------------
+# Block scans: ((p-1)! mod p^e, !p mod p^e) for a block of primes at once.
+#
+# The state at n is (f, s) = ((n-1)!, sum_{k<n} k!), and step k maps it to
+# (k*f, s + k*f); at n = p it holds ((p-1)!, !p). The steps k = a..b-1
+# compose to f -> P*f, s -> s + Q*f with P = a(a+1)...(b-1) and
+# Q = sum_{j=a}^{b-1} a(a+1)...j; two adjacent runs compose as
+# (P1*P2, Q1 + P1*Q2). After Costa, Gerbicz and Harvey (Wilson quotients)
+# and Andrejic, Bostan and Tatarevic (left factorials).
+
+_LEAF_STEPS = 32
+
+
+def _steps(a: int, b: int) -> tuple[int, int]:
+    """Exact (P, Q) of the steps k = a..b-1, by binary splitting."""
+    if b - a <= _LEAF_STEPS:
+        prod, q = 1, 0
+        for k in range(a, b):
+            prod *= k
+            q += prod
+        return prod, q
+    mid = (a + b) // 2
+    p1, q1 = _steps(a, mid)
+    p2, q2 = _steps(mid, b)
+    return p1 * p2, q1 + p1 * q2
+
+
+def _product_tree(ms: list[int], i: int, j: int) -> tuple:
+    """(m,) at a leaf, (product of ms[i:j], left, right) above it."""
+    if j - i == 1:
+        return (ms[i],)
+    mid = (i + j) // 2
+    left, right = _product_tree(ms, i, mid), _product_tree(ms, mid, j)
+    return (left[0] * right[0], left, right)
+
+
+def _descend(node: tuple, ps: list[int], i: int, j: int, f: int, s: int,
+             out: list) -> None:
+    """Fill out[i:j] with the states at n = ps[i], ..., ps[j-1], given the
+    state at n = ps[i] reduced mod node's modulus."""
+    if j - i == 1:
+        out[i] = (f, s)
+        return
+    _, left, right = node
+    mid = (i + j) // 2
+    _descend(left, ps, i, mid, f % left[0], s % left[0], out)
+    prod, q = _steps(ps[i], ps[mid])
+    m = right[0]
+    _descend(right, ps, mid, j, f * prod % m, (s + f * q) % m, out)
+
+
+def _factorial_columns(primes, e: int) -> tuple[list[int], list[int]]:
+    """((p-1)! mod p^e, !p mod p^e) for every p in primes, in input order.
+
+    One pass for the block: the state is carried from n = 1 to the smallest
+    prime modulo the product M of all moduli, in chunks whose exact (P, Q)
+    have about as many bits as M, then split down the remainder tree of the
+    moduli, advancing each right half over its gap with one exact (P, Q).
+    Any list of integers >= 1 works: unsorted, with repeats, or empty.
+    """
+    ps = sorted(set(primes))
+    if not ps:
+        return [], []
+    tree = _product_tree([p ** e for p in ps], 0, len(ps))
+    m = tree[0]
+    f = s = 1 % m
+    width = max(_LEAF_STEPS, m.bit_length() // ps[0].bit_length())
+    for a in range(1, ps[0], width):
+        prod, q = _steps(a, min(a + width, ps[0]))
+        f, s = f * prod % m, (s + f * q) % m
+    states = [None] * len(ps)
+    _descend(tree, ps, 0, len(ps), f, s, states)
+    at = dict(zip(ps, states))
+    return [at[p][0] for p in primes], [at[p][1] for p in primes]
+
+
+def _wilson_column(primes, fs) -> list[int]:
+    """W_p mod p from fs = (p-1)! mod p^2; raises unless Wilson holds."""
+    out = []
+    for p, f in zip(primes, fs):
+        if (f + 1) % p:
+            raise InvariantViolation(f"Wilson congruence failed at {p}")
+        out.append((f + 1) // p % p)
+    return out
+
+
+def _gertsch_column(primes, ks) -> list[int]:
+    """Gertsch_p mod p from ks = !p mod p^2 and the O(p) Bell value."""
+    return [gertsch_quotient(p, k, bell_mod(p - 1, p * p))
+            for p, k in zip(primes, ks)]
 
 
 # ---------------------------------------------------------------------------
@@ -318,26 +390,6 @@ if HAVE_NUMBA:
             length = r + 1
         return row[:length]
 
-    # The scan kernels are deliberately sequential (no prange): they release
-    # the GIL, and callers parallelize by sharding primes across threads.
-    # Mixing prange with caller threads is unsafe on the workqueue layer.
-
-    @_jit
-    def _nb_kurepa_scan(ps):
-        out = np.empty(ps.shape[0], dtype=np.uint64)
-        for i in range(ps.shape[0]):
-            out[i] = _nb_kurepa_mod(ps[i], ps[i])
-        return out
-
-    @_jit
-    def _nb_wilson_scan(ps):
-        out = np.empty(ps.shape[0], dtype=np.uint64)
-        for i in range(ps.shape[0]):
-            p = ps[i]
-            f = _nb_factorial_mod(p - 1, p * p)
-            out[i] = (f + 1) // p % p
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Dispatchers (fast=None means auto: numba when present and in-bounds)
@@ -407,20 +459,26 @@ def inverse_table(p: int, fast=None) -> list[int]:
     return inverse_table_py(p)
 
 
+# The scans have one route on every host, the block kernel; `fast` is
+# accepted for a uniform dispatcher signature.
+
 def kurepa_scan(primes: list[int], fast=None) -> list[int]:
-    if (fast is not False) and HAVE_NUMBA and primes and _fits(primes[-1], primes[-1]):
-        ps = np.asarray(primes, dtype=np.uint64)
-        return [int(x) for x in _nb_kurepa_scan(ps)]
-    return kurepa_scan_py(primes)
+    """!p mod p for each p, in input order."""
+    return _factorial_columns(primes, 1)[1]
 
 
 def wilson_scan(primes: list[int], fast=None) -> list[int]:
-    if (fast is not False) and HAVE_NUMBA and primes \
-            and _fits(primes[-1] ** 2, primes[-1]):
-        ps = np.asarray(primes, dtype=np.uint64)
-        return [int(x) for x in _nb_wilson_scan(ps)]
-    return wilson_scan_py(primes)
+    """W_p mod p for each p, in input order; raises InvariantViolation
+    where Wilson's congruence fails (a composite input)."""
+    return _wilson_column(primes, _factorial_columns(primes, 2)[0])
+
+
+def gertsch_scan(primes: list[int]) -> list[int]:
+    """Gertsch_p mod p for each odd prime p, in input order."""
+    return _gertsch_column(primes, _factorial_columns(primes, 2)[1])
 
 
 def gertsch_wilson_scan(primes: list[int], fast=None) -> tuple[list[int], list[int]]:
-    return gertsch_wilson_scan_py(primes)
+    """(Gertsch_p mod p, W_p mod p) columns from one block pass mod p^2."""
+    fs, ks = _factorial_columns(primes, 2)
+    return _gertsch_column(primes, ks), _wilson_column(primes, fs)

@@ -116,11 +116,15 @@ def wilson_quotient_mod(p: int, e: int = 1) -> Residue:
     _require_odd_prime(p)
     if e not in (1, 2):
         raise DomainError(f"modulus power must be 1 or 2, got {e}")
+    return Residue(_wilson_quotient(p, e), p ** e)
+
+
+def _wilson_quotient(p: int, e: int) -> int:
     m = p ** (e + 1)
     f = _kernels.factorial_mod(p - 1, m)
     if (f + 1) % p:
         raise InvariantViolation(f"(p-1)! != -1 mod {p}: non-prime input?")
-    return Residue((f + 1) // p, p ** e)
+    return (f + 1) // p
 
 
 def fermat_quotient_mod(p: int, a: int, e: int = 1) -> Residue:
@@ -137,13 +141,17 @@ def fermat_quotient_mod(p: int, a: int, e: int = 1) -> Residue:
 
 
 def lerch_quotient_mod(p: int) -> Residue:
-    """L_p mod p: Fermat quotients mod p^2 summed, minus W_p mod p^2, over p."""
+    """L_p mod p: (sum_a q_p(a) - W_p)/p, both taken mod p^2.
+
+    sum_a q_p(a) mod p^2 comes from sum_a a^(p-1) = p-1 + p * sum_a q_p(a)
+    (mod p^3).
+    """
     _require_odd_prime(p)
     m2 = p * p
-    s = 0
-    for a in range(1, p):
-        s += int(fermat_quotient_mod(p, a, e=2))
-    num = (s - int(wilson_quotient_mod(p, e=2))) % m2
+    num = (int(power_sum_mod(p, 3)) - (p - 1)) % (p * m2)
+    if num % p:
+        raise InvariantViolation(f"Fermat power sum != p-1 mod {p}")
+    num = (num // p - _wilson_quotient(p, 2)) % m2
     if num % p:
         raise InvariantViolation(f"Lerch numerator not divisible by {p}")
     return Residue(num // p, p)

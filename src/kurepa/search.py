@@ -54,7 +54,7 @@ def _scan_gertsch_wilson(primes, params):
 
 
 def _scan_gertsch_zero(primes, params):
-    gs, _ = _kernels.gertsch_wilson_scan(primes)
+    gs = _kernels.gertsch_scan(primes)
     return [p for p, g in zip(primes, gs) if g == 0]
 
 
@@ -143,11 +143,7 @@ class Checkpoint:
 
     @property
     def complete(self) -> bool:
-        return self.last_p >= self._last_possible
-
-    @property
-    def _last_possible(self) -> int:
-        return self.hi
+        return self.last_p >= self.hi
 
     @property
     def primes_per_second(self) -> float:
@@ -284,13 +280,20 @@ def run_campaign(name: str, lo: int, hi: int, *,
     return ck
 
 
-def run_sharded(name: str, lo: int, hi: int, shards: int, **kwargs) -> Checkpoint:
+def run_sharded(name: str, lo: int, hi: int, shards: int, *,
+                checkpoint_path: Optional[str] = None, resume: bool = False,
+                **kwargs) -> Checkpoint:
     """Partition [lo, hi] into contiguous sub-ranges, scan each, merge.
 
-    Hits are identical to a single-range run for any shard count.
+    Hits are identical to a single-range run for any shard count. Shard i
+    checkpoints to f"{checkpoint_path}.shard{i}"; with resume=True every
+    shard that has a file continues from it and the others start afresh.
+    The merged last_p is the end of the processed prefix of [lo, hi].
     """
     if shards < 1:
         raise DomainError("shards must be >= 1")
+    if resume and not checkpoint_path:
+        raise CheckpointError("resume requested without a checkpoint path")
     bounds = []
     width = (hi - lo + 1 + shards - 1) // shards
     a = lo
@@ -298,9 +301,15 @@ def run_sharded(name: str, lo: int, hi: int, shards: int, **kwargs) -> Checkpoin
         b = min(a + width - 1, hi)
         bounds.append((a, b))
         a = b + 1
-    merged = Checkpoint(campaign=name, lo=lo, hi=hi, last_p=hi)
-    for a, b in bounds:
-        part = run_campaign(name, a, b, **kwargs)
+    parts = []
+    for i, (a, b) in enumerate(bounds):
+        path = f"{checkpoint_path}.shard{i}" if checkpoint_path else None
+        parts.append(run_campaign(
+            name, a, b, checkpoint_path=path,
+            resume=resume and os.path.exists(path), **kwargs))
+    last_p = next((part.last_p for part in parts if not part.complete), hi)
+    merged = Checkpoint(campaign=name, lo=lo, hi=hi, last_p=last_p)
+    for part in parts:
         merged.hits.extend(part.hits)
         merged.scanned += part.scanned
         merged.elapsed_s += part.elapsed_s

@@ -1,5 +1,6 @@
 """Dual-path tests: every numba kernel must agree with its pure-Python twin,
-and both must agree with the exact big-integer oracle reduced mod m."""
+and both must agree with the exact big-integer oracle reduced mod m; the
+block scans must agree with the per-prime loops."""
 
 import random
 
@@ -141,3 +142,61 @@ def test_bell_mod_non_unit_factorial_uses_triangle():
 def test_gertsch_wilson_scan_rejects_composite(c):
     with pytest.raises(InvariantViolation):
         K.gertsch_wilson_scan([c])
+
+
+# ((p-1)! mod p^e, !p mod p^e) by the block remainder tree, against the
+# per-prime O(p) loops and the exact left factorial.
+
+def _columns_oracle(primes, e):
+    return ([K.factorial_mod_py(p - 1, p ** e) for p in primes],
+            [K.kurepa_mod_py(p, p ** e) for p in primes])
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_factorial_columns_match_loops_in_blocks(e):
+    primes = sieve_primes(2, 3000)
+    want = _columns_oracle(primes, e)
+    for size in (1, 2, 7, 128, 431):
+        fs, ks = [], []
+        for i in range(0, len(primes), size):
+            f, k = K._factorial_columns(primes[i:i + size], e)
+            fs += f
+            ks += k
+        assert (fs, ks) == want, size
+
+
+@pytest.mark.parametrize("e", [1, 2])
+def test_factorial_columns_match_loops_random_window(e):
+    rng = random.Random(20261018 + e)
+    pool = sieve_primes(10_000, 50_000)
+    start = rng.randrange(len(pool) - 200)
+    window = pool[start:start + 200]
+    assert K._factorial_columns(window, e) == _columns_oracle(window, e)
+
+
+def test_factorial_columns_input_order_and_edges():
+    assert K._factorial_columns([], 2) == ([], [])
+    assert K._factorial_columns([2], 1) == ([1], [0])
+    assert K._factorial_columns([2], 3) == ([1], [2])
+    primes = [101, 7, 3, 101, 2, 7, 53]
+    assert K._factorial_columns(primes, 2) == _columns_oracle(primes, 2)
+
+
+def test_factorial_columns_match_exact_left_factorial():
+    import math
+    primes = sieve_primes(2, 200)
+    for e in (1, 2, 3):
+        fs, ks = K._factorial_columns(primes, e)
+        assert ks == [exact.left_factorial(p) % p ** e for p in primes]
+        assert fs == [math.factorial(p - 1) % p ** e for p in primes]
+
+
+@pytest.mark.parametrize("block", [[4], [9], [15], [21], [25], [7, 9, 11]])
+def test_wilson_scan_rejects_composite(block):
+    with pytest.raises(InvariantViolation):
+        K.wilson_scan(block)
+
+
+def test_gertsch_scan_matches_gertsch_wilson_scan():
+    primes = sieve_primes(3, 400)
+    assert K.gertsch_scan(primes) == K.gertsch_wilson_scan(primes)[0]

@@ -83,6 +83,17 @@ class TestQuotientKernels:
         assert R.lerch_quotient_mod(5) == 13 % 5
         assert R.lerch_quotient_mod(3) == 0
 
+    def test_lerch_matches_exact(self):
+        for p in iter_primes(3, 200):
+            assert (int(R.lerch_quotient_mod(p))
+                    == int(exact.lerch_quotient_exact(p, cap=200)) % p), p
+
+    def test_lerch_checks_primality_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(R, "is_prime", lambda n: calls.append(n) or True)
+        R.lerch_quotient_mod(101)
+        assert calls == [101]
+
     def test_gertsch(self):
         assert R.gertsch_quotient_mod(7) == 96 % 7
         assert R.gertsch_quotient_mod(3) == 1

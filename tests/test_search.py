@@ -162,6 +162,33 @@ class TestSharding:
         four = S.run_campaign("wilson_plus_two", 3, 2000, workers=4)
         assert one.hits == four.hits == [3, 7, 71]
 
+    @pytest.mark.parametrize("name", ["wilson_zero", "qpm_zero"])
+    def test_sharded_checkpoint_resume(self, tmp_path, name):
+        path = str(tmp_path / "ck.json")
+        single = S.run_campaign(name, 3, 2000)
+        part = S.run_sharded(name, 3, 2000, shards=3, checkpoint_path=path,
+                             stride=50, stop_after_blocks=1)
+        assert not part.complete
+        assert [S.load_checkpoint(f"{path}.shard{i}").lo for i in range(3)] \
+            == [3, 669, 1335]
+        resumed = S.run_sharded(name, 3, 2000, shards=3, checkpoint_path=path,
+                                resume=True, stride=50)
+        assert resumed.complete
+        assert sorted(resumed.hits) == sorted(single.hits)
+
+    def test_sharded_resume_starts_missing_shards(self, tmp_path):
+        path = str(tmp_path / "ck.json")
+        S.run_sharded("wilson_zero", 3, 2000, shards=3, checkpoint_path=path,
+                      stride=50, stop_after_blocks=1)
+        os.remove(f"{path}.shard1")
+        resumed = S.run_sharded("wilson_zero", 3, 2000, shards=3,
+                                checkpoint_path=path, resume=True, stride=50)
+        assert resumed.hits == [5, 13, 563]
+
+    def test_sharded_resume_needs_path(self):
+        with pytest.raises(CheckpointError):
+            S.run_sharded("wilson_zero", 3, 2000, shards=3, resume=True)
+
     def test_pair_shard_invariance(self):
         single = S.run_campaign("qpm_zero", 3, 37, params={"m_max": 20})
         sharded = S.run_sharded("qpm_zero", 3, 37, shards=3,
