@@ -1,14 +1,16 @@
-"""Low-level per-prime kernels: pure-Python reference implementations plus
-optional numba-compiled twins.
+"""Low-level per-prime kernels in pure Python, plus optional numba-compiled
+twins of the four O(p^2) tables.
 
-The numba path is a pure accelerator: identical semantics, used only where
-the intermediate products provably fit in unsigned 64-bit words (bounds are
-checked per call), and every compiled kernel keeps its Python twin so the two
+Only the Bell-row, Bernoulli, Gregory and Stirling tables have a compiled
+twin. The numba path is a pure accelerator: identical semantics, used only
+where the intermediate products provably fit in unsigned 64-bit words (bounds
+are checked per call), and every twin keeps its Python reference so the two
 can be cross-tested. With numba absent everything still works, just slower.
-`bell_mod` (O(p) per prime) and the block scans (`kurepa_scan`,
-`wilson_scan`, `gertsch_scan`, `gertsch_wilson_scan`) have no compiled twin:
-the scans read one remainder-tree pass per block of primes, and the per-prime
-`kurepa_mod_py` and `factorial_mod_py` are their test oracles.
+`bell_mod` is O(p) per prime. (p-1)! mod p^e and !p mod p^e at a prime have
+one route, the block kernel `_factorial_columns`: the scans (`kurepa_scan`,
+`wilson_scan`, `gertsch_scan`, `gertsch_wilson_scan`) pass it a block, the
+per-prime functions in `residues` and `checks` a one-prime list, and the
+O(p) loops `factorial_mod` and `kurepa_mod_py` are its test oracles.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ try:
     import numba
     import numpy as np
 
-    # workqueue is always available and the scans are embarrassingly
-    # parallel; avoids probing TBB/OMP layers that may be absent or stale
+    # workqueue is always available; avoids probing TBB/OMP layers that may
+    # be absent or stale
     numba.config.THREADING_LAYER = "workqueue"
     HAVE_NUMBA = True
 except ImportError:  # pragma: no cover - exercised only without numba
@@ -31,19 +33,12 @@ except ImportError:  # pragma: no cover - exercised only without numba
 
 _U63 = 1 << 63
 
-# Largest modulus m such that f*n stays below 2^63 for f < m, n < p <= m.
-# Callers pass moduli p^e; the products in the factorial-style loops are
-# bounded by m * p, so the guard is m * p < 2^63.
-
-
-def _fits(m: int, p: int) -> bool:
-    return m * p < _U63
-
 
 # ---------------------------------------------------------------------------
-# Pure-Python reference kernels
+# Pure-Python kernels
 
-def factorial_mod_py(k: int, m: int) -> int:
+def factorial_mod(k: int, m: int) -> int:
+    """k! mod m, O(k) multiplies."""
     f = 1 % m
     for n in range(2, k + 1):
         f = f * n % m
@@ -60,11 +55,11 @@ def kurepa_mod_py(p: int, m: int) -> int:
     return s % m
 
 
-def kurepa_gf_mod_py(p: int) -> int:
+def kurepa_gf_mod(p: int) -> int:
     """sum_{k=0}^{p-1} (-1)^k (k+1)(k+2)...(p-1) mod p.
 
     The falling-product rewrite of sum (-1)^(k+1)/k! in GF(p); an independent
-    route to the same residue as kurepa_mod(p, 1).
+    oracle for !p mod p.
     """
     prod = 1  # empty product at k = p-1
     s = prod if (p - 1) % 2 == 0 else p - prod
@@ -117,7 +112,7 @@ def _bell_stirling_mod(n: int, m: int, fact_n: int) -> int:
     return sum(pw[j] * inv_fact[j] * d[n - j] for j in range(1, n + 1)) % m
 
 
-def inverse_table_py(p: int) -> list[int]:
+def inverse_table(p: int) -> list[int]:
     """inv[1..p-1] mod p (inv[0] is a placeholder 0)."""
     inv = [0] * p
     inv[1] = 1
@@ -131,7 +126,7 @@ def bernoulli_table_mod_py(p: int) -> list[int]:
 
     Every division is by an integer < p, hence invertible; O(p^2).
     """
-    inv = inverse_table_py(p)
+    inv = inverse_table(p)
     table = [0] * (p - 1)
     table[0] = 1 % p
     if p > 2:
@@ -152,7 +147,7 @@ def bernoulli_table_mod_py(p: int) -> list[int]:
 
 def gregory_table_mod_py(p: int) -> list[int]:
     """G_0..G_{p-2} mod p via the convolution recurrence (denominators < p)."""
-    inv = inverse_table_py(p)
+    inv = inverse_table(p)
     table = [0] * (p - 1)
     table[0] = 1 % p
     for n in range(1, p - 1):
@@ -187,6 +182,17 @@ def gertsch_quotient(p: int, k2: int, b2: int) -> int:
     if num % p:
         raise InvariantViolation(f"Gertsch numerator not divisible by {p}")
     return num // p
+
+
+def wilson_quotient(p: int, f: int) -> int:
+    """(f + 1) / p, which is W_p mod p^(e-1), from f = (p-1)! mod p^e (e >= 2).
+
+    Wilson's congruence makes f + 1 divisible by p for every prime; a failure
+    signals a composite input or a kernel bug.
+    """
+    if (f + 1) % p:
+        raise InvariantViolation(f"Wilson congruence failed at {p}")
+    return (f + 1) // p
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +272,8 @@ def _factorial_columns(primes, e: int) -> tuple[list[int], list[int]]:
 
 
 def _wilson_column(primes, fs) -> list[int]:
-    """W_p mod p from fs = (p-1)! mod p^2; raises unless Wilson holds."""
-    out = []
-    for p, f in zip(primes, fs):
-        if (f + 1) % p:
-            raise InvariantViolation(f"Wilson congruence failed at {p}")
-        out.append((f + 1) // p % p)
-    return out
+    """W_p mod p from fs = (p-1)! mod p^2."""
+    return [wilson_quotient(p, f) % p for p, f in zip(primes, fs)]
 
 
 def _gertsch_column(primes, ks) -> list[int]:
@@ -286,31 +287,6 @@ def _gertsch_column(primes, ks) -> list[int]:
 
 if HAVE_NUMBA:
     _jit = numba.njit(cache=True, nogil=True)
-
-    @_jit
-    def _nb_factorial_mod(k, m):
-        f = 1 % m
-        for n in range(2, k + 1):
-            f = f * n % m
-        return f
-
-    @_jit
-    def _nb_kurepa_mod(p, m):
-        f = 1 % m
-        s = f
-        for n in range(1, p):
-            f = f * n % m
-            s = (s + f) % m
-        return s
-
-    @_jit
-    def _nb_kurepa_gf_mod(p):
-        prod = 1
-        s = prod if (p - 1) % 2 == 0 else p - prod
-        for k in range(p - 2, -1, -1):
-            prod = prod * (k + 1) % p
-            s = (s + (prod if k % 2 == 0 else p - prod)) % p
-        return s % p
 
     @_jit
     def _nb_bell_seq_mod(n, m):
@@ -395,35 +371,19 @@ if HAVE_NUMBA:
 # Dispatchers (fast=None means auto: numba when present and in-bounds)
 
 def _use_fast(fast, m: int, p: int) -> bool:
+    # the compiled tables multiply residues below m by factors below p, so
+    # their products fit in 63 bits when m * p < 2^63
     if fast is False or not HAVE_NUMBA:
         return False
-    return _fits(m, p)
+    return m * p < _U63
 
 
-def factorial_mod(k: int, m: int, fast=None) -> int:
-    if _use_fast(fast, m, k + 1):
-        return int(_nb_factorial_mod(k, m))
-    return factorial_mod_py(k, m)
-
-
-def kurepa_mod(p: int, m: int, fast=None) -> int:
-    if _use_fast(fast, m, p):
-        return int(_nb_kurepa_mod(p, m))
-    return kurepa_mod_py(p, m)
-
-
-def kurepa_gf_mod(p: int, fast=None) -> int:
-    if _use_fast(fast, p, p):
-        return int(_nb_kurepa_gf_mod(p))
-    return kurepa_gf_mod_py(p)
-
-
-def bell_mod(n: int, m: int, fast=None) -> int:
+def bell_mod(n: int, m: int) -> int:
     """Bell_n mod m: the O(n) explicit-Stirling sum when n! is a unit mod m
     (n = p-1, m = p^e for an odd prime p), else the O(n^2) triangle."""
     if n == 0:
         return 1 % m
-    f = factorial_mod_py(n, m)
+    f = factorial_mod(n, m)
     if gcd(f, m) != 1:
         return bell_mod_py(n, m)
     return _bell_stirling_mod(n, m, f)
@@ -453,21 +413,12 @@ def stirling2_row_mod(n: int, m: int, fast=None) -> list[int]:
     return stirling2_row_mod_py(n, m)
 
 
-def inverse_table(p: int, fast=None) -> list[int]:
-    if _use_fast(fast, p, p):
-        return [int(x) for x in _nb_inverse_table(p)]
-    return inverse_table_py(p)
-
-
-# The scans have one route on every host, the block kernel; `fast` is
-# accepted for a uniform dispatcher signature.
-
-def kurepa_scan(primes: list[int], fast=None) -> list[int]:
+def kurepa_scan(primes: list[int]) -> list[int]:
     """!p mod p for each p, in input order."""
     return _factorial_columns(primes, 1)[1]
 
 
-def wilson_scan(primes: list[int], fast=None) -> list[int]:
+def wilson_scan(primes: list[int]) -> list[int]:
     """W_p mod p for each p, in input order; raises InvariantViolation
     where Wilson's congruence fails (a composite input)."""
     return _wilson_column(primes, _factorial_columns(primes, 2)[0])
@@ -478,7 +429,7 @@ def gertsch_scan(primes: list[int]) -> list[int]:
     return _gertsch_column(primes, _factorial_columns(primes, 2)[1])
 
 
-def gertsch_wilson_scan(primes: list[int], fast=None) -> tuple[list[int], list[int]]:
+def gertsch_wilson_scan(primes: list[int]) -> tuple[list[int], list[int]]:
     """(Gertsch_p mod p, W_p mod p) columns from one block pass mod p^2."""
     fs, ks = _factorial_columns(primes, 2)
     return _gertsch_column(primes, ks), _wilson_column(primes, fs)

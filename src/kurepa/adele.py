@@ -223,8 +223,7 @@ def gamma_AG(window: PrimeRange) -> AdeleElement:
     return build_element(window, lambda p: residues.agoh_giuga_mod(p))
 
 
-def gamma_Kp(window: PrimeRange,
-             cap: int = config.BELL_MOD_CAP) -> AdeleElement:
+def gamma_Kp(window: PrimeRange) -> AdeleElement:
     """(!p mod p)_p. Nonvanishing of every entry is the Kurepa property;
     zero_primes() on the result surfaces counterexample events."""
     return build_element(window, lambda p: residues.kurepa_mod(p, 1))

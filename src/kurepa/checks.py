@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Callable, Optional
 
 from . import _kernels, config, exact, residues
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError
 from .modmath import fraction_residue, iter_primes
 from .tables import reproduce_table  # re-exported: catalog + tables in one place
 
@@ -104,16 +104,26 @@ class PrimeContext:
         return _kernels.bell_mod(self.p - 1, self.p * self.p)
 
     @cached_property
+    def columns(self) -> tuple[int, int]:
+        """((p-1)! mod p^3, !p mod p^3) from one block-kernel call."""
+        fs, ks = _kernels._factorial_columns([self.p], 3)
+        return fs[0], ks[0]
+
+    def fact(self, m: int) -> int:
+        """(p-1)! mod m, for m dividing p^3."""
+        return self.columns[0] % m
+
+    @cached_property
     def k1(self) -> int:
-        return _kernels.kurepa_mod(self.p, self.p)
+        return self.columns[1] % self.p
 
     @cached_property
     def k2(self) -> int:
-        return _kernels.kurepa_mod(self.p, self.p * self.p)
+        return self.columns[1] % (self.p * self.p)
 
     @cached_property
     def wilson(self) -> int:
-        return int(residues.wilson_quotient_mod(self.p))
+        return _kernels.wilson_quotient(self.p, self.columns[0]) % self.p
 
     @cached_property
     def der(self) -> int:
@@ -134,13 +144,14 @@ class PrimeContext:
         return residues.bernoulli_index_sums(self.p, self.bern)
 
     @cached_property
+    def power_sum(self) -> int:
+        """sum_a a^(p-1) mod p^3."""
+        return int(residues.power_sum_mod(self.p, 3))
+
+    @cached_property
     def qsum(self) -> int:
-        """sum_a q_p(a) mod p, from sum_a a^(p-1) = p-1 + p * sum_a q_p(a) (mod p^2)."""
-        p = self.p
-        num = (int(residues.power_sum_mod(p, 2)) - (p - 1)) % (p * p)
-        if num % p:
-            raise InvariantViolation(f"Fermat power sum != p-1 mod {p}")
-        return num // p
+        """sum_a q_p(a) mod p."""
+        return residues._fermat_quotient_sum(self.p, self.power_sum, 1)
 
     @cached_property
     def gertsch(self) -> int:
@@ -193,7 +204,7 @@ def _c04(ctx):
 
 
 def _c05(ctx):
-    return _kernels.factorial_mod(ctx.p - 1, ctx.p), ctx.p - 1
+    return ctx.fact(ctx.p), ctx.p - 1
 
 
 def _c06(ctx):
@@ -339,9 +350,9 @@ def _c22(ctx):
 def _c23(ctx):
     p = ctx.p
     m2 = p * p
-    lhs = (int(residues.power_sum_mod(p, 2)) - p - _kernels.factorial_mod(p - 1, m2)) % m2
+    lhs = (ctx.power_sum - p - ctx.fact(m2)) % m2
     m3 = p ** 3
-    r3 = (int(residues.power_sum_mod(p, 3)) - p - _kernels.factorial_mod(p - 1, m3)) % m3
+    r3 = (ctx.power_sum - p - ctx.fact(m3)) % m3
     note = f"mod p^3 residue: {r3}" + ("" if r3 else " (also divisible by p^3)")
     return lhs, 0, note
 
@@ -398,7 +409,7 @@ def _c31(ctx):
     p = ctx.p
     m2 = p * p
     lhs = (ctx.k2 - ctx.bell2) % m2
-    rhs = _kernels.factorial_mod(p - 1, m2)
+    rhs = ctx.fact(m2)
     note = "agreement measured; equivalent to Gertsch_p = W_p (mod p)"
     return lhs, rhs, note
 

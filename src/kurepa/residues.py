@@ -57,13 +57,12 @@ def factorial_mod(k: int, m: int) -> int:
 
 
 def kurepa_mod(p: int, e: int = 1) -> Residue:
-    """!p mod p^e (e in {1,2,3}) by incremental products, O(p) multiplies."""
+    """!p mod p^e (e in {1,2,3}) from the block kernel on a one-prime block."""
     if e not in (1, 2, 3):
         raise DomainError(f"modulus power must be 1, 2 or 3, got {e}")
     if not is_prime(p):
         raise DomainError(f"prime required, got {p}")
-    m = p ** e
-    return Residue(_kernels.kurepa_mod(p, m), m)
+    return Residue(_kernels._factorial_columns([p], e)[1][0], p ** e)
 
 
 def kurepa_gf_mod(p: int) -> Residue:
@@ -120,11 +119,8 @@ def wilson_quotient_mod(p: int, e: int = 1) -> Residue:
 
 
 def _wilson_quotient(p: int, e: int) -> int:
-    m = p ** (e + 1)
-    f = _kernels.factorial_mod(p - 1, m)
-    if (f + 1) % p:
-        raise InvariantViolation(f"(p-1)! != -1 mod {p}: non-prime input?")
-    return (f + 1) // p
+    f = _kernels._factorial_columns([p], e + 1)[0][0]
+    return _kernels.wilson_quotient(p, f)
 
 
 def fermat_quotient_mod(p: int, a: int, e: int = 1) -> Residue:
@@ -140,6 +136,15 @@ def fermat_quotient_mod(p: int, a: int, e: int = 1) -> Residue:
     return Residue((t - 1) // p, p ** e)
 
 
+def _fermat_quotient_sum(p: int, s: int, e: int) -> int:
+    """sum_a q_p(a) mod p^e from s = sum_a a^(p-1) mod p^(e+1), by
+    sum_a a^(p-1) = p-1 + p * sum_a q_p(a)."""
+    num = (s - (p - 1)) % p ** (e + 1)
+    if num % p:
+        raise InvariantViolation(f"Fermat power sum != p-1 mod {p}")
+    return num // p
+
+
 def lerch_quotient_mod(p: int) -> Residue:
     """L_p mod p: (sum_a q_p(a) - W_p)/p, both taken mod p^2.
 
@@ -148,10 +153,8 @@ def lerch_quotient_mod(p: int) -> Residue:
     """
     _require_odd_prime(p)
     m2 = p * p
-    num = (int(power_sum_mod(p, 3)) - (p - 1)) % (p * m2)
-    if num % p:
-        raise InvariantViolation(f"Fermat power sum != p-1 mod {p}")
-    num = (num // p - _wilson_quotient(p, 2)) % m2
+    qsum = _fermat_quotient_sum(p, int(power_sum_mod(p, 3)), 2)
+    num = (qsum - _wilson_quotient(p, 2)) % m2
     if num % p:
         raise InvariantViolation(f"Lerch numerator not divisible by {p}")
     return Residue(num // p, p)
@@ -162,9 +165,9 @@ def gertsch_quotient_mod(p: int, cap: int = config.BELL_MOD_CAP) -> Residue:
     _require_odd_prime(p)
     if p - 1 > cap:
         raise CapacityError(f"gertsch_quotient_mod capped at p <= {cap + 1}")
-    m2 = p * p
+    k2 = _kernels._factorial_columns([p], 2)[1][0]
     return Residue(_kernels.gertsch_quotient(
-        p, _kernels.kurepa_mod(p, m2), _kernels.bell_mod(p - 1, m2)), p)
+        p, k2, _kernels.bell_mod(p - 1, p * p)), p)
 
 
 # ---------------------------------------------------------------------------

@@ -37,15 +37,10 @@ def _criterion(n, label, budget_s):
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
     # compile the jit kernels once so budgets measure algorithm time
-    _kernels.kurepa_scan([3, 5])
-    _kernels.wilson_scan([3, 5])
-    _kernels.gertsch_wilson_scan([3, 5])
-    _kernels.bell_mod(4, 25)
     _kernels.bell_seq_mod(4, 5)
     _kernels.bernoulli_table_mod(7)
     _kernels.gregory_table_mod(7)
     _kernels.stirling2_row_mod(5, 5)
-    _kernels.kurepa_gf_mod(7)
     yield
 
 

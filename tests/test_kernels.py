@@ -1,7 +1,8 @@
-"""Dual-path tests: every numba kernel must agree with its pure-Python twin,
-and both must agree with the exact big-integer oracle reduced mod m; the
-block scans must agree with the per-prime loops."""
+"""Kernel tests: every table kernel agrees with the exact big-integer oracle
+reduced mod m, and each numba twin with its pure-Python reference; the block
+kernel behind the (p-1)! and !p columns agrees with the per-prime O(p) loops."""
 
+import math
 import random
 
 import pytest
@@ -16,31 +17,41 @@ FAST_MODES = [False] + ([None] if K.HAVE_NUMBA else [])
 PRIMES = [3, 5, 7, 11, 13, 17, 31, 97, 101, 563]
 
 
+def test_factorial_mod():
+    for k in (0, 1, 2, 5, 20, 96):
+        for m in (7, 97, 563 * 563):
+            assert K.factorial_mod(k, m) == math.factorial(k) % m
+
+
+def test_kurepa_mod():
+    for p in PRIMES:
+        for e in (1, 2):
+            m = p ** e
+            assert (K.kurepa_mod_py(p, m)
+                    == exact.left_factorial(p) % m)
+
+
+def test_kurepa_gf():
+    for p in PRIMES:
+        assert (K.kurepa_gf_mod(p)
+                == exact.left_factorial(p) % p)
+
+
+def test_bell_mod():
+    for n in (0, 1, 4, 16, 60, 96):
+        for m in (2, 11, 97, 101 * 101):
+            assert K.bell_mod(n, m) == exact.bell_exact(n) % m
+
+
+def test_inverse_table():
+    for p in (3, 7, 101):
+        inv = K.inverse_table(p)
+        for a in range(1, p):
+            assert inv[a] * a % p == 1
+
+
 @pytest.mark.parametrize("fast", FAST_MODES)
 class TestAgainstExact:
-    def test_factorial_mod(self, fast):
-        import math
-        for k in (0, 1, 2, 5, 20, 96):
-            for m in (7, 97, 563 * 563):
-                assert K.factorial_mod(k, m, fast=fast) == math.factorial(k) % m
-
-    def test_kurepa_mod(self, fast):
-        for p in PRIMES:
-            for e in (1, 2):
-                m = p ** e
-                assert (K.kurepa_mod(p, m, fast=fast)
-                        == exact.left_factorial(p) % m)
-
-    def test_kurepa_gf(self, fast):
-        for p in PRIMES:
-            assert (K.kurepa_gf_mod(p, fast=fast)
-                    == exact.left_factorial(p) % p)
-
-    def test_bell_mod(self, fast):
-        for n in (0, 1, 4, 16, 60, 96):
-            for m in (2, 11, 97, 101 * 101):
-                assert K.bell_mod(n, m, fast=fast) == exact.bell_exact(n) % m
-
     def test_bell_seq(self, fast):
         seq = K.bell_seq_mod(40, 101, fast=fast)
         want = [b % 101 for b in exact.bell_sequence_exact(40)]
@@ -68,29 +79,6 @@ class TestAgainstExact:
             for m in (7, 101):
                 row = K.stirling2_row_mod(n, m, fast=fast)
                 assert row == [s % m for s in exact.stirling2_row(n)]
-
-    def test_inverse_table(self, fast):
-        for p in (3, 7, 101):
-            inv = K.inverse_table(p, fast=fast)
-            for a in range(1, p):
-                assert inv[a] * a % p == 1
-
-
-@pytest.mark.skipif(not K.HAVE_NUMBA, reason="numba not installed")
-class TestFastEqualsPython:
-    def test_scans(self):
-        primes = sieve_primes(3, 2000)
-        assert K.kurepa_scan(primes, fast=None) == K.kurepa_scan(primes, fast=False)
-        assert K.wilson_scan(primes, fast=None) == K.wilson_scan(primes, fast=False)
-        g1, w1 = K.gertsch_wilson_scan(primes[:40], fast=None)
-        g2, w2 = K.gertsch_wilson_scan(primes[:40], fast=False)
-        assert (g1, w1) == (g2, w2)
-
-    def test_big_modulus_falls_back(self):
-        # p^3 weights beyond the u64-safe region must still be correct
-        p = 2_100_001  # above the mod-p^2 safety bound for factorial loops
-        # (not prime; we only exercise the dispatcher bound logic on small k)
-        assert K.factorial_mod(10, p * p, fast=None) == K.factorial_mod(10, p * p, fast=False)
 
 
 def test_wilson_scan_values():
@@ -148,7 +136,7 @@ def test_gertsch_wilson_scan_rejects_composite(c):
 # per-prime O(p) loops and the exact left factorial.
 
 def _columns_oracle(primes, e):
-    return ([K.factorial_mod_py(p - 1, p ** e) for p in primes],
+    return ([K.factorial_mod(p - 1, p ** e) for p in primes],
             [K.kurepa_mod_py(p, p ** e) for p in primes])
 
 
@@ -183,7 +171,6 @@ def test_factorial_columns_input_order_and_edges():
 
 
 def test_factorial_columns_match_exact_left_factorial():
-    import math
     primes = sieve_primes(2, 200)
     for e in (1, 2, 3):
         fs, ks = K._factorial_columns(primes, e)

@@ -1,10 +1,14 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from kurepa import _kernels as K
 from kurepa import exact, residues as R
+from kurepa.checks import PrimeContext
 from kurepa.errors import CapacityError, DomainError, InvariantViolation
-from kurepa.modmath import fraction_residue, iter_primes, mod_inv
+from kurepa.modmath import fraction_residue, iter_primes, mod_inv, sieve_primes
 
 
 class TestKurepaKernels:
@@ -275,3 +279,45 @@ class TestCapEnforcement:
     def test_bell_wilson_sum_cap(self):
         with pytest.raises(CapacityError):
             R.bell_wilson_sum_mod(20011, cap=100)
+
+
+# The per-prime !p, W_p and Gertsch_p read the block kernel on a one-prime
+# block; checked against exact arithmetic and against the per-prime O(p) loops.
+
+class TestBlockKernelPerPrime:
+    def test_match_exact_small_primes(self):
+        for p in iter_primes(3, 200):
+            lf = exact.left_factorial(p)
+            w = exact.wilson_quotient_exact(p)
+            for e in (1, 2, 3):
+                assert int(R.kurepa_mod(p, e)) == lf % p ** e, (p, e)
+            for e in (1, 2):
+                assert int(R.wilson_quotient_mod(p, e)) == w % p ** e, (p, e)
+            assert int(R.gertsch_quotient_mod(p)) == exact.gertsch_quotient_exact(p) % p
+            ctx = PrimeContext(p)
+            assert ctx.columns == (math.factorial(p - 1) % p ** 3, lf % p ** 3)
+            assert (ctx.k1, ctx.k2, ctx.wilson) == (lf % p, lf % p ** 2, w % p)
+
+    def test_match_loops_random_window(self):
+        rng = random.Random(20261018)
+        pool = sieve_primes(10_000, 50_000)
+        start = rng.randrange(len(pool) - 30)
+        for p in pool[start:start + 30]:
+            k3 = K.kurepa_mod_py(p, p ** 3)
+            f3 = K.factorial_mod(p - 1, p ** 3)
+            for e in (1, 2, 3):
+                assert int(R.kurepa_mod(p, e)) == k3 % p ** e, (p, e)
+            for e in (1, 2):
+                assert int(R.wilson_quotient_mod(p, e)) == (f3 + 1) // p % p ** e, (p, e)
+            b2 = K.bell_mod(p - 1, p * p)
+            assert int(R.gertsch_quotient_mod(p, cap=p)) == (k3 - b2 + 1) % p ** 2 // p
+            assert PrimeContext(p).columns == (f3, k3)
+
+    @pytest.mark.parametrize("c", [9, 15, 25])
+    def test_composites_raise(self, c):
+        for fn in (lambda: R.kurepa_mod(c, 1), lambda: R.kurepa_mod(c, 3),
+                   lambda: R.wilson_quotient_mod(c), lambda: R.wilson_quotient_mod(c, 2),
+                   lambda: R.gertsch_quotient_mod(c), lambda: R.lerch_quotient_mod(c),
+                   lambda: R.agoh_giuga_mod(c)):
+            with pytest.raises(DomainError):
+                fn()
