@@ -1,41 +1,31 @@
-"""Low-level per-prime kernels in pure Python, plus optional numba-compiled
-twins of the four O(p^2) tables.
+"""Low-level kernels in pure Python.
 
-Only the Bell-row, Bernoulli, Gregory and Stirling tables have a compiled
-twin. The numba path is a pure accelerator: identical semantics, used only
-where the intermediate products provably fit in unsigned 64-bit words (bounds
-are checked per call), and every twin keeps its Python reference so the two
-can be cross-tested. With numba absent everything still works, just slower.
-`bell_mod` is O(p) per prime. (p-1)! mod p^e and !p mod p^e at a prime have
-one route, the block kernel `_factorial_columns`: the scans (`kurepa_scan`,
-`wilson_scan`, `gertsch_scan`, `gertsch_wilson_scan`) pass it a block, the
-per-prime functions in `residues` and `checks` a one-prime list, and the
-O(p) loops `factorial_mod` and `kurepa_mod_py` are its test oracles.
+The Bell-row, Bernoulli, Gregory and Stirling tables are power series mod m:
+`_series_mul` multiplies two coefficient lists with one big-int product
+(Kronecker substitution, after Harvey 2009) and `_series_inv` inverts a
+series by Newton iteration, as Buhler, Crandall, Ernvall, Metsankyla and
+Shokrollahi (2001) do for Bernoulli numbers mod p. The O(p^2) triangles and
+recurrences (`*_py`) are their test oracles; the Stirling triangle also
+serves rows whose factorials are not units mod m. `bell_mod` is O(p) per
+prime. (p-1)! mod p^e and !p mod p^e have one route, the block kernel
+`_factorial_columns`, which the scans call with a block and `residues` and
+`checks` with one prime; `factorial_mod` and `kurepa_mod_py` are its oracles.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from math import gcd, isqrt
+from math import isqrt
+from operator import mul
 
 from .errors import InvariantViolation
 
-try:
-    import numba
-    import numpy as np
-
-    # workqueue is always available; avoids probing TBB/OMP layers that may
-    # be absent or stale
-    numba.config.THREADING_LAYER = "workqueue"
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-_U63 = 1 << 63
+# No compiled kernels exist; the flag is recorded with each benchmark result.
+HAVE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
-# Pure-Python kernels
+# Per-prime loops and the O(p^2) table oracles
 
 def factorial_mod(k: int, m: int) -> int:
     """k! mod m, O(k) multiplies."""
@@ -85,31 +75,6 @@ def bell_seq_mod_py(n: int, m: int) -> list[int]:
 def bell_mod_py(n: int, m: int) -> int:
     """Bell_n mod m from the Aitken triangle: O(n^2), valid for every m."""
     return bell_seq_mod_py(n, m)[n]
-
-
-def _bell_stirling_mod(n: int, m: int, fact_n: int) -> int:
-    """Bell_n mod m = sum_{j=1..n} (j^n / j!) * D_{n-j}, D_t = sum_{i<=t} (-1)^i / i!.
-
-    The finite explicit-Stirling sum; needs n >= 1 and fact_n = n! mod m a
-    unit. O(n) multiplies plus one pow per prime j <= n.
-    """
-    inv_fact = [0] * (n + 1)
-    x = pow(fact_n, -1, m)
-    for i in range(n, 0, -1):
-        inv_fact[i] = x
-        x = x * i % m
-    inv_fact[0] = x
-    # each term is below m, so the prefix sums stay small unreduced
-    d = list(accumulate(x if i % 2 == 0 else -x for i, x in enumerate(inv_fact)))
-    # smallest prime factor of j (0 for primes): j^n = q^n * (j/q)^n
-    spf = [0] * (n + 1)
-    for i in range(isqrt(n), 1, -1):
-        spf[i * i::i] = [i] * len(range(i * i, n + 1, i))
-    pw = [0, 1 % m] + [0] * (n - 1)
-    for j in range(2, n + 1):
-        q = spf[j]
-        pw[j] = pw[q] * pw[j // q] % m if q else pow(j, n, m)
-    return sum(pw[j] * inv_fact[j] * d[n - j] for j in range(1, n + 1)) % m
 
 
 def inverse_table(p: int) -> list[int]:
@@ -169,6 +134,161 @@ def stirling2_row_mod_py(n: int, m: int) -> list[int]:
             new[k] = (k * prev + row[k - 1]) % m
         row = new
     return row
+
+
+# ---------------------------------------------------------------------------
+# Power series mod m
+
+def _series_mul(a: list[int], b: list[int], n: int, m: int) -> list[int]:
+    """The first n coefficients of a(x) * b(x) mod m, for coefficients in
+    [0, m), from one big-int product.
+
+    Each list is packed into an int, one coefficient per w-byte slot. A
+    product coefficient is a sum of at most min(len a, len b) products below
+    m^2, so with w bytes above that bound no slot overflows into the next.
+    """
+    a, b = a[:n], b[:n]
+    w = (2 * (m - 1).bit_length() + min(len(a), len(b)).bit_length() + 7) // 8
+    x, y = (int.from_bytes(b"".join([c.to_bytes(w, "little") for c in v]),
+                           "little") for v in (a, b))
+    buf = (x * y).to_bytes((len(a) + len(b)) * w, "little")
+    return [int.from_bytes(buf[i:i + w], "little") % m
+            for i in range(0, n * w, w)]
+
+
+def _series_inv(f: list[int], n: int, m: int) -> list[int]:
+    """The first n coefficients of 1/f(x) mod m; f[0] must be a unit mod m.
+
+    Newton iteration: if f*g = 1 + x^h * e (mod x^2h), then g - x^h * g*e
+    is the inverse mod x^2h.
+    """
+    g = [pow(f[0], -1, m)]
+    while len(g) < n:
+        h = len(g)
+        k = min(2 * h, n)
+        e = _series_mul(f, g, k, m)[h:]
+        g += [-c % m for c in _series_mul(g, e, k - h, m)]
+    return g
+
+
+def _unit_top(n: int, m: int) -> int:
+    """The largest k <= n with k! a unit mod m (k below m's least prime)."""
+    return next((k - 1 for k in range(2, n + 1) if m % k == 0), n)
+
+
+def _factorials(n: int, m: int) -> tuple[list[int], list[int]]:
+    """([k! mod m], [1/k! mod m]) for k = 0..n; n! must be a unit mod m."""
+    fact = list(accumulate(range(1, n + 1), lambda f, k: f * k % m,
+                           initial=1 % m))
+    inv_fact = [0] * (n + 1)
+    x = pow(fact[n], -1, m)
+    for i in range(n, 0, -1):
+        inv_fact[i] = x
+        x = x * i % m
+    inv_fact[0] = x
+    return fact, inv_fact
+
+
+def _powers(n: int, e: int, m: int) -> list[int]:
+    """[j^e mod m for j = 0..n], e >= 1, with one pow per prime j:
+    j^e = q^e * (j/q)^e for the smallest prime factor q of a composite j."""
+    spf = [0] * (n + 1)  # 0 at primes, 0 and 1
+    for i in range(isqrt(n), 1, -1):
+        spf[i * i::i] = [i] * len(range(i * i, n + 1, i))
+    pw = [0] * (n + 1)
+    for j in range(1, n + 1):
+        q = spf[j]
+        pw[j] = pw[q] * pw[j // q] % m if q else pow(j, e, m)
+    return pw
+
+
+# ---------------------------------------------------------------------------
+# Tables and Bell values mod m
+
+_LEAF_TERMS = 32  # below this many terms the Bell recurrence runs directly
+
+
+def bell_seq_mod(n: int, m: int) -> list[int]:
+    """Bell_0..Bell_n mod m.
+
+    While k! is a unit mod m, Bell_k = k! b_k with sum b_k x^k = exp(e^x - 1);
+    from B' = e^x B, (k+1) b_{k+1} = sum_{j<=k} b_j / (k-j)!, solved by
+    divide and conquer: the left half's terms reach the right half in one
+    series product. Past the last unit index t, Bell_{r+1} = sum_k C(r,k)
+    Bell_k, the row C(t, .) from factorials and each next row by Pascal's
+    rule, O(r) per value (Bell_p..Bell_{p+6} mod p, or small composite m).
+    """
+    top = _unit_top(n, m)
+    fact, inv_fact = _factorials(top, m)
+    b = [1 % m] + [0] * top
+    acc = [0] * (top + 1)  # acc[k]: the terms of b[j] for j below the block
+
+    def solve(lo: int, hi: int) -> None:
+        if hi - lo <= _LEAF_TERMS:
+            for k in range(max(lo, 1), hi):
+                s = acc[k] + sum(b[j] * inv_fact[k - 1 - j] for j in range(lo, k))
+                b[k] = s % m * inv_fact[k] % m * fact[k - 1] % m
+            return
+        mid = (lo + hi) // 2
+        solve(lo, mid)
+        c = _series_mul(b[lo:mid], inv_fact, hi - lo - 1, m)
+        for k in range(mid, hi):
+            acc[k] += c[k - 1 - lo]
+        solve(mid, hi)
+
+    solve(0, top + 1)
+    bell = [f * x % m for f, x in zip(fact, b)]
+    row = [fact[top] * inv_fact[k] % m * inv_fact[top - k] % m
+           for k in range(top + 1)]
+    for r in range(top, n):
+        bell.append(sum(map(mul, row, bell)) % m)
+        row = [1 % m] + [(x + y) % m for x, y in zip(row, row[1:])] + [1 % m]
+    return bell
+
+
+def bell_mod(n: int, m: int) -> int:
+    """Bell_n mod m. When n! is a unit mod m (n = p-1, m = p^e for an odd
+    prime p), the O(n) explicit-Stirling sum
+    Bell_n = sum_{j=1..n} (j^n/j!) D_{n-j}, D_t = sum_{i<=t} (-1)^i/i!;
+    otherwise read from `bell_seq_mod`."""
+    if n == 0 or _unit_top(n, m) < n:
+        return bell_seq_mod(n, m)[n]
+    _, inv_fact = _factorials(n, m)
+    # each term is below m, so the prefix sums stay small unreduced
+    d = list(accumulate(x if i % 2 == 0 else -x for i, x in enumerate(inv_fact)))
+    pw = _powers(n, n, m)
+    return sum(pw[j] * inv_fact[j] * d[n - j] for j in range(1, n + 1)) % m
+
+
+def bernoulli_table_mod(p: int) -> list[int]:
+    """B_0..B_{p-2} mod p for a prime p: B_n = n! [x^n] of x/(e^x - 1), the
+    series inverse of (e^x - 1)/x = sum_k x^k/(k+1)!."""
+    fact, inv_fact = _factorials(p - 1, p)
+    g = _series_inv(inv_fact[1:], p - 1, p)
+    return [f * c % p for f, c in zip(fact, g)]
+
+
+def gregory_table_mod(p: int) -> list[int]:
+    """G_0..G_{p-2} mod p for a prime p: the series inverse of
+    log(1+x)/x = sum_k (-1)^k x^k/(k+1)."""
+    inv = inverse_table(p)
+    f = [inv[k + 1] if k % 2 == 0 else p - inv[k + 1] for k in range(p - 1)]
+    return _series_inv(f, p - 1, p)
+
+
+def stirling2_row_mod(n: int, m: int) -> list[int]:
+    """S(n,0)..S(n,n) mod m.
+
+    When every k! with k < n is a unit mod m (n = m = p, say),
+    S(n,k) = [x^k] of (sum_j j^n x^j/j!) * (sum_i (-1)^i x^i/i!) for k < n,
+    and S(n,n) = 1. Other rows come from the O(n^2) triangle.
+    """
+    if n == 0 or _unit_top(n - 1, m) < n - 1:
+        return stirling2_row_mod_py(n, m)
+    _, inv_fact = _factorials(n - 1, m)
+    a = [x * y % m for x, y in zip(_powers(n - 1, n, m), inv_fact)]
+    b = [x if i % 2 == 0 else -x % m for i, x in enumerate(inv_fact)]
+    return _series_mul(a, b, n, m) + [1 % m]
 
 
 def gertsch_quotient(p: int, k2: int, b2: int) -> int:
@@ -283,135 +403,7 @@ def _gertsch_column(primes, ks) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# numba twins
-
-if HAVE_NUMBA:
-    _jit = numba.njit(cache=True, nogil=True)
-
-    @_jit
-    def _nb_bell_seq_mod(n, m):
-        out = np.empty(n + 1, dtype=np.uint64)
-        out[0] = 1 % m
-        row = np.empty(n + 1, dtype=np.uint64)
-        row[0] = 1 % m
-        length = 1
-        for i in range(1, n + 1):
-            carry = row[length - 1]
-            for j in range(length):
-                nxt = (carry + row[j]) % m
-                row[j] = carry
-                carry = nxt
-            row[length] = carry
-            length += 1
-            out[i] = row[0]
-        return out
-
-    @_jit
-    def _nb_inverse_table(p):
-        inv = np.zeros(p, dtype=np.uint64)
-        inv[1] = 1
-        for i in range(2, p):
-            inv[i] = (p - p // i) * inv[p % i] % p
-        return inv
-
-    @_jit
-    def _nb_bernoulli_table_mod(p):
-        inv = _nb_inverse_table(p)
-        table = np.zeros(p - 1, dtype=np.uint64)
-        table[0] = 1 % p
-        if p > 2:
-            table[1] = (p - inv[2]) % p
-        for idx in range(2, p - 1):
-            if idx % 2 == 1:
-                continue
-            n = idx + 1
-            s = 1
-            c = 1
-            for j in range(1, n - 1):
-                c = c * ((n - j + 1) % p) % p * inv[j] % p
-                if table[j]:
-                    s = (s + c * table[j]) % p
-            table[idx] = (p - s) * inv[n % p] % p
-        return table
-
-    @_jit
-    def _nb_gregory_table_mod(p):
-        inv = _nb_inverse_table(p)
-        table = np.zeros(p - 1, dtype=np.uint64)
-        table[0] = 1 % p
-        for n in range(1, p - 1):
-            g = 0
-            for k in range(1, n + 1):
-                t = inv[k + 1] * table[n - k] % p
-                if k % 2 == 1:
-                    g = (g + t) % p
-                else:
-                    g = (g + p - t) % p
-            table[n] = g
-        return table
-
-    @_jit
-    def _nb_stirling2_row_mod(n, m):
-        row = np.zeros(n + 1, dtype=np.uint64)
-        new = np.zeros(n + 1, dtype=np.uint64)
-        row[0] = 1 % m
-        length = 1
-        for r in range(1, n + 1):
-            new[0] = 0
-            for k in range(1, r + 1):
-                prev = row[k] if k < r else 0
-                new[k] = (k * prev + row[k - 1]) % m
-            for k in range(r + 1):
-                row[k] = new[k]
-            length = r + 1
-        return row[:length]
-
-
-# ---------------------------------------------------------------------------
-# Dispatchers (fast=None means auto: numba when present and in-bounds)
-
-def _use_fast(fast, m: int, p: int) -> bool:
-    # the compiled tables multiply residues below m by factors below p, so
-    # their products fit in 63 bits when m * p < 2^63
-    if fast is False or not HAVE_NUMBA:
-        return False
-    return m * p < _U63
-
-
-def bell_mod(n: int, m: int) -> int:
-    """Bell_n mod m: the O(n) explicit-Stirling sum when n! is a unit mod m
-    (n = p-1, m = p^e for an odd prime p), else the O(n^2) triangle."""
-    if n == 0:
-        return 1 % m
-    f = factorial_mod(n, m)
-    if gcd(f, m) != 1:
-        return bell_mod_py(n, m)
-    return _bell_stirling_mod(n, m, f)
-
-
-def bell_seq_mod(n: int, m: int, fast=None) -> list[int]:
-    if (fast is not False) and HAVE_NUMBA and m < _U63 and n >= 1:
-        return [int(x) for x in _nb_bell_seq_mod(n, m)]
-    return bell_seq_mod_py(n, m)
-
-
-def bernoulli_table_mod(p: int, fast=None) -> list[int]:
-    if _use_fast(fast, p, p):
-        return [int(x) for x in _nb_bernoulli_table_mod(p)]
-    return bernoulli_table_mod_py(p)
-
-
-def gregory_table_mod(p: int, fast=None) -> list[int]:
-    if _use_fast(fast, p, p):
-        return [int(x) for x in _nb_gregory_table_mod(p)]
-    return gregory_table_mod_py(p)
-
-
-def stirling2_row_mod(n: int, m: int, fast=None) -> list[int]:
-    if _use_fast(fast, m, n + 1) and n >= 1:
-        return [int(x) for x in _nb_stirling2_row_mod(n, m)]
-    return stirling2_row_mod_py(n, m)
-
+# Scans
 
 def kurepa_scan(primes: list[int]) -> list[int]:
     """!p mod p for each p, in input order."""

@@ -18,12 +18,13 @@ def _env_int(name: str, default: int) -> int:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
-# Largest n for bell_mod (O(n) when n! is a unit mod m, else the O(n^2)
-# Bell triangle) and bell_sequence_mod (always the triangle).
+# Largest n for bell_mod (O(n) when n! is a unit mod m, else read from the
+# Bell row) and bell_sequence_mod (power series while n! is a unit mod m, then
+# O(n) per further value).
 BELL_MOD_CAP = _env_int("KUREPA_BELL_CAP", 20000)
 
-# O(p^2) modular Bernoulli/Gregory recurrences: largest prime p.
-BERNOULLI_MOD_CAP = _env_int("KUREPA_BERNOULLI_CAP", 5000)
+# Bernoulli/Gregory tables mod p (power-series inverses): largest prime p.
+BERNOULLI_MOD_CAP = _env_int("KUREPA_BERNOULLI_CAP", 50_000)
 
 # Exact rational sequences (fast-growing numerators): largest index.
 EXACT_BERNOULLI_CAP = _env_int("KUREPA_EXACT_BERNOULLI_CAP", 256)

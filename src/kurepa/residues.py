@@ -78,7 +78,7 @@ def kurepa_gf_mod(p: int) -> Residue:
 
 def bell_mod(n: int, m: int, cap: int = config.BELL_MOD_CAP) -> Residue:
     """Bell_n mod m: O(n) by the explicit Stirling sum when n! is a unit mod m
-    (n = p-1, m = p^e), else the O(n^2) Bell triangle; O(n) memory."""
+    (n = p-1, m = p^e), else read from `bell_sequence_mod`; O(n) memory."""
     if n < 0:
         raise DomainError("bell needs n >= 0")
     if m < 2:
@@ -89,7 +89,9 @@ def bell_mod(n: int, m: int, cap: int = config.BELL_MOD_CAP) -> Residue:
 
 
 def bell_sequence_mod(n: int, m: int, cap: int = config.BELL_MOD_CAP) -> list[int]:
-    """Bell_0..Bell_n mod m (row heads of the O(n^2) Bell triangle)."""
+    """Bell_0..Bell_n mod m: Bell_k = k! [x^k] of exp(e^x - 1) by series
+    products while k! is a unit mod m, then Bell_{r+1} = sum_k C(r,k) Bell_k
+    at O(r) per value (the Touchard window Bell_p..Bell_{p+6} mod p, say)."""
     if n < 0:
         raise DomainError("bell needs n >= 0")
     if n > cap:
@@ -208,7 +210,8 @@ class GregoryModTable:
 
 
 def bernoulli_mod_table(p: int, cap: int = config.BERNOULLI_MOD_CAP) -> BernoulliModTable:
-    """B_k mod p for 0 <= k <= p-2 via the integer recurrence, O(p^2)."""
+    """B_k mod p for 0 <= k <= p-2 from the power-series inverse of
+    (e^x - 1)/x, by Newton iteration over big-int series products."""
     _require_odd_prime(p)
     if p < 5:
         raise DomainError("bernoulli_mod_table needs p >= 5")

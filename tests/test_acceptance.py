@@ -6,8 +6,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from kurepa import _kernels, adele, exact, residues, search, tables
 from kurepa.checks import run_catalog
 from kurepa.modmath import PrimeRange, fraction_residue, iter_primes
@@ -32,16 +30,6 @@ def _criterion(n, label, budget_s):
         run.__name__ = fn.__name__
         return run
     return wrap
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # compile the jit kernels once so budgets measure algorithm time
-    _kernels.bell_seq_mod(4, 5)
-    _kernels.bernoulli_table_mod(7)
-    _kernels.gregory_table_mod(7)
-    _kernels.stirling2_row_mod(5, 5)
-    yield
 
 
 @_criterion(1, "left-factorial/Bell table p<=17", 1.0)

@@ -1,6 +1,7 @@
 """Kernel tests: every table kernel agrees with the exact big-integer oracle
-reduced mod m, and each numba twin with its pure-Python reference; the block
-kernel behind the (p-1)! and !p columns agrees with the per-prime O(p) loops."""
+reduced mod m, and each power-series table with its O(p^2) triangle or
+recurrence; the block kernel behind the (p-1)! and !p columns agrees with the
+per-prime O(p) loops."""
 
 import math
 import random
@@ -11,8 +12,6 @@ from kurepa import _kernels as K
 from kurepa import exact
 from kurepa.errors import InvariantViolation
 from kurepa.modmath import rational_residue, sieve_primes
-
-FAST_MODES = [False] + ([None] if K.HAVE_NUMBA else [])
 
 PRIMES = [3, 5, 7, 11, 13, 17, 31, 97, 101, 563]
 
@@ -50,34 +49,33 @@ def test_inverse_table():
             assert inv[a] * a % p == 1
 
 
-@pytest.mark.parametrize("fast", FAST_MODES)
 class TestAgainstExact:
-    def test_bell_seq(self, fast):
-        seq = K.bell_seq_mod(40, 101, fast=fast)
+    def test_bell_seq(self):
+        seq = K.bell_seq_mod(40, 101)
         want = [b % 101 for b in exact.bell_sequence_exact(40)]
         assert seq == want
 
-    def test_bernoulli_table(self, fast):
+    def test_bernoulli_table(self):
         for p in (5, 13, 31, 97):
-            table = K.bernoulli_table_mod(p, fast=fast)
+            table = K.bernoulli_table_mod(p)
             assert len(table) == p - 1
             for k in range(p - 1):
                 want = rational_residue(exact.bernoulli_exact(k).numerator,
                                         exact.bernoulli_exact(k).denominator, p)
                 assert table[k] == int(want)
 
-    def test_gregory_table(self, fast):
+    def test_gregory_table(self):
         for p in (3, 11, 31, 97):
-            table = K.gregory_table_mod(p, fast=fast)
+            table = K.gregory_table_mod(p)
             assert len(table) == p - 1
             for n in range(p - 1):
                 g = exact.gregory_exact(n)
                 assert table[n] == int(rational_residue(g.numerator, g.denominator, p))
 
-    def test_stirling_row(self, fast):
+    def test_stirling_row(self):
         for n in (1, 2, 5, 9):
             for m in (7, 101):
-                row = K.stirling2_row_mod(n, m, fast=fast)
+                row = K.stirling2_row_mod(n, m)
                 assert row == [s % m for s in exact.stirling2_row(n)]
 
 
@@ -120,7 +118,8 @@ def test_bell_mod_matches_exact_small_primes():
 
 
 def test_bell_mod_non_unit_factorial_uses_triangle():
-    # (n! shares a factor with m): composite "p" and its powers
+    # (n! shares a factor with m): composite "p" and its powers; the value
+    # is read from the Bell row past its last unit index
     for c in (4, 9, 15, 25):
         for m in (c, c * c):
             assert K.bell_mod(c - 1, m) == exact.bell_exact(c - 1) % m
@@ -187,3 +186,74 @@ def test_wilson_scan_rejects_composite(block):
 def test_gertsch_scan_matches_gertsch_wilson_scan():
     primes = sieve_primes(3, 400)
     assert K.gertsch_scan(primes) == K.gertsch_wilson_scan(primes)[0]
+
+
+# The power-series tables against their O(p^2) triangles and recurrences.
+# The Bell row runs to Bell_{p+6}: past p-1 it leaves the series for the
+# binomial recurrence, which is what the Touchard checks C03 and C04 read.
+
+_SERIES = {
+    "bernoulli": (K.bernoulli_table_mod, K.bernoulli_table_mod_py),
+    "gregory": (K.gregory_table_mod, K.gregory_table_mod_py),
+    "stirling": (lambda p: K.stirling2_row_mod(p, p),
+                 lambda p: K.stirling2_row_mod_py(p, p)),
+    "bell": (lambda p: K.bell_seq_mod(p + 6, p),
+             lambda p: K.bell_seq_mod_py(p + 6, p)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SERIES))
+def test_series_table_matches_oracle_small_primes(name):
+    series, oracle = _SERIES[name]
+    for p in sieve_primes(2, 600):
+        assert series(p) == oracle(p), p
+
+
+@pytest.mark.parametrize("name", sorted(_SERIES))
+def test_series_table_matches_oracle_seeded_primes(name):
+    series, oracle = _SERIES[name]
+    for p in random.Random(20261018).sample(sieve_primes(2000, 4000), 2):
+        assert series(p) == oracle(p), p
+
+
+@pytest.mark.parametrize("m", [12, 49, 101 * 101])
+def test_bell_and_stirling_rows_at_composite_moduli(m):
+    # the series covers the indices whose factorials are units mod m; the
+    # rest come from the binomial recurrence (Bell) or the triangle (Stirling)
+    assert K.bell_seq_mod(120, m) == K.bell_seq_mod_py(120, m)
+    for n in range(110):
+        assert K.stirling2_row_mod(n, m) == K.stirling2_row_mod_py(n, m), n
+
+
+def test_bell_and_stirling_rows_mod_p_squared_at_the_unit_boundary():
+    p = 563
+    m = p * p
+    assert K.bell_seq_mod(p + 6, m) == K.bell_seq_mod_py(p + 6, m)
+    for n in (p - 1, p, p + 1):
+        assert K.stirling2_row_mod(n, m) == K.stirling2_row_mod_py(n, m), n
+
+
+def test_series_tables_satisfy_congruences_at_large_prime():
+    # beyond the triangles' reach: the proved congruences against W_p and
+    # !p from the block kernel and q_p(2) from pow
+    p = random.Random(20261019).choice(sieve_primes(20_000, 50_000))
+    fs, ks = K._factorial_columns([p], 2)
+    w = K.wilson_quotient(p, fs[0]) % p
+    q2 = (pow(2, p - 1, p * p) - 1) // p
+    inv = K.inverse_table(p)
+    bern = K.bernoulli_table_mod(p)
+    t = [bern[k] * inv[k] % p for k in range(1, p - 1)]  # B_k/k, k = 1..p-2
+    alternating = (1 + sum(x if k % 2 == 0 else -x for k, x in enumerate(t, 1))) % p
+    plain = (1 + sum(t)) % p
+    even = sum(t[1::2]) % p
+    assert (alternating, plain, even) == ((w + 2) % p, (w + 1) % p, (w + inv[2]) % p)
+    greg = K.gregory_table_mod(p)
+    # |G_n| = (-1)^(n-1) G_n
+    s = sum(greg[n] * inv[n] * (1 if n % 2 else -1) for n in range(1, p - 1))
+    assert s % p == (w + 2 * q2 - 1) % p
+    row = K.stirling2_row_mod(p, p)
+    assert len(row) == p + 1 and row[:2] == [0, 1] and row[p] == 1
+    assert not any(row[2:p])
+    bell = K.bell_seq_mod(p - 1, p)
+    assert len(bell) == p
+    assert bell[-1] == (ks[0] + 1) % p == K.bell_mod(p - 1, p)
