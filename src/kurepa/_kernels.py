@@ -8,8 +8,8 @@ Shokrollahi (2001) do for Bernoulli numbers mod p. The O(p^2) triangles and
 recurrences (`*_py`) are their test oracles; the Stirling triangle also
 serves rows whose factorials are not units mod m. `bell_mod` is O(p) per
 prime. (p-1)! mod p^e and !p mod p^e have one route, the block kernel
-`_factorial_columns`, which the scans call with a block and `residues` and
-`checks` with one prime; `factorial_mod` and `kurepa_mod_py` are its oracles.
+`_factorial_columns`: the scans call it with a block, `residues.PrimeContext`
+with one prime; `factorial_mod` and `kurepa_mod_py` are its oracles.
 """
 
 from __future__ import annotations
@@ -270,9 +270,10 @@ def bernoulli_table_mod(p: int) -> list[int]:
 
 def gregory_table_mod(p: int) -> list[int]:
     """G_0..G_{p-2} mod p for a prime p: the series inverse of
-    log(1+x)/x = sum_k (-1)^k x^k/(k+1)."""
-    inv = inverse_table(p)
-    f = [inv[k + 1] if k % 2 == 0 else p - inv[k + 1] for k in range(p - 1)]
+    log(1+x)/x = sum_k (-1)^k x^k/(k+1), with 1/(k+1) = k!/(k+1)!."""
+    fact, inv_fact = _factorials(p - 1, p)
+    f = [(fact[k] if k % 2 == 0 else -fact[k]) * inv_fact[k + 1] % p
+         for k in range(p - 1)]
     return _series_inv(f, p - 1, p)
 
 

@@ -17,12 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Optional
 
-from . import _kernels, config, exact, residues
+from . import exact, residues
 from .errors import DomainError
 from .modmath import fraction_residue, iter_primes
+from .residues import PrimeContext  # re-exported: the per-prime record
 from .tables import reproduce_table  # re-exported: catalog + tables in one place
 
 __all__ = [
@@ -78,89 +78,6 @@ class CheckDescriptor:
         return self.applies(ctx) if self.applies else True
 
 
-class PrimeContext:
-    """Shared per-prime computations, built lazily and reused across checks."""
-
-    def __init__(self, p: int,
-                 bell_cap: int = config.BELL_MOD_CAP,
-                 bern_cap: int = config.BERNOULLI_MOD_CAP,
-                 exact_bern_cap: int = config.EXACT_BERNOULLI_CAP):
-        self.p = p
-        self.bell_cap = bell_cap
-        self.bern_cap = bern_cap
-        self.exact_bern_cap = exact_bern_cap
-
-    @cached_property
-    def inv(self) -> list[int]:
-        return _kernels.inverse_table(self.p)
-
-    @cached_property
-    def bell_seq(self) -> list[int]:
-        # up to Bell_{p+6} for the Touchard window
-        return residues.bell_sequence_mod(self.p + 6, self.p, cap=self.p + 6)
-
-    @cached_property
-    def bell2(self) -> int:
-        return _kernels.bell_mod(self.p - 1, self.p * self.p)
-
-    @cached_property
-    def columns(self) -> tuple[int, int]:
-        """((p-1)! mod p^3, !p mod p^3) from one block-kernel call."""
-        fs, ks = _kernels._factorial_columns([self.p], 3)
-        return fs[0], ks[0]
-
-    def fact(self, m: int) -> int:
-        """(p-1)! mod m, for m dividing p^3."""
-        return self.columns[0] % m
-
-    @cached_property
-    def k1(self) -> int:
-        return self.columns[1] % self.p
-
-    @cached_property
-    def k2(self) -> int:
-        return self.columns[1] % (self.p * self.p)
-
-    @cached_property
-    def wilson(self) -> int:
-        return _kernels.wilson_quotient(self.p, self.columns[0]) % self.p
-
-    @cached_property
-    def der(self) -> int:
-        return int(residues.derangement_mod(self.p - 1, self.p))
-
-    @cached_property
-    def bern(self) -> residues.BernoulliModTable:
-        return residues.bernoulli_mod_table(self.p, cap=self.bern_cap) \
-            if self.p >= 5 else residues.BernoulliModTable(
-                self.p, residues._small_bern(self.p))
-
-    @cached_property
-    def greg(self) -> residues.GregoryModTable:
-        return residues.gregory_mod_table(self.p, cap=self.bern_cap)
-
-    @cached_property
-    def bern_sums(self) -> residues.BernoulliIndexSums:
-        return residues.bernoulli_index_sums(self.p, self.bern)
-
-    @cached_property
-    def power_sum(self) -> int:
-        """sum_a a^(p-1) mod p^3."""
-        return int(residues.power_sum_mod(self.p, 3))
-
-    @cached_property
-    def qsum(self) -> int:
-        """sum_a q_p(a) mod p."""
-        return residues._fermat_quotient_sum(self.p, self.power_sum, 1)
-
-    @cached_property
-    def gertsch(self) -> int:
-        return _kernels.gertsch_quotient(self.p, self.k2, self.bell2)
-
-    def q(self, m: int) -> int:
-        return int(residues.fermat_quotient_mod(self.p, m))
-
-
 # ---------------------------------------------------------------------------
 # Check implementations
 
@@ -185,11 +102,11 @@ def _agoh_sum(ctx: PrimeContext, m: int, alternating: bool) -> int:
 
 
 def _c01(ctx):
-    return ctx.k1, (ctx.bell_seq[ctx.p - 1] - 1) % ctx.p
+    return ctx.kurepa(1), (ctx.bell_seq[ctx.p - 1] - 1) % ctx.p
 
 
 def _c02(ctx):
-    return ctx.der, ctx.k1
+    return ctx.der, ctx.kurepa(1)
 
 
 def _c03(ctx):
@@ -267,9 +184,7 @@ def _c12(ctx):
 
 def _c13(ctx):
     p = ctx.p
-    lhs = ctx.k1 * int(residues.bernoulli_factorial_sum_mod(p, ctx.bern)) % p
-    rhs = int(residues.bernoulli_left_factorial_sum_mod(p, ctx.bern))
-    return lhs, rhs
+    return ctx.kurepa(1) * ctx.bern_factorial_sum % p, ctx.bern_left_factorial_sum
 
 
 def _c14(ctx):
@@ -327,7 +242,7 @@ def _c19(ctx):
 
 
 def _c20(ctx):
-    return int(residues.agoh_giuga_mod(ctx.p)), (ctx.wilson + 1) % ctx.p
+    return ctx.ag, (ctx.wilson + 1) % ctx.p
 
 
 def _c21(ctx):
@@ -369,8 +284,8 @@ def _c25(ctx):
 
 
 def _c26(ctx):
-    hit = ctx.k1 == 0
-    note = f"!p mod p = {ctx.k1}" + (" COUNTEREXAMPLE" if hit else "")
+    hit = ctx.kurepa(1) == 0
+    note = f"!p mod p = {ctx.kurepa(1)}" + (" COUNTEREXAMPLE" if hit else "")
     return int(not hit), 1, note
 
 
@@ -400,7 +315,7 @@ def _c29(ctx):
 def _c30(ctx):
     p = ctx.p
     ms = range(1, min(p, 7))
-    lhs = tuple(int(residues.sun_zagier_sum(p, m, list(ctx.bell_seq))) for m in ms)
+    lhs = tuple(ctx.sun_zagier(m) for m in ms)
     rhs = tuple((-1) ** (m - 1) * exact.derangement_exact(m - 1) % p for m in ms)
     return lhs, rhs
 
@@ -408,7 +323,7 @@ def _c30(ctx):
 def _c31(ctx):
     p = ctx.p
     m2 = p * p
-    lhs = (ctx.k2 - ctx.bell2) % m2
+    lhs = (ctx.kurepa(2) - ctx.bell(2)) % m2
     rhs = ctx.fact(m2)
     note = "agreement measured; equivalent to Gertsch_p = W_p (mod p)"
     return lhs, rhs, note

@@ -236,6 +236,11 @@ def agoh_giuga_exact(p: int, cap: int = config.EXACT_BERNOULLI_CAP) -> Fraction:
     """
     if p < 3 or not is_prime(p):
         raise DomainError(f"Agoh-Giuga quotient needs an odd prime, got {p}")
+    return _agoh_giuga(p, cap)
+
+
+def _agoh_giuga(p: int, cap: int) -> Fraction:
+    """agoh_giuga_exact for an odd prime p that the caller has checked."""
     if p - 1 > cap:
         raise CapacityError(f"exact Bernoulli capped at index {cap}; p={p} too large")
     ag = (p * bernoulli_exact(p - 1, cap) + 1) / p

@@ -1,20 +1,26 @@
 """Fast per-prime residue kernels at modulus p^e.
 
-Each operation is pure and independent per prime; division-by-p steps always
-verify divisibility first and raise InvariantViolation otherwise, so a wrong
-quotient can never silently poison a downstream table.
+`PrimeContext` is the one route to every residue at one prime: it checks
+that p is an odd prime once, builds each base value once, and derives the
+rest by reduction. The public per-prime functions check their arguments and
+read one of its fields. Division-by-p steps always verify divisibility first
+and raise InvariantViolation otherwise, so a wrong quotient can never
+silently poison a downstream table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Optional
 
-from . import _kernels, config
+from . import _kernels, config, exact
 from .errors import CapacityError, DomainError, InvariantViolation
-from .modmath import UNDEFINED, Residue, is_prime, mod_inv
+from .modmath import UNDEFINED, Residue, fraction_residue, is_prime
 
 __all__ = [
+    "PrimeContext",
     "kurepa_mod",
     "kurepa_gf_mod",
     "bell_mod",
@@ -51,18 +57,198 @@ def _require_odd_prime(p: int):
         raise DomainError(f"odd prime required, got {p}")
 
 
+# ---------------------------------------------------------------------------
+# One prime: the residue record
+
+class PrimeContext:
+    """Every residue at one odd prime p, each built once, on first use.
+
+    The constructor checks once that p is an odd prime. The base values are
+    ((p-1)!, !p) mod p^3 from one block-kernel call, Bell_{p-1} mod p^3, the
+    inverses mod p, sum_a a^(p-1) mod p^3 and the Bernoulli and Gregory
+    tables; every quotient reduces them mod p^e. Bell is capped at
+    p - 1 <= bell_cap and the tables at p <= bern_cap.
+    """
+
+    def __init__(self, p: int,
+                 bell_cap: int = config.BELL_MOD_CAP,
+                 bern_cap: int = config.BERNOULLI_MOD_CAP,
+                 exact_bern_cap: int = config.EXACT_BERNOULLI_CAP):
+        _require_odd_prime(p)
+        self.p = p
+        self.bell_cap = bell_cap
+        self.bern_cap = bern_cap
+        self.exact_bern_cap = exact_bern_cap
+
+    # -- base values, built once
+
+    @cached_property
+    def columns(self) -> tuple[int, int]:
+        """((p-1)! mod p^3, !p mod p^3) from one block-kernel call."""
+        fs, ks = _kernels._factorial_columns([self.p], 3)
+        return fs[0], ks[0]
+
+    @cached_property
+    def bell3(self) -> int:
+        """Bell_{p-1} mod p^3."""
+        p = self.p
+        _require_cap("Bell_(p-1): p - 1", p - 1, self.bell_cap)
+        return _kernels.bell_mod(p - 1, p ** 3)
+
+    @cached_property
+    def bell_seq(self) -> list[int]:
+        """Bell_0..Bell_{p+6} mod p, up to the Touchard window."""
+        _require_cap("Bell row: p - 1", self.p - 1, self.bell_cap)
+        return _kernels.bell_seq_mod(self.p + 6, self.p)
+
+    @cached_property
+    def inv(self) -> list[int]:
+        return _kernels.inverse_table(self.p)
+
+    @cached_property
+    def power_sum(self) -> int:
+        """sum_a a^(p-1) mod p^3."""
+        return int(power_sum_mod(self.p, 3))
+
+    @cached_property
+    def bern(self) -> BernoulliModTable:
+        _require_cap("Bernoulli table: p", self.p, self.bern_cap)
+        return BernoulliModTable(self.p, tuple(_kernels.bernoulli_table_mod(self.p)))
+
+    @cached_property
+    def greg(self) -> GregoryModTable:
+        _require_cap("Gregory table: p", self.p, self.bern_cap)
+        return GregoryModTable(self.p, tuple(_kernels.gregory_table_mod(self.p)[1:]))
+
+    # -- residues derived from them
+
+    def fact(self, m: int) -> int:
+        """(p-1)! mod m, for m dividing p^3."""
+        return self.columns[0] % m
+
+    def kurepa(self, e: int) -> int:
+        """!p mod p^e, e <= 3."""
+        return self.columns[1] % self.p ** e
+
+    def bell(self, e: int) -> int:
+        """Bell_{p-1} mod p^e, e <= 3."""
+        return self.bell3 % self.p ** e
+
+    @cached_property
+    def wilson2(self) -> int:
+        """W_p mod p^2 from (p-1)! mod p^3; asserts Wilson's congruence."""
+        return _kernels.wilson_quotient(self.p, self.columns[0]) % self.p ** 2
+
+    @cached_property
+    def wilson(self) -> int:
+        return self.wilson2 % self.p
+
+    def q(self, m: int) -> int:
+        """q_p(m) mod p."""
+        return _fermat_quotient(self.p, m, 1)
+
+    @cached_property
+    def qsum2(self) -> int:
+        """sum_a q_p(a) mod p^2, from sum_a a^(p-1) = p-1 + p * sum_a q_p(a)
+        (mod p^3)."""
+        p = self.p
+        num = (self.power_sum - (p - 1)) % p ** 3
+        if num % p:
+            raise InvariantViolation(f"Fermat power sum != p-1 mod {p}")
+        return num // p
+
+    @cached_property
+    def qsum(self) -> int:
+        return self.qsum2 % self.p
+
+    @cached_property
+    def lerch(self) -> int:
+        """L_p mod p = (sum_a q_p(a) - W_p)/p, both taken mod p^2."""
+        p = self.p
+        num = (self.qsum2 - self.wilson2) % (p * p)
+        if num % p:
+            raise InvariantViolation(f"Lerch numerator not divisible by {p}")
+        return num // p
+
+    @cached_property
+    def gertsch(self) -> int:
+        """Gertsch_p mod p = ((!p - Bell_{p-1} + 1) mod p^2) / p."""
+        b2 = self.bell(2)  # first, so its cap check precedes the block kernel
+        return _kernels.gertsch_quotient(self.p, self.kurepa(2), b2)
+
+    @cached_property
+    def ag(self) -> int:
+        """AG_p mod p = W_p + 1, by the Glaisher congruence
+        W_p = B_{p-1} + 1/p - 1 (mod p). For p within the exact-Bernoulli cap
+        the rational (p*B_{p-1}+1)/p is also reduced mod p and the two must
+        agree."""
+        p = self.p
+        fast = (self.wilson + 1) % p
+        if p - 1 <= self.exact_bern_cap:
+            r = int(fraction_residue(exact._agoh_giuga(p, self.exact_bern_cap), p))
+            if r != fast:
+                raise InvariantViolation(f"AG_{p}: exact path {r} != Wilson path {fast}")
+        return fast
+
+    @cached_property
+    def bell_wilson_sum(self):
+        """(Bell_{p-1}/p + W_p) mod p when p | Bell_{p-1}; FRACTIONAL otherwise."""
+        b2 = self.bell(2)
+        if b2 % self.p:
+            return FRACTIONAL
+        return (b2 // self.p + self.wilson) % self.p
+
+    @cached_property
+    def der(self) -> int:
+        return int(derangement_mod(self.p - 1, self.p))
+
+    @cached_property
+    def inv_fact(self) -> list[int]:
+        """1/k! mod p for k = 0..p-2."""
+        return list(accumulate(self.inv[1:self.p - 1], lambda x, i: x * i % self.p,
+                               initial=1))
+
+    @cached_property
+    def bern_sums(self) -> BernoulliIndexSums:
+        p = self.p
+        t = [b * i for b, i in zip(self.bern.values, self.inv)]  # B_k/k; t[0] = 0
+        odd, even = sum(t[1::2]), sum(t[2::2])
+        return BernoulliIndexSums(p, alternating=Residue(1 + even - odd, p),
+                                  plain=Residue(1 + even + odd, p), even=Residue(even, p))
+
+    @cached_property
+    def bern_factorial_sum(self) -> int:
+        """sum_{k=0}^{p-2} (-1)^k B_k/k! mod p."""
+        terms = [b * x for b, x in zip(self.bern.values, self.inv_fact)]
+        return (sum(terms[0::2]) - sum(terms[1::2])) % self.p
+
+    @cached_property
+    def bern_left_factorial_sum(self) -> int:
+        """sum_{m=1}^{(p-3)/2} (B_{2m}/(2m)!) * (!(2m) - 1) mod p."""
+        p, vals, inv_fact = self.p, self.bern.values, self.inv_fact
+        fact = accumulate(range(1, p - 3), lambda f, j: f * j % p, initial=1)
+        lf = list(accumulate(fact, initial=0))  # !k = sum_{j<k} j!, k <= p-3
+        return sum(vals[k] * inv_fact[k] * (lf[k] - 1) for k in range(2, p - 2, 2)) % p
+
+    def sun_zagier(self, m: int) -> int:
+        """sum_{0<k<p} Bell_k / (-m)^k mod p, for p not dividing m."""
+        p, x = self.p, pow(-m, -1, self.p)
+        powers = accumulate([x] * (p - 1), lambda t, y: t * y % p)  # x^k, k = 1..p-1
+        return sum(b * t for b, t in zip(self.bell_seq[1:p], powers)) % p
+
+
 def factorial_mod(k: int, m: int) -> int:
     """k! mod m."""
     return _kernels.factorial_mod(k, m)
 
 
 def kurepa_mod(p: int, e: int = 1) -> Residue:
-    """!p mod p^e (e in {1,2,3}) from the block kernel on a one-prime block."""
+    """!p mod p^e (e in {1,2,3}); !2 = 0! + 1! = 2."""
     if e not in (1, 2, 3):
         raise DomainError(f"modulus power must be 1, 2 or 3, got {e}")
-    if not is_prime(p):
-        raise DomainError(f"prime required, got {p}")
-    return Residue(_kernels._factorial_columns([p], e)[1][0], p ** e)
+    if p == 2:
+        return Residue(2, 2 ** e)
+    return Residue(PrimeContext(p).kurepa(e), p ** e)
 
 
 def kurepa_gf_mod(p: int) -> Residue:
@@ -81,8 +267,7 @@ def bell_mod(n: int, m: int, cap: int = config.BELL_MOD_CAP) -> Residue:
     (n = p-1, m = p^e), else read from `bell_sequence_mod`; O(n) memory."""
     if n < 0:
         raise DomainError("bell needs n >= 0")
-    if m < 2:
-        raise DomainError(f"modulus must be >= 2, got {m}")
+    _require_modulus(m)
     if n > cap:
         raise CapacityError(f"bell_mod capped at n <= {cap} (asked {n})")
     return Residue(_kernels.bell_mod(n, m), m)
@@ -94,9 +279,20 @@ def bell_sequence_mod(n: int, m: int, cap: int = config.BELL_MOD_CAP) -> list[in
     at O(r) per value (the Touchard window Bell_p..Bell_{p+6} mod p, say)."""
     if n < 0:
         raise DomainError("bell needs n >= 0")
+    _require_modulus(m)
     if n > cap:
         raise CapacityError(f"bell_sequence_mod capped at n <= {cap} (asked {n})")
     return _kernels.bell_seq_mod(n, m)
+
+
+def _require_modulus(m: int):
+    if m < 2:
+        raise DomainError(f"modulus must be >= 2, got {m}")
+
+
+def _require_cap(what: str, n: int, cap: int):
+    if n > cap:
+        raise CapacityError(f"{what} = {n} exceeds the cap {cap}")
 
 
 def derangement_mod(n: int, p: int) -> Residue:
@@ -110,66 +306,40 @@ def derangement_mod(n: int, p: int) -> Residue:
 
 
 def wilson_quotient_mod(p: int, e: int = 1) -> Residue:
-    """W_p mod p^e from (p-1)! mod p^(e+1); asserts Wilson's congruence.
+    """W_p mod p^e from (p-1)! mod p^3; asserts Wilson's congruence.
 
     A failed Wilson check means the input was not prime.
     """
-    _require_odd_prime(p)
+    ctx = PrimeContext(p)
     if e not in (1, 2):
         raise DomainError(f"modulus power must be 1 or 2, got {e}")
-    return Residue(_wilson_quotient(p, e), p ** e)
-
-
-def _wilson_quotient(p: int, e: int) -> int:
-    f = _kernels._factorial_columns([p], e + 1)[0][0]
-    return _kernels.wilson_quotient(p, f)
+    return Residue(ctx.wilson2, p ** e)
 
 
 def fermat_quotient_mod(p: int, a: int, e: int = 1) -> Residue:
     """q_p(a) = (a^(p-1) - 1)/p reduced mod p^e; O(log p)."""
     if not is_prime(p):
         raise DomainError(f"prime required, got {p}")
+    return Residue(_fermat_quotient(p, a, e), p ** e)
+
+
+def _fermat_quotient(p: int, a: int, e: int) -> int:
     if a % p == 0:
         raise DomainError(f"p must not divide a (p={p}, a={a})")
-    m = p ** (e + 1)
-    t = pow(a, p - 1, m)
+    t = pow(a, p - 1, p ** (e + 1))
     if (t - 1) % p:
         raise InvariantViolation(f"Fermat congruence failed at ({a}, {p})")
-    return Residue((t - 1) // p, p ** e)
-
-
-def _fermat_quotient_sum(p: int, s: int, e: int) -> int:
-    """sum_a q_p(a) mod p^e from s = sum_a a^(p-1) mod p^(e+1), by
-    sum_a a^(p-1) = p-1 + p * sum_a q_p(a)."""
-    num = (s - (p - 1)) % p ** (e + 1)
-    if num % p:
-        raise InvariantViolation(f"Fermat power sum != p-1 mod {p}")
-    return num // p
+    return (t - 1) // p
 
 
 def lerch_quotient_mod(p: int) -> Residue:
-    """L_p mod p: (sum_a q_p(a) - W_p)/p, both taken mod p^2.
-
-    sum_a q_p(a) mod p^2 comes from sum_a a^(p-1) = p-1 + p * sum_a q_p(a)
-    (mod p^3).
-    """
-    _require_odd_prime(p)
-    m2 = p * p
-    qsum = _fermat_quotient_sum(p, int(power_sum_mod(p, 3)), 2)
-    num = (qsum - _wilson_quotient(p, 2)) % m2
-    if num % p:
-        raise InvariantViolation(f"Lerch numerator not divisible by {p}")
-    return Residue(num // p, p)
+    """L_p mod p: (sum_a q_p(a) - W_p)/p, both taken mod p^2."""
+    return Residue(PrimeContext(p).lerch, p)
 
 
 def gertsch_quotient_mod(p: int, cap: int = config.BELL_MOD_CAP) -> Residue:
     """Gertsch_p mod p = ((!p - Bell_{p-1} + 1) mod p^2) / p."""
-    _require_odd_prime(p)
-    if p - 1 > cap:
-        raise CapacityError(f"gertsch_quotient_mod capped at p <= {cap + 1}")
-    k2 = _kernels._factorial_columns([p], 2)[1][0]
-    return Residue(_kernels.gertsch_quotient(
-        p, k2, _kernels.bell_mod(p - 1, p * p)), p)
+    return Residue(PrimeContext(p, bell_cap=cap).gertsch, p)
 
 
 # ---------------------------------------------------------------------------
@@ -212,33 +382,24 @@ class GregoryModTable:
 def bernoulli_mod_table(p: int, cap: int = config.BERNOULLI_MOD_CAP) -> BernoulliModTable:
     """B_k mod p for 0 <= k <= p-2 from the power-series inverse of
     (e^x - 1)/x, by Newton iteration over big-int series products."""
-    _require_odd_prime(p)
-    if p < 5:
-        raise DomainError("bernoulli_mod_table needs p >= 5")
-    if p > cap:
-        raise CapacityError(f"bernoulli_mod_table capped at p <= {cap} (asked {p})")
-    return BernoulliModTable(p, tuple(_kernels.bernoulli_table_mod(p)))
+    return PrimeContext(p, bern_cap=cap).bern
 
 
 def gregory_mod_table(p: int, cap: int = config.BERNOULLI_MOD_CAP) -> GregoryModTable:
     """G_n mod p for 1 <= n <= p-2 (denominators k+1 <= p-1 are invertible)."""
-    _require_odd_prime(p)
-    if p > cap:
-        raise CapacityError(f"gregory_mod_table capped at p <= {cap} (asked {p})")
-    return GregoryModTable(p, tuple(_kernels.gregory_table_mod(p)[1:]))
+    return PrimeContext(p, bern_cap=cap).greg
 
 
 def bernoulli_mod(p: int, k: int, cap: int = config.BERNOULLI_MOD_CAP) -> int:
     """B_k mod p for 0 <= k <= p-2."""
     if not 0 <= k <= p - 2:
         raise DomainError(f"bernoulli_mod needs 0 <= k <= p-2, got k={k}")
-    if p < 5:
-        return _small_bern(p)[k]
     return bernoulli_mod_table(p, cap).values[k]
 
 
 def stirling2_row_mod(n: int, m: int) -> list[int]:
     """S(n,0)..S(n,n) mod m."""
+    _require_modulus(m)
     return _kernels.stirling2_row_mod(n, m)
 
 
@@ -260,114 +421,43 @@ class BernoulliIndexSums:
     even: Residue
 
 
-def _bern_table_vals(p, table):
-    if table is not None:
-        if table.p != p:
-            raise DomainError("Bernoulli table is for a different prime")
-        return table.values
-    return tuple(_kernels.bernoulli_table_mod(p)) if p >= 5 else _small_bern(p)
+def bernoulli_index_sums(p: int) -> BernoulliIndexSums:
+    return PrimeContext(p).bern_sums
 
 
-def _small_bern(p):
-    # p == 3: only B_0, B_1 are needed
-    return (1 % p, (p - mod_inv(2, p).value) % p)
-
-
-def bernoulli_index_sums(p: int,
-                         table: Optional[BernoulliModTable] = None) -> BernoulliIndexSums:
-    _require_odd_prime(p)
-    vals = _bern_table_vals(p, table)
-    inv = _kernels.inverse_table(p)
-    alt = 0   # sum (-1)^k B_k/k, k >= 1
-    plain = 0
-    even = 0
-    for k in range(1, p - 1):
-        if not vals[k]:
-            continue
-        t = vals[k] * inv[k] % p
-        plain = (plain + t) % p
-        alt = (alt - t) % p if k % 2 == 1 else (alt + t) % p
-        if k % 2 == 0:
-            even = (even + t) % p
-    return BernoulliIndexSums(
-        p=p,
-        alternating=Residue(1 + alt, p),
-        plain=Residue(1 + plain, p),
-        even=Residue(even, p),
-    )
-
-
-def bernoulli_factorial_sum_mod(p: int, table: Optional[BernoulliModTable] = None) -> Residue:
+def bernoulli_factorial_sum_mod(p: int) -> Residue:
     """sum_{k=0}^{p-2} (-1)^k B_k/k! mod p (factorial weights).
 
     This is the multiplier whose product with !p equals
     bernoulli_left_factorial_sum_mod; it is NOT congruent to W_p + 2 (the
     index-weighted sum is).
     """
-    _require_odd_prime(p)
-    vals = _bern_table_vals(p, table)
-    inv = _kernels.inverse_table(p)
-    s = 1 % p
-    inv_fact = 1
-    for k in range(1, p - 1):
-        inv_fact = inv_fact * inv[k] % p
-        if not vals[k]:
-            continue
-        t = vals[k] * inv_fact % p
-        s = (s - t) % p if k % 2 == 1 else (s + t) % p
-    return Residue(s, p)
+    return Residue(PrimeContext(p).bern_factorial_sum, p)
 
 
-def bernoulli_left_factorial_sum_mod(p: int,
-                                     table: Optional[BernoulliModTable] = None) -> Residue:
+def bernoulli_left_factorial_sum_mod(p: int) -> Residue:
     """sum_{m=1}^{(p-3)/2} (B_{2m}/(2m)!) * (!(2m) - 1) mod p."""
-    _require_odd_prime(p)
+    ctx = PrimeContext(p)
     if p < 5:
         raise DomainError("bernoulli_left_factorial_sum_mod needs p >= 5")
-    vals = _bern_table_vals(p, table)
-    inv = _kernels.inverse_table(p)
-    # left factorials !j mod p, incremental
-    lf = [0] * p
-    f = 1
-    for j in range(1, p):
-        lf[j] = (lf[j - 1] + f) % p
-        f = f * j % p
-    s = 0
-    inv_fact = 1
-    for k in range(1, p - 1):
-        inv_fact = inv_fact * inv[k] % p
-        if k % 2 == 0 and k <= p - 3 and vals[k]:
-            s = (s + vals[k] * inv_fact % p * ((lf[k] - 1) % p)) % p
-    return Residue(s, p)
+    return Residue(ctx.bern_left_factorial_sum, p)
 
 
 # ---------------------------------------------------------------------------
 # Agoh-Giuga family
 
 def agoh_giuga_mod(p: int) -> Residue:
-    """AG_p mod p.
-
-    Fast path (all p): W_p + 1, via the Glaisher congruence
-    W_p = B_{p-1} + 1/p - 1 (mod p). For p within the exact-Bernoulli cap
-    the rational (p*B_{p-1}+1)/p is also reduced mod p and the two must agree.
-    """
-    _require_odd_prime(p)
-    fast = (int(wilson_quotient_mod(p)) + 1) % p
-    if p - 1 <= config.EXACT_BERNOULLI_CAP:
-        from .exact import agoh_giuga_exact
-        from .modmath import fraction_residue
-        exact_r = fraction_residue(agoh_giuga_exact(p), p)
-        if int(exact_r) != fast:
-            raise InvariantViolation(
-                f"AG_{p}: exact path {int(exact_r)} != Wilson path {fast}")
-    return Residue(fast, p)
+    """AG_p mod p = W_p + 1, checked against exact rationals within the
+    exact-Bernoulli cap (see PrimeContext.ag)."""
+    return Residue(PrimeContext(p).ag, p)
 
 
 def special_quotient_mod(p: int, m: int) -> Residue:
     """Q_p(m) = AG_p + q_p(m) mod p."""
+    ctx = PrimeContext(p)
     if m % p == 0:
         raise DomainError(f"p must not divide m (p={p}, m={m})")
-    return agoh_giuga_mod(p) + fermat_quotient_mod(p, m)
+    return Residue(ctx.ag + ctx.q(m), p)
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +468,8 @@ FRACTIONAL = UNDEFINED  # same marker: p does not divide Bell_{p-1}
 
 def bell_wilson_sum_mod(p: int, cap: int = config.BELL_MOD_CAP):
     """(Bell_{p-1}/p + W_p) mod p when p | Bell_{p-1}; FRACTIONAL otherwise."""
-    _require_odd_prime(p)
-    if p - 1 > cap:
-        raise CapacityError(f"bell_wilson_sum_mod capped at p <= {cap + 1}")
-    m2 = p * p
-    b2 = _kernels.bell_mod(p - 1, m2)
-    if b2 % p:
-        return FRACTIONAL
-    return Residue(b2 // p + int(wilson_quotient_mod(p)), p)
+    s = PrimeContext(p, bell_cap=cap).bell_wilson_sum
+    return s if s is FRACTIONAL else Residue(s, p)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +477,8 @@ def bell_wilson_sum_mod(p: int, cap: int = config.BELL_MOD_CAP):
 
 def harmonic_mod(p: int, n: int, k: int) -> Residue:
     """Generalized harmonic number H_n^(k) = sum_{m=1}^{n} 1/m^k mod p."""
+    if not is_prime(p):
+        raise DomainError(f"prime required, got {p}")
     if not 1 <= n <= p - 1:
         raise DomainError(f"harmonic_mod needs 1 <= n <= p-1, got n={n}")
     inv = _kernels.inverse_table(p)
@@ -402,21 +488,12 @@ def harmonic_mod(p: int, n: int, k: int) -> Residue:
     return Residue(s, p)
 
 
-def sun_zagier_sum(p: int, m: int,
-                   bell_seq: Optional[list[int]] = None) -> Residue:
+def sun_zagier_sum(p: int, m: int) -> Residue:
     """sum_{0<k<p} Bell_k / (-m)^k mod p; equals (-1)^(m-1) Der_{m-1}."""
-    _require_odd_prime(p)
+    ctx = PrimeContext(p)
     if m % p == 0:
         raise DomainError(f"p must not divide m (p={p}, m={m})")
-    if bell_seq is None:
-        bell_seq = bell_sequence_mod(p - 1, p)
-    inv = mod_inv(-m, p).value
-    s = 0
-    t = 1
-    for k in range(1, p):
-        t = t * inv % p
-        s = (s + bell_seq[k] * t) % p
-    return Residue(s, p)
+    return Residue(ctx.sun_zagier(m), p)
 
 
 def power_sum_mod(p: int, e: int = 2) -> Residue:
@@ -463,20 +540,22 @@ class ResidueProfile:
 def residue_profile(p: int, e: int = 1,
                     bell_cap: int = config.BELL_MOD_CAP,
                     bern_cap: int = config.BERNOULLI_MOD_CAP) -> ResidueProfile:
-    _require_odd_prime(p)
-    table = bernoulli_mod_table(p, bern_cap) if p >= 5 else None
-    sums = bernoulli_index_sums(p, table)
+    """Every field read from one PrimeContext."""
+    ctx = PrimeContext(p, bell_cap, bern_cap)
+    if e not in (1, 2, 3):
+        raise DomainError(f"modulus power must be 1, 2 or 3, got {e}")
+    sums = ctx.bern_sums
     return ResidueProfile(
         p=p,
         e=e,
-        k_mod=int(kurepa_mod(p, e)),
-        bell_mod=int(bell_mod(p - 1, p ** e, cap=bell_cap)),
-        der_mod=int(derangement_mod(p - 1, p)),
-        wilson_q=int(wilson_quotient_mod(p)),
-        gertsch_q=int(gertsch_quotient_mod(p, cap=bell_cap)),
-        fermat_q2=int(fermat_quotient_mod(p, 2)),
-        fermat_q3=int(fermat_quotient_mod(p, 3)) if p != 3 else None,
-        lerch_q=int(lerch_quotient_mod(p)),
-        ag_q=int(agoh_giuga_mod(p)),
+        k_mod=ctx.kurepa(e),
+        bell_mod=ctx.bell(e),
+        der_mod=ctx.der,
+        wilson_q=ctx.wilson,
+        gertsch_q=ctx.gertsch,
+        fermat_q2=ctx.q(2),
+        fermat_q3=ctx.q(3) if p != 3 else None,
+        lerch_q=ctx.lerch,
+        ag_q=ctx.ag,
         bernoulli_sums=(int(sums.alternating), int(sums.plain), int(sums.even)),
     )

@@ -268,10 +268,9 @@ def _reproduce_bell_wilson(hi: int = 600) -> TableReport:
     from .modmath import iter_primes
     rep = TableReport("bell_wilson")
     for p in iter_primes(3, hi):
-        b = int(residues.bell_mod(p - 1, p))
-        w = int(residues.wilson_quotient_mod(p))
-        s = residues.bell_wilson_sum_mod(p)
-        cell = "Fractional" if s is residues.FRACTIONAL else int(s)
+        ctx = residues.PrimeContext(p)
+        b, w, s = ctx.bell(1), ctx.wilson, ctx.bell_wilson_sum
+        cell = "Fractional" if s is residues.FRACTIONAL else s
         row = (p, b, w, cell)
         rep.rows.append(row)
         if p in BELL_WILSON:

@@ -1,8 +1,11 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
+from kurepa import _kernels as K
 from kurepa import checks as C
+from kurepa import modmath, residues
 from kurepa import tables as T
 from kurepa.errors import DomainError
 
@@ -55,6 +58,29 @@ class TestRunCatalog:
         agree = [o.p for o in res.outcomes
                  if o.check_id == "C31" and not o.skipped and o.holds]
         assert agree == [3, 7]
+
+    def test_one_primality_check_and_inverse_table_per_prime(self, monkeypatch):
+        primality, inverses = [], []
+        original = modmath.is_prime
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("kurepa") and getattr(mod, "is_prime", None) is original:
+                monkeypatch.setattr(mod, "is_prime",
+                                    lambda n: primality.append(n) or original(n))
+        table = K.inverse_table
+        monkeypatch.setattr(K, "inverse_table",
+                            lambda p: inverses.append(p) or table(p))
+        res = C.run_catalog(3, 100)
+        assert res.ok
+        primes = list(modmath.iter_primes(3, 100))
+        assert primality == primes
+        assert inverses == primes
+
+    def test_composite_raises(self):
+        with pytest.raises(DomainError):
+            C.run_check("C05", 9)
+        with pytest.raises(DomainError):
+            C.PrimeContext(9)
+        assert C.PrimeContext is residues.PrimeContext
 
     def test_deterministic(self):
         a = C.run_catalog(3, 60)

@@ -6,9 +6,9 @@ import pytest
 
 from kurepa import _kernels as K
 from kurepa import exact, residues as R
-from kurepa.checks import PrimeContext
 from kurepa.errors import CapacityError, DomainError, InvariantViolation
 from kurepa.modmath import fraction_residue, iter_primes, mod_inv, sieve_primes
+from kurepa.residues import PrimeContext
 
 
 class TestKurepaKernels:
@@ -16,6 +16,7 @@ class TestKurepaKernels:
         assert R.kurepa_mod(5, 1) == 4
         assert R.kurepa_mod(13, 1) == 10
         assert R.kurepa_mod(3, 2) == 4  # !3 = 4 < 9
+        assert [int(R.kurepa_mod(2, e)) for e in (1, 2, 3)] == [0, 2, 2]  # !2 = 2
 
     def test_kurepa_gf(self):
         assert R.kurepa_gf_mod(5) == 4
@@ -71,6 +72,7 @@ class TestQuotientKernels:
         assert R.fermat_quotient_mod(1093, 2) == 0
         assert R.fermat_quotient_mod(11, 3) == 0
         assert R.fermat_quotient_mod(97, 1) == 0
+        assert R.fermat_quotient_mod(2, 3) == 1              # (3 - 1)/2 mod 2
 
     def test_fermat_divides(self):
         with pytest.raises(DomainError):
@@ -224,6 +226,12 @@ class TestSums:
                     want = sum(Fraction(1, m ** k) for m in range(1, n + 1))
                     assert int(R.harmonic_mod(p, n, k)) == int(fraction_residue(want, p))
 
+    @pytest.mark.parametrize("c", [8, 9, 15])
+    def test_harmonic_composite_raises(self, c):
+        # 1 + 1/2 + 1/3 has no value mod 9
+        with pytest.raises(DomainError):
+            R.harmonic_mod(c, 3, 1)
+
     def test_sun_zagier(self):
         assert R.sun_zagier_sum(5, 1) == 1
         assert R.sun_zagier_sum(7, 1) == 1
@@ -262,6 +270,74 @@ class TestProfile:
         with pytest.raises(DomainError):
             R.residue_profile(10)
 
+    def test_profile_bad_power(self):
+        with pytest.raises(DomainError):
+            R.residue_profile(7, 4)
+
+    @pytest.mark.parametrize("e", [1, 2, 3])
+    def test_profile_matches_exact_small_primes(self, e):
+        for p in iter_primes(3, 200):
+            prof = R.residue_profile(p, e)
+            w = exact.wilson_quotient_exact(p) % p
+            assert (prof.p, prof.e) == (p, e)
+            assert prof.k_mod == exact.left_factorial(p) % p ** e, p
+            assert prof.bell_mod == exact.bell_exact(p - 1) % p ** e, p
+            assert prof.der_mod == exact.derangement_exact(p - 1) % p, p
+            assert prof.wilson_q == w, p
+            assert prof.gertsch_q == exact.gertsch_quotient_exact(p) % p, p
+            assert prof.fermat_q2 == exact.fermat_quotient_exact(2, p) % p, p
+            assert prof.fermat_q3 == (exact.fermat_quotient_exact(3, p) % p
+                                      if p != 3 else None), p
+            assert prof.lerch_q == int(exact.lerch_quotient_exact(p, cap=200)) % p, p
+            assert prof.ag_q == int(fraction_residue(exact.agoh_giuga_exact(p), p)), p
+            assert prof.bernoulli_sums == ((w + 2) % p, (w + 1) % p,
+                                           (w + pow(2, -1, p)) % p), p
+
+    def test_profile_matches_loops_random_window(self):
+        # routes that share no code with PrimeContext: plain loops and pow()
+        rng = random.Random(7013)
+        pool = sieve_primes(2000, 4000)
+        start = rng.randrange(len(pool) - 10)
+        for p in pool[start:start + 10]:
+            m3 = p ** 3
+            k3 = K.kurepa_mod_py(p, m3)
+            w2 = (K.factorial_mod(p - 1, m3) + 1) // p % p ** 2
+            b3 = K.bell_seq_mod(p - 1, m3)[p - 1]
+            s3 = sum(pow(a, p - 1, m3) for a in range(1, p)) % m3
+            w = w2 % p
+            q = lambda a: (pow(a, p - 1, p * p) - 1) // p  # noqa: E731
+            lerch = ((s3 - (p - 1)) // p - w2) % p ** 2 // p
+            for e in (1, 2, 3):
+                prof = R.residue_profile(p, e)
+                assert prof.k_mod == k3 % p ** e, (p, e)
+                assert prof.bell_mod == b3 % p ** e, (p, e)
+                assert prof.der_mod == k3 % p, (p, e)
+                assert prof.wilson_q == w, (p, e)
+                assert prof.gertsch_q == (k3 - b3 + 1) % p ** 2 // p, (p, e)
+                assert (prof.fermat_q2, prof.fermat_q3) == (q(2), q(3)), (p, e)
+                assert prof.lerch_q == lerch, (p, e)
+                assert prof.ag_q == (w + 1) % p, (p, e)
+                assert prof.bernoulli_sums == ((w + 2) % p, (w + 1) % p,
+                                               (w + pow(2, -1, p)) % p), (p, e)
+
+    @pytest.mark.parametrize("e", [1, 2, 3])
+    def test_profile_builds_each_value_once(self, monkeypatch, e):
+        calls = {"is_prime": 0, "_factorial_columns": 0, "bell_mod": 0}
+
+        def counted(holder, name):
+            fn = getattr(holder, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(holder, name, wrapper)
+        for holder in (R, exact):
+            counted(holder, "is_prime")
+        counted(K, "_factorial_columns")
+        counted(K, "bell_mod")
+        R.residue_profile(101, e)  # 101 - 1 <= the exact-Bernoulli cap
+        assert calls == {"is_prime": 1, "_factorial_columns": 1, "bell_mod": 1}
+
 
 class TestStirlingRow:
     def test_prime_row_vanishes(self):
@@ -269,6 +345,13 @@ class TestStirlingRow:
             row = R.stirling2_row_mod(p, p)
             assert row[1] == 1 and row[p] == 1
             assert all(v == 0 for v in row[2:p])
+
+
+@pytest.mark.parametrize("m", [-3, 0, 1])
+def test_rows_reject_bad_modulus(m):
+    for fn in (R.bell_sequence_mod, R.stirling2_row_mod, R.bell_mod):
+        with pytest.raises(DomainError):
+            fn(10, m)
 
 
 class TestCapEnforcement:
@@ -279,6 +362,17 @@ class TestCapEnforcement:
     def test_bell_wilson_sum_cap(self):
         with pytest.raises(CapacityError):
             R.bell_wilson_sum_mod(20011, cap=100)
+
+    def test_bernoulli_sums_cap_before_table(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(K, "bernoulli_table_mod", lambda p: built.append(p))
+        with pytest.raises(CapacityError):
+            R.bernoulli_mod_table(50_021)
+        for fn in (R.bernoulli_index_sums, R.bernoulli_factorial_sum_mod,
+                   R.bernoulli_left_factorial_sum_mod):
+            with pytest.raises(CapacityError):
+                fn(50_021)
+        assert built == []
 
 
 # The per-prime !p, W_p and Gertsch_p read the block kernel on a one-prime
@@ -296,7 +390,7 @@ class TestBlockKernelPerPrime:
             assert int(R.gertsch_quotient_mod(p)) == exact.gertsch_quotient_exact(p) % p
             ctx = PrimeContext(p)
             assert ctx.columns == (math.factorial(p - 1) % p ** 3, lf % p ** 3)
-            assert (ctx.k1, ctx.k2, ctx.wilson) == (lf % p, lf % p ** 2, w % p)
+            assert (ctx.kurepa(1), ctx.kurepa(2), ctx.wilson) == (lf % p, lf % p ** 2, w % p)
 
     def test_match_loops_random_window(self):
         rng = random.Random(20261018)
