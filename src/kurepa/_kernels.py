@@ -8,8 +8,9 @@ Shokrollahi (2001) do for Bernoulli numbers mod p. The O(p^2) triangles and
 recurrences (`*_py`) are their test oracles; the Stirling triangle also
 serves rows whose factorials are not units mod m. `bell_mod` is O(p) per
 prime. (p-1)! mod p^e and !p mod p^e have one route, the block kernel
-`_factorial_columns`: the scans call it with a block, `residues.PrimeContext`
-with one prime; `factorial_mod` and `kurepa_mod_py` are its oracles.
+`_factorial_columns`: the scans and `residues.prime_contexts` call it with a
+block, a lone `residues.PrimeContext` with one prime; `factorial_mod` and
+`kurepa_mod_py` are its oracles.
 """
 
 from __future__ import annotations

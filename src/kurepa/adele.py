@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import config, residues
-from ._kernels import inverse_table
 from .errors import DomainError
 from .modmath import UNDEFINED, PrimeRange, Residue, rational_residue
 
@@ -188,57 +187,61 @@ def ell_A(x, window: PrimeRange) -> AdeleElement:
 
 
 # ---------------------------------------------------------------------------
-# Named constants
+# Named constants, each read from the window's residue records
+
+def _from_records(window: PrimeRange, read: Callable[[residues.PrimeContext], int],
+                  fixed: Callable[[int], object] = lambda p: None, **caps) -> AdeleElement:
+    """Stream the window's records (`residues.prime_contexts`, one block pass)
+    into an element of read(ctx) mod p. Where fixed(p) is not None it is the
+    value, a residue or UNDEFINED, and no record is built for p."""
+    pinned = {p: r for p in window if (r := fixed(p)) is not None}
+    vals = {p: r for p, r in pinned.items() if r is not UNDEFINED}
+    records = residues.prime_contexts((p for p in window if p not in pinned), **caps)
+    vals.update((ctx.p, read(ctx) % ctx.p) for ctx in records)
+    return AdeleElement(window, vals,
+                        frozenset(p for p, r in pinned.items() if r is UNDEFINED))
+
 
 def gamma_W(window: PrimeRange) -> AdeleElement:
     """(W_p mod p)_p, the Wilson-quotient analogue of Euler's constant."""
-    return build_element(window, lambda p: residues.wilson_quotient_mod(p))
+    return _from_records(window, lambda ctx: ctx.wilson)
 
 
 def gamma_M(window: PrimeRange,
             cap: int = config.BERNOULLI_MOD_CAP) -> AdeleElement:
     """(sum_{n=1}^{p-2} |G_n|/n mod p)_p, the Gregory-coefficient analogue."""
-    def fn(p):
-        table = residues.gregory_mod_table(p, cap)
-        inv = inverse_table(p)
-        s = 0
-        for n in range(1, p - 1):
-            s = (s + table.abs(n) * inv[n]) % p
-        return s
-    return build_element(window, fn)
+    return _from_records(window, lambda ctx: ctx.gregory_sum, bern_cap=cap)
 
 
 def gamma_G(window: PrimeRange) -> AdeleElement:
     """(Gertsch_p mod p)_p."""
-    return build_element(window, lambda p: residues.gertsch_quotient_mod(p))
+    return _from_records(window, lambda ctx: ctx.gertsch)
 
 
 def gamma_L(window: PrimeRange) -> AdeleElement:
     """(L_p mod p)_p, Lerch quotients."""
-    return build_element(window, lambda p: residues.lerch_quotient_mod(p))
+    return _from_records(window, lambda ctx: ctx.lerch)
 
 
 def gamma_AG(window: PrimeRange) -> AdeleElement:
     """(AG_p mod p)_p, Agoh-Giuga quotients."""
-    return build_element(window, lambda p: residues.agoh_giuga_mod(p))
+    return _from_records(window, lambda ctx: ctx.ag)
 
 
 def gamma_Kp(window: PrimeRange) -> AdeleElement:
     """(!p mod p)_p. Nonvanishing of every entry is the Kurepa property;
-    zero_primes() on the result surfaces counterexample events."""
-    return build_element(window, lambda p: residues.kurepa_mod(p, 1))
+    zero_primes() on the result surfaces counterexample events. At p = 2,
+    !2 = 2 = 0."""
+    return _from_records(window, lambda ctx: ctx.kurepa(1),
+                         fixed=lambda p: 0 if p == 2 else None)
 
 
 def gamma_Q(m: int, window: PrimeRange) -> AdeleElement:
     """(Q_p(m) mod p)_p = gamma_AG + log_A(m), undefined at p | m."""
     if m < 1:
         raise DomainError("gamma_Q needs m >= 1")
-
-    def fn(p):
-        if m % p == 0:
-            return UNDEFINED
-        return residues.special_quotient_mod(p, m)
-    return build_element(window, fn)
+    return _from_records(window, lambda ctx: ctx.ag + ctx.q(m),
+                         fixed=lambda p: UNDEFINED if m % p == 0 else None)
 
 
 def G_A(k: int, window: PrimeRange,
@@ -246,12 +249,8 @@ def G_A(k: int, window: PrimeRange,
     """(G_{p-k} mod p)_p for k >= 2; primes p <= k are undefined."""
     if k < 2:
         raise DomainError("G_A needs k >= 2")
-
-    def fn(p):
-        if p <= k:
-            return UNDEFINED
-        return residues.gregory_mod_table(p, cap).value(p - k)
-    return build_element(window, fn)
+    return _from_records(window, lambda ctx: ctx.greg.value(ctx.p - k),
+                         fixed=lambda p: UNDEFINED if p <= k else None, bern_cap=cap)
 
 
 def Z_A(k: int, window: PrimeRange,
@@ -259,9 +258,5 @@ def Z_A(k: int, window: PrimeRange,
     """(B_{p-k}/k mod p)_p for k >= 2; primes p <= k are undefined."""
     if k < 2:
         raise DomainError("Z_A needs k >= 2")
-
-    def fn(p):
-        if p <= k:
-            return UNDEFINED
-        return residues.bernoulli_mod(p, p - k, cap) * pow(k, -1, p) % p
-    return build_element(window, fn)
+    return _from_records(window, lambda ctx: ctx.bern.values[ctx.p - k] * pow(k, -1, ctx.p),
+                         fixed=lambda p: UNDEFINED if p <= k else None, bern_cap=cap)

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 from . import exact, residues
 from .errors import DomainError
 from .modmath import fraction_residue, iter_primes
-from .residues import PrimeContext  # re-exported: the per-prime record
+from .residues import PrimeContext, prime_contexts  # PrimeContext re-exported
 from .tables import reproduce_table  # re-exported: catalog + tables in one place
 
 __all__ = [
@@ -214,17 +214,12 @@ def _c16(ctx):
 
 
 def _c17(ctx):
-    p = ctx.p
-    row = residues.stirling2_row_mod(p, p)
+    p, row = ctx.p, ctx.stirling_row
     return (row[1], row[p], max(row[2:p])), (1, 1, 0)
 
 
 def _c18(ctx):
-    p = ctx.p
-    s = 0
-    for n in range(1, p - 1):
-        s = (s + ctx.greg.abs(n) * ctx.inv[n]) % p
-    return s, (ctx.wilson + 2 * ctx.q(2) - 1) % p
+    return ctx.gregory_sum, (ctx.wilson + 2 * ctx.q(2) - 1) % ctx.p
 
 
 def _c19(ctx):
@@ -486,10 +481,9 @@ def run_catalog(lo: int, hi: int, ids: Optional[list[str]] = None,
             if i not in CATALOG:
                 raise DomainError(f"unknown check id {i!r}")
     result = CatalogResult(lo, hi)
-    for p in iter_primes(max(lo, 3), hi):
-        ctx = PrimeContext(p, **caps)
+    for ctx in prime_contexts(iter_primes(max(lo, 3), hi), **caps):
         for check_id in ids:
-            result.outcomes.append(run_check(check_id, p, ctx))
+            result.outcomes.append(run_check(check_id, ctx.p, ctx))
     result.outcomes.sort(key=lambda o: (o.check_id, o.p))
     return result
 

@@ -133,7 +133,7 @@ def cmd_search(args) -> int:
     ck = search.run_campaign(
         args.campaign, args.from_, args.to,
         checkpoint_path=args.checkpoint, resume=args.resume,
-        stride=args.stride, workers=args.workers, params=params)
+        stride=args.stride, params=params)
     print(json.dumps({
         "campaign": ck.campaign, "lo": ck.lo, "hi": ck.hi,
         "hits": [list(h) if isinstance(h, tuple) else h for h in ck.hits],
@@ -253,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="resume from --checkpoint")
     p.add_argument("--stride", type=int, default=config.CHECKPOINT_STRIDE,
                    help="primes per checkpoint flush")
-    p.add_argument("--workers", type=int, default=config.WORKERS)
     p.add_argument("--m-max", type=int, default=None,
                    help="qpm_zero: largest m to test")
     p.add_argument("--verify", action="store_true",

@@ -40,8 +40,5 @@ SIEVE_SEGMENT = _env_int("KUREPA_SIEVE_SEGMENT", 1 << 20)
 # Search campaigns: checkpoint flush interval, in primes processed.
 CHECKPOINT_STRIDE = _env_int("KUREPA_STRIDE", 10_000)
 
-# Worker threads for sharded campaign scans.
-WORKERS = _env_int("KUREPA_WORKERS", 1)
-
 # Pollard-rho budget, in multiplications, for one factorize() call.
 FACTOR_BUDGET = _env_int("KUREPA_FACTOR_BUDGET", 20_000_000)

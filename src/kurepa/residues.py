@@ -3,17 +3,19 @@
 `PrimeContext` is the one route to every residue at one prime: it checks
 that p is an odd prime once, builds each base value once, and derives the
 rest by reduction. The public per-prime functions check their arguments and
-read one of its fields. Division-by-p steps always verify divisibility first
-and raise InvariantViolation otherwise, so a wrong quotient can never
+read one of its fields; `prime_contexts` streams the records of a window
+from one block-kernel pass. Division-by-p steps always verify divisibility
+first and raise InvariantViolation otherwise, so a wrong quotient can never
 silently poison a downstream table.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from . import _kernels, config, exact
 from .errors import CapacityError, DomainError, InvariantViolation
@@ -21,6 +23,7 @@ from .modmath import UNDEFINED, Residue, fraction_residue, is_prime
 
 __all__ = [
     "PrimeContext",
+    "prime_contexts",
     "kurepa_mod",
     "kurepa_gf_mod",
     "bell_mod",
@@ -64,10 +67,11 @@ class PrimeContext:
     """Every residue at one odd prime p, each built once, on first use.
 
     The constructor checks once that p is an odd prime. The base values are
-    ((p-1)!, !p) mod p^3 from one block-kernel call, Bell_{p-1} mod p^3, the
-    inverses mod p, sum_a a^(p-1) mod p^3 and the Bernoulli and Gregory
-    tables; every quotient reduces them mod p^e. Bell is capped at
-    p - 1 <= bell_cap and the tables at p <= bern_cap.
+    ((p-1)!, !p) mod p^3 from one block-kernel call (`prime_contexts` makes
+    one for a whole window), Bell_{p-1} mod p^3, the inverses mod p,
+    sum_a a^(p-1) mod p^3 and the Bernoulli and Gregory tables; every
+    quotient reduces them mod p^e. Bell is capped at p - 1 <= bell_cap and
+    the tables at p <= bern_cap.
     """
 
     def __init__(self, p: int,
@@ -119,6 +123,11 @@ class PrimeContext:
     def greg(self) -> GregoryModTable:
         _require_cap("Gregory table: p", self.p, self.bern_cap)
         return GregoryModTable(self.p, tuple(_kernels.gregory_table_mod(self.p)[1:]))
+
+    @cached_property
+    def stirling_row(self) -> list[int]:
+        """S(p, 0..p) mod p."""
+        return _kernels.stirling2_row_mod(self.p, self.p)
 
     # -- residues derived from them
 
@@ -199,6 +208,11 @@ class PrimeContext:
         return (b2 // self.p + self.wilson) % self.p
 
     @cached_property
+    def gregory_sum(self) -> int:
+        """sum_{n=1}^{p-2} |G_n|/n mod p."""
+        return sum(self.greg.abs(n) * self.inv[n] for n in range(1, self.p - 1)) % self.p
+
+    @cached_property
     def der(self) -> int:
         return int(derangement_mod(self.p - 1, self.p))
 
@@ -235,6 +249,21 @@ class PrimeContext:
         p, x = self.p, pow(-m, -1, self.p)
         powers = accumulate([x] * (p - 1), lambda t, y: t * y % p)  # x^k, k = 1..p-1
         return sum(b * t for b, t in zip(self.bell_seq[1:p], powers)) % p
+
+
+def prime_contexts(primes: Iterable[int], **caps) -> Iterator[PrimeContext]:
+    """The records of a window of odd primes, one at a time, in input order.
+
+    Every prime is checked by the PrimeContext constructor before any work;
+    the ((p-1)!, !p) mod p^3 columns come from one block-kernel pass. No
+    record is referenced here once yielded, so its cached tables go when the
+    caller drops it. `caps` are PrimeContext keywords.
+    """
+    records = deque(PrimeContext(p, **caps) for p in primes)
+    fs, ks = _kernels._factorial_columns([ctx.p for ctx in records], 3)
+    for col in zip(fs, ks):
+        records[0].columns = col
+        yield records.popleft()
 
 
 def factorial_mod(k: int, m: int) -> int:
@@ -390,13 +419,6 @@ def gregory_mod_table(p: int, cap: int = config.BERNOULLI_MOD_CAP) -> GregoryMod
     return PrimeContext(p, bern_cap=cap).greg
 
 
-def bernoulli_mod(p: int, k: int, cap: int = config.BERNOULLI_MOD_CAP) -> int:
-    """B_k mod p for 0 <= k <= p-2."""
-    if not 0 <= k <= p - 2:
-        raise DomainError(f"bernoulli_mod needs 0 <= k <= p-2, got k={k}")
-    return bernoulli_mod_table(p, cap).values[k]
-
-
 def stirling2_row_mod(n: int, m: int) -> list[int]:
     """S(n,0)..S(n,n) mod m."""
     _require_modulus(m)
@@ -497,11 +519,9 @@ def sun_zagier_sum(p: int, m: int) -> Residue:
 
 
 def power_sum_mod(p: int, e: int = 2) -> Residue:
-    """sum_{a=1}^{p-1} a^(p-1) mod p^e."""
+    """sum_{a=1}^{p-1} a^(p-1) mod p^e, with one pow per prime a."""
     m = p ** e
-    s = 0
-    for a in range(1, p):
-        s = (s + pow(a, p - 1, m)) % m
+    s = sum(_kernels._powers(p - 1, p - 1, m)) % m if p > 1 else 0  # no terms below 2
     return Residue(s, m)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -98,7 +97,6 @@ class Campaign:
     name: str
     description: str
     scan: Callable[[list[int], dict], list]
-    pair_hits: bool = False
     # desk-scale expected fixture: (lo, hi, hits, mode)
     expected: Optional[tuple] = None
 
@@ -121,7 +119,7 @@ CAMPAIGNS: dict[str, Campaign] = {c.name: c for c in [
     Campaign("kurepa_zero", "!p = 0 (mod p): no hits known",
              _scan_kurepa_zero, expected=(3, 100_000, (), "equal")),
     Campaign("qpm_zero", "pairs (m, p) with AG_p + q_p(m) = 0 (mod p)",
-             _scan_qpm_zero, pair_hits=True,
+             _scan_qpm_zero,
              expected=(3, 37, ((2, 3), (6, 7), (14, 19), (5, 23), (19, 31),
                                (20, 37)), "contains")),
 ]}
@@ -203,25 +201,16 @@ def _chunked(it, size):
         yield chunk
 
 
-def _scan_block(campaign: Campaign, primes: list[int], params: dict,
-                workers: int) -> list:
-    if workers <= 1 or len(primes) < 2 * workers:
-        return campaign.scan(primes, params)
-    size = (len(primes) + workers - 1) // workers
-    shards = [primes[i: i + size] for i in range(0, len(primes), size)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda s: campaign.scan(s, params), shards))
-    out = []
-    for part in parts:
-        out.extend(part)
-    return out
+def _scan_block(campaign: Campaign, primes: list[int], params: dict) -> list:
+    """The hits of one checkpoint block."""
+    return campaign.scan(primes, params)
 
 
 def run_campaign(name: str, lo: int, hi: int, *,
                  checkpoint_path: Optional[str] = None,
                  resume: bool = False,
                  stride: int = config.CHECKPOINT_STRIDE,
-                 workers: int = config.WORKERS,
+                 workers: int = 1,
                  params: Optional[dict] = None,
                  stop_after_blocks: Optional[int] = None,
                  progress: Optional[Callable[[Checkpoint], None]] = None) -> Checkpoint:
@@ -232,13 +221,16 @@ def run_campaign(name: str, lo: int, hi: int, *,
     against (name, lo, hi) and continued past its last processed prime;
     interrupted-and-resumed runs produce hits identical to uninterrupted
     ones. stop_after_blocks is a testing hook that abandons the scan early
-    (after flushing), simulating a kill at a checkpoint boundary.
+    (after flushing), simulating a kill at a checkpoint boundary. Scans run
+    on one thread; `workers` accepts only 1.
     """
     if name not in CAMPAIGNS:
         raise DomainError(f"unknown campaign {name!r}; "
                           f"known: {', '.join(sorted(CAMPAIGNS))}")
     if stride < 1:
         raise DomainError("stride must be >= 1")
+    if workers != 1:
+        raise DomainError(f"workers must be 1, got {workers}")
     campaign = CAMPAIGNS[name]
     params = dict(params or {})
 
@@ -259,7 +251,7 @@ def run_campaign(name: str, lo: int, hi: int, *,
     blocks_done = 0
     if start <= hi:
         for block in _chunked(iter_primes(max(start, 2), hi), stride):
-            hits = _scan_block(campaign, block, params, workers)
+            hits = _scan_block(campaign, block, params)
             ck.hits.extend(hits)
             ck.last_p = block[-1]
             ck.scanned += len(block)

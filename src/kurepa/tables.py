@@ -267,9 +267,8 @@ def _reproduce_agoh_giuga() -> TableReport:
 def _reproduce_bell_wilson(hi: int = 600) -> TableReport:
     from .modmath import iter_primes
     rep = TableReport("bell_wilson")
-    for p in iter_primes(3, hi):
-        ctx = residues.PrimeContext(p)
-        b, w, s = ctx.bell(1), ctx.wilson, ctx.bell_wilson_sum
+    for ctx in residues.prime_contexts(iter_primes(3, hi)):
+        p, b, w, s = ctx.p, ctx.bell(1), ctx.wilson, ctx.bell_wilson_sum
         cell = "Fractional" if s is residues.FRACTIONAL else s
         row = (p, b, w, cell)
         rep.rows.append(row)

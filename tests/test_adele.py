@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from kurepa import _kernels as K
 from kurepa import adele as A
+from kurepa import config, exact
 from kurepa import residues as R
-from kurepa.errors import DomainError
-from kurepa.modmath import PrimeRange
+from kurepa.errors import CapacityError, DomainError
+from kurepa.modmath import PrimeRange, fraction_residue, iter_primes, sieve_primes
 
 W_SMALL = PrimeRange(3, 13)
 
@@ -216,6 +218,104 @@ class TestSerialization:
 
 class TestCapacity:
     def test_gamma_m_cap_propagates(self):
-        from kurepa.errors import CapacityError
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="Gregory table: p = 23 exceeds the cap 20"):
             A.gamma_M(PrimeRange(3, 50), cap=20)
+
+    def test_gamma_g_cap_propagates(self):
+        cap = config.BELL_MOD_CAP
+        with pytest.raises(CapacityError, match=rf"Bell_\(p-1\): p - 1 = \d+ exceeds the cap {cap}"):
+            A.gamma_G(PrimeRange(cap - 10, cap + 20))
+
+
+# The named constants read the window's residue records (one block pass),
+# checked against exact rationals, the block scans and the per-prime loops.
+
+def _named(w):
+    return {"gamma_W": A.gamma_W(w), "gamma_M": A.gamma_M(w), "gamma_G": A.gamma_G(w),
+            "gamma_L": A.gamma_L(w), "gamma_AG": A.gamma_AG(w), "gamma_Kp": A.gamma_Kp(w),
+            **{f"gamma_Q({m})": A.gamma_Q(m, w) for m in (2, 3, 6)},
+            **{f"G_A({k})": A.G_A(k, w) for k in (2, 3, 4)},
+            **{f"Z_A({k})": A.Z_A(k, w) for k in (2, 3, 4)}}
+
+
+def _exact_named(p):
+    """Every named constant at p from exact arithmetic; None where undefined."""
+    def fr(x):
+        return int(fraction_residue(x, p))
+    w = exact.wilson_quotient_exact(p) % p
+    ag = fr(exact.agoh_giuga_exact(p))
+    return {"gamma_W": w,
+            "gamma_M": sum(fr(abs(exact.gregory_exact(n))) * pow(n, -1, p)
+                           for n in range(1, p - 1)) % p,
+            "gamma_G": exact.gertsch_quotient_exact(p) % p,
+            "gamma_L": fr(exact.lerch_quotient_exact(p, cap=200)),
+            "gamma_AG": ag,
+            "gamma_Kp": exact.left_factorial(p) % p,
+            **{f"gamma_Q({m})": (ag + exact.fermat_quotient_exact(m, p)) % p
+               if m % p else None for m in (2, 3, 6)},
+            **{f"G_A({k})": fr(exact.gregory_exact(p - k)) if p > k else None
+               for k in (2, 3, 4)},
+            **{f"Z_A({k})": fr(exact.bernoulli_exact(p - k) / k) if p > k else None
+               for k in (2, 3, 4)}}
+
+
+def _scan_named(primes):
+    """The constants with a block scan, from the scans."""
+    ws, ks, gs = K.wilson_scan(primes), K.kurepa_scan(primes), K.gertsch_scan(primes)
+    q2 = [(pow(2, p - 1, p * p) - 1) // p for p in primes]
+    return {"gamma_W": ws, "gamma_Kp": ks, "gamma_G": gs,
+            "gamma_AG": [(w + 1) % p for p, w in zip(primes, ws)],
+            "gamma_Q(2)": [(w + 1 + q) % p for p, w, q in zip(primes, ws, q2)]}
+
+
+class TestWindowRoute:
+    def test_named_constants_match_exact_and_scans(self):
+        w = PrimeRange(3, 400)
+        primes = w.primes()
+        got = _named(w)
+        for p in iter_primes(3, 200):
+            for name, want in _exact_named(p).items():
+                if want is None:
+                    assert p in got[name].undefined_at, (name, p)
+                else:
+                    assert got[name].residues[p] == want, (name, p)
+        for name, col in _scan_named(primes).items():
+            assert [got[name].residues[p] for p in primes] == col, name
+
+    def test_named_constants_match_scans_random_window(self):
+        rng = random.Random(8008)
+        pool = sieve_primes(10_000, 20_000)
+        start = rng.randrange(len(pool) - 30)
+        primes = pool[start:start + 30]
+        w = PrimeRange(primes[0], primes[-1])
+        got = {"gamma_W": A.gamma_W(w), "gamma_Kp": A.gamma_Kp(w), "gamma_G": A.gamma_G(w),
+               "gamma_AG": A.gamma_AG(w), "gamma_Q(2)": A.gamma_Q(2, w)}
+        assert all(e.defined_primes() == primes for e in got.values())
+        for name, col in _scan_named(primes).items():
+            assert [got[name].residues[p] for p in primes] == col, name
+        for p in primes:
+            assert got["gamma_Kp"].residues[p] == K.kurepa_mod_py(p, p), p
+            assert got["gamma_W"].residues[p] == \
+                (K.factorial_mod(p - 1, p * p) + 1) // p % p, p
+
+    def test_window_from_two(self):
+        w = PrimeRange(2, 13)
+        kp = A.gamma_Kp(w)
+        assert kp.residues == {2: 0, **A.gamma_Kp(W_SMALL).residues}  # !2 = 2
+        undefined_at_two = [A.gamma_Q(2, w), A.gamma_Q(6, w)] + \
+            [f(k, w) for f in (A.G_A, A.Z_A) for k in (2, 3, 4)]
+        for e in undefined_at_two:
+            assert 2 in e.undefined_at and 2 not in e.residues
+        for f in (A.gamma_W, A.gamma_M, A.gamma_G, A.gamma_L, A.gamma_AG,
+                  lambda w: A.gamma_Q(3, w)):
+            with pytest.raises(DomainError, match="odd prime required, got 2"):
+                f(w)
+
+    def test_one_block_pass_per_window(self, monkeypatch):
+        calls = []
+        columns = K._factorial_columns
+        monkeypatch.setattr(K, "_factorial_columns",
+                            lambda ps, e: calls.append(e) or columns(ps, e))
+        g = A.gamma_W(PrimeRange(3, 2000))
+        assert calls == [3]
+        assert g.zero_primes() == [5, 13, 563]

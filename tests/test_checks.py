@@ -66,14 +66,17 @@ class TestRunCatalog:
             if name.startswith("kurepa") and getattr(mod, "is_prime", None) is original:
                 monkeypatch.setattr(mod, "is_prime",
                                     lambda n: primality.append(n) or original(n))
-        table = K.inverse_table
+        table, columns, blocks = K.inverse_table, K._factorial_columns, []
         monkeypatch.setattr(K, "inverse_table",
                             lambda p: inverses.append(p) or table(p))
-        res = C.run_catalog(3, 100)
+        monkeypatch.setattr(K, "_factorial_columns",
+                            lambda ps, e: blocks.append(list(ps)) or columns(ps, e))
+        res = C.run_catalog(3, 600)
         assert res.ok
-        primes = list(modmath.iter_primes(3, 100))
+        primes = list(modmath.iter_primes(3, 600))
         assert primality == primes
         assert inverses == primes
+        assert blocks == [primes]  # one block pass for the window
 
     def test_composite_raises(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,6 @@
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from kurepa import _kernels as K
 from kurepa import exact, residues as R
 from kurepa.errors import CapacityError, DomainError, InvariantViolation
-from kurepa.modmath import fraction_residue, iter_primes, mod_inv, sieve_primes
+from kurepa.modmath import Residue, fraction_residue, iter_primes, mod_inv, sieve_primes
 from kurepa.residues import PrimeContext
 
 
@@ -246,6 +247,20 @@ class TestSums:
         # sum a^4 = 354; 354 mod 25 = 4
         assert int(R.power_sum_mod(5, 2)) == 354 % 25
 
+    def test_power_sum_matches_pow_loop(self):
+        rng = random.Random(3303)
+        seeded = rng.sample(sieve_primes(10_000, 30_000), 5)
+        for p in list(iter_primes(2, 300)) + seeded:
+            for e in (1, 2, 3):
+                m = p ** e
+                want = sum(pow(a, p - 1, m) for a in range(1, p)) % m
+                assert R.power_sum_mod(p, e) == Residue(want, m), (p, e)
+
+    @pytest.mark.parametrize("p", [-2, 0, 1])
+    def test_power_sum_rejects_small_modulus(self, p):
+        with pytest.raises(DomainError):
+            R.power_sum_mod(p, 1)
+
 
 class TestProfile:
     def test_profile_invariant(self):
@@ -415,3 +430,40 @@ class TestBlockKernelPerPrime:
                    lambda: R.agoh_giuga_mod(c)):
             with pytest.raises(DomainError):
                 fn()
+
+
+class TestPrimeContexts:
+    def test_window_records_match_lone_records(self):
+        primes = list(iter_primes(3, 300)) + [10_007, 3, 5]  # any order, repeats
+        got = [(ctx.p, ctx.columns, ctx.wilson, ctx.gertsch, ctx.lerch)
+               for ctx in R.prime_contexts(primes)]
+        want = []
+        for p in primes:
+            ctx = PrimeContext(p)
+            want.append((p, ctx.columns, ctx.wilson, ctx.gertsch, ctx.lerch))
+        assert got == want
+
+    def test_every_prime_checked_before_the_block_pass(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(K, "_factorial_columns", lambda *a: calls.append(a))
+        for bad in ([3, 5, 9], [2, 3]):
+            with pytest.raises(DomainError):
+                next(R.prime_contexts(bad))
+        assert calls == []
+
+    def test_caps_reach_the_records(self):
+        ctx = next(R.prime_contexts([101], bell_cap=10, bern_cap=20))
+        with pytest.raises(CapacityError):
+            ctx.gertsch
+        with pytest.raises(CapacityError):
+            ctx.greg
+        assert ctx.wilson == int(R.wilson_quotient_mod(101))
+
+    def test_no_yielded_record_is_held(self):
+        it = R.prime_contexts([3, 5, 7])
+        ctx = next(it)
+        ctx.bern  # a cached table
+        ref = weakref.ref(ctx)
+        del ctx
+        assert ref() is None
+        assert [ctx.p for ctx in it] == [5, 7]

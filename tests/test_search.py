@@ -157,10 +157,10 @@ class TestSharding:
         sharded = S.run_sharded("wilson_zero", 3, 2000, shards=shards)
         assert sharded.hits == single.hits
 
-    def test_workers_agree(self):
-        one = S.run_campaign("wilson_plus_two", 3, 2000, workers=1)
-        four = S.run_campaign("wilson_plus_two", 3, 2000, workers=4)
-        assert one.hits == four.hits == [3, 7, 71]
+    def test_workers_other_than_one_raise(self):
+        assert S.run_campaign("wilson_plus_two", 3, 2000, workers=1).hits == [3, 7, 71]
+        with pytest.raises(DomainError):
+            S.run_campaign("wilson_plus_two", 3, 2000, workers=2)
 
     @pytest.mark.parametrize("name", ["wilson_zero", "qpm_zero"])
     def test_sharded_checkpoint_resume(self, tmp_path, name):
