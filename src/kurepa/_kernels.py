@@ -10,7 +10,9 @@ serves rows whose factorials are not units mod m. `bell_mod` is O(p) per
 prime. (p-1)! mod p^e and !p mod p^e have one route, the block kernel
 `_factorial_columns`: the scans and `residues.prime_contexts` call it with a
 block, a lone `residues.PrimeContext` with one prime; `factorial_mod` and
-`kurepa_mod_py` are its oracles.
+`kurepa_mod_py` are its oracles. The three quotients by p, `fermat_quotient`,
+`wilson_quotient` and `gertsch_quotient`, each check that p divides their
+numerator and raise InvariantViolation otherwise.
 """
 
 from __future__ import annotations
@@ -304,6 +306,19 @@ def gertsch_quotient(p: int, k2: int, b2: int) -> int:
     if num % p:
         raise InvariantViolation(f"Gertsch numerator not divisible by {p}")
     return num // p
+
+
+def fermat_quotient(p: int, a: int, e: int = 1) -> int:
+    """q_p(a) = (a^(p-1) - 1)/p mod p^e.
+
+    Fermat's little theorem makes a^(p-1) - 1 divisible by p for every prime
+    p not dividing a; a failure signals a composite input, p | a, or a
+    kernel bug.
+    """
+    t = pow(a, p - 1, p ** (e + 1))
+    if (t - 1) % p:
+        raise InvariantViolation(f"Fermat congruence failed at ({a}, {p})")
+    return (t - 1) // p
 
 
 def wilson_quotient(p: int, f: int) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from . import config, residues
+from . import _kernels, config, residues
 from .errors import DomainError
 from .modmath import UNDEFINED, PrimeRange, Residue, rational_residue
 
@@ -160,12 +160,12 @@ def embed_integer(n: int, window: PrimeRange) -> AdeleElement:
 
 
 def _fermat_quotient_rational(q: Fraction, p: int):
-    """q_p(x) mod p for rational x, undefined at primes dividing num or den."""
+    """q_p(x) mod p for rational x, undefined at primes dividing num or den;
+    x is reduced mod p^2 first, which leaves x^(p-1) mod p^2 unchanged."""
     if q.numerator % p == 0 or q.denominator % p == 0:
         return UNDEFINED
     m2 = p * p
-    t = q.numerator % m2 * pow(q.denominator, -1, m2) % m2
-    return (pow(t, p - 1, m2) - 1) // p
+    return _kernels.fermat_quotient(p, q.numerator % m2 * pow(q.denominator, -1, m2) % m2)
 
 
 def log_A(x, window: PrimeRange) -> AdeleElement:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from . import exact, residues
+from . import config, exact, residues
 from .errors import DomainError
 from .modmath import fraction_residue, iter_primes
 from .residues import PrimeContext, prime_contexts  # PrimeContext re-exported
@@ -81,8 +81,9 @@ class CheckDescriptor:
 # ---------------------------------------------------------------------------
 # Check implementations
 
-def _agoh_sum(ctx: PrimeContext, m: int, alternating: bool) -> int:
-    """sum_{k=1}^{p-2} (+-1)^k m^(-k) B_k / k mod p."""
+def _agoh_sum(ctx: PrimeContext, m: int) -> int:
+    """sum_{k=1}^{p-2} m^(-k) B_k / k mod p; at -m it is the alternating
+    sum of (-1)^k m^(-k) B_k / k."""
     p = ctx.p
     vals = ctx.bern.values
     inv = ctx.inv
@@ -93,11 +94,7 @@ def _agoh_sum(ctx: PrimeContext, m: int, alternating: bool) -> int:
         t = t * inv_m % p
         if not vals[k]:
             continue
-        term = t * vals[k] % p * inv[k] % p
-        if alternating and k % 2 == 1:
-            s = (s - term) % p
-        else:
-            s = (s + term) % p
+        s = (s + t * vals[k] % p * inv[k]) % p
     return s
 
 
@@ -131,7 +128,7 @@ def _c06(ctx):
 def _c07(ctx):
     p = ctx.p
     ms = range(2, min(p, 6))
-    lhs = tuple(_agoh_sum(ctx, m, False) for m in ms)
+    lhs = tuple(_agoh_sum(ctx, m) for m in ms)
     rhs = tuple((ctx.wilson + ctx.q(m)) % p for m in ms)
     return lhs, rhs
 
@@ -139,17 +136,17 @@ def _c07(ctx):
 def _c08(ctx):
     p = ctx.p
     ms = range(2, min(p, 6))
-    lhs = tuple(_agoh_sum(ctx, m, True) for m in ms)
+    lhs = tuple(_agoh_sum(ctx, -m) for m in ms)
     rhs = tuple((ctx.wilson + ctx.q(m) + ctx.inv[m]) % p for m in ms)
     return lhs, rhs
 
 
 def _c09(ctx):
-    return _agoh_sum(ctx, 1, False), ctx.wilson
+    return _agoh_sum(ctx, 1), ctx.wilson
 
 
 def _c10(ctx):
-    return _agoh_sum(ctx, 1, True), (ctx.wilson + 1) % ctx.p
+    return _agoh_sum(ctx, -1), (ctx.wilson + 1) % ctx.p
 
 
 def _c11(ctx):
@@ -190,24 +187,24 @@ def _c13(ctx):
 def _c14(ctx):
     p = ctx.p
     lhs = fraction_residue(
-        exact.bernoulli_exact(p - 1, ctx.exact_bern_cap) + Fraction(1, p) - 1, p)
+        exact.bernoulli_exact(p - 1, config.EXACT_BERNOULLI_CAP) + Fraction(1, p) - 1, p)
     return int(lhs), ctx.wilson
 
 
 def _c15(ctx):
     p = ctx.p
-    r = (p * (p + 1) * exact.bernoulli_exact(p - 1, ctx.exact_bern_cap)
+    r = (p * (p + 1) * exact.bernoulli_exact(p - 1, config.EXACT_BERNOULLI_CAP)
          - math.factorial(p - 1))
     return int(fraction_residue(r, p * p)), 0
 
 
 def _c16(ctx):
     p = ctx.p
-    pairs = [(n, k) for n, k in ((2, 1), (3, 1), (3, 2))
-             if n * (p - 1) <= ctx.exact_bern_cap]
+    cap = config.EXACT_BERNOULLI_CAP
+    pairs = [(n, k) for n, k in ((2, 1), (3, 1), (3, 2)) if n * (p - 1) <= cap]
     lhs = tuple(int(fraction_residue(
-        exact.bernoulli_exact(n * (p - 1), ctx.exact_bern_cap)
-        - exact.bernoulli_exact(k * (p - 1), ctx.exact_bern_cap), p))
+        exact.bernoulli_exact(n * (p - 1), cap)
+        - exact.bernoulli_exact(k * (p - 1), cap), p))
         for n, k in pairs)
     rhs = tuple((n - k) * ctx.wilson % p for n, k in pairs)
     return lhs, rhs
@@ -337,7 +334,7 @@ def _needs_bell(ctx):
 
 
 def _needs_exact_bern(ctx):
-    return ctx.p - 1 <= ctx.exact_bern_cap
+    return ctx.p - 1 <= config.EXACT_BERNOULLI_CAP
 
 
 _D = CheckDescriptor
@@ -373,7 +370,7 @@ CATALOG: dict[str, CheckDescriptor] = {d.id: d for d in [
     _D("C15", "assert", "p(p+1) B_{p-1} = (p-1)! (mod p^2), exact rationals",
        "Carlitz", applies=_needs_exact_bern, run=_c15),
     _D("C16", "assert", "(n-k) W_p = B_{n(p-1)} - B_{k(p-1)} (mod p)",
-       "Agoh", applies=lambda c: 2 * (c.p - 1) <= c.exact_bern_cap, run=_c16),
+       "Agoh", applies=lambda c: 2 * (c.p - 1) <= config.EXACT_BERNOULLI_CAP, run=_c16),
     _D("C17", "assert", "S(p,k) = 0 (mod p) for 2<=k<=p-1; S(p,1)=S(p,p)=1",
        "Lagrange/Fermat", min_p=5, run=_c17),
     _D("C18", "assert", "sum |G_n|/n = W_p + 2 q_p(2) - 1 (mod p)",
@@ -545,11 +542,8 @@ def findings_report(pmax: int = 100) -> dict:
     from .tables import ERRATA
     c31 = run_catalog(3, pmax, ids=["C31"])
     agree = [o.p for o in c31.outcomes if not o.skipped and o.holds]
-    p3 = []
-    for p in iter_primes(3, min(pmax, 60)):
-        s = sum(pow(a, p - 1) for a in range(1, p)) - p - math.factorial(p - 1)
-        if s % p ** 3 == 0:
-            p3.append(p)
+    p3 = [ctx.p for ctx in prime_contexts(iter_primes(3, min(pmax, 60)))
+          if (ctx.power_sum - ctx.p - ctx.fact(ctx.p ** 3)) % ctx.p ** 3 == 0]
     return {
         "errata": {f"{t}:{r}": e["note"] for (t, r), e in ERRATA.items()},
         "gertsch_wilson_agreement": agree,

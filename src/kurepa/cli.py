@@ -2,9 +2,6 @@
 
 Exit codes: 0 success / findings-only, 1 assertion or table mismatch,
 2 usage error, 3 capacity (a kernel cap was exceeded).
-
-Flags override KUREPA_* environment variables, which override built-in
-defaults (see config.py for the variable names).
 """
 
 from __future__ import annotations

@@ -69,20 +69,18 @@ class PrimeContext:
     The constructor checks once that p is an odd prime. The base values are
     ((p-1)!, !p) mod p^3 from one block-kernel call (`prime_contexts` makes
     one for a whole window), Bell_{p-1} mod p^3, the inverses mod p,
-    sum_a a^(p-1) mod p^3 and the Bernoulli and Gregory tables; every
-    quotient reduces them mod p^e. Bell is capped at p - 1 <= bell_cap and
-    the tables at p <= bern_cap.
+    sum_a a^(p-1) mod p^3, k! and 1/k! mod p, and the Bernoulli and Gregory
+    tables; every quotient reduces them mod p^e. Bell is capped at
+    p - 1 <= bell_cap and the tables at p <= bern_cap.
     """
 
     def __init__(self, p: int,
                  bell_cap: int = config.BELL_MOD_CAP,
-                 bern_cap: int = config.BERNOULLI_MOD_CAP,
-                 exact_bern_cap: int = config.EXACT_BERNOULLI_CAP):
+                 bern_cap: int = config.BERNOULLI_MOD_CAP):
         _require_odd_prime(p)
         self.p = p
         self.bell_cap = bell_cap
         self.bern_cap = bern_cap
-        self.exact_bern_cap = exact_bern_cap
 
     # -- base values, built once
 
@@ -108,6 +106,11 @@ class PrimeContext:
     @cached_property
     def inv(self) -> list[int]:
         return _kernels.inverse_table(self.p)
+
+    @cached_property
+    def factorials(self) -> tuple[list[int], list[int]]:
+        """([k! mod p], [1/k! mod p]) for k = 0..p-2."""
+        return _kernels._factorials(self.p - 2, self.p)
 
     @cached_property
     def power_sum(self) -> int:
@@ -153,7 +156,7 @@ class PrimeContext:
         return self.wilson2 % self.p
 
     def q(self, m: int) -> int:
-        """q_p(m) mod p."""
+        """q_p(m) mod p, for p not dividing m."""
         return _fermat_quotient(self.p, m, 1)
 
     @cached_property
@@ -188,13 +191,13 @@ class PrimeContext:
     @cached_property
     def ag(self) -> int:
         """AG_p mod p = W_p + 1, by the Glaisher congruence
-        W_p = B_{p-1} + 1/p - 1 (mod p). For p within the exact-Bernoulli cap
+        W_p = B_{p-1} + 1/p - 1 (mod p). For p within config.EXACT_BERNOULLI_CAP
         the rational (p*B_{p-1}+1)/p is also reduced mod p and the two must
         agree."""
         p = self.p
         fast = (self.wilson + 1) % p
-        if p - 1 <= self.exact_bern_cap:
-            r = int(fraction_residue(exact._agoh_giuga(p, self.exact_bern_cap), p))
+        if p - 1 <= config.EXACT_BERNOULLI_CAP:
+            r = int(fraction_residue(exact._agoh_giuga(p, config.EXACT_BERNOULLI_CAP), p))
             if r != fast:
                 raise InvariantViolation(f"AG_{p}: exact path {r} != Wilson path {fast}")
         return fast
@@ -217,12 +220,6 @@ class PrimeContext:
         return int(derangement_mod(self.p - 1, self.p))
 
     @cached_property
-    def inv_fact(self) -> list[int]:
-        """1/k! mod p for k = 0..p-2."""
-        return list(accumulate(self.inv[1:self.p - 1], lambda x, i: x * i % self.p,
-                               initial=1))
-
-    @cached_property
     def bern_sums(self) -> BernoulliIndexSums:
         p = self.p
         t = [b * i for b, i in zip(self.bern.values, self.inv)]  # B_k/k; t[0] = 0
@@ -233,15 +230,15 @@ class PrimeContext:
     @cached_property
     def bern_factorial_sum(self) -> int:
         """sum_{k=0}^{p-2} (-1)^k B_k/k! mod p."""
-        terms = [b * x for b, x in zip(self.bern.values, self.inv_fact)]
+        terms = [b * x for b, x in zip(self.bern.values, self.factorials[1])]
         return (sum(terms[0::2]) - sum(terms[1::2])) % self.p
 
     @cached_property
     def bern_left_factorial_sum(self) -> int:
         """sum_{m=1}^{(p-3)/2} (B_{2m}/(2m)!) * (!(2m) - 1) mod p."""
-        p, vals, inv_fact = self.p, self.bern.values, self.inv_fact
-        fact = accumulate(range(1, p - 3), lambda f, j: f * j % p, initial=1)
-        lf = list(accumulate(fact, initial=0))  # !k = sum_{j<k} j!, k <= p-3
+        p, vals = self.p, self.bern.values
+        fact, inv_fact = self.factorials
+        lf = list(accumulate(fact, initial=0))  # !k = sum_{j<k} j!, k <= p-1
         return sum(vals[k] * inv_fact[k] * (lf[k] - 1) for k in range(2, p - 2, 2)) % p
 
     def sun_zagier(self, m: int) -> int:
@@ -355,10 +352,7 @@ def fermat_quotient_mod(p: int, a: int, e: int = 1) -> Residue:
 def _fermat_quotient(p: int, a: int, e: int) -> int:
     if a % p == 0:
         raise DomainError(f"p must not divide a (p={p}, a={a})")
-    t = pow(a, p - 1, p ** (e + 1))
-    if (t - 1) % p:
-        raise InvariantViolation(f"Fermat congruence failed at ({a}, {p})")
-    return (t - 1) // p
+    return _kernels.fermat_quotient(p, a, e)
 
 
 def lerch_quotient_mod(p: int) -> Residue:

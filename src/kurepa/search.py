@@ -40,11 +40,11 @@ def _scan_wilson_zero(primes, params):
 
 
 def _scan_wieferich(primes, params):
-    return [p for p in primes if p != 2 and pow(2, p - 1, p * p) == 1]
+    return [p for p in primes if p != 2 and _kernels.fermat_quotient(p, 2) == 0]
 
 
 def _scan_mirimanoff(primes, params):
-    return [p for p in primes if p != 3 and pow(3, p - 1, p * p) == 1]
+    return [p for p in primes if p != 3 and _kernels.fermat_quotient(p, 3) == 0]
 
 
 def _scan_gertsch_wilson(primes, params):
@@ -81,13 +81,11 @@ def _scan_qpm_zero(primes, params):
     ws = _kernels.wilson_scan(primes)
     hits = []
     for p, w in zip(primes, ws):
-        m2 = p * p
         ag = (w + 1) % p
         for m in range(2, m_max + 1):
             if m % p == 0:
                 continue
-            q = (pow(m, p - 1, m2) - 1) // p % p
-            if (ag + q) % p == 0:
+            if (ag + _kernels.fermat_quotient(p, m)) % p == 0:
                 hits.append((m, p))
     return hits
 

@@ -112,12 +112,18 @@ class TestLog:
             assert lhs.compare(rhs).identical_on_window
 
     def test_rational_log_matches_quotient_difference(self):
-        w = PrimeRange(11, 60)
-        e = A.log_A(Fraction(3, 2), w)
-        for p in e.defined_primes():
-            q3 = int(R.fermat_quotient_mod(p, 3))
-            q2 = int(R.fermat_quotient_mod(p, 2))
-            assert e.residues[p] == (q3 - q2) % p
+        # q_p(a/b) = q_p(a) - q_p(b) (mod p), each from exact integers
+        rng = random.Random(20261018)
+        w = PrimeRange(3, 500)
+        for _ in range(20):
+            x = Fraction(rng.choice((1, -1)) * rng.randint(1, 10 ** 6),
+                         rng.randint(1, 10 ** 6))
+            a, b = x.numerator, x.denominator
+            e = A.log_A(x, w)
+            assert e.undefined_at == {p for p in w if a * b % p == 0}
+            for p in e.defined_primes():
+                assert e.residues[p] == (exact.fermat_quotient_exact(a, p)
+                                         - exact.fermat_quotient_exact(b, p)) % p
 
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
@@ -127,7 +133,7 @@ class TestLog:
         w = PrimeRange(3, 60)
         e = A.ell_A(2, w)
         for p in e.defined_primes():
-            assert e.residues[p] == 2 * int(R.fermat_quotient_mod(p, 2)) % p
+            assert e.residues[p] == 2 * exact.fermat_quotient_exact(2, p) % p
 
 
 class TestConstants:

@@ -168,6 +168,7 @@ class TestFindings:
     def test_findings_report(self):
         rep = C.findings_report(pmax=60)
         assert rep["gertsch_wilson_agreement"] == [3, 7]
+        assert rep["power_sum_mod_p3_holds_at"] == [3]
         assert not rep["genus_split"].split_holds
         assert "agoh_giuga:31" in rep["errata"]
 

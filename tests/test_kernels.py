@@ -1,17 +1,20 @@
 """Kernel tests: every table kernel agrees with the exact big-integer oracle
 reduced mod m, and each power-series table with its O(p^2) triangle or
 recurrence; the block kernel behind the (p-1)! and !p columns agrees with the
-per-prime O(p) loops."""
+per-prime O(p) loops; every production Fermat quotient reads one helper."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from kurepa import _kernels as K
-from kurepa import exact
+from kurepa import adele as A
+from kurepa import exact, search
+from kurepa import residues as R
 from kurepa.errors import InvariantViolation
-from kurepa.modmath import rational_residue, sieve_primes
+from kurepa.modmath import PrimeRange, rational_residue, sieve_primes
 
 PRIMES = [3, 5, 7, 11, 13, 17, 31, 97, 101, 563]
 
@@ -257,3 +260,44 @@ def test_series_tables_satisfy_congruences_at_large_prime():
     bell = K.bell_seq_mod(p - 1, p)
     assert len(bell) == p
     assert bell[-1] == (ks[0] + 1) % p == K.bell_mod(p - 1, p)
+
+
+# ---------------------------------------------------------------------------
+# The Fermat quotient: one helper behind every production q_p
+
+def test_fermat_quotient_matches_exact():
+    for p in [2] + sieve_primes(3, 300):
+        for a in range(1, 41):
+            if a % p:
+                for e in (1, 2):
+                    assert (K.fermat_quotient(p, a, e)
+                            == exact.fermat_quotient_exact(a, p) % p ** e), (p, a, e)
+
+
+@pytest.mark.parametrize("n, a", [(15, 2), (21, 5)])
+def test_fermat_quotient_rejects_non_pseudoprime(n, a):
+    # 2^14 = 4 (mod 15) and 5^20 = 4 (mod 21)
+    with pytest.raises(InvariantViolation):
+        K.fermat_quotient(n, a)
+
+
+def test_every_production_fermat_quotient_reads_the_helper(monkeypatch):
+    real = K.fermat_quotient
+    calls = []
+    monkeypatch.setattr(K, "fermat_quotient", lambda *a: calls.append(a) or real(*a))
+
+    def count(run) -> int:
+        calls.clear()
+        run()
+        return len(calls)
+
+    assert count(lambda: R.PrimeContext(101).q(2)) == 1
+    assert count(lambda: R.fermat_quotient_mod(101, 3, 2)) == 1
+    primes = sieve_primes(3, 200)
+    assert count(lambda: search.run_campaign("wieferich", 3, 200)) == len(primes)
+    assert count(lambda: search.run_campaign("mirimanoff", 3, 200)) == len(primes) - 1
+    assert (count(lambda: search.run_campaign("qpm_zero", 3, 200))
+            == sum(m % p != 0 for p in primes for m in range(2, 21)))
+    # every window prime but 3, the one dividing 3 * 2
+    assert (count(lambda: A.log_A(Fraction(3, 2), PrimeRange(3, 50)))
+            == len(sieve_primes(5, 50)))

@@ -451,6 +451,12 @@ class TestPrimeContexts:
                 next(R.prime_contexts(bad))
         assert calls == []
 
+    def test_factorials_match_exact(self):
+        for p in (3, 5, 7, 101):
+            fact, inv_fact = PrimeContext(p).factorials
+            assert fact == [math.factorial(k) % p for k in range(p - 1)]
+            assert inv_fact == [pow(f, -1, p) for f in fact]
+
     def test_caps_reach_the_records(self):
         ctx = next(R.prime_contexts([101], bell_cap=10, bern_cap=20))
         with pytest.raises(CapacityError):
