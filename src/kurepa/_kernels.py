@@ -2,7 +2,9 @@
 
 The Bell-row, Bernoulli, Gregory and Stirling tables are power series mod m:
 `_series_mul` multiplies two coefficient lists with one big-int product
-(Kronecker substitution, after Harvey 2009) and `_series_inv` inverts a
+(Kronecker substitution, after Harvey 2009), moving the coefficients in and
+out of their w-byte slots through 8-byte `array` words by w strided slice
+copies, so no Python loop runs per coefficient; `_series_inv` inverts a
 series by Newton iteration, as Buhler, Crandall, Ernvall, Metsankyla and
 Shokrollahi (2001) do for Bernoulli numbers mod p. The O(p^2) triangles and
 recurrences (`*_py`) are their test oracles; the Stirling triangle also
@@ -17,6 +19,8 @@ numerator and raise InvariantViolation otherwise.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from itertools import accumulate
 from math import isqrt
 from operator import mul
@@ -149,14 +153,48 @@ def _series_mul(a: list[int], b: list[int], n: int, m: int) -> list[int]:
     Each list is packed into an int, one coefficient per w-byte slot. A
     product coefficient is a sum of at most min(len a, len b) products below
     m^2, so with w bytes above that bound no slot overflows into the next.
+    w is that bound's byte length and is not rounded up to a word: a wider
+    slot would make the multiply itself larger. For w <= 8 `_pack` and
+    `_unpack` convert between slots and 8-byte words with w slice copies.
     """
     a, b = a[:n], b[:n]
     w = (2 * (m - 1).bit_length() + min(len(a), len(b)).bit_length() + 7) // 8
-    x, y = (int.from_bytes(b"".join([c.to_bytes(w, "little") for c in v]),
-                           "little") for v in (a, b))
-    buf = (x * y).to_bytes((len(a) + len(b)) * w, "little")
-    return [int.from_bytes(buf[i:i + w], "little") % m
-            for i in range(0, n * w, w)]
+    slots = max(n, len(a) + len(b))
+    buf = (_pack(a, w) * _pack(b, w)).to_bytes(slots * w, "little")
+    return _unpack(buf, n, w, m)
+
+
+# Slots wider than a word (m^2 * len above 2^64: m above about 2^24 for 5e4
+# terms, which no production caller reaches) keep one to_bytes or from_bytes
+# per coefficient.
+if array("Q").itemsize != 8:
+    raise ImportError("kurepa needs 8-byte array('Q') items")
+# _BYTE[j]: where a native word keeps its j-th least significant byte
+_BYTE = range(7, -1, -1) if sys.byteorder == "big" else range(8)
+
+
+def _pack(v: list[int], w: int) -> int:
+    """The int whose i-th little-endian w-byte slot holds v[i] < 256^w."""
+    if w > 8:
+        return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in v]),
+                              "little")
+    src = array("Q", v).tobytes()
+    dst = bytearray(len(v) * w)
+    for j in range(w):
+        dst[j::w] = src[_BYTE[j]::8]
+    return int.from_bytes(dst, "little")
+
+
+def _unpack(buf: bytes, n: int, w: int, m: int) -> list[int]:
+    """The first n little-endian w-byte slots of buf, each reduced mod m;
+    buf holds at least n slots."""
+    if w > 8:
+        return [int.from_bytes(buf[i:i + w], "little") % m
+                for i in range(0, n * w, w)]
+    out = bytearray(8 * n)
+    for j in range(w):
+        out[_BYTE[j]::8] = buf[j:n * w:w]
+    return [c % m for c in memoryview(out).cast("Q")]
 
 
 def _series_inv(f: list[int], n: int, m: int) -> list[int]:
@@ -229,7 +267,7 @@ def bell_seq_mod(n: int, m: int) -> list[int]:
     def solve(lo: int, hi: int) -> None:
         if hi - lo <= _LEAF_TERMS:
             for k in range(max(lo, 1), hi):
-                s = acc[k] + sum(b[j] * inv_fact[k - 1 - j] for j in range(lo, k))
+                s = acc[k] + sum(map(mul, reversed(b[lo:k]), inv_fact))
                 b[k] = s % m * inv_fact[k] % m * fact[k - 1] % m
             return
         mid = (lo + hi) // 2

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Optional
 
 from . import config, exact, residues
@@ -81,23 +82,6 @@ class CheckDescriptor:
 # ---------------------------------------------------------------------------
 # Check implementations
 
-def _agoh_sum(ctx: PrimeContext, m: int) -> int:
-    """sum_{k=1}^{p-2} m^(-k) B_k / k mod p; at -m it is the alternating
-    sum of (-1)^k m^(-k) B_k / k."""
-    p = ctx.p
-    vals = ctx.bern.values
-    inv = ctx.inv
-    inv_m = inv[m % p]
-    s = 0
-    t = 1
-    for k in range(1, p - 1):
-        t = t * inv_m % p
-        if not vals[k]:
-            continue
-        s = (s + t * vals[k] % p * inv[k]) % p
-    return s
-
-
 def _c01(ctx):
     return ctx.kurepa(1), (ctx.bell_seq[ctx.p - 1] - 1) % ctx.p
 
@@ -128,7 +112,7 @@ def _c06(ctx):
 def _c07(ctx):
     p = ctx.p
     ms = range(2, min(p, 6))
-    lhs = tuple(_agoh_sum(ctx, m) for m in ms)
+    lhs = tuple(ctx.agoh_sum(m) for m in ms)
     rhs = tuple((ctx.wilson + ctx.q(m)) % p for m in ms)
     return lhs, rhs
 
@@ -136,38 +120,26 @@ def _c07(ctx):
 def _c08(ctx):
     p = ctx.p
     ms = range(2, min(p, 6))
-    lhs = tuple(_agoh_sum(ctx, -m) for m in ms)
+    lhs = tuple(ctx.agoh_sum(-m) for m in ms)
     rhs = tuple((ctx.wilson + ctx.q(m) + ctx.inv[m]) % p for m in ms)
     return lhs, rhs
 
 
 def _c09(ctx):
-    return _agoh_sum(ctx, 1), ctx.wilson
+    return ctx.agoh_sum(1), ctx.wilson
 
 
 def _c10(ctx):
-    return _agoh_sum(ctx, -1), (ctx.wilson + 1) % ctx.p
+    return ctx.agoh_sum(-1), (ctx.wilson + 1) % ctx.p
 
 
 def _c11(ctx):
+    # sum_k H_n^(k) B_k/k = sum_{m<=n} sum_k m^(-k) B_k/k
     p = ctx.p
-    vals = ctx.bern.values
-    inv = ctx.inv
     ns = range(1, min(4, p))
-    lhs = []
-    for n in ns:
-        pows = [1] * (n + 1)  # pows[m] = inv(m)^k, updated per k
-        s = 0
-        for k in range(1, p - 1):
-            h = 0
-            for m in range(1, n + 1):
-                pows[m] = pows[m] * inv[m] % p
-                h += pows[m]
-            if vals[k]:
-                s = (s + h % p * vals[k] % p * inv[k]) % p
-        lhs.append(s)
-    rhs = [(n * ctx.wilson + ctx.q(math.factorial(n))) % p for n in ns]
-    return tuple(lhs), tuple(rhs)
+    lhs = tuple(s % p for s in accumulate(ctx.agoh_sum(m) for m in ns))
+    rhs = tuple((n * ctx.wilson + ctx.q(math.factorial(n))) % p for n in ns)
+    return lhs, rhs
 
 
 def _c12(ctx):

@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from operator import mul
 from typing import Iterable, Iterator, Optional
 
 from . import _kernels, config, exact
@@ -212,17 +213,25 @@ class PrimeContext:
 
     @cached_property
     def gregory_sum(self) -> int:
-        """sum_{n=1}^{p-2} |G_n|/n mod p."""
-        return sum(self.greg.abs(n) * self.inv[n] for n in range(1, self.p - 1)) % self.p
+        """sum_{n=1}^{p-2} |G_n|/n mod p; |G_n| = (-1)^(n-1) G_n."""
+        vals, inv = self.greg.values, self.inv  # vals[n-1] = G_n
+        return (sum(map(mul, vals[0::2], inv[1::2]))
+                - sum(map(mul, vals[1::2], inv[2::2]))) % self.p
 
     @cached_property
     def der(self) -> int:
         return int(derangement_mod(self.p - 1, self.p))
 
     @cached_property
+    def bern_over_index(self) -> list[int]:
+        """B_k * (1/k mod p), congruent to B_k/k, for k = 0..p-2 (0 at k = 0),
+        unreduced."""
+        return list(map(mul, self.bern.values, self.inv))
+
+    @cached_property
     def bern_sums(self) -> BernoulliIndexSums:
         p = self.p
-        t = [b * i for b, i in zip(self.bern.values, self.inv)]  # B_k/k; t[0] = 0
+        t = self.bern_over_index
         odd, even = sum(t[1::2]), sum(t[2::2])
         return BernoulliIndexSums(p, alternating=Residue(1 + even - odd, p),
                                   plain=Residue(1 + even + odd, p), even=Residue(even, p))
@@ -241,11 +250,23 @@ class PrimeContext:
         lf = list(accumulate(fact, initial=0))  # !k = sum_{j<k} j!, k <= p-1
         return sum(vals[k] * inv_fact[k] * (lf[k] - 1) for k in range(2, p - 2, 2)) % p
 
+    def agoh_sum(self, m: int) -> int:
+        """sum_{k=1}^{p-2} m^(-k) B_k/k mod p; at -m it is the alternating
+        sum of (-1)^k m^(-k) B_k/k. The sum is 0 when p divides m."""
+        return _horner(self.bern_over_index[1:], self.inv[m % self.p], self.p)
+
     def sun_zagier(self, m: int) -> int:
         """sum_{0<k<p} Bell_k / (-m)^k mod p, for p not dividing m."""
         p, x = self.p, pow(-m, -1, self.p)
-        powers = accumulate([x] * (p - 1), lambda t, y: t * y % p)  # x^k, k = 1..p-1
-        return sum(b * t for b, t in zip(self.bell_seq[1:p], powers)) % p
+        return _horner(self.bell_seq[1:p], x, p)
+
+
+def _horner(c: list[int], x: int, p: int) -> int:
+    """sum_{k>=1} c[k-1] x^k mod p."""
+    s = 0
+    for t in reversed(c):
+        s = (s + t) * x % p
+    return s
 
 
 def prime_contexts(primes: Iterable[int], **caps) -> Iterator[PrimeContext]:

@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction
 
@@ -24,6 +25,27 @@ class TestRunCheck:
         o = C.run_check("C31", 11)
         assert not o.holds  # 11 is not in the agreement set
         assert C.CATALOG["C31"].kind == "measure"
+
+    @staticmethod
+    def _c11_lhs_loop(ctx):
+        # sum_k H_n^(k) B_k/k with the harmonic sums updated per k
+        p, vals, inv = ctx.p, ctx.bern.values, ctx.inv
+        lhs = []
+        for n in range(1, min(4, p)):
+            pows, s = [1] * (n + 1), 0
+            for k in range(1, p - 1):
+                h = 0
+                for m in range(1, n + 1):
+                    pows[m] = pows[m] * inv[m] % p
+                    h += pows[m]
+                s = (s + h % p * vals[k] % p * inv[k]) % p
+            lhs.append(s)
+        return tuple(lhs)
+
+    def test_c11_lhs_matches_harmonic_loop(self):
+        seeded = random.Random(1018).sample(modmath.sieve_primes(2000, 4000), 5)
+        for ctx in residues.prime_contexts(list(modmath.iter_primes(5, 600)) + seeded):
+            assert C._c11(ctx)[0] == self._c11_lhs_loop(ctx), ctx.p
 
     def test_skip_marker(self):
         o = C.run_check("C13", 3)  # needs p >= 5

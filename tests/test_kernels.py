@@ -191,6 +191,52 @@ def test_gertsch_scan_matches_gertsch_wilson_scan():
     assert K.gertsch_scan(primes) == K.gertsch_wilson_scan(primes)[0]
 
 
+# The series product and inverse against schoolbook convolution. Slots are
+# w bytes for w = ceil((2 bits(m-1) + bits(L)) / 8), L the shorter operand's
+# length; m = 2^b with b = (8w - bits(L)) // 2 is the largest modulus of
+# width w, so coefficients m - 1 fill a slot to within a byte of its top.
+
+def _convolution(a, b, n, m):
+    c = [0] * n
+    for i, x in enumerate(a[:n]):
+        for j, y in enumerate(b[:n - i]):
+            c[i + j] += x * y
+    return [x % m for x in c]
+
+
+_L = 25  # min(len a, len b) in every nonempty case below; bits(_L) = 5
+_SERIES_MODULI = sorted({2 ** ((8 * w - _L.bit_length()) // 2) - d
+                         for w in range(1, 10) for d in (0, 1) if (w, d) != (1, 1)}
+                        | {12, 49, 101 * 101, 2 ** 31 - 1})
+_SERIES_SHAPES = [(40, 25, 64),   # n = len a + len b - 1
+                  (40, 25, 30),   # len b < n < len a
+                  (25, 40, 20),   # n below both lengths
+                  (25, 40, 70),   # n past the product's last coefficient
+                  (25, 25, 25),
+                  (40, 25, 0)]
+
+
+@pytest.mark.parametrize("m", _SERIES_MODULI)
+def test_series_mul_matches_convolution(m):
+    rng = random.Random(m)
+    for la, lb, n in _SERIES_SHAPES:
+        for a, b in (([m - 1] * la, [m - 1] * lb),
+                     ([rng.randrange(m) for _ in range(la)],
+                      [rng.randrange(m) for _ in range(lb)])):
+            assert K._series_mul(a, b, n, m) == _convolution(a, b, n, m), (la, lb, n)
+
+
+@pytest.mark.parametrize("m", _SERIES_MODULI)
+def test_series_inv_matches_convolution(m):
+    rng = random.Random(-m)
+    for n, length in ((1, 1), (2, 5), (37, 37), (100, 100), (60, 3)):
+        f = [rng.randrange(m) for _ in range(length)]
+        f[0] = next(u for u in range(m - 1, 0, -1) if math.gcd(u, m) == 1)
+        g = K._series_inv(f, n, m)
+        assert len(g) == n
+        assert _convolution(f, g, n, m) == [1 % m] + [0] * (n - 1), (n, length)
+
+
 # The power-series tables against their O(p^2) triangles and recurrences.
 # The Bell row runs to Bell_{p+6}: past p-1 it leaves the series for the
 # binomial recurrence, which is what the Touchard checks C03 and C04 read.

@@ -473,3 +473,38 @@ class TestPrimeContexts:
         del ctx
         assert ref() is None
         assert [ctx.p for ctx in it] == [5, 7]
+
+    # The per-index loops the record's O(p) sums replaced, kept as oracles.
+
+    @staticmethod
+    def _gregory_sum_loop(ctx):
+        return sum(ctx.greg.abs(n) * ctx.inv[n] for n in range(1, ctx.p - 1)) % ctx.p
+
+    @staticmethod
+    def _sun_zagier_loop(ctx, m):
+        p, x = ctx.p, pow(-m, -1, ctx.p)
+        s, t = 0, 1
+        for b in ctx.bell_seq[1:p]:
+            t = t * x % p
+            s += b * t
+        return s % p
+
+    @staticmethod
+    def _agoh_sum_loop(ctx, m):
+        p, vals, inv = ctx.p, ctx.bern.values, ctx.inv
+        s, t = 0, 1
+        for k in range(1, p - 1):
+            t = t * inv[m % p] % p
+            s = (s + t * vals[k] % p * inv[k]) % p
+        return s
+
+    def test_record_sums_match_loops(self):
+        seeded = random.Random(1018).sample(sieve_primes(2000, 4000), 5)
+        for ctx in R.prime_contexts(list(iter_primes(3, 600)) + seeded):
+            p = ctx.p
+            assert ctx.gregory_sum == self._gregory_sum_loop(ctx), p
+            for m in range(1, 7):
+                if m % p:
+                    assert ctx.sun_zagier(m) == self._sun_zagier_loop(ctx, m), (p, m)
+            for m in (1, 2, 3, 4, 5, -1, -2, -3, -4, -5):
+                assert ctx.agoh_sum(m) == self._agoh_sum_loop(ctx, m), (p, m)
