@@ -6,15 +6,15 @@ The Bell-row, Bernoulli, Gregory and Stirling tables are power series mod m:
 out of their w-byte slots through 8-byte `array` words by w strided slice
 copies, so no Python loop runs per coefficient; `_series_inv` inverts a
 series by Newton iteration, as Buhler, Crandall, Ernvall, Metsankyla and
-Shokrollahi (2001) do for Bernoulli numbers mod p. The O(p^2) triangles and
-recurrences (`*_py`) are their test oracles; the Stirling triangle also
+Shokrollahi (2001) do for Bernoulli numbers mod p. The tables' O(p^2)
+oracles are in `tests/oracles.py`, except the Stirling triangle, which also
 serves rows whose factorials are not units mod m. `bell_mod` is O(p) per
 prime. (p-1)! mod p^e and !p mod p^e have one route, the block kernel
 `_factorial_columns`: the scans and `residues.prime_contexts` call it with a
-block, a lone `residues.PrimeContext` with one prime; `factorial_mod` and
-`kurepa_mod_py` are its oracles. The three quotients by p, `fermat_quotient`,
-`wilson_quotient` and `gertsch_quotient`, each check that p divides their
-numerator and raise InvariantViolation otherwise.
+block, a lone `residues.PrimeContext` with one prime; `gertsch_wilson_scan`
+reads Gertsch_p and W_p from one block pass mod p^2. The three quotients
+by p, `fermat_quotient`, `wilson_quotient` and `gertsch_quotient`, each
+check that p divides their numerator and raise InvariantViolation otherwise.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ HAVE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
-# Per-prime loops and the O(p^2) table oracles
+# Per-prime loops
 
 def factorial_mod(k: int, m: int) -> int:
     """k! mod m, O(k) multiplies."""
@@ -40,16 +40,6 @@ def factorial_mod(k: int, m: int) -> int:
     for n in range(2, k + 1):
         f = f * n % m
     return f
-
-
-def kurepa_mod_py(p: int, m: int) -> int:
-    """sum_{n=0}^{p-1} n! mod m by incremental products."""
-    f = 1 % m
-    s = f
-    for n in range(1, p):
-        f = f * n % m
-        s += f
-    return s % m
 
 
 def kurepa_gf_mod(p: int) -> int:
@@ -66,24 +56,6 @@ def kurepa_gf_mod(p: int) -> int:
     return s % p
 
 
-def bell_seq_mod_py(n: int, m: int) -> list[int]:
-    """Bell_0..Bell_n mod m via the Aitken triangle (O(n^2), one row kept)."""
-    out = [1 % m]
-    row = [1 % m]
-    for _ in range(n):
-        new = [row[-1]]
-        for x in row:
-            new.append((new[-1] + x) % m)
-        row = new
-        out.append(row[0])
-    return out
-
-
-def bell_mod_py(n: int, m: int) -> int:
-    """Bell_n mod m from the Aitken triangle: O(n^2), valid for every m."""
-    return bell_seq_mod_py(n, m)[n]
-
-
 def inverse_table(p: int) -> list[int]:
     """inv[1..p-1] mod p (inv[0] is a placeholder 0)."""
     inv = [0] * p
@@ -91,44 +63,6 @@ def inverse_table(p: int) -> list[int]:
     for i in range(2, p):
         inv[i] = (p - p // i) * inv[p % i] % p
     return inv
-
-
-def bernoulli_table_mod_py(p: int) -> list[int]:
-    """B_0..B_{p-2} mod p via n*B_{n-1} + 1 + sum C(n,j) B_j = 0.
-
-    Every division is by an integer < p, hence invertible; O(p^2).
-    """
-    inv = inverse_table(p)
-    table = [0] * (p - 1)
-    table[0] = 1 % p
-    if p > 2:
-        table[1] = (p - inv[2]) % p
-    for idx in range(2, p - 1):
-        if idx % 2 == 1:
-            continue
-        n = idx + 1
-        s = 1
-        c = 1  # C(n, j), updated multiplicatively
-        for j in range(1, n - 1):
-            c = c * ((n - j + 1) % p) % p * inv[j] % p
-            if table[j]:
-                s = (s + c * table[j]) % p
-        table[idx] = (p - s) * inv[n % p] % p if n % p else 0
-    return table
-
-
-def gregory_table_mod_py(p: int) -> list[int]:
-    """G_0..G_{p-2} mod p via the convolution recurrence (denominators < p)."""
-    inv = inverse_table(p)
-    table = [0] * (p - 1)
-    table[0] = 1 % p
-    for n in range(1, p - 1):
-        g = 0
-        for k in range(1, n + 1):
-            t = inv[k + 1] * table[n - k] % p
-            g = (g + t) if k % 2 == 1 else (g - t)
-        table[n] = g % p
-    return table
 
 
 def stirling2_row_mod_py(n: int, m: int) -> list[int]:
@@ -451,12 +385,6 @@ def _wilson_column(primes, fs) -> list[int]:
     return [wilson_quotient(p, f) % p for p, f in zip(primes, fs)]
 
 
-def _gertsch_column(primes, ks) -> list[int]:
-    """Gertsch_p mod p from ks = !p mod p^2 and the O(p) Bell value."""
-    return [gertsch_quotient(p, k, bell_mod(p - 1, p * p))
-            for p, k in zip(primes, ks)]
-
-
 # ---------------------------------------------------------------------------
 # Scans
 
@@ -471,12 +399,8 @@ def wilson_scan(primes: list[int]) -> list[int]:
     return _wilson_column(primes, _factorial_columns(primes, 2)[0])
 
 
-def gertsch_scan(primes: list[int]) -> list[int]:
-    """Gertsch_p mod p for each odd prime p, in input order."""
-    return _gertsch_column(primes, _factorial_columns(primes, 2)[1])
-
-
 def gertsch_wilson_scan(primes: list[int]) -> tuple[list[int], list[int]]:
     """(Gertsch_p mod p, W_p mod p) columns from one block pass mod p^2."""
     fs, ks = _factorial_columns(primes, 2)
-    return _gertsch_column(primes, ks), _wilson_column(primes, fs)
+    gs = [gertsch_quotient(p, k, bell_mod(p - 1, p * p)) for p, k in zip(primes, ks)]
+    return gs, _wilson_column(primes, fs)

@@ -191,15 +191,13 @@ def ell_A(x, window: PrimeRange) -> AdeleElement:
 
 def _from_records(window: PrimeRange, read: Callable[[residues.PrimeContext], int],
                   fixed: Callable[[int], object] = lambda p: None, **caps) -> AdeleElement:
-    """Stream the window's records (`residues.prime_contexts`, one block pass)
-    into an element of read(ctx) mod p. Where fixed(p) is not None it is the
-    value, a residue or UNDEFINED, and no record is built for p."""
-    pinned = {p: r for p in window if (r := fixed(p)) is not None}
-    vals = {p: r for p, r in pinned.items() if r is not UNDEFINED}
-    records = residues.prime_contexts((p for p in window if p not in pinned), **caps)
-    vals.update((ctx.p, read(ctx) % ctx.p) for ctx in records)
-    return AdeleElement(window, vals,
-                        frozenset(p for p, r in pinned.items() if r is UNDEFINED))
+    """The element of read(ctx) mod p, from the window's records streamed by
+    `residues.prime_contexts` (one block pass). Where fixed(p) is not None
+    it is the value, a residue or UNDEFINED, and no record is built for p."""
+    records = residues.prime_contexts((p for p in window if fixed(p) is None), **caps)
+    # build_element walks the window in the records' order
+    return build_element(window,
+                         lambda p: read(next(records)) if fixed(p) is None else fixed(p))
 
 
 def gamma_W(window: PrimeRange) -> AdeleElement:

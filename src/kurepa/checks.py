@@ -302,7 +302,7 @@ def _needs_bern(ctx):
 
 
 def _needs_bell(ctx):
-    return ctx.p <= ctx.bell_cap
+    return ctx.p - 1 <= ctx.bell_cap
 
 
 def _needs_exact_bern(ctx):

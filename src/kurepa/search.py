@@ -40,7 +40,7 @@ def _scan_wilson_zero(primes, params):
 
 
 def _scan_wieferich(primes, params):
-    return [p for p in primes if p != 2 and _kernels.fermat_quotient(p, 2) == 0]
+    return [p for p in primes if _kernels.fermat_quotient(p, 2) == 0]
 
 
 def _scan_mirimanoff(primes, params):
@@ -53,7 +53,7 @@ def _scan_gertsch_wilson(primes, params):
 
 
 def _scan_gertsch_zero(primes, params):
-    gs = _kernels.gertsch_scan(primes)
+    gs = _kernels.gertsch_wilson_scan(primes)[0]
     return [p for p, g in zip(primes, gs) if g == 0]
 
 
@@ -212,8 +212,8 @@ def run_campaign(name: str, lo: int, hi: int, *,
                  params: Optional[dict] = None,
                  stop_after_blocks: Optional[int] = None,
                  progress: Optional[Callable[[Checkpoint], None]] = None) -> Checkpoint:
-    """Scan [lo, hi] for a campaign's hits, flushing a checkpoint every
-    `stride` primes.
+    """Scan the odd primes in [lo, hi] for a campaign's hits, flushing a
+    checkpoint every `stride` primes.
 
     With resume=True the checkpoint at checkpoint_path is loaded, validated
     against (name, lo, hi) and continued past its last processed prime;
@@ -240,15 +240,15 @@ def run_campaign(name: str, lo: int, hi: int, *,
             raise CheckpointError(
                 f"checkpoint is for {ck.campaign}[{ck.lo},{ck.hi}], "
                 f"not {name}[{lo},{hi}]")
-        start = ck.last_p + 1
+        start = max(ck.last_p + 1, 3)
     else:
         ck = Checkpoint(campaign=name, lo=lo, hi=hi, last_p=lo - 1)
-        start = lo
+        start = max(lo, 3)
 
     t0 = time.monotonic()
     blocks_done = 0
     if start <= hi:
-        for block in _chunked(iter_primes(max(start, 2), hi), stride):
+        for block in _chunked(iter_primes(start, hi), stride):
             hits = _scan_block(campaign, block, params)
             ck.hits.extend(hits)
             ck.last_p = block[-1]

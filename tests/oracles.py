@@ -1,0 +1,70 @@
+"""Independent O(p) and O(p^2) oracles for the production kernels.
+
+Each is the plain loop, triangle or recurrence that a `kurepa._kernels`
+route replaces: `kurepa_mod_py` checks the block kernel's !p column, the
+Aitken triangle the Bell row and `bell_mod`, and the two recurrences the
+Bernoulli and Gregory power-series tables. Only the tests import them.
+"""
+
+from kurepa._kernels import inverse_table
+
+
+def kurepa_mod_py(p: int, m: int) -> int:
+    """sum_{n=0}^{p-1} n! mod m by incremental products."""
+    f = 1 % m
+    s = f
+    for n in range(1, p):
+        f = f * n % m
+        s += f
+    return s % m
+
+
+def bell_seq_mod_py(n: int, m: int) -> list[int]:
+    """Bell_0..Bell_n mod m via the Aitken triangle (O(n^2), one row kept)."""
+    out = [1 % m]
+    row = [1 % m]
+    for _ in range(n):
+        new = [row[-1]]
+        for x in row:
+            new.append((new[-1] + x) % m)
+        row = new
+        out.append(row[0])
+    return out
+
+
+def bernoulli_table_mod_py(p: int) -> list[int]:
+    """B_0..B_{p-2} mod p via n*B_{n-1} + 1 + sum C(n,j) B_j = 0.
+
+    Every division is by an integer < p, hence invertible; O(p^2).
+    """
+    inv = inverse_table(p)
+    table = [0] * (p - 1)
+    table[0] = 1 % p
+    if p > 2:
+        table[1] = (p - inv[2]) % p
+    for idx in range(2, p - 1):
+        if idx % 2 == 1:
+            continue
+        n = idx + 1
+        s = 1
+        c = 1  # C(n, j), updated multiplicatively
+        for j in range(1, n - 1):
+            c = c * ((n - j + 1) % p) % p * inv[j] % p
+            if table[j]:
+                s = (s + c * table[j]) % p
+        table[idx] = (p - s) * inv[n % p] % p if n % p else 0
+    return table
+
+
+def gregory_table_mod_py(p: int) -> list[int]:
+    """G_0..G_{p-2} mod p via the convolution recurrence (denominators < p)."""
+    inv = inverse_table(p)
+    table = [0] * (p - 1)
+    table[0] = 1 % p
+    for n in range(1, p - 1):
+        g = 0
+        for k in range(1, n + 1):
+            t = inv[k + 1] * table[n - k] % p
+            g = (g + t) if k % 2 == 1 else (g - t)
+        table[n] = g % p
+    return table

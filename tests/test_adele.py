@@ -9,6 +9,7 @@ from kurepa import config, exact
 from kurepa import residues as R
 from kurepa.errors import CapacityError, DomainError
 from kurepa.modmath import PrimeRange, fraction_residue, iter_primes, sieve_primes
+from oracles import kurepa_mod_py
 
 W_SMALL = PrimeRange(3, 13)
 
@@ -267,7 +268,7 @@ def _exact_named(p):
 
 def _scan_named(primes):
     """The constants with a block scan, from the scans."""
-    ws, ks, gs = K.wilson_scan(primes), K.kurepa_scan(primes), K.gertsch_scan(primes)
+    ws, ks, gs = K.wilson_scan(primes), K.kurepa_scan(primes), K.gertsch_wilson_scan(primes)[0]
     q2 = [(pow(2, p - 1, p * p) - 1) // p for p in primes]
     return {"gamma_W": ws, "gamma_Kp": ks, "gamma_G": gs,
             "gamma_AG": [(w + 1) % p for p, w in zip(primes, ws)],
@@ -300,7 +301,7 @@ class TestWindowRoute:
         for name, col in _scan_named(primes).items():
             assert [got[name].residues[p] for p in primes] == col, name
         for p in primes:
-            assert got["gamma_Kp"].residues[p] == K.kurepa_mod_py(p, p), p
+            assert got["gamma_Kp"].residues[p] == kurepa_mod_py(p, p), p
             assert got["gamma_W"].residues[p] == \
                 (K.factorial_mod(p - 1, p * p) + 1) // p % p, p
 
@@ -316,6 +317,14 @@ class TestWindowRoute:
                   lambda w: A.gamma_Q(3, w)):
             with pytest.raises(DomainError, match="odd prime required, got 2"):
                 f(w)
+
+    def test_named_constants_are_built_by_build_element(self, monkeypatch):
+        built = []
+        build = A.build_element
+        monkeypatch.setattr(A, "build_element",
+                            lambda w, fn: built.append(build(w, fn)) or built[-1])
+        got = _named(PrimeRange(3, 50))
+        assert built == list(got.values())
 
     def test_one_block_pass_per_window(self, monkeypatch):
         calls = []

@@ -208,3 +208,20 @@ class TestCapFlags:
         code, _, _ = run(capsys, "residues", "--p", "13",
                          "--bell-cap", "100", "--bernoulli-cap", "100")
         assert code == 0
+
+    @pytest.mark.parametrize("cap, computed", [(22, True), (21, False)])
+    def test_bell_cap_is_one_rule(self, capsys, cap, computed):
+        # Bell_{p-1} is computed when p - 1 <= bell_cap, by the catalog and
+        # by the residue record alike
+        code, out, _ = run(capsys, "check", "--id", "C01", "--from", "23",
+                           "--to", "23", "--bell-cap", str(cap), "--format", "json")
+        assert code == 0
+        row = json.loads(out)[0]
+        assert (row["skipped"], row["holds"]) == (not computed, True)
+        code, out, err = run(capsys, "residues", "--p", "23",
+                             "--bell-cap", str(cap), "--format", "json")
+        if computed:
+            assert code == 0
+            assert json.loads(out)[0]["bell_mod"] == 22  # Bell_22 mod 23
+        else:
+            assert code == 3 and "exceeds the cap 21" in err

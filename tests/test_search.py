@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from kurepa import _kernels as K
 from kurepa import search as S
 from kurepa.errors import CheckpointError, DomainError
+from kurepa.modmath import iter_primes
 
 
 class TestCampaignFixtures:
@@ -53,6 +55,40 @@ class TestCampaignFixtures:
     def test_unknown_campaign(self):
         with pytest.raises(DomainError):
             S.run_campaign("nope", 3, 100)
+
+
+class TestOddPrimes:
+    @pytest.mark.parametrize("name", sorted(S.CAMPAIGNS))
+    def test_from_two_scans_the_odd_primes(self, name):
+        from_two, from_three = S.run_campaign(name, 2, 50), S.run_campaign(name, 3, 50)
+        assert from_two.hits == from_three.hits
+        assert from_two.scanned == from_three.scanned == 14
+
+    def test_range_of_two_alone(self):
+        ck = S.run_campaign("wilson_plus_half", 2, 2)
+        assert (ck.hits, ck.scanned, ck.complete) == ([], 0, True)
+
+
+class TestZeroCampaignWiring:
+    # gertsch_zero and kurepa_zero have no known hits, so their fixtures
+    # also pass for a scan that returns []; zeros planted in the column
+    # kernel must become exactly the hits
+    PLANTED = [7, 23, 563, 1009]
+
+    @pytest.mark.parametrize("name, kernel, columns", [
+        ("gertsch_zero", "gertsch_wilson_scan", lambda col: (col, [0] * len(col))),
+        ("kurepa_zero", "kurepa_scan", lambda col: col),
+    ])
+    def test_planted_zeros_are_the_hits(self, monkeypatch, name, kernel, columns):
+        seen = []
+
+        def planted(primes):
+            seen.extend(primes)
+            return columns([0 if p in self.PLANTED else 1 for p in primes])
+
+        monkeypatch.setattr(K, kernel, planted)
+        assert S.run_campaign(name, 2, 1100, stride=100).hits == self.PLANTED
+        assert seen == list(iter_primes(3, 1100))
 
 
 class TestCheckpointing:
