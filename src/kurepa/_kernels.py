@@ -9,10 +9,12 @@ series by Newton iteration, as Buhler, Crandall, Ernvall, Metsankyla and
 Shokrollahi (2001) do for Bernoulli numbers mod p. The tables' O(p^2)
 oracles are in `tests/oracles.py`, except the Stirling triangle, which also
 serves rows whose factorials are not units mod m. `bell_mod` is O(p) per
-prime. (p-1)! mod p^e and !p mod p^e have one route, the block kernel
-`_factorial_columns`: the scans and `residues.prime_contexts` call it with a
-block, a lone `residues.PrimeContext` with one prime; `gertsch_wilson_scan`
-reads Gertsch_p and W_p from one block pass mod p^2. The three quotients
+prime. (p-1)! mod p^e and !p mod p^e have one route, the run tree
+`run_columns`: a campaign run passes it all its checkpoint blocks and reads
+one block's columns per step; `_factorial_columns` is its one-block case,
+which the scans, `residues.prime_contexts` and a lone
+`residues.PrimeContext` call. `wilson_column` and `gertsch_column` turn the
+columns mod p^2 into W_p and Gertsch_p mod p. The three quotients
 by p, `fermat_quotient`, `wilson_quotient` and `gertsch_quotient`, each
 check that p divides their numerator and raise InvariantViolation otherwise.
 """
@@ -305,14 +307,15 @@ def wilson_quotient(p: int, f: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Block scans: ((p-1)! mod p^e, !p mod p^e) for a block of primes at once.
+# Columns: ((p-1)! mod p^e, !p mod p^e) for a run of primes at once.
 #
 # The state at n is (f, s) = ((n-1)!, sum_{k<n} k!), and step k maps it to
 # (k*f, s + k*f); at n = p it holds ((p-1)!, !p). The steps k = a..b-1
 # compose to f -> P*f, s -> s + Q*f with P = a(a+1)...(b-1) and
-# Q = sum_{j=a}^{b-1} a(a+1)...j; two adjacent runs compose as
-# (P1*P2, Q1 + P1*Q2). After Costa, Gerbicz and Harvey (Wilson quotients)
-# and Andrejic, Bostan and Tatarevic (left factorials).
+# Q = sum_{j=a}^{b-1} a(a+1)...j; two adjacent spans compose as
+# (P1*P2, Q1 + P1*Q2). The states at a run's primes come from one
+# accumulating remainder tree (Costa, Gerbicz and Harvey, for Wilson
+# quotients; Andrejic, Bostan and Tatarevic, for left factorials).
 
 _LEAF_STEPS = 32
 
@@ -331,58 +334,117 @@ def _steps(a: int, b: int) -> tuple[int, int]:
     return p1 * p2, q1 + p1 * q2
 
 
-def _product_tree(ms: list[int], i: int, j: int) -> tuple:
-    """(m,) at a leaf, (product of ms[i:j], left, right) above it."""
+def _product_tree(nodes: list, i: int, j: int) -> tuple:
+    """nodes[i] alone, or (product of the moduli of nodes[i:j], left, right);
+    a node's modulus is its first entry."""
     if j - i == 1:
-        return (ms[i],)
+        return nodes[i]
     mid = (i + j) // 2
-    left, right = _product_tree(ms, i, mid), _product_tree(ms, mid, j)
+    left, right = _product_tree(nodes, i, mid), _product_tree(nodes, mid, j)
     return (left[0] * right[0], left, right)
 
 
-def _descend(node: tuple, ps: list[int], i: int, j: int, f: int, s: int,
-             out: list) -> None:
-    """Fill out[i:j] with the states at n = ps[i], ..., ps[j-1], given the
-    state at n = ps[i] reduced mod node's modulus."""
+def _moduli(ps: list[int], e: int) -> tuple:
+    """The product tree of p^e over ps."""
+    return _product_tree([(p ** e,) for p in ps], 0, len(ps))
+
+
+def _block(node: tuple, ps: list[int], i: int, j: int, f: int, s: int,
+           out: list, c=None):
+    """Fill out[i:j] with the states at ps[i], ..., ps[j-1], given the state
+    at ps[i] reduced mod node's modulus; ps may hold one entry past the
+    block's primes, the next block's first. Return the (P, Q) of the steps
+    from ps[i] to ps[j], reduced mod c (exact for c None), or None when ps
+    ends at j."""
     if j - i == 1:
         out[i] = (f, s)
-        return
+        return _steps(ps[i], ps[j]) if j < len(ps) else None
     _, left, right = node
     mid = (i + j) // 2
-    _descend(left, ps, i, mid, f % left[0], s % left[0], out)
-    prod, q = _steps(ps[i], ps[mid])
+    pl, ql = _block(left, ps, i, mid, f % left[0], s % left[0], out)
     m = right[0]
-    _descend(right, ps, mid, j, f * prod % m, (s + f * q) % m, out)
+    span = _block(right, ps, mid, j, f * pl % m, (s + f * ql) % m, out, c)
+    if span is None:
+        return None
+    pr, qr = span
+    if c is None:
+        return pl * pr, ql + pl * qr
+    return pl * pr % c, (ql + pl * qr) % c
+
+
+def _walk(node: tuple, blocks: list, e: int, i: int, j: int, f: int, s: int,
+          c):
+    """Yield the columns mod p^e of blocks[i:j] in order, given the state at
+    their first prime reduced mod node's modulus. Return the (P, Q) of the
+    steps from blocks[i][0] to blocks[j][0] reduced mod c, the product of
+    the moduli that read it, or None when nothing does (c None)."""
+    if j - i == 1:
+        ps = blocks[i]
+        out = [None] * len(ps)
+        span = _block(_moduli(ps, e), ps if c is None else ps + blocks[j][:1],
+                      0, len(ps), f, s, out, c)
+        yield [x[0] for x in out], [x[1] for x in out]
+        return span
+    _, left, right = node
+    mid = (i + j) // 2
+    m = right[0]
+    pl, ql = yield from _walk(left, blocks, e, i, mid, f % left[0],
+                              s % left[0], m if c is None else m * c)
+    span = yield from _walk(right, blocks, e, mid, j, f * pl % m,
+                            (s + f * ql) % m, c)
+    if span is None:
+        return None
+    pr, qr = span
+    return pl * pr % c, (ql + pl * qr) % c
+
+
+def run_columns(blocks: list[list[int]], e: int):
+    """Yield ([(p-1)! mod p^e], [!p mod p^e]) for each block in turn.
+
+    The blocks are consecutive: each lists ascending integers >= 1, all
+    below the next block's first. The state is carried from n = 1 to the
+    run's first prime once, modulo the product M of all moduli, in chunks
+    whose exact (P, Q) have about as many bits as M. A product tree whose
+    leaves are the blocks then splits it down; each block is a tree over the
+    gaps between its primes, each gap stepped once, and every left subtree
+    hands its span's (P, Q) to its right sibling. Each block's columns are
+    computed when they are asked for, not before.
+    """
+    if not blocks:
+        return
+    # the leaves keep only each block's modulus; a block's own tree is built
+    # again when it is reached, so one is held at a time
+    tree = _product_tree([(_moduli(ps, e)[0],) for ps in blocks], 0, len(blocks))
+    m, first = tree[0], blocks[0][0]
+    f = s = 1 % m
+    width = max(_LEAF_STEPS, m.bit_length() // first.bit_length())
+    for a in range(1, first, width):
+        prod, q = _steps(a, min(a + width, first))
+        f, s = f * prod % m, (s + f * q) % m
+    yield from _walk(tree, blocks, e, 0, len(blocks), f, s, None)
 
 
 def _factorial_columns(primes, e: int) -> tuple[list[int], list[int]]:
-    """((p-1)! mod p^e, !p mod p^e) for every p in primes, in input order.
-
-    One pass for the block: the state is carried from n = 1 to the smallest
-    prime modulo the product M of all moduli, in chunks whose exact (P, Q)
-    have about as many bits as M, then split down the remainder tree of the
-    moduli, advancing each right half over its gap with one exact (P, Q).
-    Any list of integers >= 1 works: unsorted, with repeats, or empty.
-    """
+    """((p-1)! mod p^e, !p mod p^e) for every p in primes, in input order:
+    `run_columns` with one block. Any list of integers >= 1 works:
+    unsorted, with repeats, or empty."""
     ps = sorted(set(primes))
     if not ps:
         return [], []
-    tree = _product_tree([p ** e for p in ps], 0, len(ps))
-    m = tree[0]
-    f = s = 1 % m
-    width = max(_LEAF_STEPS, m.bit_length() // ps[0].bit_length())
-    for a in range(1, ps[0], width):
-        prod, q = _steps(a, min(a + width, ps[0]))
-        f, s = f * prod % m, (s + f * q) % m
-    states = [None] * len(ps)
-    _descend(tree, ps, 0, len(ps), f, s, states)
-    at = dict(zip(ps, states))
-    return [at[p][0] for p in primes], [at[p][1] for p in primes]
+    fs, ks = next(run_columns([ps], e))
+    f_at, k_at = dict(zip(ps, fs)), dict(zip(ps, ks))
+    return [f_at[p] for p in primes], [k_at[p] for p in primes]
 
 
-def _wilson_column(primes, fs) -> list[int]:
+def wilson_column(primes, fs) -> list[int]:
     """W_p mod p from fs = (p-1)! mod p^2."""
     return [wilson_quotient(p, f) % p for p, f in zip(primes, fs)]
+
+
+def gertsch_column(primes, ks) -> list[int]:
+    """Gertsch_p mod p from ks = !p mod p^2."""
+    return [gertsch_quotient(p, k, bell_mod(p - 1, p * p))
+            for p, k in zip(primes, ks)]
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +458,10 @@ def kurepa_scan(primes: list[int]) -> list[int]:
 def wilson_scan(primes: list[int]) -> list[int]:
     """W_p mod p for each p, in input order; raises InvariantViolation
     where Wilson's congruence fails (a composite input)."""
-    return _wilson_column(primes, _factorial_columns(primes, 2)[0])
+    return wilson_column(primes, _factorial_columns(primes, 2)[0])
 
 
 def gertsch_wilson_scan(primes: list[int]) -> tuple[list[int], list[int]]:
     """(Gertsch_p mod p, W_p mod p) columns from one block pass mod p^2."""
     fs, ks = _factorial_columns(primes, 2)
-    gs = [gertsch_quotient(p, k, bell_mod(p - 1, p * p)) for p, k in zip(primes, ks)]
-    return gs, _wilson_column(primes, fs)
+    return gertsch_column(primes, ks), wilson_column(primes, fs)

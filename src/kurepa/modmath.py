@@ -263,7 +263,10 @@ def iter_primes(lo: int, hi: int,
     """Yield the primes in [lo, hi] ascending via a segmented sieve.
 
     Memory stays bounded by the segment length plus the base primes up to
-    sqrt(hi), so scans over [3, 1e6+] never hold a full-range sieve.
+    sqrt(hi), so a reader that streams them never holds a full-range sieve.
+    The Fermat-quotient campaigns stream; a campaign run that reads the
+    factorial columns lists all its primes, because its remainder tree
+    needs every block's modulus before the first block.
     """
     if lo < 2:
         raise DomainError(f"range must start at 2 or above, got lo={lo}")

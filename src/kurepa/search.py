@@ -32,53 +32,56 @@ CHECKPOINT_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
-# Campaign predicates (block scans: primes -> hits)
+# Campaign predicates (block scans: primes, columns, params -> hits). A
+# campaign that declares an exponent e reads the block's
+# ((p-1)! mod p^e, !p mod p^e) columns from the run's `_kernels.run_columns`;
+# the others get None.
 
-def _scan_wilson_zero(primes, params):
-    ws = _kernels.wilson_scan(primes)
+def _scan_wilson_zero(primes, cols, params):
+    ws = _kernels.wilson_column(primes, cols[0])
     return [p for p, w in zip(primes, ws) if w == 0]
 
 
-def _scan_wieferich(primes, params):
+def _scan_wieferich(primes, cols, params):
     return [p for p in primes if _kernels.fermat_quotient(p, 2) == 0]
 
 
-def _scan_mirimanoff(primes, params):
+def _scan_mirimanoff(primes, cols, params):
     return [p for p in primes if p != 3 and _kernels.fermat_quotient(p, 3) == 0]
 
 
-def _scan_gertsch_wilson(primes, params):
-    gs, ws = _kernels.gertsch_wilson_scan(primes)
+def _scan_gertsch_wilson(primes, cols, params):
+    gs = _kernels.gertsch_column(primes, cols[1])
+    ws = _kernels.wilson_column(primes, cols[0])
     return [p for p, g, w in zip(primes, gs, ws) if g == w]
 
 
-def _scan_gertsch_zero(primes, params):
-    gs = _kernels.gertsch_wilson_scan(primes)[0]
+def _scan_gertsch_zero(primes, cols, params):
+    gs = _kernels.gertsch_column(primes, cols[1])
     return [p for p, g in zip(primes, gs) if g == 0]
 
 
-def _scan_wilson_plus_two(primes, params):
+def _scan_wilson_plus_two(primes, cols, params):
     # zeros of the alternating Bernoulli index sum, which is W_p + 2 (mod p),
     # searched as W_p = -2 so no Bernoulli table bounds the range
-    ws = _kernels.wilson_scan(primes)
+    ws = _kernels.wilson_column(primes, cols[0])
     return [p for p, w in zip(primes, ws) if (w + 2) % p == 0]
 
 
-def _scan_wilson_plus_half(primes, params):
+def _scan_wilson_plus_half(primes, cols, params):
     # zeros of the even Bernoulli index sum = W_p + 1/2 (mod p)
-    ws = _kernels.wilson_scan(primes)
+    ws = _kernels.wilson_column(primes, cols[0])
     return [p for p, w in zip(primes, ws) if (w + (p + 1) // 2) % p == 0]
 
 
-def _scan_kurepa_zero(primes, params):
-    ks = _kernels.kurepa_scan(primes)
-    return [p for p, k in zip(primes, ks) if k == 0]
+def _scan_kurepa_zero(primes, cols, params):
+    return [p for p, k in zip(primes, cols[1]) if k == 0]
 
 
-def _scan_qpm_zero(primes, params):
+def _scan_qpm_zero(primes, cols, params):
     """(m, p) pairs with Q_p(m) = AG_p + q_p(m) = 0 (mod p), via AG_p = W_p+1."""
     m_max = int(params.get("m_max", 20))
-    ws = _kernels.wilson_scan(primes)
+    ws = _kernels.wilson_column(primes, cols[0])
     hits = []
     for p, w in zip(primes, ws):
         ag = (w + 1) % p
@@ -94,32 +97,35 @@ def _scan_qpm_zero(primes, params):
 class Campaign:
     name: str
     description: str
-    scan: Callable[[list[int], dict], list]
+    scan: Callable[[list[int], Optional[tuple], dict], list]
     # desk-scale expected fixture: (lo, hi, hits, mode)
     expected: Optional[tuple] = None
+    # the scan reads ((p-1)!, !p) mod p^e; None: it reads no columns
+    e: Optional[int] = None
 
 
 CAMPAIGNS: dict[str, Campaign] = {c.name: c for c in [
     Campaign("wilson_zero", "W_p = 0 (mod p): Wilson primes",
-             _scan_wilson_zero, expected=(3, 10_000, (5, 13, 563), "equal")),
+             _scan_wilson_zero, expected=(3, 10_000, (5, 13, 563), "equal"), e=2),
     Campaign("wieferich", "q_p(2) = 0 (mod p): Wieferich primes",
              _scan_wieferich, expected=(3, 1_000_000, (1093, 3511), "equal")),
     Campaign("mirimanoff", "q_p(3) = 0 (mod p): Mirimanoff primes",
              _scan_mirimanoff, expected=(3, 1_100_000, (11, 1_006_003), "equal")),
     Campaign("gertsch_wilson", "Gertsch_p = W_p (mod p)",
-             _scan_gertsch_wilson, expected=(3, 3000, (3, 7, 2887), "equal")),
+             _scan_gertsch_wilson, expected=(3, 3000, (3, 7, 2887), "equal"), e=2),
     Campaign("gertsch_zero", "Gertsch_p = 0 (mod p): no hits known",
-             _scan_gertsch_zero, expected=(3, 3000, (), "equal")),
+             _scan_gertsch_zero, expected=(3, 3000, (), "equal"), e=2),
     Campaign("wilson_plus_two", "W_p + 2 = 0 (mod p)",
-             _scan_wilson_plus_two, expected=(3, 2000, (3, 7, 71), "equal")),
+             _scan_wilson_plus_two, expected=(3, 2000, (3, 7, 71), "equal"), e=2),
     Campaign("wilson_plus_half", "W_p + 1/2 = 0 (mod p)",
-             _scan_wilson_plus_half, expected=(3, 1500, (3, 227, 1163), "equal")),
+             _scan_wilson_plus_half, expected=(3, 1500, (3, 227, 1163), "equal"),
+             e=2),
     Campaign("kurepa_zero", "!p = 0 (mod p): no hits known",
-             _scan_kurepa_zero, expected=(3, 100_000, (), "equal")),
+             _scan_kurepa_zero, expected=(3, 100_000, (), "equal"), e=1),
     Campaign("qpm_zero", "pairs (m, p) with AG_p + q_p(m) = 0 (mod p)",
              _scan_qpm_zero,
              expected=(3, 37, ((2, 3), (6, 7), (14, 19), (5, 23), (19, 31),
-                               (20, 37)), "contains")),
+                               (20, 37)), "contains"), e=2),
 ]}
 
 
@@ -180,6 +186,12 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise CheckpointError(f"corrupt checkpoint {path!r}: {e}") from e
+    if not ck.lo - 1 <= ck.last_p <= ck.hi:
+        raise CheckpointError(f"corrupt checkpoint {path!r}: last_p {ck.last_p} "
+                              f"outside [{ck.lo - 1}, {ck.hi}]")
+    if ck.scanned < 0 or ck.elapsed_s < 0:
+        raise CheckpointError(f"corrupt checkpoint {path!r}: negative scanned "
+                              "or elapsed_s")
     for h in ck.hits:
         p = h[1] if isinstance(h, tuple) else h
         if not ck.lo <= p <= ck.last_p:
@@ -199,9 +211,13 @@ def _chunked(it, size):
         yield chunk
 
 
-def _scan_block(campaign: Campaign, primes: list[int], params: dict) -> list:
-    """The hits of one checkpoint block."""
-    return campaign.scan(primes, params)
+def _scan_block(campaign: Campaign, primes: list[int], params: dict,
+                columns) -> list:
+    """The hits of one checkpoint block; `columns` is the run's
+    `_kernels.run_columns` generator, advanced here by one block, or None
+    for a campaign that reads no columns."""
+    cols = None if columns is None else next(columns)
+    return campaign.scan(primes, cols, params)
 
 
 def run_campaign(name: str, lo: int, hi: int, *,
@@ -215,12 +231,18 @@ def run_campaign(name: str, lo: int, hi: int, *,
     """Scan the odd primes in [lo, hi] for a campaign's hits, flushing a
     checkpoint every `stride` primes.
 
+    A campaign that reads the ((p-1)!, !p) columns sieves the run's primes
+    up front and reads each block's columns from one remainder tree over
+    the run (`_kernels.run_columns`): it folds from n = 1 to the run's first
+    prime once, and computes a block's columns only when that block is
+    scanned. The Fermat-quotient campaigns stream their primes instead.
     With resume=True the checkpoint at checkpoint_path is loaded, validated
-    against (name, lo, hi) and continued past its last processed prime;
-    interrupted-and-resumed runs produce hits identical to uninterrupted
-    ones. stop_after_blocks is a testing hook that abandons the scan early
-    (after flushing), simulating a kill at a checkpoint boundary. Scans run
-    on one thread; `workers` accepts only 1.
+    against (name, lo, hi) and continued past its last processed prime, as
+    a run of its own whose tree starts there; interrupted-and-resumed runs
+    produce hits identical to uninterrupted ones. stop_after_blocks is a
+    testing hook that abandons the scan early (after flushing), simulating a
+    kill at a checkpoint boundary. Scans run on one thread; `workers`
+    accepts only 1.
     """
     if name not in CAMPAIGNS:
         raise DomainError(f"unknown campaign {name!r}; "
@@ -248,8 +270,13 @@ def run_campaign(name: str, lo: int, hi: int, *,
     t0 = time.monotonic()
     blocks_done = 0
     if start <= hi:
-        for block in _chunked(iter_primes(start, hi), stride):
-            hits = _scan_block(campaign, block, params)
+        blocks, columns = _chunked(iter_primes(start, hi), stride), None
+        if campaign.e is not None:
+            # the run's tree needs every block's modulus before the first
+            blocks = list(blocks)
+            columns = _kernels.run_columns(blocks, campaign.e)
+        for block in blocks:
+            hits = _scan_block(campaign, block, params, columns)
             ck.hits.extend(hits)
             ck.last_p = block[-1]
             ck.scanned += len(block)

@@ -1,7 +1,8 @@
 """Kernel tests: every table kernel agrees with the exact big-integer oracle
 reduced mod m, and each power-series table with its O(p^2) triangle or
-recurrence; the block kernel behind the (p-1)! and !p columns agrees with the
-per-prime O(p) loops; every production Fermat quotient reads one helper."""
+recurrence; the run tree behind the (p-1)! and !p columns agrees block by
+block with the per-prime O(p) loops, and so do the column campaigns' hits;
+every production Fermat quotient reads one helper."""
 
 import math
 import random
@@ -136,8 +137,8 @@ def test_gertsch_wilson_scan_rejects_composite(c):
         K.gertsch_wilson_scan([c])
 
 
-# ((p-1)! mod p^e, !p mod p^e) by the block remainder tree, against the
-# per-prime O(p) loops and the exact left factorial.
+# ((p-1)! mod p^e, !p mod p^e) by the one-block case of the run tree, against
+# the per-prime O(p) loops and the exact left factorial.
 
 def _columns_oracle(primes, e):
     return ([K.factorial_mod(p - 1, p ** e) for p in primes],
@@ -180,6 +181,100 @@ def test_factorial_columns_match_exact_left_factorial():
         fs, ks = K._factorial_columns(primes, e)
         assert ks == [exact.left_factorial(p) % p ** e for p in primes]
         assert fs == [math.factorial(p - 1) % p ** e for p in primes]
+
+
+# The run-level tree: every block's columns from `run_columns` against the
+# per-prime loops, and every column campaign's hits against hits computed
+# per prime from those loops.
+
+def _blocks(primes, size):
+    return [primes[i:i + size] for i in range(0, len(primes), size)]
+
+
+def _assert_run_matches_loops(blocks, e):
+    got = list(K.run_columns(blocks, e))
+    assert len(got) == len(blocks)
+    for block, cols in zip(blocks, got):
+        assert cols == _columns_oracle(block, e), (block[0], len(block))
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+@pytest.mark.parametrize("size", [1, 2, 7, 128, 431])
+def test_run_columns_match_loops(e, size):
+    # 429 odd primes below 3000: every size but 1 leaves a short last block,
+    # and 431 makes the run a single block
+    _assert_run_matches_loops(_blocks(sieve_primes(3, 3000), size), e)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_run_columns_match_loops_seeded_windows(e):
+    # runs that start above 3, as a resumed run or a shard does
+    rng = random.Random(20261018 - e)
+    pool = sieve_primes(3000, 12_000)
+    for _ in range(3):
+        start = rng.randrange(len(pool) - 60)
+        window = pool[start:start + rng.randint(2, 60)]
+        _assert_run_matches_loops(_blocks(window, rng.choice([1, 2, 7, 128, 431])), e)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_run_columns_single_prime_runs(e):
+    for p in (3, 5, 7919):
+        _assert_run_matches_loops([[p]], e)
+    assert list(K.run_columns([], e)) == []
+
+
+def test_run_columns_compute_one_block_per_step(monkeypatch):
+    # a block's columns are computed when they are asked for, not before
+    tops, block = [], K._block
+
+    def counted(node, ps, i, j, f, s, out, c=None):
+        if (i, j) == (0, len(out)):
+            tops.append(ps[0])
+        return block(node, ps, i, j, f, s, out, c)
+
+    monkeypatch.setattr(K, "_block", counted)
+    blocks = _blocks(sieve_primes(3, 400), 10)
+    run = K.run_columns(blocks, 2)
+    for b, ps in enumerate(blocks):
+        next(run)
+        assert tops == [ps[0] for ps in blocks[:b + 1]]
+
+
+# the exponent e of the columns each campaign reads; None: no columns
+_COLUMN_E = {"kurepa_zero": 1, "wilson_zero": 2, "wilson_plus_two": 2,
+             "wilson_plus_half": 2, "qpm_zero": 2, "gertsch_wilson": 2,
+             "gertsch_zero": 2, "wieferich": None, "mirimanoff": None}
+
+
+def _oracle_hits(name, p, f, k):
+    """The campaign's hits at p, from the loops' f = (p-1)! and k = !p mod p^2,
+    W_p = (f + 1)/p and q_p(m) = (m^(p-1) - 1)/p."""
+    w = (f + 1) // p % p
+    if name == "qpm_zero":
+        return [(m, p) for m in range(2, 21)
+                if m % p and (w + 1 + (pow(m, p - 1, p * p) - 1) // p) % p == 0]
+    if name.startswith("gertsch"):
+        g = K.gertsch_quotient(p, k, K.bell_mod(p - 1, p * p))
+        hit = g == (w if name == "gertsch_wilson" else 0)
+    else:
+        hit = {"wilson_zero": w == 0, "wilson_plus_two": (w + 2) % p == 0,
+               "wilson_plus_half": (2 * w + 1) % p == 0,
+               "kurepa_zero": k % p == 0}[name]
+    return [p] if hit else []
+
+
+def test_campaigns_declare_their_column_exponent():
+    assert {name: c.e for name, c in search.CAMPAIGNS.items()} == _COLUMN_E
+
+
+@pytest.mark.parametrize("name", sorted(n for n, e in _COLUMN_E.items() if e))
+def test_column_campaign_hits_match_loops(name):
+    primes = sieve_primes(3, 3000)
+    want = [h for p, f, k in zip(primes, *_columns_oracle(primes, 2))
+            for h in _oracle_hits(name, p, f, k)]
+    for stride in (1, 7, 128):
+        assert search.run_campaign(name, 3, 3000, stride=stride).hits == want, stride
 
 
 @pytest.mark.parametrize("block", [[4], [9], [15], [21], [25], [7, 9, 11]])

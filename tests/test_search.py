@@ -71,22 +71,31 @@ class TestOddPrimes:
 
 class TestZeroCampaignWiring:
     # gertsch_zero and kurepa_zero have no known hits, so their fixtures
-    # also pass for a scan that returns []; zeros planted in the column
-    # kernel must become exactly the hits
+    # also pass for a scan that returns []; zeros planted in the run's
+    # column generator must become exactly the hits
     PLANTED = [7, 23, 563, 1009]
 
-    @pytest.mark.parametrize("name, kernel, columns", [
-        ("gertsch_zero", "gertsch_wilson_scan", lambda col: (col, [0] * len(col))),
-        ("kurepa_zero", "kurepa_scan", lambda col: col),
-    ])
-    def test_planted_zeros_are_the_hits(self, monkeypatch, name, kernel, columns):
+    @staticmethod
+    def _k(name, p, zero):
+        """A !p entry whose !p mod p (kurepa_zero) or Gertsch_p (gertsch_zero)
+        is 0 if zero, else 1."""
+        if name == "kurepa_zero":
+            return 0 if zero else 1
+        return (K.bell_mod(p - 1, p * p) - 1 + (0 if zero else p)) % (p * p)
+
+    @pytest.mark.parametrize("name", ["gertsch_zero", "kurepa_zero"])
+    def test_planted_zeros_are_the_hits(self, monkeypatch, name):
         seen = []
 
-        def planted(primes):
-            seen.extend(primes)
-            return columns([0 if p in self.PLANTED else 1 for p in primes])
+        def planted(blocks, e):
+            assert e == S.CAMPAIGNS[name].e
+            for block in blocks:
+                seen.extend(block)
+                # the (p-1)! column is all zeros, so reading it fails
+                yield ([0] * len(block),
+                       [self._k(name, p, p in self.PLANTED) for p in block])
 
-        monkeypatch.setattr(K, kernel, planted)
+        monkeypatch.setattr(K, "run_columns", planted)
         assert S.run_campaign(name, 2, 1100, stride=100).hits == self.PLANTED
         assert seen == list(iter_primes(3, 1100))
 
@@ -127,6 +136,34 @@ class TestCheckpointing:
             "hits": [563], "elapsed_s": 0.0, "scanned": 0, "version": 1}))
         with pytest.raises(CheckpointError):
             S.load_checkpoint(str(path))
+
+    VALID = {"campaign": "wilson_zero", "lo": 100, "hi": 1000, "last_p": 99,
+             "hits": [], "elapsed_s": 0.0, "scanned": 0, "version": 1}
+
+    @pytest.mark.parametrize("field, value", [
+        ("last_p", 1), ("last_p", 98), ("last_p", 1001), ("last_p", 5000),
+        ("scanned", -3), ("elapsed_s", -0.5)])
+    def test_out_of_range_state_rejected(self, tmp_path, field, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(self.VALID))
+        S.load_checkpoint(str(path))
+        path.write_text(json.dumps({**self.VALID, field: value}))
+        with pytest.raises(CheckpointError):
+            S.load_checkpoint(str(path))
+
+    def test_last_p_bounds_load(self, tmp_path):
+        path = tmp_path / "ck.json"
+        for last_p in (99, 1000):
+            path.write_text(json.dumps({**self.VALID, "last_p": last_p}))
+            assert S.load_checkpoint(str(path)).last_p == last_p
+
+    def test_resume_from_below_lo_rejected(self, tmp_path):
+        # a last_p below lo would resume from 3 and report 5 and 13
+        path = tmp_path / "ck.json"
+        path.write_text(json.dumps({**self.VALID, "last_p": 1}))
+        with pytest.raises(CheckpointError):
+            S.run_campaign("wilson_zero", 100, 1000, checkpoint_path=str(path),
+                           resume=True)
 
     def test_resume_wrong_campaign(self, tmp_path):
         path = str(tmp_path / "ck.json")
