@@ -6,10 +6,14 @@ The Bell-row, Bernoulli, Gregory and Stirling tables are power series mod m:
 out of their w-byte slots through 8-byte `array` words by w strided slice
 copies, so no Python loop runs per coefficient; `_series_inv` inverts a
 series by Newton iteration, as Buhler, Crandall, Ernvall, Metsankyla and
-Shokrollahi (2001) do for Bernoulli numbers mod p. The tables' O(p^2)
-oracles are in `tests/oracles.py`, except the Stirling triangle, which also
-serves rows whose factorials are not units mod m. `bell_mod` is O(p) per
-prime. (p-1)! mod p^e and !p mod p^e have one route, the run tree
+Shokrollahi (2001) do for Bernoulli numbers mod p. The Bernoulli table
+inverts a series of half its length, y coth y in u = y^2, since the odd B_k
+vanish. At a prime modulus the Bell row is a length-(p-1) DFT over F_p,
+which Bluestein's chirp-z (1970) turns into one product; at prime powers and
+composite moduli it is a divide-and-conquer solve of B' = e^x B. The tables'
+O(p^2) oracles are in `tests/oracles.py`, except the Stirling triangle,
+which also serves rows whose factorials are not units mod m. `bell_mod` is
+O(p) per prime. (p-1)! mod p^e and !p mod p^e have one route, the run tree
 `run_columns`: a campaign run passes it all its checkpoint blocks and reads
 one block's columns per step; `_factorial_columns` is its one-block case,
 which the scans, `residues.prime_contexts` and a lone
@@ -23,9 +27,9 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import isqrt
-from operator import mul
+from operator import add, mod, mul
 
 from .errors import InvariantViolation
 
@@ -185,18 +189,91 @@ def _powers(n: int, e: int, m: int) -> list[int]:
 _LEAF_TERMS = 32  # below this many terms the Bell recurrence runs directly
 
 
+def _alternating_sums(inv_fact: list[int], m: int) -> list[int]:
+    """[D_t for t < len(inv_fact)], D_t = sum_{i<=t} (-1)^i/i! from
+    inv_fact = [1/i! mod m]; left unreduced, as each term is below m."""
+    sgn = inv_fact[:]
+    sgn[1::2] = [m - x for x in sgn[1::2]]
+    return list(accumulate(sgn))
+
+
+def _primitive_root(p: int) -> int:
+    """The least primitive root mod a prime p: the least g whose power
+    g^((p-1)/q) is not 1 for any prime q dividing p - 1."""
+    qs, r, d = [], p - 1, 2
+    while d * d <= r:
+        if r % d == 0:
+            qs.append(d)
+            while r % d == 0:
+                r //= d
+        d += 1
+    if r > 1:
+        qs.append(r)
+    return next(g for g in range(1, p)
+                if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
+
+
+def _bell_row_prime(p: int, inv_fact: list[int]) -> list[int]:
+    """Bell_0..Bell_{p-1} mod a prime p, from inv_fact = [1/k! mod p], k < p.
+
+    For n < p, Bell_n = sum_j w_j j^n with w_j = D_{p-1-j}/j! and
+    D_t = sum_{i<=t} (-1)^i/i!: a length-L DFT over F_p, L = p - 1, once j
+    runs over the powers g^a of a primitive root g. Bluestein's chirp-z
+    turns it into one product: a*n = C(a+n,2) - C(a,2) - C(n,2), so
+    Bell_n = g^(-C(n,2)) sum_a f_a g^(C(a+n,2)) with
+    f_a = w_{g^a} g^(-C(a,2)), and g^(C(k+L,2)) = -g^(C(k,2))
+    folds that correlation into a negacyclic one of size L x L. The n = 0
+    bin is Bell_{p-1} (j^(p-1) = 1), and Bell_0 adds the j = 0 term to it.
+    """
+    L = p - 1
+    w = list(map(mul, reversed(_alternating_sums(inv_fact, p)), inv_fact))
+    g = _primitive_root(p)
+    xs = [1] * L  # xs[a] = g^a, so xs[-a] = g^-a
+    for a in range(1, L):
+        xs[a] = xs[a - 1] * g % p
+    chirp, ichirp = [1] * L, [1] * L  # g^(C(k,2)) and g^(-C(k,2))
+    for k in range(1, L):
+        chirp[k] = chirp[k - 1] * xs[k - 1] % p
+        ichirp[k] = ichirp[k - 1] * xs[1 - k] % p
+    f = [x * y % p for x, y in zip(map(w.__getitem__, xs), ichirp)]
+    # c[L-1+n] - c[n-1] = sum_a f_a chirp_(a+n), as chirp_(k+L) = -chirp_k
+    c = _series_mul(f[::-1], chirp, 2 * L - 1, p)
+    d = [c[L - 1]] + [c[L - 1 + n] - c[n - 1] for n in range(1, L)]
+    return ([(w[0] + d[0]) % p] + [x * y % p for x, y in zip(ichirp[1:], d[1:])]
+            + [d[0]])
+
+
 def bell_seq_mod(n: int, m: int) -> list[int]:
     """Bell_0..Bell_n mod m.
 
-    While k! is a unit mod m, Bell_k = k! b_k with sum b_k x^k = exp(e^x - 1);
-    from B' = e^x B, (k+1) b_{k+1} = sum_{j<=k} b_j / (k-j)!, solved by
-    divide and conquer: the left half's terms reach the right half in one
-    series product. Past the last unit index t, Bell_{r+1} = sum_k C(r,k)
-    Bell_k, the row C(t, .) from factorials and each next row by Pascal's
-    rule, O(r) per value (Bell_p..Bell_{p+6} mod p, or small composite m).
+    At a prime modulus with n >= m - 1 (seen as `_unit_top(n, m) == m - 1`)
+    Bell_0..Bell_{m-1} come from one chirp product (`_bell_row_prime`).
+    Otherwise, while k! is a unit mod m, Bell_k = k! b_k with sum b_k x^k =
+    exp(e^x - 1); from B' = e^x B, (k+1) b_{k+1} = sum_{j<=k} b_j / (k-j)!,
+    solved by divide and conquer: the left half's terms reach the right half
+    in one series product. Past the last unit index t, Bell_{r+1} =
+    sum_k C(r,k) Bell_k, the row C(t, .) from factorials and each next row by
+    Pascal's rule, O(r) per value (Bell_p..Bell_{p+6} mod p, or small
+    composite m).
     """
     top = _unit_top(n, m)
     fact, inv_fact = _factorials(top, m)
+    if top == m - 1:
+        bell = _bell_row_prime(m, inv_fact)
+    else:
+        bell = _bell_solve(top, m, fact, inv_fact)
+    if n == top:
+        return bell
+    row = [fact[top] * x % m for x in map(mul, inv_fact, reversed(inv_fact))]
+    for r in range(top, n):
+        bell.append(sum(map(mul, row, bell)) % m)
+        row = [1 % m, *map(mod, map(add, row, row[1:]), repeat(m)), 1 % m]
+    return bell
+
+
+def _bell_solve(top: int, m: int, fact: list[int], inv_fact: list[int]) -> list[int]:
+    """Bell_0..Bell_top mod m by divide and conquer on B' = e^x B; every k!
+    with k <= top must be a unit mod m."""
     b = [1 % m] + [0] * top
     acc = [0] * (top + 1)  # acc[k]: the terms of b[j] for j below the block
 
@@ -214,35 +291,43 @@ def bell_seq_mod(n: int, m: int) -> list[int]:
         solve(mid, hi)
 
     solve(0, top + 1)
-    bell = [f * x % m for f, x in zip(fact, b)]
-    row = [fact[top] * inv_fact[k] % m * inv_fact[top - k] % m
-           for k in range(top + 1)]
-    for r in range(top, n):
-        bell.append(sum(map(mul, row, bell)) % m)
-        row = [1 % m] + [(x + y) % m for x, y in zip(row, row[1:])] + [1 % m]
-    return bell
+    return [f * x % m for f, x in zip(fact, b)]
 
 
-def bell_mod(n: int, m: int) -> int:
+def bell_mod(n: int, m: int, pw: tuple[int, ...] | None = None) -> int:
     """Bell_n mod m. When n! is a unit mod m (n = p-1, m = p^e for an odd
     prime p), the O(n) explicit-Stirling sum
-    Bell_n = sum_{j=1..n} (j^n/j!) D_{n-j}, D_t = sum_{i<=t} (-1)^i/i!;
-    otherwise read from `bell_seq_mod`."""
+    Bell_n = sum_{j=1..n} (j^n/j!) D_{n-j}, D_t = sum_{i<=t} (-1)^i/i!,
+    built with C-level accumulate and map; pw, when given, holds
+    j^n mod m for j = 0..n, as `_powers(n, n, m)` does. Otherwise read from
+    `bell_seq_mod`."""
     if n == 0 or _unit_top(n, m) < n:
         return bell_seq_mod(n, m)[n]
     _, inv_fact = _factorials(n, m)
-    # each term is below m, so the prefix sums stay small unreduced
-    d = list(accumulate(x if i % 2 == 0 else -x for i, x in enumerate(inv_fact)))
-    pw = _powers(n, n, m)
-    return sum(pw[j] * inv_fact[j] * d[n - j] for j in range(1, n + 1)) % m
+    d = _alternating_sums(inv_fact, m)
+    if pw is None:
+        pw = _powers(n, n, m)
+    return sum(map(mul, map(mul, pw[1:], inv_fact[1:]), reversed(d[:n]))) % m
 
 
 def bernoulli_table_mod(p: int) -> list[int]:
-    """B_0..B_{p-2} mod p for a prime p: B_n = n! [x^n] of x/(e^x - 1), the
-    series inverse of (e^x - 1)/x = sum_k x^k/(k+1)!."""
+    """B_0..B_{p-2} mod p for a prime p. The odd B_k vanish past B_1 = -1/2,
+    and with y = x/2, u = y^2, x/(e^x - 1) + x/2 = y coth y = C(u)/S(u) for
+    C(u) = sum_k u^k/(2k)! and S(u) = sum_k u^k/(2k+1)!; so
+    B_2k = (2k)! 4^-k [u^k] C/S, from a series inverse of half the table's
+    length and one product."""
+    if p == 2:
+        return [1]  # B_0 alone
     fact, inv_fact = _factorials(p - 1, p)
-    g = _series_inv(inv_fact[1:], p - 1, p)
-    return [f * c % p for f, c in zip(fact, g)]
+    h = (p - 1) // 2  # B_0, B_2, ..., B_{p-3}
+    cs = _series_mul(inv_fact[0::2], _series_inv(inv_fact[1::2], h, p), h, p)
+    table = [0] * (p - 1)
+    inv4, q = pow(4, -1, p), 1
+    for k in range(h):
+        table[2 * k] = fact[2 * k] * cs[k] % p * q % p
+        q = q * inv4 % p
+    table[1] = (p - 1) // 2  # B_1 = -1/2
+    return table
 
 
 def gregory_table_mod(p: int) -> list[int]:

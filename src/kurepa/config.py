@@ -5,8 +5,10 @@ argument, and the CLI exposes the common ones as flags.
 """
 
 # Largest n for bell_mod (O(n) when n! is a unit mod m, else read from the
-# Bell row) and bell_sequence_mod (power series while n! is a unit mod m, then
-# O(n) per further value).
+# Bell row) and bell_sequence_mod (one chirp-z product at a prime modulus,
+# otherwise a divide-and-conquer series solve while n! is a unit mod m, then
+# O(n) per further value). The residue record builds Bell_{p-1} mod p^2, or
+# mod p^3 only for a reader at e = 3.
 BELL_MOD_CAP = 20000
 
 # Bernoulli/Gregory tables mod p (power-series inverses): largest prime p.

@@ -14,8 +14,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
-from operator import mul
+from itertools import accumulate, repeat
+from operator import floordiv, mod, mul
 from typing import Iterable, Iterator, Optional
 
 from . import _kernels, config, exact
@@ -69,9 +69,13 @@ class PrimeContext:
 
     The constructor checks once that p is an odd prime. The base values are
     ((p-1)!, !p) mod p^3 from one block-kernel call (`prime_contexts` makes
-    one for a whole window), Bell_{p-1} mod p^3, the inverses mod p,
-    sum_a a^(p-1) mod p^3, k! and 1/k! mod p, and the Bernoulli and Gregory
-    tables; every quotient reduces them mod p^e. Bell is capped at
+    one for a whole window), the inverses mod p, k! and 1/k! mod p, and the
+    Bernoulli and Gregory tables; every quotient reduces them mod p^e.
+    Bell_{p-1} and the powers j^(p-1) are built at the lowest precision
+    their readers need: mod p^2 for Gertsch, Lerch, the Fermat-quotient sum,
+    the Bell-Wilson sum and Bell at e <= 2; mod p^3 only for Bell at e = 3
+    and sum_a a^(p-1) mod p^3, which share one power table. Once the p^3
+    value is built, the p^2 one is read off it. Bell is capped at
     p - 1 <= bell_cap and the tables at p <= bern_cap.
     """
 
@@ -91,12 +95,37 @@ class PrimeContext:
         fs, ks = _kernels._factorial_columns([self.p], 3)
         return fs[0], ks[0]
 
+    # The power tables are tuples: several readers share each one.
+
+    @cached_property
+    def powers3(self) -> tuple[int, ...]:
+        """(j^(p-1) mod p^3 for j = 0..p-1)."""
+        return tuple(_kernels._powers(self.p - 1, self.p - 1, self.p ** 3))
+
+    @cached_property
+    def powers2(self) -> tuple[int, ...]:
+        """(j^(p-1) mod p^2 for j = 0..p-1), read off powers3 once that is
+        built."""
+        m = self.p ** 2
+        if "powers3" in vars(self):
+            return tuple(map(mod, self.powers3, repeat(m)))
+        return tuple(_kernels._powers(self.p - 1, self.p - 1, m))
+
     @cached_property
     def bell3(self) -> int:
         """Bell_{p-1} mod p^3."""
         p = self.p
         _require_cap("Bell_(p-1): p - 1", p - 1, self.bell_cap)
-        return _kernels.bell_mod(p - 1, p ** 3)
+        return _kernels.bell_mod(p - 1, p ** 3, self.powers3)
+
+    @cached_property
+    def bell2(self) -> int:
+        """Bell_{p-1} mod p^2, read off bell3 once that is built."""
+        p = self.p
+        if "bell3" in vars(self):
+            return self.bell3 % (p * p)
+        _require_cap("Bell_(p-1): p - 1", p - 1, self.bell_cap)
+        return _kernels.bell_mod(p - 1, p * p, self.powers2)
 
     @cached_property
     def bell_seq(self) -> list[int]:
@@ -116,7 +145,7 @@ class PrimeContext:
     @cached_property
     def power_sum(self) -> int:
         """sum_a a^(p-1) mod p^3."""
-        return int(power_sum_mod(self.p, 3))
+        return sum(self.powers3) % self.p ** 3
 
     @cached_property
     def bern(self) -> BernoulliModTable:
@@ -145,7 +174,7 @@ class PrimeContext:
 
     def bell(self, e: int) -> int:
         """Bell_{p-1} mod p^e, e <= 3."""
-        return self.bell3 % self.p ** e
+        return (self.bell3 if e == 3 else self.bell2) % self.p ** e
 
     @cached_property
     def wilson2(self) -> int:
@@ -161,32 +190,35 @@ class PrimeContext:
         return _fermat_quotient(self.p, m, 1)
 
     @cached_property
-    def qsum2(self) -> int:
-        """sum_a q_p(a) mod p^2, from sum_a a^(p-1) = p-1 + p * sum_a q_p(a)
-        (mod p^3)."""
+    def qsum(self) -> int:
+        """sum_a q_p(a) mod p, from sum_a a^(p-1) = p-1 + p * sum_a q_p(a)
+        (mod p^2)."""
         p = self.p
-        num = (self.power_sum - (p - 1)) % p ** 3
+        num = (sum(self.powers2) - (p - 1)) % (p * p)
         if num % p:
             raise InvariantViolation(f"Fermat power sum != p-1 mod {p}")
         return num // p
 
     @cached_property
-    def qsum(self) -> int:
-        return self.qsum2 % self.p
-
-    @cached_property
     def lerch(self) -> int:
-        """L_p mod p = (sum_a q_p(a) - W_p)/p, both taken mod p^2."""
-        p = self.p
-        num = (self.qsum2 - self.wilson2) % (p * p)
-        if num % p:
+        """L_p mod p = (sum_a q_p(a) - W_p)/p.
+
+        Expanding prod_a (1 + p q_p(a)) = prod_a a^(p-1) = ((p-1)!)^(p-1)
+        = (1 - p W_p)^(p-1) mod p^3 gives
+        L_p = (sum_a q_p(a)^2 + W_p^2)/2 - W_p (mod p), so q_p(a) mod p, read
+        off the powers mod p^2, suffices. The numerator's divisibility by p
+        is Lerch's congruence sum_a q_p(a) = W_p (mod p), checked first.
+        """
+        p, w = self.p, self.wilson
+        if self.qsum != w:
             raise InvariantViolation(f"Lerch numerator not divisible by {p}")
-        return num // p
+        q = list(map(floordiv, self.powers2[1:], repeat(p)))  # a^(p-1) = 1 + p q
+        return ((sum(map(mul, q, q)) + w * w) * ((p + 1) // 2) - w) % p
 
     @cached_property
     def gertsch(self) -> int:
         """Gertsch_p mod p = ((!p - Bell_{p-1} + 1) mod p^2) / p."""
-        b2 = self.bell(2)  # first, so its cap check precedes the block kernel
+        b2 = self.bell2  # first, so its cap check precedes the block kernel
         return _kernels.gertsch_quotient(self.p, self.kurepa(2), b2)
 
     @cached_property
@@ -206,7 +238,7 @@ class PrimeContext:
     @cached_property
     def bell_wilson_sum(self):
         """(Bell_{p-1}/p + W_p) mod p when p | Bell_{p-1}; FRACTIONAL otherwise."""
-        b2 = self.bell(2)
+        b2 = self.bell2
         if b2 % self.p:
             return FRACTIONAL
         return (b2 // self.p + self.wilson) % self.p
@@ -321,9 +353,11 @@ def bell_mod(n: int, m: int, cap: int = config.BELL_MOD_CAP) -> Residue:
 
 
 def bell_sequence_mod(n: int, m: int, cap: int = config.BELL_MOD_CAP) -> list[int]:
-    """Bell_0..Bell_n mod m: Bell_k = k! [x^k] of exp(e^x - 1) by series
-    products while k! is a unit mod m, then Bell_{r+1} = sum_k C(r,k) Bell_k
-    at O(r) per value (the Touchard window Bell_p..Bell_{p+6} mod p, say)."""
+    """Bell_0..Bell_n mod m. At a prime m with n >= m - 1, Bell_0..Bell_{m-1}
+    come from one chirp-z series product; otherwise Bell_k = k! [x^k] of
+    exp(e^x - 1) by series products while k! is a unit mod m. Then
+    Bell_{r+1} = sum_k C(r,k) Bell_k at O(r) per value (the Touchard window
+    Bell_p..Bell_{p+6} mod p, say)."""
     if n < 0:
         raise DomainError("bell needs n >= 0")
     _require_modulus(m)
@@ -424,8 +458,9 @@ class GregoryModTable:
 
 
 def bernoulli_mod_table(p: int, cap: int = config.BERNOULLI_MOD_CAP) -> BernoulliModTable:
-    """B_k mod p for 0 <= k <= p-2 from the power-series inverse of
-    (e^x - 1)/x, by Newton iteration over big-int series products."""
+    """B_k mod p for 0 <= k <= p-2: the even ones from y coth y =
+    C(u)/S(u) in u = y^2, a Newton inverse of half the table's length and
+    one big-int series product; B_1 = -1/2 and the odd ones past it are 0."""
     return PrimeContext(p, bern_cap=cap).bern
 
 

@@ -15,7 +15,7 @@ from kurepa import adele as A
 from kurepa import exact, search
 from kurepa import residues as R
 from kurepa.errors import InvariantViolation
-from kurepa.modmath import PrimeRange, rational_residue, sieve_primes
+from kurepa.modmath import PrimeRange, fraction_residue, rational_residue, sieve_primes
 from oracles import (bell_seq_mod_py, bernoulli_table_mod_py, gregory_table_mod_py,
                      kurepa_mod_py)
 
@@ -355,6 +355,50 @@ def test_series_table_matches_oracle_seeded_primes(name):
     series, oracle = _SERIES[name]
     for p in random.Random(20261018).sample(sieve_primes(2000, 4000), 2):
         assert series(p) == oracle(p), p
+
+
+# The Bell row at a prime modulus comes from one chirp product; at p^2 it
+# comes from the divide-and-conquer solve, which shares no code with it.
+
+def _bell_rows_agree(p: int, ns) -> None:
+    kept = K.bell_seq_mod(max(ns), p * p)
+    for n in ns:
+        assert K.bell_seq_mod(n, p) == [b % p for b in kept[:n + 1]], (p, n)
+
+
+def test_bell_row_chirp_matches_kept_route_small_primes():
+    # the least primitive root is not 2 at 7, 23, 41, 71 and 191
+    assert [K._primitive_root(p) for p in (7, 23, 41, 71, 191)] == [3, 5, 6, 7, 19]
+    for p in sieve_primes(2, 600):
+        for n in (p - 1, p + 6):
+            _bell_rows_agree(p, [n])
+
+
+def test_bell_row_chirp_matches_kept_route_seeded_large_primes():
+    for p in random.Random(20261018).sample(sieve_primes(20_000, 50_000), 3):
+        _bell_rows_agree(p, [p - 1, p + 6])
+
+
+def test_primitive_root_against_brute_force_order():
+    def order(g: int, p: int) -> int:
+        k, x = 1, g % p
+        while x != 1:
+            k, x = k + 1, x * g % p
+        return k
+
+    for p in sieve_primes(3, 2000):
+        g = K._primitive_root(p)
+        assert order(g, p) == p - 1, p
+        assert all(order(h, p) < p - 1 for h in range(1, g)), p
+
+
+def test_bernoulli_table_matches_exact_at_seeded_large_primes():
+    # p > 257 divides no denominator of B_k, k <= 256 (von Staudt-Clausen)
+    for p in random.Random(20261020).sample(sieve_primes(20_000, 50_000), 3):
+        table = K.bernoulli_table_mod(p)
+        assert len(table) == p - 1
+        for k in range(257):
+            assert table[k] == int(fraction_residue(exact.bernoulli_exact(k), p)), (p, k)
 
 
 @pytest.mark.parametrize("m", [12, 49, 101 * 101])

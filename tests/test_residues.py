@@ -355,6 +355,35 @@ class TestProfile:
         assert calls == {"is_prime": 1, "_factorial_columns": 1, "bell_mod": 1}
 
 
+class TestPrecisionOnDemand:
+    """Bell_{p-1} and the powers j^(p-1) are built mod p^3 only for a reader
+    at e = 3; the p^2 readers share one build mod p^2."""
+
+    @pytest.fixture
+    def moduli(self, monkeypatch):
+        seen = {"bell_mod": [], "_powers": []}
+        for name, at in (("bell_mod", 1), ("_powers", 2)):
+            def wrapper(*args, fn=getattr(K, name), name=name, at=at):
+                seen[name].append(args[at])
+                return fn(*args)
+            monkeypatch.setattr(K, name, wrapper)
+        return seen
+
+    @pytest.mark.parametrize("e", [1, 2, 3])
+    def test_profile(self, moduli, e):
+        for p in (101, 1009):
+            for calls in moduli.values():
+                calls.clear()
+            R.residue_profile(p, e)
+            m = p ** 3 if e == 3 else p * p
+            assert moduli == {"bell_mod": [m], "_powers": [m]}, (p, e)
+
+    def test_gertsch_quotient(self, moduli):
+        R.gertsch_quotient_mod(1009)
+        assert moduli["bell_mod"] == [1009 ** 2]
+        assert 1009 ** 3 not in moduli["_powers"]
+
+
 class TestStirlingRow:
     def test_prime_row_vanishes(self):
         for p in (5, 7, 11, 13):
