@@ -16,11 +16,11 @@ which also serves rows whose factorials are not units mod m. `bell_mod` is
 O(p) per prime. (p-1)! mod p^e and !p mod p^e have one route, the run tree
 `run_columns`: a campaign run passes it all its checkpoint blocks and reads
 one block's columns per step; `_factorial_columns` is its one-block case,
-which the scans, `residues.prime_contexts` and a lone
-`residues.PrimeContext` call. `wilson_column` and `gertsch_column` turn the
-columns mod p^2 into W_p and Gertsch_p mod p. The three quotients
-by p, `fermat_quotient`, `wilson_quotient` and `gertsch_quotient`, each
-check that p divides their numerator and raise InvariantViolation otherwise.
+which `residues.prime_contexts` and a lone `residues.PrimeContext` call.
+`wilson_column` and `gertsch_column` turn a campaign's columns mod p^2 into
+W_p and Gertsch_p mod p. The three quotients by p, `fermat_quotient`,
+`wilson_quotient` and `gertsch_quotient`, each check that p divides their
+numerator and raise InvariantViolation otherwise.
 """
 
 from __future__ import annotations
@@ -531,22 +531,3 @@ def gertsch_column(primes, ks) -> list[int]:
     return [gertsch_quotient(p, k, bell_mod(p - 1, p * p))
             for p, k in zip(primes, ks)]
 
-
-# ---------------------------------------------------------------------------
-# Scans
-
-def kurepa_scan(primes: list[int]) -> list[int]:
-    """!p mod p for each p, in input order."""
-    return _factorial_columns(primes, 1)[1]
-
-
-def wilson_scan(primes: list[int]) -> list[int]:
-    """W_p mod p for each p, in input order; raises InvariantViolation
-    where Wilson's congruence fails (a composite input)."""
-    return wilson_column(primes, _factorial_columns(primes, 2)[0])
-
-
-def gertsch_wilson_scan(primes: list[int]) -> tuple[list[int], list[int]]:
-    """(Gertsch_p mod p, W_p mod p) columns from one block pass mod p^2."""
-    fs, ks = _factorial_columns(primes, 2)
-    return gertsch_column(primes, ks), wilson_column(primes, fs)

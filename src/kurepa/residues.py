@@ -318,6 +318,9 @@ def prime_contexts(primes: Iterable[int], **caps) -> Iterator[PrimeContext]:
 
 def factorial_mod(k: int, m: int) -> int:
     """k! mod m."""
+    if k < 0:
+        raise DomainError("factorial needs k >= 0")
+    _require_modulus(m)
     return _kernels.factorial_mod(k, m)
 
 
@@ -380,6 +383,7 @@ def derangement_mod(n: int, p: int) -> Residue:
     """Der_n mod p via D_k = k*D_{k-1} + (-1)^k."""
     if n < 0:
         raise DomainError("derangement needs n >= 0")
+    _require_modulus(p)
     d = 1 % p
     for k in range(1, n + 1):
         d = (k * d + (1 if k % 2 == 0 else p - 1)) % p
@@ -471,6 +475,8 @@ def gregory_mod_table(p: int, cap: int = config.BERNOULLI_MOD_CAP) -> GregoryMod
 
 def stirling2_row_mod(n: int, m: int) -> list[int]:
     """S(n,0)..S(n,n) mod m."""
+    if n < 0:
+        raise DomainError("stirling needs n >= 0")
     _require_modulus(m)
     return _kernels.stirling2_row_mod(n, m)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import config, exact, residues
+from . import exact, residues
 from .errors import DomainError
 
 __all__ = [
@@ -180,9 +180,6 @@ ERRATA = {
     },
 }
 
-TABLE_NAMES = ("table1", "quotients", "gertsch", "agoh_giuga",
-               "bell_wilson", "factorizations")
-
 
 @dataclass(frozen=True)
 class CellDiff:
@@ -282,13 +279,12 @@ def _reproduce_bell_wilson(hi: int = 600) -> TableReport:
     return rep
 
 
-def _reproduce_factorizations(n_max: int = 24,
-                              budget: int = config.FACTOR_BUDGET) -> TableReport:
+def _reproduce_factorizations(n_max: int = 24) -> TableReport:
     from .factorizer import factorize
     from .exact import left_factorial
     rep = TableReport("factorizations")
     for n in range(3, n_max + 1):
-        f = factorize(left_factorial(n) - 1, budget=budget)
+        f = factorize(left_factorial(n) - 1)
         computed = tuple(f.factors)
         rep.rows.append((n, computed, f.complete))
         if not f.complete:
@@ -299,22 +295,23 @@ def _reproduce_factorizations(n_max: int = 24,
     return rep
 
 
+_REPRODUCERS = {
+    "table1": _reproduce_table1,
+    "quotients": _reproduce_quotients,
+    "gertsch": _reproduce_gertsch,
+    "agoh_giuga": _reproduce_agoh_giuga,
+    "bell_wilson": _reproduce_bell_wilson,
+    "factorizations": _reproduce_factorizations,
+}
+TABLE_NAMES = tuple(_REPRODUCERS)
+
+
 def reproduce_table(name: str, **kwargs) -> TableReport:
     """Recompute a reference table and diff it cell by cell.
 
     Known misprints (ERRATA) appear as diffs with known=True; a report is ok
     when every diff is a known one.
     """
-    if name == "table1":
-        return _reproduce_table1()
-    if name == "quotients":
-        return _reproduce_quotients()
-    if name == "gertsch":
-        return _reproduce_gertsch()
-    if name == "agoh_giuga":
-        return _reproduce_agoh_giuga()
-    if name == "bell_wilson":
-        return _reproduce_bell_wilson(**kwargs)
-    if name == "factorizations":
-        return _reproduce_factorizations(**kwargs)
-    raise DomainError(f"unknown table {name!r}; known: {', '.join(TABLE_NAMES)}")
+    if name not in _REPRODUCERS:
+        raise DomainError(f"unknown table {name!r}; known: {', '.join(TABLE_NAMES)}")
+    return _REPRODUCERS[name](**kwargs)

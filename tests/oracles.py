@@ -3,7 +3,9 @@
 Each is the plain loop, triangle or recurrence that a `kurepa._kernels`
 route replaces: `kurepa_mod_py` checks the block kernel's !p column, the
 Aitken triangle the Bell row and `bell_mod`, and the two recurrences the
-Bernoulli and Gregory power-series tables. Only the tests import them.
+Bernoulli and Gregory power-series tables. `gertsch_split_py` checks
+Gertsch_p mod p at primes too large for the triangle, in O(p) without
+Bell_{p-1}. Only the tests import them.
 """
 
 from kurepa._kernels import inverse_table
@@ -17,6 +19,30 @@ def kurepa_mod_py(p: int, m: int) -> int:
         f = f * n % m
         s += f
     return s % m
+
+
+def gertsch_split_py(p: int) -> int:
+    """Gertsch_p mod p = (!p + D_{p-1})/p - T_p for an odd prime p, with
+    D_t = sum_{i<=t} (-1)^i/i! mod p^2 and
+    T_p = sum_{j=1}^{p-1} q_p(j) D_{p-1-j}/j! mod p.
+
+    From Bell_{p-1} = sum_j (j^(p-1)/j!) D_{p-1-j}, j^(p-1) = 1 + p q_p(j)
+    and sum_{j=1}^{p-1} D_{p-1-j}/j! = 1 - D_{p-1}: Bell_{p-1} is
+    1 - D_{p-1} + p T_p mod p^2, so Bell_{p-1} itself is never built.
+    """
+    m = p * p
+    inv_fact = [1] * p  # 1/j! mod p^2
+    for j in range(1, p):
+        inv_fact[j] = inv_fact[j - 1] * pow(j, -1, m) % m
+    d, s = [], 0
+    for i, x in enumerate(inv_fact):
+        s = (s - x if i % 2 else s + x) % m
+        d.append(s)
+    num = (kurepa_mod_py(p, m) + d[p - 1]) % m
+    assert num % p == 0, p
+    t = sum((pow(j, p - 1, m) - 1) // p * d[p - 1 - j] * inv_fact[j]
+            for j in range(1, p))
+    return (num // p - t) % p
 
 
 def bell_seq_mod_py(n: int, m: int) -> list[int]:

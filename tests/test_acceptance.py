@@ -134,7 +134,8 @@ def test_criterion_08_oracle_equivalence():
                                 int(fraction_residue(v_star, p)),
                                 int(fraction_residue(v_prime, p)))
     primes = list(iter_primes(3, 10_000))
-    direct = _kernels.kurepa_scan(primes)
+    # the one block run_campaign("kurepa_zero", ...) reads at the default stride
+    direct = next(_kernels.run_columns([primes], 1))[1]
     gf = [_kernels.kurepa_gf_mod(p) for p in primes]
     assert direct == gf
 
@@ -143,9 +144,9 @@ def test_criterion_08_oracle_equivalence():
 def test_criterion_09_nonvanishing():
     assert search.run_campaign("kurepa_zero", 3, 100_000).hits == []
     primes = list(iter_primes(3, 100_000))
-    ks = _kernels.kurepa_scan(primes)
+    ks = next(_kernels.run_columns([primes], 1))[1]
     # Bell_{p-1} = !p + 1 (mod p), asserted independently as C01 over
-    # [3,1000]; through it the same scan covers Bell_{p-1} != 1
+    # [3,1000]; through it the same column covers Bell_{p-1} != 1
     for p, k in zip(primes, ks):
         assert k != 0
         assert (k + 1) % p != 1

@@ -266,9 +266,12 @@ def _exact_named(p):
                for k in (2, 3, 4)}}
 
 
-def _scan_named(primes):
-    """The constants with a block scan, from the scans."""
-    ws, ks, gs = K.wilson_scan(primes), K.kurepa_scan(primes), K.gertsch_wilson_scan(primes)[0]
+def _column_named(primes):
+    """The constants a campaign reads, from the columns mod p^2 of one
+    run-tree block; !p mod p is the !p column reduced mod p."""
+    fs, ks2 = next(K.run_columns([primes], 2))
+    ws, gs = K.wilson_column(primes, fs), K.gertsch_column(primes, ks2)
+    ks = [k % p for p, k in zip(primes, ks2)]
     q2 = [(pow(2, p - 1, p * p) - 1) // p for p in primes]
     return {"gamma_W": ws, "gamma_Kp": ks, "gamma_G": gs,
             "gamma_AG": [(w + 1) % p for p, w in zip(primes, ws)],
@@ -286,7 +289,7 @@ class TestWindowRoute:
                     assert p in got[name].undefined_at, (name, p)
                 else:
                     assert got[name].residues[p] == want, (name, p)
-        for name, col in _scan_named(primes).items():
+        for name, col in _column_named(primes).items():
             assert [got[name].residues[p] for p in primes] == col, name
 
     def test_named_constants_match_scans_random_window(self):
@@ -298,7 +301,7 @@ class TestWindowRoute:
         got = {"gamma_W": A.gamma_W(w), "gamma_Kp": A.gamma_Kp(w), "gamma_G": A.gamma_G(w),
                "gamma_AG": A.gamma_AG(w), "gamma_Q(2)": A.gamma_Q(2, w)}
         assert all(e.defined_primes() == primes for e in got.values())
-        for name, col in _scan_named(primes).items():
+        for name, col in _column_named(primes).items():
             assert [got[name].residues[p] for p in primes] == col, name
         for p in primes:
             assert got["gamma_Kp"].residues[p] == kurepa_mod_py(p, p), p

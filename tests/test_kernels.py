@@ -85,18 +85,22 @@ class TestAgainstExact:
                 assert row == [s % m for s in exact.stirling2_row(n)]
 
 
+# The W_p and Gertsch_p columns the campaigns read, from one run-tree block.
+
 def test_wilson_scan_values():
     primes = [3, 5, 7, 11, 563]
-    ws = K.wilson_scan(primes)
+    ws = K.wilson_column(primes, next(K.run_columns([primes], 2))[0])
     want = [exact.wilson_quotient_exact(p) % p for p in primes]
     assert ws == want
 
 
 def test_gertsch_wilson_scan_values():
     primes = [3, 5, 7, 11, 13]
-    gs, ws = K.gertsch_wilson_scan(primes)
-    assert gs == [exact.gertsch_quotient_exact(p) % p for p in primes]
-    assert ws == [exact.wilson_quotient_exact(p) % p for p in primes]
+    fs, ks = next(K.run_columns([primes], 2))
+    assert K.gertsch_column(primes, ks) == [exact.gertsch_quotient_exact(p) % p
+                                           for p in primes]
+    assert K.wilson_column(primes, fs) == [exact.wilson_quotient_exact(p) % p
+                                           for p in primes]
 
 
 # Bell_{p-1} mod p^e: the O(p) explicit-Stirling route against the triangle.
@@ -133,8 +137,9 @@ def test_bell_mod_non_unit_factorial_uses_triangle():
 
 @pytest.mark.parametrize("c", [4, 9, 15, 21, 25])
 def test_gertsch_wilson_scan_rejects_composite(c):
+    ks = next(K.run_columns([[c]], 2))[1]
     with pytest.raises(InvariantViolation):
-        K.gertsch_wilson_scan([c])
+        K.gertsch_column([c], ks)
 
 
 # ((p-1)! mod p^e, !p mod p^e) by the one-block case of the run tree, against
@@ -279,8 +284,9 @@ def test_column_campaign_hits_match_loops(name):
 
 @pytest.mark.parametrize("block", [[4], [9], [15], [21], [25], [7, 9, 11]])
 def test_wilson_scan_rejects_composite(block):
+    fs = next(K.run_columns([block], 2))[0]
     with pytest.raises(InvariantViolation):
-        K.wilson_scan(block)
+        K.wilson_column(block, fs)
 
 
 # The series product and inverse against schoolbook convolution. Slots are

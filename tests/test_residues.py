@@ -10,7 +10,7 @@ from kurepa import exact, residues as R
 from kurepa.errors import CapacityError, DomainError, InvariantViolation
 from kurepa.modmath import Residue, fraction_residue, iter_primes, mod_inv, sieve_primes
 from kurepa.residues import PrimeContext
-from oracles import kurepa_mod_py
+from oracles import gertsch_split_py, kurepa_mod_py
 
 
 class TestKurepaKernels:
@@ -394,9 +394,16 @@ class TestStirlingRow:
 
 @pytest.mark.parametrize("m", [-3, 0, 1])
 def test_rows_reject_bad_modulus(m):
-    for fn in (R.bell_sequence_mod, R.stirling2_row_mod, R.bell_mod):
+    for fn in (R.bell_sequence_mod, R.stirling2_row_mod, R.bell_mod,
+               R.factorial_mod, R.derangement_mod):
         with pytest.raises(DomainError):
             fn(10, m)
+
+
+@pytest.mark.parametrize("fn", [R.stirling2_row_mod, R.factorial_mod])
+def test_rows_reject_negative_index(fn):
+    with pytest.raises(DomainError):
+        fn(-1, 7)
 
 
 class TestCapEnforcement:
@@ -451,6 +458,15 @@ class TestBlockKernelPerPrime:
             b2 = K.bell_mod(p - 1, p * p)
             assert int(R.gertsch_quotient_mod(p, cap=p)) == (k3 - b2 + 1) % p ** 2 // p
             assert PrimeContext(p).columns == (f3, k3)
+
+    def test_gertsch_matches_split_oracle(self):
+        # the split oracle never builds Bell_{p-1}, so it reaches past the
+        # triangle's range: every prime to 3000, then seeded large primes
+        for p in sieve_primes(5, 3000):
+            assert int(R.gertsch_quotient_mod(p)) == gertsch_split_py(p), p
+        rng = random.Random(20261018)
+        for p in rng.sample(sieve_primes(50_000, 100_000), 6):
+            assert int(R.gertsch_quotient_mod(p, cap=p)) == gertsch_split_py(p), p
 
     @pytest.mark.parametrize("c", [9, 15, 25])
     def test_composites_raise(self, c):
