@@ -48,20 +48,6 @@ def factorial_mod(k: int, m: int) -> int:
     return f
 
 
-def kurepa_gf_mod(p: int) -> int:
-    """sum_{k=0}^{p-1} (-1)^k (k+1)(k+2)...(p-1) mod p.
-
-    The falling-product rewrite of sum (-1)^(k+1)/k! in GF(p); an independent
-    oracle for !p mod p.
-    """
-    prod = 1  # empty product at k = p-1
-    s = prod if (p - 1) % 2 == 0 else p - prod
-    for k in range(p - 2, -1, -1):
-        prod = prod * (k + 1) % p
-        s += prod if k % 2 == 0 else p - prod
-    return s % p
-
-
 def inverse_table(p: int) -> list[int]:
     """inv[1..p-1] mod p (inv[0] is a placeholder 0)."""
     inv = [0] * p

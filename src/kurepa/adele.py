@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from . import _kernels, config, residues
+from . import _kernels, residues
 from .errors import DomainError
 from .modmath import UNDEFINED, PrimeRange, Residue, rational_residue
 
@@ -190,11 +190,11 @@ def ell_A(x, window: PrimeRange) -> AdeleElement:
 # Named constants, each read from the window's residue records
 
 def _from_records(window: PrimeRange, read: Callable[[residues.PrimeContext], int],
-                  fixed: Callable[[int], object] = lambda p: None, **caps) -> AdeleElement:
+                  fixed: Callable[[int], object] = lambda p: None) -> AdeleElement:
     """The element of read(ctx) mod p, from the window's records streamed by
     `residues.prime_contexts` (one block pass). Where fixed(p) is not None
     it is the value, a residue or UNDEFINED, and no record is built for p."""
-    records = residues.prime_contexts((p for p in window if fixed(p) is None), **caps)
+    records = residues.prime_contexts(p for p in window if fixed(p) is None)
     # build_element walks the window in the records' order
     return build_element(window,
                          lambda p: read(next(records)) if fixed(p) is None else fixed(p))
@@ -205,10 +205,9 @@ def gamma_W(window: PrimeRange) -> AdeleElement:
     return _from_records(window, lambda ctx: ctx.wilson)
 
 
-def gamma_M(window: PrimeRange,
-            cap: int = config.BERNOULLI_MOD_CAP) -> AdeleElement:
+def gamma_M(window: PrimeRange) -> AdeleElement:
     """(sum_{n=1}^{p-2} |G_n|/n mod p)_p, the Gregory-coefficient analogue."""
-    return _from_records(window, lambda ctx: ctx.gregory_sum, bern_cap=cap)
+    return _from_records(window, lambda ctx: ctx.gregory_sum)
 
 
 def gamma_G(window: PrimeRange) -> AdeleElement:
@@ -242,19 +241,17 @@ def gamma_Q(m: int, window: PrimeRange) -> AdeleElement:
                          fixed=lambda p: UNDEFINED if m % p == 0 else None)
 
 
-def G_A(k: int, window: PrimeRange,
-        cap: int = config.BERNOULLI_MOD_CAP) -> AdeleElement:
+def G_A(k: int, window: PrimeRange) -> AdeleElement:
     """(G_{p-k} mod p)_p for k >= 2; primes p <= k are undefined."""
     if k < 2:
         raise DomainError("G_A needs k >= 2")
     return _from_records(window, lambda ctx: ctx.greg.value(ctx.p - k),
-                         fixed=lambda p: UNDEFINED if p <= k else None, bern_cap=cap)
+                         fixed=lambda p: UNDEFINED if p <= k else None)
 
 
-def Z_A(k: int, window: PrimeRange,
-        cap: int = config.BERNOULLI_MOD_CAP) -> AdeleElement:
+def Z_A(k: int, window: PrimeRange) -> AdeleElement:
     """(B_{p-k}/k mod p)_p for k >= 2; primes p <= k are undefined."""
     if k < 2:
         raise DomainError("Z_A needs k >= 2")
     return _from_records(window, lambda ctx: ctx.bern.values[ctx.p - k] * pow(k, -1, ctx.p),
-                         fixed=lambda p: UNDEFINED if p <= k else None, bern_cap=cap)
+                         fixed=lambda p: UNDEFINED if p <= k else None)

@@ -21,7 +21,7 @@ from itertools import accumulate
 from typing import Callable, Optional
 
 from . import config, exact, residues
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .modmath import fraction_residue, iter_primes
 from .residues import PrimeContext, prime_contexts  # PrimeContext re-exported
 from .tables import reproduce_table  # re-exported: catalog + tables in one place
@@ -70,13 +70,8 @@ class CheckDescriptor:
     statement: str
     attribution: str
     min_p: int = 3
-    applies: Optional[Callable[["PrimeContext"], bool]] = None
+    max_p: Optional[int] = None  # the exact-Bernoulli checks' last prime
     run: Callable[["PrimeContext"], tuple] = None  # -> (lhs, rhs[, note])
-
-    def applicable(self, ctx: "PrimeContext") -> bool:
-        if ctx.p < self.min_p:
-            return False
-        return self.applies(ctx) if self.applies else True
 
 
 # ---------------------------------------------------------------------------
@@ -158,25 +153,22 @@ def _c13(ctx):
 
 def _c14(ctx):
     p = ctx.p
-    lhs = fraction_residue(
-        exact.bernoulli_exact(p - 1, config.EXACT_BERNOULLI_CAP) + Fraction(1, p) - 1, p)
+    lhs = fraction_residue(exact.bernoulli_exact(p - 1) + Fraction(1, p) - 1, p)
     return int(lhs), ctx.wilson
 
 
 def _c15(ctx):
     p = ctx.p
-    r = (p * (p + 1) * exact.bernoulli_exact(p - 1, config.EXACT_BERNOULLI_CAP)
-         - math.factorial(p - 1))
+    r = p * (p + 1) * exact.bernoulli_exact(p - 1) - math.factorial(p - 1)
     return int(fraction_residue(r, p * p)), 0
 
 
 def _c16(ctx):
     p = ctx.p
-    cap = config.EXACT_BERNOULLI_CAP
-    pairs = [(n, k) for n, k in ((2, 1), (3, 1), (3, 2)) if n * (p - 1) <= cap]
+    pairs = [(n, k) for n, k in ((2, 1), (3, 1), (3, 2))
+             if n * (p - 1) <= config.EXACT_BERNOULLI_CAP]
     lhs = tuple(int(fraction_residue(
-        exact.bernoulli_exact(n * (p - 1), cap)
-        - exact.bernoulli_exact(k * (p - 1), cap), p))
+        exact.bernoulli_exact(n * (p - 1)) - exact.bernoulli_exact(k * (p - 1)), p))
         for n, k in pairs)
     rhs = tuple((n - k) * ctx.wilson % p for n, k in pairs)
     return lhs, rhs
@@ -294,62 +286,47 @@ def _c31(ctx):
 
 
 def _c32(ctx):
-    return ctx.qsum, ctx.gertsch, "agreement measured (Lerch makes this Gertsch_p = W_p)"
-
-
-def _needs_bern(ctx):
-    return ctx.p <= ctx.bern_cap
-
-
-def _needs_bell(ctx):
-    return ctx.p - 1 <= ctx.bell_cap
-
-
-def _needs_exact_bern(ctx):
-    return ctx.p - 1 <= config.EXACT_BERNOULLI_CAP
+    g = ctx.gertsch  # first, so a capped Bell_{p-1} raises before the power table
+    return ctx.qsum, g, "agreement measured (Lerch makes this Gertsch_p = W_p)"
 
 
 _D = CheckDescriptor
 CATALOG: dict[str, CheckDescriptor] = {d.id: d for d in [
-    _D("C01", "assert", "!p = Bell_{p-1} - 1 (mod p)", "Gertsch",
-       applies=_needs_bell, run=_c01),
+    _D("C01", "assert", "!p = Bell_{p-1} - 1 (mod p)", "Gertsch", run=_c01),
     _D("C02", "assert", "Der_{p-1} = !p (mod p)", "Gertsch/Mijajlovic", run=_c02),
-    _D("C03", "assert", "Bell_p = 2 (mod p)", "Touchard",
-       applies=_needs_bell, run=_c03),
+    _D("C03", "assert", "Bell_p = 2 (mod p)", "Touchard", run=_c03),
     _D("C04", "assert", "Bell_{n+p} = Bell_{n+1} + Bell_n (mod p), n <= 5",
-       "Touchard", applies=_needs_bell, run=_c04),
+       "Touchard", run=_c04),
     _D("C05", "assert", "(p-1)! = -1 (mod p)", "Wilson", run=_c05),
     _D("C06", "assert", "sum_a q_p(a) = W_p (mod p)", "Lerch", run=_c06),
     _D("C07", "assert", "sum_k m^-k B_k/k = W_p + q_p(m) (mod p), 2<=m<min(p,6)",
-       "Agoh/Lehmer", min_p=5, applies=_needs_bern, run=_c07),
+       "Agoh/Lehmer", min_p=5, run=_c07),
     _D("C08", "assert",
        "sum_k (-1)^k m^-k B_k/k = W_p + q_p(m) + 1/m (mod p), 2<=m<min(p,6)",
-       "Agoh/Lehmer", min_p=5, applies=_needs_bern, run=_c08),
-    _D("C09", "assert", "sum_k B_k/k = W_p (mod p)", "Glaisher",
-       applies=_needs_bern, run=_c09),
-    _D("C10", "assert", "sum_k (-1)^k B_k/k = W_p + 1 (mod p)", "Glaisher",
-       applies=_needs_bern, run=_c10),
+       "Agoh/Lehmer", min_p=5, run=_c08),
+    _D("C09", "assert", "sum_k B_k/k = W_p (mod p)", "Glaisher", run=_c09),
+    _D("C10", "assert", "sum_k (-1)^k B_k/k = W_p + 1 (mod p)", "Glaisher", run=_c10),
     _D("C11", "assert", "sum_k H_n^(k) B_k/k = n W_p + q_p(n!) (mod p), n<=3",
-       "Agoh", min_p=5, applies=_needs_bern, run=_c11),
+       "Agoh", min_p=5, run=_c11),
     _D("C12", "assert",
        "Bernoulli index sums (alt, plain, even) = W_p + (2, 1, 1/2) (mod p)",
-       "E. Lehmer/Glaisher", applies=_needs_bern, run=_c12),
+       "E. Lehmer/Glaisher", run=_c12),
     _D("C13", "assert",
        "!p * sum_k (-1)^k B_k/k! = sum_m B_2m/(2m)! (!(2m)-1) (mod p)",
-       "Vladimirov", min_p=5, applies=_needs_bern, run=_c13),
+       "Vladimirov", min_p=5, run=_c13),
     _D("C14", "assert", "W_p = B_{p-1} + 1/p - 1 (mod p), exact rationals",
-       "Glaisher/Beeger", applies=_needs_exact_bern, run=_c14),
+       "Glaisher/Beeger", max_p=config.EXACT_BERNOULLI_CAP + 1, run=_c14),
     _D("C15", "assert", "p(p+1) B_{p-1} = (p-1)! (mod p^2), exact rationals",
-       "Carlitz", applies=_needs_exact_bern, run=_c15),
+       "Carlitz", max_p=config.EXACT_BERNOULLI_CAP + 1, run=_c15),
     _D("C16", "assert", "(n-k) W_p = B_{n(p-1)} - B_{k(p-1)} (mod p)",
-       "Agoh", applies=lambda c: 2 * (c.p - 1) <= config.EXACT_BERNOULLI_CAP, run=_c16),
+       "Agoh", max_p=config.EXACT_BERNOULLI_CAP // 2 + 1, run=_c16),
     _D("C17", "assert", "S(p,k) = 0 (mod p) for 2<=k<=p-1; S(p,1)=S(p,p)=1",
        "Lagrange/Fermat", min_p=5, run=_c17),
     _D("C18", "assert", "sum |G_n|/n = W_p + 2 q_p(2) - 1 (mod p)",
-       "Kaneko-Matsusaka-Seki", applies=_needs_bern, run=_c18),
+       "Kaneko-Matsusaka-Seki", run=_c18),
     _D("C19", "assert",
        "G_{p-k} = (-1)^k sum_j (-1)^(j-1) C(k,j) (j+1) q_p(j+1) (mod p), k=2..4",
-       "Kaneko-Matsusaka-Seki", min_p=7, applies=_needs_bern, run=_c19),
+       "Kaneko-Matsusaka-Seki", min_p=7, run=_c19),
     _D("C20", "assert", "AG_p = W_p + 1 (mod p) [derived: Glaisher + von Staudt]",
        "derived", run=_c20),
     _D("C21", "assert", "q_p(p-m) = q_p(m) + 1/m (mod p), 1<=m<min(p,7)",
@@ -363,18 +340,17 @@ CATALOG: dict[str, CheckDescriptor] = {d.id: d for d in [
     _D("C26", "scan", "!p != 0 (mod p) [conjecture scan]", "Kurepa",
        run=_c26),
     _D("C27", "scan", "Bell_{p-1} != 1 (mod p) [conjecture scan]",
-       "Gertsch/Barsky", applies=_needs_bell, run=_c27),
-    _D("C28", "assert", "Bell_{p-1} = Der_{p-1} + 1 (mod p)", "Gertsch",
-       applies=_needs_bell, run=_c28),
+       "Gertsch/Barsky", run=_c27),
+    _D("C28", "assert", "Bell_{p-1} = Der_{p-1} + 1 (mod p)", "Gertsch", run=_c28),
     _D("C29", "assert", "left-factorial successor identities, exact",
        "Kurepa", run=_c29),
     _D("C30", "assert",
        "sum_{0<k<p} Bell_k/(-m)^k = (-1)^(m-1) Der_{m-1} (mod p), m<min(p,7)",
-       "Sun-Zagier", applies=_needs_bell, run=_c30),
+       "Sun-Zagier", run=_c30),
     _D("C31", "measure", "!p - Bell_{p-1} = (p-1)! (mod p^2)",
-       "measured agreement set", applies=_needs_bell, run=_c31),
+       "measured agreement set", run=_c31),
     _D("C32", "measure", "sum_a q_p(a) = Gertsch_p (mod p)",
-       "measured agreement set", applies=_needs_bell, run=_c32),
+       "measured agreement set", run=_c32),
 ]}
 
 
@@ -384,20 +360,25 @@ def check_ids() -> list[str]:
 
 def run_check(check_id: str, p: int, ctx: Optional[PrimeContext] = None,
               **caps) -> CheckOutcome:
-    """Evaluate one check at one prime; inapplicable primes yield a skipped
-    outcome."""
+    """Evaluate one check at one prime. It is skipped as not applicable at p
+    outside [min_p, max_p], and when the record refuses a value past its cap:
+    the record raises CapacityError before it builds that value."""
     if check_id not in CATALOG:
         raise DomainError(f"unknown check id {check_id!r}")
     desc = CATALOG[check_id]
     if ctx is None:
         ctx = PrimeContext(p, **caps)
-    if not desc.applicable(ctx):
-        return CheckOutcome(check_id, p, None, None, holds=True,
-                            note="not applicable", skipped=True)
-    out = desc.run(ctx)
-    lhs, rhs = out[0], out[1]
-    note = out[2] if len(out) > 2 else ""
-    return CheckOutcome(check_id, p, lhs, rhs, holds=lhs == rhs, note=note)
+    if desc.min_p <= p <= (desc.max_p or p):
+        try:
+            out = desc.run(ctx)
+        except CapacityError:
+            pass
+        else:
+            lhs, rhs = out[0], out[1]
+            note = out[2] if len(out) > 2 else ""
+            return CheckOutcome(check_id, p, lhs, rhs, holds=lhs == rhs, note=note)
+    return CheckOutcome(check_id, p, None, None, holds=True,
+                        note="not applicable", skipped=True)
 
 
 @dataclass

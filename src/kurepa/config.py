@@ -1,7 +1,8 @@
 """Default kernel caps and knobs.
 
-Every library function that honors a cap also takes it as an explicit keyword
-argument, and the CLI exposes the common ones as flags.
+The residue record and the catalog take the Bell and Bernoulli caps as
+arguments, which the CLI sets with `--bell-cap` and `--bernoulli-cap`;
+everything else reads this module.
 """
 
 # Largest n for bell_mod (O(n) when n! is a unit mod m, else read from the

@@ -123,15 +123,16 @@ _greg_lock = threading.Lock()
 _greg: list[Fraction] = [Fraction(1), Fraction(1, 2)]
 
 
-def bernoulli_exact(k: int, cap: int = config.EXACT_BERNOULLI_CAP) -> Fraction:
+def bernoulli_exact(k: int) -> Fraction:
     """B_k as an exact Fraction (B_1 = -1/2 convention).
 
     Extends the memo table via n*B_{n-1} + 1 + sum_{j=1}^{n-2} C(n,j)*B_j = 0.
     """
     if k < 0:
         raise DomainError("bernoulli needs k >= 0")
-    if k > cap:
-        raise CapacityError(f"exact Bernoulli capped at index {cap} (asked {k})")
+    if k > config.EXACT_BERNOULLI_CAP:
+        raise CapacityError(
+            f"exact Bernoulli capped at index {config.EXACT_BERNOULLI_CAP} (asked {k})")
     if k % 2 == 1 and k > 1:
         return Fraction(0)
     with _bern_lock:
@@ -149,7 +150,7 @@ def bernoulli_exact(k: int, cap: int = config.EXACT_BERNOULLI_CAP) -> Fraction:
         return _bern[k]
 
 
-def gregory_exact(n: int, cap: int = config.EXACT_GREGORY_CAP) -> Fraction:
+def gregory_exact(n: int) -> Fraction:
     """Gregory coefficient G_n: x/log(1+x) = 1 + sum G_n x^n.
 
     Convolution recurrence sum_{k=0}^{n} (-1)^k/(k+1) G_{n-k} = [n=0];
@@ -157,8 +158,9 @@ def gregory_exact(n: int, cap: int = config.EXACT_GREGORY_CAP) -> Fraction:
     """
     if n < 0:
         raise DomainError("gregory needs n >= 0")
-    if n > cap:
-        raise CapacityError(f"exact Gregory capped at index {cap} (asked {n})")
+    if n > config.EXACT_GREGORY_CAP:
+        raise CapacityError(
+            f"exact Gregory capped at index {config.EXACT_GREGORY_CAP} (asked {n})")
     with _greg_lock:
         while len(_greg) <= n:
             m = len(_greg)
@@ -221,14 +223,14 @@ def lerch_quotient_exact(p: int,
     return Fraction(sum_fermat_quotients_exact(p, cap) - wilson_quotient_exact(p), p)
 
 
-def h_quotient_exact(p: int, cap: int = config.EXACT_POWER_SUM_CAP) -> Fraction:
+def h_quotient_exact(p: int) -> Fraction:
     """(sum_a q_p(a) - Gertsch_p) / p; genuinely fractional for some p (H_5 = 66/5)."""
     if p < 3 or not is_prime(p):
         raise DomainError(f"H quotient needs an odd prime, got {p}")
-    return Fraction(sum_fermat_quotients_exact(p, cap) - gertsch_quotient_exact(p), p)
+    return Fraction(sum_fermat_quotients_exact(p) - gertsch_quotient_exact(p), p)
 
 
-def agoh_giuga_exact(p: int, cap: int = config.EXACT_BERNOULLI_CAP) -> Fraction:
+def agoh_giuga_exact(p: int) -> Fraction:
     """AG_p = (p*B_{p-1} + 1) / p as an exact reduced rational.
 
     By von Staudt-Clausen the p in B_{p-1}'s denominator cancels, so the
@@ -236,20 +238,19 @@ def agoh_giuga_exact(p: int, cap: int = config.EXACT_BERNOULLI_CAP) -> Fraction:
     """
     if p < 3 or not is_prime(p):
         raise DomainError(f"Agoh-Giuga quotient needs an odd prime, got {p}")
-    return _agoh_giuga(p, cap)
+    return _agoh_giuga(p)
 
 
-def _agoh_giuga(p: int, cap: int) -> Fraction:
-    """agoh_giuga_exact for an odd prime p that the caller has checked."""
-    if p - 1 > cap:
-        raise CapacityError(f"exact Bernoulli capped at index {cap}; p={p} too large")
-    ag = (p * bernoulli_exact(p - 1, cap) + 1) / p
+def _agoh_giuga(p: int) -> Fraction:
+    """agoh_giuga_exact for an odd prime p that the caller has checked;
+    B_{p-1} raises CapacityError past the exact-Bernoulli cap."""
+    ag = (p * bernoulli_exact(p - 1) + 1) / p
     if ag.denominator % p == 0:
         raise InvariantViolation(f"AG_{p} denominator divisible by {p}")
     return ag
 
 
-def hodge_bg_exact(g: int, cap: int = config.EXACT_BERNOULLI_CAP) -> Fraction:
+def hodge_bg_exact(g: int) -> Fraction:
     """b_g = ((2 - 2^(2g)) / 2^(2g)) * B_{2g} / (2g)!, with b_0 = 1.
 
     Equals the t^(2g) coefficient of (t/2)/sinh(t/2); the (t/2)/sin(t/2)
@@ -260,7 +261,7 @@ def hodge_bg_exact(g: int, cap: int = config.EXACT_BERNOULLI_CAP) -> Fraction:
     if g == 0:
         return Fraction(1)
     two_2g = 2 ** (2 * g)
-    return Fraction(2 - two_2g, two_2g) * bernoulli_exact(2 * g, cap) / factorial(2 * g)
+    return Fraction(2 - two_2g, two_2g) * bernoulli_exact(2 * g) / factorial(2 * g)
 
 
 def giuga_sum(n: int) -> Residue:
@@ -284,13 +285,13 @@ class QuotientRecord:
     h: Fraction
 
 
-def quotient_record(p: int, cap: int = config.EXACT_POWER_SUM_CAP) -> QuotientRecord:
+def quotient_record(p: int) -> QuotientRecord:
     return QuotientRecord(
         p=p,
         wilson=wilson_quotient_exact(p),
-        lerch=lerch_quotient_exact(p, cap),
+        lerch=lerch_quotient_exact(p),
         gertsch=gertsch_quotient_exact(p),
-        h=h_quotient_exact(p, cap),
+        h=h_quotient_exact(p),
     )
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "PrimeContext",
     "prime_contexts",
     "kurepa_mod",
-    "kurepa_gf_mod",
     "bell_mod",
     "bell_sequence_mod",
     "derangement_mod",
@@ -230,7 +229,7 @@ class PrimeContext:
         p = self.p
         fast = (self.wilson + 1) % p
         if p - 1 <= config.EXACT_BERNOULLI_CAP:
-            r = int(fraction_residue(exact._agoh_giuga(p, config.EXACT_BERNOULLI_CAP), p))
+            r = int(fraction_residue(exact._agoh_giuga(p), p))
             if r != fast:
                 raise InvariantViolation(f"AG_{p}: exact path {r} != Wilson path {fast}")
         return fast
@@ -333,29 +332,17 @@ def kurepa_mod(p: int, e: int = 1) -> Residue:
     return Residue(PrimeContext(p).kurepa(e), p ** e)
 
 
-def kurepa_gf_mod(p: int) -> Residue:
-    """!p mod p by the alternating falling-product form (internal oracle).
-
-    In GF(p), 1/k! = -(k+1)(k+2)...(p-1) by Wilson, which turns the
-    factorial sum into sum_{k} (-1)^k (k+1)...(p-1); an independent O(p)
-    route used to cross-check kurepa_mod.
-    """
-    _require_odd_prime(p)
-    return Residue(_kernels.kurepa_gf_mod(p), p)
-
-
-def bell_mod(n: int, m: int, cap: int = config.BELL_MOD_CAP) -> Residue:
+def bell_mod(n: int, m: int) -> Residue:
     """Bell_n mod m: O(n) by the explicit Stirling sum when n! is a unit mod m
     (n = p-1, m = p^e), else read from `bell_sequence_mod`; O(n) memory."""
     if n < 0:
         raise DomainError("bell needs n >= 0")
     _require_modulus(m)
-    if n > cap:
-        raise CapacityError(f"bell_mod capped at n <= {cap} (asked {n})")
+    _require_cap("Bell_n: n", n, config.BELL_MOD_CAP)
     return Residue(_kernels.bell_mod(n, m), m)
 
 
-def bell_sequence_mod(n: int, m: int, cap: int = config.BELL_MOD_CAP) -> list[int]:
+def bell_sequence_mod(n: int, m: int) -> list[int]:
     """Bell_0..Bell_n mod m. At a prime m with n >= m - 1, Bell_0..Bell_{m-1}
     come from one chirp-z series product; otherwise Bell_k = k! [x^k] of
     exp(e^x - 1) by series products while k! is a unit mod m. Then
@@ -364,8 +351,7 @@ def bell_sequence_mod(n: int, m: int, cap: int = config.BELL_MOD_CAP) -> list[in
     if n < 0:
         raise DomainError("bell needs n >= 0")
     _require_modulus(m)
-    if n > cap:
-        raise CapacityError(f"bell_sequence_mod capped at n <= {cap} (asked {n})")
+    _require_cap("Bell row: n", n, config.BELL_MOD_CAP)
     return _kernels.bell_seq_mod(n, m)
 
 
@@ -419,9 +405,9 @@ def lerch_quotient_mod(p: int) -> Residue:
     return Residue(PrimeContext(p).lerch, p)
 
 
-def gertsch_quotient_mod(p: int, cap: int = config.BELL_MOD_CAP) -> Residue:
+def gertsch_quotient_mod(p: int) -> Residue:
     """Gertsch_p mod p = ((!p - Bell_{p-1} + 1) mod p^2) / p."""
-    return Residue(PrimeContext(p, bell_cap=cap).gertsch, p)
+    return Residue(PrimeContext(p).gertsch, p)
 
 
 # ---------------------------------------------------------------------------
@@ -461,16 +447,16 @@ class GregoryModTable:
         return len(self.values)
 
 
-def bernoulli_mod_table(p: int, cap: int = config.BERNOULLI_MOD_CAP) -> BernoulliModTable:
+def bernoulli_mod_table(p: int) -> BernoulliModTable:
     """B_k mod p for 0 <= k <= p-2: the even ones from y coth y =
     C(u)/S(u) in u = y^2, a Newton inverse of half the table's length and
     one big-int series product; B_1 = -1/2 and the odd ones past it are 0."""
-    return PrimeContext(p, bern_cap=cap).bern
+    return PrimeContext(p).bern
 
 
-def gregory_mod_table(p: int, cap: int = config.BERNOULLI_MOD_CAP) -> GregoryModTable:
+def gregory_mod_table(p: int) -> GregoryModTable:
     """G_n mod p for 1 <= n <= p-2 (denominators k+1 <= p-1 are invertible)."""
-    return PrimeContext(p, bern_cap=cap).greg
+    return PrimeContext(p).greg
 
 
 def stirling2_row_mod(n: int, m: int) -> list[int]:
@@ -544,9 +530,9 @@ def special_quotient_mod(p: int, m: int) -> Residue:
 FRACTIONAL = UNDEFINED  # same marker: p does not divide Bell_{p-1}
 
 
-def bell_wilson_sum_mod(p: int, cap: int = config.BELL_MOD_CAP):
+def bell_wilson_sum_mod(p: int):
     """(Bell_{p-1}/p + W_p) mod p when p | Bell_{p-1}; FRACTIONAL otherwise."""
-    s = PrimeContext(p, bell_cap=cap).bell_wilson_sum
+    s = PrimeContext(p).bell_wilson_sum
     return s if s is FRACTIONAL else Residue(s, p)
 
 
@@ -575,10 +561,14 @@ def sun_zagier_sum(p: int, m: int) -> Residue:
 
 
 def power_sum_mod(p: int, e: int = 2) -> Residue:
-    """sum_{a=1}^{p-1} a^(p-1) mod p^e, with one pow per prime a."""
+    """sum_{a=1}^{p-1} a^(p-1) mod p^e for a prime p and e >= 1, with one pow
+    per prime a."""
+    if not is_prime(p):
+        raise DomainError(f"prime required, got {p}")
+    if e < 1:
+        raise DomainError(f"modulus power must be >= 1, got {e}")
     m = p ** e
-    s = sum(_kernels._powers(p - 1, p - 1, m)) % m if p > 1 else 0  # no terms below 2
-    return Residue(s, m)
+    return Residue(sum(_kernels._powers(p - 1, p - 1, m)) % m, m)
 
 
 # ---------------------------------------------------------------------------

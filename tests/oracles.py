@@ -3,7 +3,8 @@
 Each is the plain loop, triangle or recurrence that a `kurepa._kernels`
 route replaces: `kurepa_mod_py` checks the block kernel's !p column, the
 Aitken triangle the Bell row and `bell_mod`, and the two recurrences the
-Bernoulli and Gregory power-series tables. `gertsch_split_py` checks
+Bernoulli and Gregory power-series tables. `kurepa_gf_mod_py` checks the !p
+column mod p by the GF(p) falling-product form. `gertsch_split_py` checks
 Gertsch_p mod p at primes too large for the triangle, in O(p) without
 Bell_{p-1}. Only the tests import them.
 """
@@ -19,6 +20,20 @@ def kurepa_mod_py(p: int, m: int) -> int:
         f = f * n % m
         s += f
     return s % m
+
+
+def kurepa_gf_mod_py(p: int) -> int:
+    """!p mod p as sum_{k=0}^{p-1} (-1)^k (k+1)(k+2)...(p-1) mod p.
+
+    In GF(p), 1/k! = -(k+1)(k+2)...(p-1) by Wilson, which turns the factorial
+    sum into the alternating falling products.
+    """
+    prod = 1  # empty product at k = p-1
+    s = prod if (p - 1) % 2 == 0 else p - prod
+    for k in range(p - 2, -1, -1):
+        prod = prod * (k + 1) % p
+        s += prod if k % 2 == 0 else p - prod
+    return s % p
 
 
 def gertsch_split_py(p: int) -> int:

@@ -225,8 +225,9 @@ class TestSerialization:
 
 class TestCapacity:
     def test_gamma_m_cap_propagates(self):
-        with pytest.raises(CapacityError, match="Gregory table: p = 23 exceeds the cap 20"):
-            A.gamma_M(PrimeRange(3, 50), cap=20)
+        with pytest.raises(CapacityError,
+                           match="Gregory table: p = 50021 exceeds the cap 50000"):
+            A.gamma_M(PrimeRange(50_000, 50_100))
 
     def test_gamma_g_cap_propagates(self):
         cap = config.BELL_MOD_CAP

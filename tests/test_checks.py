@@ -51,6 +51,17 @@ class TestRunCheck:
         o = C.run_check("C13", 3)  # needs p >= 5
         assert o.skipped
 
+    def test_skip_past_a_cap_builds_nothing(self, monkeypatch):
+        # the record's Bernoulli and Bell caps, the exact cap and half of it
+        built = []
+        monkeypatch.setattr(K, "bernoulli_table_mod", lambda *a: built.append(a))
+        monkeypatch.setattr(K, "bell_seq_mod", lambda *a: built.append(a))
+        for check_id, p, caps in (("C07", 11, {"bern_cap": 10}), ("C01", 23, {"bell_cap": 21}),
+                                  ("C14", 263, {}), ("C16", 131, {})):
+            o = C.run_check(check_id, p, **caps)
+            assert o.skipped and o.note == "not applicable", check_id
+        assert built == []
+
     def test_unknown_id(self):
         with pytest.raises(DomainError):
             C.run_check("C99", 7)

