@@ -10,8 +10,10 @@ Shokrollahi (2001) do for Bernoulli numbers mod p. The Bernoulli table
 inverts a series of half its length, y coth y in u = y^2, since the odd B_k
 vanish. At a prime modulus the Bell row is a length-(p-1) DFT over F_p,
 which Bluestein's chirp-z (1970) turns into one product; at prime powers and
-composite moduli it is a divide-and-conquer solve of B' = e^x B. The tables'
-O(p^2) oracles are in `tests/oracles.py`, except the Stirling triangle,
+composite moduli it is a divide-and-conquer solve of B' = e^x B. All four
+read one k!, 1/k! mod p pair from `_factorials`, which the residue record
+passes; called without it, the Bell and Stirling rows build their own. The
+tables' O(p^2) oracles are in `tests/oracles.py`, except the Stirling triangle,
 which also serves rows whose factorials are not units mod m. `bell_mod` is
 O(p) per prime. (p-1)! mod p^e and !p mod p^e have one route, the run tree
 `run_columns`: a campaign run passes it all its checkpoint blocks and reads
@@ -46,15 +48,6 @@ def factorial_mod(k: int, m: int) -> int:
     for n in range(2, k + 1):
         f = f * n % m
     return f
-
-
-def inverse_table(p: int) -> list[int]:
-    """inv[1..p-1] mod p (inv[0] is a placeholder 0)."""
-    inv = [0] * p
-    inv[1] = 1
-    for i in range(2, p):
-        inv[i] = (p - p // i) * inv[p % i] % p
-    return inv
 
 
 def stirling2_row_mod_py(n: int, m: int) -> list[int]:
@@ -143,17 +136,17 @@ def _unit_top(n: int, m: int) -> int:
     return next((k - 1 for k in range(2, n + 1) if m % k == 0), n)
 
 
-def _factorials(n: int, m: int) -> tuple[list[int], list[int]]:
-    """([k! mod m], [1/k! mod m]) for k = 0..n; n! must be a unit mod m."""
-    fact = list(accumulate(range(1, n + 1), lambda f, k: f * k % m,
-                           initial=1 % m))
-    inv_fact = [0] * (n + 1)
+def _factorials(n: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """((k! mod m), (1/k! mod m)) for k = 0..n, n! a unit mod m; tuples, as
+    several readers share one pair. Plain loops: faster than accumulate."""
+    fact, inv_fact = [1 % m] * (n + 1), [0] * (n + 1)
+    for k in range(1, n + 1):
+        fact[k] = fact[k - 1] * k % m
     x = pow(fact[n], -1, m)
-    for i in range(n, 0, -1):
-        inv_fact[i] = x
-        x = x * i % m
+    for k in range(n, 0, -1):
+        inv_fact[k], x = x, x * k % m
     inv_fact[0] = x
-    return fact, inv_fact
+    return tuple(fact), tuple(inv_fact)
 
 
 def _powers(n: int, e: int, m: int) -> list[int]:
@@ -175,10 +168,10 @@ def _powers(n: int, e: int, m: int) -> list[int]:
 _LEAF_TERMS = 32  # below this many terms the Bell recurrence runs directly
 
 
-def _alternating_sums(inv_fact: list[int], m: int) -> list[int]:
+def _alternating_sums(inv_fact, m: int) -> list[int]:
     """[D_t for t < len(inv_fact)], D_t = sum_{i<=t} (-1)^i/i! from
-    inv_fact = [1/i! mod m]; left unreduced, as each term is below m."""
-    sgn = inv_fact[:]
+    inv_fact = (1/i! mod m); left unreduced, as each term is below m."""
+    sgn = list(inv_fact)
     sgn[1::2] = [m - x for x in sgn[1::2]]
     return list(accumulate(sgn))
 
@@ -199,8 +192,8 @@ def _primitive_root(p: int) -> int:
                 if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
 
 
-def _bell_row_prime(p: int, inv_fact: list[int]) -> list[int]:
-    """Bell_0..Bell_{p-1} mod a prime p, from inv_fact = [1/k! mod p], k < p.
+def _bell_row_prime(p: int, inv_fact) -> list[int]:
+    """Bell_0..Bell_{p-1} mod a prime p, from inv_fact = (1/k! mod p), k < p.
 
     For n < p, Bell_n = sum_j w_j j^n with w_j = D_{p-1-j}/j! and
     D_t = sum_{i<=t} (-1)^i/i!: a length-L DFT over F_p, L = p - 1, once j
@@ -229,8 +222,8 @@ def _bell_row_prime(p: int, inv_fact: list[int]) -> list[int]:
             + [d[0]])
 
 
-def bell_seq_mod(n: int, m: int) -> list[int]:
-    """Bell_0..Bell_n mod m.
+def bell_seq_mod(n: int, m: int, facts: tuple | None = None) -> list[int]:
+    """Bell_0..Bell_n mod m; facts, if given, is `_factorials(_unit_top(n, m), m)`.
 
     At a prime modulus with n >= m - 1 (seen as `_unit_top(n, m) == m - 1`)
     Bell_0..Bell_{m-1} come from one chirp product (`_bell_row_prime`).
@@ -243,7 +236,7 @@ def bell_seq_mod(n: int, m: int) -> list[int]:
     composite m).
     """
     top = _unit_top(n, m)
-    fact, inv_fact = _factorials(top, m)
+    fact, inv_fact = facts or _factorials(top, m)
     if top == m - 1:
         bell = _bell_row_prime(m, inv_fact)
     else:
@@ -257,7 +250,7 @@ def bell_seq_mod(n: int, m: int) -> list[int]:
     return bell
 
 
-def _bell_solve(top: int, m: int, fact: list[int], inv_fact: list[int]) -> list[int]:
+def _bell_solve(top: int, m: int, fact, inv_fact) -> list[int]:
     """Bell_0..Bell_top mod m by divide and conquer on B' = e^x B; every k!
     with k <= top must be a unit mod m."""
     b = [1 % m] + [0] * top
@@ -296,15 +289,15 @@ def bell_mod(n: int, m: int, pw: tuple[int, ...] | None = None) -> int:
     return sum(map(mul, map(mul, pw[1:], inv_fact[1:]), reversed(d[:n]))) % m
 
 
-def bernoulli_table_mod(p: int) -> list[int]:
-    """B_0..B_{p-2} mod p for a prime p. The odd B_k vanish past B_1 = -1/2,
-    and with y = x/2, u = y^2, x/(e^x - 1) + x/2 = y coth y = C(u)/S(u) for
-    C(u) = sum_k u^k/(2k)! and S(u) = sum_k u^k/(2k+1)!; so
-    B_2k = (2k)! 4^-k [u^k] C/S, from a series inverse of half the table's
-    length and one product."""
+def bernoulli_table_mod(p: int, facts: tuple) -> list[int]:
+    """B_0..B_{p-2} mod p for a prime p, from facts = `_factorials(p - 1, p)`.
+    The odd B_k vanish past B_1 = -1/2, and with y = x/2, u = y^2,
+    x/(e^x - 1) + x/2 = y coth y = C(u)/S(u) for C(u) = sum_k u^k/(2k)! and
+    S(u) = sum_k u^k/(2k+1)!; so B_2k = (2k)! 4^-k [u^k] C/S, from a series
+    inverse of half the table's length and one product."""
     if p == 2:
         return [1]  # B_0 alone
-    fact, inv_fact = _factorials(p - 1, p)
+    fact, inv_fact = facts
     h = (p - 1) // 2  # B_0, B_2, ..., B_{p-3}
     cs = _series_mul(inv_fact[0::2], _series_inv(inv_fact[1::2], h, p), h, p)
     table = [0] * (p - 1)
@@ -316,17 +309,18 @@ def bernoulli_table_mod(p: int) -> list[int]:
     return table
 
 
-def gregory_table_mod(p: int) -> list[int]:
-    """G_0..G_{p-2} mod p for a prime p: the series inverse of
-    log(1+x)/x = sum_k (-1)^k x^k/(k+1), with 1/(k+1) = k!/(k+1)!."""
-    fact, inv_fact = _factorials(p - 1, p)
+def gregory_table_mod(p: int, facts: tuple) -> list[int]:
+    """G_0..G_{p-2} mod p for a prime p, from facts = `_factorials(p - 1, p)`:
+    the series inverse of log(1+x)/x = sum_k (-1)^k x^k/(k+1), with
+    1/(k+1) = k!/(k+1)!."""
+    fact, inv_fact = facts
     f = [(fact[k] if k % 2 == 0 else -fact[k]) * inv_fact[k + 1] % p
          for k in range(p - 1)]
     return _series_inv(f, p - 1, p)
 
 
-def stirling2_row_mod(n: int, m: int) -> list[int]:
-    """S(n,0)..S(n,n) mod m.
+def stirling2_row_mod(n: int, m: int, facts: tuple | None = None) -> list[int]:
+    """S(n,0)..S(n,n) mod m; facts, if given, is `_factorials(n - 1, m)`.
 
     When every k! with k < n is a unit mod m (n = m = p, say),
     S(n,k) = [x^k] of (sum_j j^n x^j/j!) * (sum_i (-1)^i x^i/i!) for k < n,
@@ -334,7 +328,7 @@ def stirling2_row_mod(n: int, m: int) -> list[int]:
     """
     if n == 0 or _unit_top(n - 1, m) < n - 1:
         return stirling2_row_mod_py(n, m)
-    _, inv_fact = _factorials(n - 1, m)
+    _, inv_fact = facts or _factorials(n - 1, m)
     a = [x * y % m for x, y in zip(_powers(n - 1, n, m), inv_fact)]
     b = [x if i % 2 == 0 else -x % m for i, x in enumerate(inv_fact)]
     return _series_mul(a, b, n, m) + [1 % m]

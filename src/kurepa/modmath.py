@@ -270,6 +270,8 @@ def iter_primes(lo: int, hi: int,
     """
     if lo < 2:
         raise DomainError(f"range must start at 2 or above, got lo={lo}")
+    if segment < 1:
+        raise DomainError(f"sieve segment must be >= 1, got {segment}")
     if hi < lo:
         raise EmptyRangeError(f"empty prime range [{lo}, {hi}]")
     base = sieve_upto(math.isqrt(hi))

@@ -12,7 +12,7 @@ silently poison a downstream table.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import accumulate, repeat
 from operator import floordiv, mod, mul
@@ -68,14 +68,15 @@ class PrimeContext:
 
     The constructor checks once that p is an odd prime. The base values are
     ((p-1)!, !p) mod p^3 from one block-kernel call (`prime_contexts` makes
-    one for a whole window), the inverses mod p, k! and 1/k! mod p, and the
-    Bernoulli and Gregory tables; every quotient reduces them mod p^e.
-    Bell_{p-1} and the powers j^(p-1) are built at the lowest precision
-    their readers need: mod p^2 for Gertsch, Lerch, the Fermat-quotient sum,
-    the Bell-Wilson sum and Bell at e <= 2; mod p^3 only for Bell at e = 3
-    and sum_a a^(p-1) mod p^3, which share one power table. Once the p^3
-    value is built, the p^2 one is read off it. Bell is capped at
-    p - 1 <= bell_cap and the tables at p <= bern_cap.
+    one for a whole window) and k!, 1/k! mod p for k < p from one
+    `_kernels._factorials` call, which the four mod-p tables, the inverses
+    and Der_{p-1} read; every quotient reduces them mod p^e. Bell_{p-1} and
+    the powers j^(p-1) are built at the lowest precision their readers need:
+    mod p^2 for Gertsch, Lerch, the Fermat-quotient sum, the Bell-Wilson sum
+    and Bell at e <= 2; mod p^3 only for Bell at e = 3 and sum_a a^(p-1)
+    mod p^3, which share one power table. Once the p^3 value is built, the
+    p^2 one is read off it. Bell is capped at p - 1 <= bell_cap and the
+    tables at p <= bern_cap.
     """
 
     def __init__(self, p: int,
@@ -127,19 +128,22 @@ class PrimeContext:
         return _kernels.bell_mod(p - 1, p * p, self.powers2)
 
     @cached_property
+    def factorials(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """((k! mod p), (1/k! mod p)) for k = 0..p-1: every table, inverse
+        and sum mod p below reads this one pair."""
+        return _kernels._factorials(self.p - 1, self.p)
+
+    @cached_property
     def bell_seq(self) -> list[int]:
         """Bell_0..Bell_{p+6} mod p, up to the Touchard window."""
         _require_cap("Bell row: p - 1", self.p - 1, self.bell_cap)
-        return _kernels.bell_seq_mod(self.p + 6, self.p)
+        return _kernels.bell_seq_mod(self.p + 6, self.p, self.factorials)
 
     @cached_property
     def inv(self) -> list[int]:
-        return _kernels.inverse_table(self.p)
-
-    @cached_property
-    def factorials(self) -> tuple[list[int], list[int]]:
-        """([k! mod p], [1/k! mod p]) for k = 0..p-2."""
-        return _kernels._factorials(self.p - 2, self.p)
+        """[0] + [1/k mod p for k = 1..p-1], 1/k = (k-1)!/k!."""
+        fact, inv_fact = self.factorials
+        return [0, *map(mod, map(mul, fact, inv_fact[1:]), repeat(self.p))]
 
     @cached_property
     def power_sum(self) -> int:
@@ -149,17 +153,19 @@ class PrimeContext:
     @cached_property
     def bern(self) -> BernoulliModTable:
         _require_cap("Bernoulli table: p", self.p, self.bern_cap)
-        return BernoulliModTable(self.p, tuple(_kernels.bernoulli_table_mod(self.p)))
+        return BernoulliModTable(
+            self.p, tuple(_kernels.bernoulli_table_mod(self.p, self.factorials)))
 
     @cached_property
     def greg(self) -> GregoryModTable:
         _require_cap("Gregory table: p", self.p, self.bern_cap)
-        return GregoryModTable(self.p, tuple(_kernels.gregory_table_mod(self.p)[1:]))
+        return GregoryModTable(
+            self.p, tuple(_kernels.gregory_table_mod(self.p, self.factorials)[1:]))
 
     @cached_property
     def stirling_row(self) -> list[int]:
         """S(p, 0..p) mod p."""
-        return _kernels.stirling2_row_mod(self.p, self.p)
+        return _kernels.stirling2_row_mod(self.p, self.p, self.factorials)
 
     # -- residues derived from them
 
@@ -251,7 +257,10 @@ class PrimeContext:
 
     @cached_property
     def der(self) -> int:
-        return int(derangement_mod(self.p - 1, self.p))
+        """Der_{p-1} mod p = -D_{p-1}, D_t = sum_{i<=t} (-1)^i/i!, as
+        Der_n = n! D_n and (p-1)! = -1 (mod p)."""
+        inv_fact = self.factorials[1]
+        return (sum(inv_fact[1::2]) - sum(inv_fact[0::2])) % self.p
 
     @cached_property
     def bern_over_index(self) -> list[int]:
@@ -278,7 +287,7 @@ class PrimeContext:
         """sum_{m=1}^{(p-3)/2} (B_{2m}/(2m)!) * (!(2m) - 1) mod p."""
         p, vals = self.p, self.bern.values
         fact, inv_fact = self.factorials
-        lf = list(accumulate(fact, initial=0))  # !k = sum_{j<k} j!, k <= p-1
+        lf = list(accumulate(fact, initial=0))  # !k = sum_{j<k} j!, k <= p
         return sum(vals[k] * inv_fact[k] * (lf[k] - 1) for k in range(2, p - 2, 2)) % p
 
     def agoh_sum(self, m: int) -> int:
@@ -421,6 +430,8 @@ class BernoulliModTable:
     values: tuple[int, ...]
 
     def value(self, k: int) -> int:
+        if not 0 <= k <= self.p - 2:
+            raise DomainError(f"Bernoulli table index out of range: {k}")
         return self.values[k]
 
     def __len__(self):
@@ -545,11 +556,7 @@ def harmonic_mod(p: int, n: int, k: int) -> Residue:
         raise DomainError(f"prime required, got {p}")
     if not 1 <= n <= p - 1:
         raise DomainError(f"harmonic_mod needs 1 <= n <= p-1, got n={n}")
-    inv = _kernels.inverse_table(p)
-    s = 0
-    for m in range(1, n + 1):
-        s = (s + pow(inv[m], k, p)) % p
-    return Residue(s, p)
+    return Residue(sum(pow(m, -k, p) for m in range(1, n + 1)) % p, p)
 
 
 def sun_zagier_sum(p: int, m: int) -> Residue:
@@ -593,14 +600,7 @@ class ResidueProfile:
     bernoulli_sums: tuple[int, int, int]  # (alternating, plain, even) index sums mod p
 
     def as_dict(self) -> dict:
-        return {
-            "p": self.p, "e": self.e, "k_mod": self.k_mod,
-            "bell_mod": self.bell_mod, "der_mod": self.der_mod,
-            "wilson_q": self.wilson_q, "gertsch_q": self.gertsch_q,
-            "fermat_q2": self.fermat_q2, "fermat_q3": self.fermat_q3,
-            "lerch_q": self.lerch_q, "ag_q": self.ag_q,
-            "bernoulli_sums": list(self.bernoulli_sums),
-        }
+        return {**asdict(self), "bernoulli_sums": list(self.bernoulli_sums)}
 
 
 def residue_profile(p: int, e: int = 1,

@@ -193,7 +193,9 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(f"corrupt checkpoint {path!r}: negative scanned "
                               "or elapsed_s")
     for h in ck.hits:
-        p = h[1] if isinstance(h, tuple) else h
+        m, p = h if isinstance(h, tuple) and len(h) == 2 else (0, h)
+        if type(m) is not int or type(p) is not int:
+            raise CheckpointError(f"corrupt checkpoint {path!r}: malformed hit {h!r}")
         if not ck.lo <= p <= ck.last_p:
             raise CheckpointError(
                 f"corrupt checkpoint {path!r}: hit {h} outside [{ck.lo}, last_p]")

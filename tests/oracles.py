@@ -6,10 +6,20 @@ Aitken triangle the Bell row and `bell_mod`, and the two recurrences the
 Bernoulli and Gregory power-series tables. `kurepa_gf_mod_py` checks the !p
 column mod p by the GF(p) falling-product form. `gertsch_split_py` checks
 Gertsch_p mod p at primes too large for the triangle, in O(p) without
-Bell_{p-1}. Only the tests import them.
+Bell_{p-1}. `inverse_table`, the recurrence 1/i = -(p // i) / (p mod i),
+feeds the two recurrences and the tables' congruence test; production reads
+1/k = (k-1)!/k! off the residue record's factorials. Only the tests import
+them.
 """
 
-from kurepa._kernels import inverse_table
+
+def inverse_table(p: int) -> list[int]:
+    """inv[1..p-1] mod p (inv[0] is a placeholder 0)."""
+    inv = [0] * p
+    inv[1] = 1
+    for i in range(2, p):
+        inv[i] = (p - p // i) * inv[p % i] % p
+    return inv
 
 
 def kurepa_mod_py(p: int, m: int) -> int:

@@ -93,22 +93,25 @@ class TestRunCatalog:
         assert agree == [3, 7]
 
     def test_one_primality_check_and_inverse_table_per_prime(self, monkeypatch):
-        primality, inverses = [], []
+        # the record's inverses, tables and Der_{p-1} read one k!, 1/k! pair
+        # mod p; bell_mod builds the other, mod p^2
+        primality, pairs = [], []
         original = modmath.is_prime
         for name, mod in list(sys.modules.items()):
             if name.startswith("kurepa") and getattr(mod, "is_prime", None) is original:
                 monkeypatch.setattr(mod, "is_prime",
                                     lambda n: primality.append(n) or original(n))
-        table, columns, blocks = K.inverse_table, K._factorial_columns, []
-        monkeypatch.setattr(K, "inverse_table",
-                            lambda p: inverses.append(p) or table(p))
+        factorials, columns, blocks = K._factorials, K._factorial_columns, []
+        monkeypatch.setattr(K, "_factorials",
+                            lambda n, m: pairs.append((n, m)) or factorials(n, m))
         monkeypatch.setattr(K, "_factorial_columns",
                             lambda ps, e: blocks.append(list(ps)) or columns(ps, e))
         res = C.run_catalog(3, 600)
         assert res.ok
         primes = list(modmath.iter_primes(3, 600))
         assert primality == primes
-        assert inverses == primes
+        assert sorted(pairs) == sorted([(p - 1, p) for p in primes]
+                                       + [(p - 1, p * p) for p in primes])
         assert blocks == [primes]  # one block pass for the window
 
     def test_composite_raises(self):

@@ -17,9 +17,14 @@ from kurepa import residues as R
 from kurepa.errors import InvariantViolation
 from kurepa.modmath import PrimeRange, fraction_residue, rational_residue, sieve_primes
 from oracles import (bell_seq_mod_py, bernoulli_table_mod_py, gregory_table_mod_py,
-                     kurepa_gf_mod_py, kurepa_mod_py)
+                     inverse_table, kurepa_gf_mod_py, kurepa_mod_py)
 
 PRIMES = [3, 5, 7, 11, 13, 17, 31, 97, 101, 563]
+
+
+def _facts(p: int) -> tuple:
+    """The k!, 1/k! mod p pair the table kernels read, as the record builds it."""
+    return K._factorials(p - 1, p)
 
 
 def test_factorial_mod():
@@ -49,7 +54,7 @@ def test_bell_mod():
 
 def test_inverse_table():
     for p in (3, 7, 101):
-        inv = K.inverse_table(p)
+        inv = inverse_table(p)
         for a in range(1, p):
             assert inv[a] * a % p == 1
 
@@ -62,7 +67,7 @@ class TestAgainstExact:
 
     def test_bernoulli_table(self):
         for p in (5, 13, 31, 97):
-            table = K.bernoulli_table_mod(p)
+            table = K.bernoulli_table_mod(p, _facts(p))
             assert len(table) == p - 1
             for k in range(p - 1):
                 want = rational_residue(exact.bernoulli_exact(k).numerator,
@@ -71,7 +76,7 @@ class TestAgainstExact:
 
     def test_gregory_table(self):
         for p in (3, 11, 31, 97):
-            table = K.gregory_table_mod(p)
+            table = K.gregory_table_mod(p, _facts(p))
             assert len(table) == p - 1
             for n in range(p - 1):
                 g = exact.gregory_exact(n)
@@ -339,8 +344,8 @@ def test_series_inv_matches_convolution(m):
 # binomial recurrence, which is what the Touchard checks C03 and C04 read.
 
 _SERIES = {
-    "bernoulli": (K.bernoulli_table_mod, bernoulli_table_mod_py),
-    "gregory": (K.gregory_table_mod, gregory_table_mod_py),
+    "bernoulli": (lambda p: K.bernoulli_table_mod(p, _facts(p)), bernoulli_table_mod_py),
+    "gregory": (lambda p: K.gregory_table_mod(p, _facts(p)), gregory_table_mod_py),
     "stirling": (lambda p: K.stirling2_row_mod(p, p),
                  lambda p: K.stirling2_row_mod_py(p, p)),
     "bell": (lambda p: K.bell_seq_mod(p + 6, p),
@@ -400,7 +405,7 @@ def test_primitive_root_against_brute_force_order():
 def test_bernoulli_table_matches_exact_at_seeded_large_primes():
     # p > 257 divides no denominator of B_k, k <= 256 (von Staudt-Clausen)
     for p in random.Random(20261020).sample(sieve_primes(20_000, 50_000), 3):
-        table = K.bernoulli_table_mod(p)
+        table = K.bernoulli_table_mod(p, _facts(p))
         assert len(table) == p - 1
         for k in range(257):
             assert table[k] == int(fraction_residue(exact.bernoulli_exact(k), p)), (p, k)
@@ -430,21 +435,22 @@ def test_series_tables_satisfy_congruences_at_large_prime():
     fs, ks = K._factorial_columns([p], 2)
     w = K.wilson_quotient(p, fs[0]) % p
     q2 = (pow(2, p - 1, p * p) - 1) // p
-    inv = K.inverse_table(p)
-    bern = K.bernoulli_table_mod(p)
+    facts = _facts(p)  # one pair for all four tables, as in the record
+    inv = inverse_table(p)
+    bern = K.bernoulli_table_mod(p, facts)
     t = [bern[k] * inv[k] % p for k in range(1, p - 1)]  # B_k/k, k = 1..p-2
     alternating = (1 + sum(x if k % 2 == 0 else -x for k, x in enumerate(t, 1))) % p
     plain = (1 + sum(t)) % p
     even = sum(t[1::2]) % p
     assert (alternating, plain, even) == ((w + 2) % p, (w + 1) % p, (w + inv[2]) % p)
-    greg = K.gregory_table_mod(p)
+    greg = K.gregory_table_mod(p, facts)
     # |G_n| = (-1)^(n-1) G_n
     s = sum(greg[n] * inv[n] * (1 if n % 2 else -1) for n in range(1, p - 1))
     assert s % p == (w + 2 * q2 - 1) % p
-    row = K.stirling2_row_mod(p, p)
+    row = K.stirling2_row_mod(p, p, facts)
     assert len(row) == p + 1 and row[:2] == [0, 1] and row[p] == 1
     assert not any(row[2:p])
-    bell = K.bell_seq_mod(p - 1, p)
+    bell = K.bell_seq_mod(p - 1, p, facts)
     assert len(bell) == p
     assert bell[-1] == (ks[0] + 1) % p == K.bell_mod(p - 1, p)
 

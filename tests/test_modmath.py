@@ -50,6 +50,12 @@ class TestSieve:
         assert list(iter_primes(9000, 11000, segment=64)) == brute_primes(9000, 11000)
         assert list(iter_primes(2, 300, segment=10)) == brute_primes(2, 300)
 
+    @pytest.mark.parametrize("segment", [0, -4])
+    def test_segment_below_one_rejected(self, segment):
+        # a segment of 0 once left the sieve looping on the same window
+        with pytest.raises(DomainError):
+            sieve_primes(3, 50, segment=segment)
+
     def test_sieve_upto(self):
         assert sieve_upto(1) == []
         assert sieve_upto(2) == [2]

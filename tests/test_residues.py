@@ -10,7 +10,8 @@ from kurepa import exact, residues as R
 from kurepa.errors import CapacityError, DomainError, InvariantViolation
 from kurepa.modmath import Residue, fraction_residue, iter_primes, mod_inv, sieve_primes
 from kurepa.residues import PrimeContext
-from oracles import gertsch_split_py, kurepa_gf_mod_py, kurepa_mod_py
+from oracles import (bell_seq_mod_py, bernoulli_table_mod_py, gertsch_split_py,
+                     gregory_table_mod_py, kurepa_gf_mod_py, kurepa_mod_py)
 
 
 class TestKurepaKernels:
@@ -125,6 +126,12 @@ class TestModTables:
             assert t.value(1) == int(fraction_residue(Fraction(-1, 2), p))
             for k in range(3, p - 1, 2):
                 assert t.value(k) == 0
+
+    @pytest.mark.parametrize("k", [-1, 6, 7])
+    def test_bernoulli_index_out_of_range(self, k):
+        # B_0..B_5 mod 7: a negative index must not wrap to the end
+        with pytest.raises(DomainError):
+            R.bernoulli_mod_table(7).value(k)
 
     def test_bernoulli_cap(self):
         with pytest.raises(CapacityError):
@@ -506,8 +513,20 @@ class TestPrimeContexts:
     def test_factorials_match_exact(self):
         for p in (3, 5, 7, 101):
             fact, inv_fact = PrimeContext(p).factorials
-            assert fact == [math.factorial(k) % p for k in range(p - 1)]
-            assert inv_fact == [pow(f, -1, p) for f in fact]
+            assert fact == tuple(math.factorial(k) % p for k in range(p))
+            assert inv_fact == tuple(pow(f, -1, p) for f in fact)
+
+    def test_record_reads_match_oracles(self):
+        # every mod-p value read off the record's one k!, 1/k! pair
+        seeded = random.Random(20261018).sample(sieve_primes(11, 3000), 30)
+        for ctx in R.prime_contexts([3, 5, 7] + seeded):
+            p = ctx.p
+            assert list(ctx.bern.values) == bernoulli_table_mod_py(p), p
+            assert list(ctx.greg.values) == gregory_table_mod_py(p)[1:], p
+            assert ctx.stirling_row == K.stirling2_row_mod_py(p, p), p
+            assert ctx.bell_seq == bell_seq_mod_py(p + 6, p), p
+            assert ctx.inv == [0] + [pow(k, -1, p) for k in range(1, p)], p
+            assert ctx.der == int(R.derangement_mod(p - 1, p)), p
 
     def test_caps_reach_the_records(self):
         ctx = next(R.prime_contexts([101], bell_cap=10, bern_cap=20))

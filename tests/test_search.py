@@ -151,6 +151,18 @@ class TestCheckpointing:
         with pytest.raises(CheckpointError):
             S.load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("hit", ["abc", None, [5], [2, 3, 101], [2.5, 101], 101.0])
+    def test_malformed_hit_rejected(self, tmp_path, hit):
+        path = tmp_path / "ck.json"
+        path.write_text(json.dumps({**self.VALID, "last_p": 1000, "hits": [[2, 101]]}))
+        S.load_checkpoint(str(path))
+        path.write_text(json.dumps({**self.VALID, "last_p": 1000, "hits": [hit]}))
+        with pytest.raises(CheckpointError):
+            S.load_checkpoint(str(path))
+        with pytest.raises(CheckpointError):
+            S.run_campaign("wilson_zero", 100, 1000, checkpoint_path=str(path),
+                           resume=True)
+
     def test_last_p_bounds_load(self, tmp_path):
         path = tmp_path / "ck.json"
         for last_p in (99, 1000):
