@@ -1,11 +1,13 @@
 """Low-level kernels in pure Python.
 
 The Bell-row, Bernoulli, Gregory and Stirling tables are power series mod m:
-`_series_mul` multiplies two coefficient lists with one big-int product
-(Kronecker substitution, after Harvey 2009), moving the coefficients in and
-out of their w-byte slots through 8-byte `array` words by w strided slice
-copies, so no Python loop runs per coefficient; `_series_inv` inverts a
-series by Newton iteration, as Buhler, Crandall, Ernvall, Metsankyla and
+`_series_mul` multiplies two coefficient lists by Kronecker substitution
+(Harvey 2009), one big-int product for short lists (KS1) and two of half
+the size for long ones (KS2), moving the coefficients in and out of their
+w-byte slots through 8-byte `array` words by w strided slice copies, so no
+Python loop runs per coefficient; `_series_inv` solves a series inverse's
+first coefficients directly and the rest by Newton iteration at precisions
+halved from the top down, as Buhler, Crandall, Ernvall, Metsankyla and
 Shokrollahi (2001) do for Bernoulli numbers mod p. The Bernoulli table
 inverts a series of half its length, y coth y in u = y^2, since the odd B_k
 vanish. At a prime modulus the Bell row is a length-(p-1) DFT over F_p,
@@ -65,9 +67,21 @@ def stirling2_row_mod_py(n: int, m: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Power series mod m
 
+# Up to this many terms the Bell recurrence and the series inverse solve
+# their coefficients directly, one C-level sum per coefficient.
+_LEAF_TERMS = 32
+# From this many terms in the shorter operand a series product is two
+# half-size big-int multiplies (KS2) instead of one (KS1). CPython's
+# Karatsuba multiply costs n^1.58, so two halves cost about 2/3 of the
+# whole; below this size the extra packing outweighs that (measured with
+# Python 3.11 on a 2-core x86-64 host: KS2 1.0-1.2x KS1's time at 128-192
+# terms, 0.8-0.9x at 256-512).
+_KS2_TERMS = 256
+
+
 def _series_mul(a: list[int], b: list[int], n: int, m: int) -> list[int]:
     """The first n coefficients of a(x) * b(x) mod m, for coefficients in
-    [0, m), from one big-int product.
+    [0, m), from big-int products (Kronecker substitution).
 
     Each list is packed into an int, one coefficient per w-byte slot. A
     product coefficient is a sum of at most min(len a, len b) products below
@@ -75,12 +89,30 @@ def _series_mul(a: list[int], b: list[int], n: int, m: int) -> list[int]:
     w is that bound's byte length and is not rounded up to a word: a wider
     slot would make the multiply itself larger. For w <= 8 `_pack` and
     `_unpack` convert between slots and 8-byte words with w slice copies.
+
+    Below `_KS2_TERMS` terms in the shorter operand this is one product at
+    x = 2^(8w) (Harvey's KS1). From there on it is two products of half the
+    size at x = +-2^(4w) (Harvey's KS2, 2009): with the even and odd
+    coefficients packed apart, A(+-x) = E +- (O << 4w); then
+    h+ + h- = 2 sum_k c_2k 2^(8wk) and h+ - h- = 2^(4w+1) sum_k c_2k+1 2^(8wk),
+    the two halves of the product in w-byte slots again.
     """
     a, b = a[:n], b[:n]
-    w = (2 * (m - 1).bit_length() + min(len(a), len(b)).bit_length() + 7) // 8
-    slots = max(n, len(a) + len(b))
-    buf = (_pack(a, w) * _pack(b, w)).to_bytes(slots * w, "little")
-    return _unpack(buf, n, w, m)
+    short = min(len(a), len(b))
+    w = (2 * (m - 1).bit_length() + short.bit_length() + 7) // 8
+    if short < _KS2_TERMS:
+        slots = max(n, len(a) + len(b))
+        buf = (_pack(a, w) * _pack(b, w)).to_bytes(slots * w, "little")
+        return _unpack(buf, n, w, m)
+    s = 4 * w
+    ea, oa = _pack(a[0::2], w), _pack(a[1::2], w) << s
+    eb, ob = _pack(b[0::2], w), _pack(b[1::2], w) << s
+    hp, hm = (ea + oa) * (eb + ob), (ea - oa) * (eb - ob)
+    size = (max(n, len(a) + len(b)) + 1) // 2 * w
+    c = [0] * n
+    c[0::2] = _unpack(((hp + hm) >> 1).to_bytes(size, "little"), (n + 1) // 2, w, m)
+    c[1::2] = _unpack(((hp - hm) >> (s + 1)).to_bytes(size, "little"), n // 2, w, m)
+    return c
 
 
 # Slots wider than a word (m^2 * len above 2^64: m above about 2^24 for 5e4
@@ -119,13 +151,21 @@ def _unpack(buf: bytes, n: int, w: int, m: int) -> list[int]:
 def _series_inv(f: list[int], n: int, m: int) -> list[int]:
     """The first n coefficients of 1/f(x) mod m; f[0] must be a unit mod m.
 
-    Newton iteration: if f*g = 1 + x^h * e (mod x^2h), then g - x^h * g*e
-    is the inverse mod x^2h.
+    The first coefficients, up to `_LEAF_TERMS` of them, are solved directly:
+    g_k = -g_0 sum_{j=1..k} f_j g_(k-j). Newton iteration then runs at the
+    precisions ..., ceil(n/4), ceil(n/2), n, each step from h to k <= 2h
+    terms: if f*g = 1 + x^h * e (mod x^k), then g - x^h * g*e is the
+    inverse mod x^k. No step computes a coefficient past n.
     """
-    g = [pow(f[0], -1, m)]
-    while len(g) < n:
+    sizes = [n]
+    while sizes[-1] > _LEAF_TERMS:
+        sizes.append((sizes[-1] + 1) // 2)
+    g0 = pow(f[0], -1, m)
+    g = [g0]
+    for k in range(1, sizes.pop()):
+        g.append(-g0 * sum(map(mul, f[1:k + 1], reversed(g))) % m)
+    for k in reversed(sizes):
         h = len(g)
-        k = min(2 * h, n)
         e = _series_mul(f, g, k, m)[h:]
         g += [-c % m for c in _series_mul(g, e, k - h, m)]
     return g
@@ -164,9 +204,6 @@ def _powers(n: int, e: int, m: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Tables and Bell values mod m
-
-_LEAF_TERMS = 32  # below this many terms the Bell recurrence runs directly
-
 
 def _alternating_sums(inv_fact, m: int) -> list[int]:
     """[D_t for t < len(inv_fact)], D_t = sum_{i<=t} (-1)^i/i! from

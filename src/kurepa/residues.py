@@ -86,6 +86,7 @@ class PrimeContext:
         self.p = p
         self.bell_cap = bell_cap
         self.bern_cap = bern_cap
+        self._agoh_even = {}  # E(y) of `agoh_sum`, by y = x^2 mod p
 
     # -- base values, built once
 
@@ -292,8 +293,18 @@ class PrimeContext:
 
     def agoh_sum(self, m: int) -> int:
         """sum_{k=1}^{p-2} m^(-k) B_k/k mod p; at -m it is the alternating
-        sum of (-1)^k m^(-k) B_k/k. The sum is 0 when p divides m."""
-        return _horner(self.bern_over_index[1:], self.inv[m % self.p], self.p)
+        sum of (-1)^k m^(-k) B_k/k. The sum is 0 when p divides m.
+
+        The odd B_k vanish past B_1, so with x = 1/m the sum is
+        x B_1 + E(x^2), E(y) = sum_j y^j B_2j/(2j): a Horner pass of half
+        the table's length, cached by x^2 mod p, which m and -m share.
+        """
+        p = self.p
+        x = self.inv[m % p]
+        y = x * x % p
+        if y not in self._agoh_even:
+            self._agoh_even[y] = _horner(self.bern_over_index[2::2], y, p)
+        return (x * self.bern_over_index[1] + self._agoh_even[y]) % p
 
     def sun_zagier(self, m: int) -> int:
         """sum_{0<k<p} Bell_k / (-m)^k mod p, for p not dividing m."""
@@ -397,9 +408,11 @@ def wilson_quotient_mod(p: int, e: int = 1) -> Residue:
 
 
 def fermat_quotient_mod(p: int, a: int, e: int = 1) -> Residue:
-    """q_p(a) = (a^(p-1) - 1)/p reduced mod p^e; O(log p)."""
+    """q_p(a) = (a^(p-1) - 1)/p reduced mod p^e, e >= 1; O(log p)."""
     if not is_prime(p):
         raise DomainError(f"prime required, got {p}")
+    if e < 1:
+        raise DomainError(f"modulus power must be >= 1, got {e}")
     return Residue(_fermat_quotient(p, a, e), p ** e)
 
 

@@ -9,13 +9,14 @@ uninterrupted run would have produced.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import _kernels, config
-from .errors import CheckpointError, DomainError
+from .errors import CheckpointError, DomainError, EmptyRangeError
 from .modmath import iter_primes
 
 __all__ = [
@@ -189,9 +190,9 @@ def load_checkpoint(path: str) -> Checkpoint:
     if not ck.lo - 1 <= ck.last_p <= ck.hi:
         raise CheckpointError(f"corrupt checkpoint {path!r}: last_p {ck.last_p} "
                               f"outside [{ck.lo - 1}, {ck.hi}]")
-    if ck.scanned < 0 or ck.elapsed_s < 0:
+    if ck.scanned < 0 or not 0 <= ck.elapsed_s < math.inf:
         raise CheckpointError(f"corrupt checkpoint {path!r}: negative scanned "
-                              "or elapsed_s")
+                              "or elapsed_s, or non-finite elapsed_s")
     for h in ck.hits:
         m, p = h if isinstance(h, tuple) and len(h) == 2 else (0, h)
         if type(m) is not int or type(p) is not int:
@@ -222,6 +223,11 @@ def _scan_block(campaign: Campaign, primes: list[int], params: dict,
     return campaign.scan(primes, cols, params)
 
 
+def _require_range(lo: int, hi: int):
+    if hi < lo:
+        raise EmptyRangeError(f"empty prime range [{lo}, {hi}]")
+
+
 def run_campaign(name: str, lo: int, hi: int, *,
                  checkpoint_path: Optional[str] = None,
                  resume: bool = False,
@@ -244,11 +250,12 @@ def run_campaign(name: str, lo: int, hi: int, *,
     produce hits identical to uninterrupted ones. stop_after_blocks is a
     testing hook that abandons the scan early (after flushing), simulating a
     kill at a checkpoint boundary. Scans run on one thread; `workers`
-    accepts only 1.
+    accepts only 1. An empty range, hi < lo, raises EmptyRangeError.
     """
     if name not in CAMPAIGNS:
         raise DomainError(f"unknown campaign {name!r}; "
                           f"known: {', '.join(sorted(CAMPAIGNS))}")
+    _require_range(lo, hi)
     if stride < 1:
         raise DomainError("stride must be >= 1")
     if workers != 1:
@@ -309,6 +316,7 @@ def run_sharded(name: str, lo: int, hi: int, shards: int, *,
     shard that has a file continues from it and the others start afresh.
     The merged last_p is the end of the processed prefix of [lo, hi].
     """
+    _require_range(lo, hi)
     if shards < 1:
         raise DomainError("shards must be >= 1")
     if resume and not checkpoint_path:

@@ -130,6 +130,25 @@ class TestSearch:
         assert code == 2
         assert "corrupt" in err
 
+    def test_empty_range_exits_2(self, capsys, tmp_path):
+        ck = str(tmp_path / "ck.json")
+        code, out, err = run(capsys, "search", "wilson_zero", "--from", "50",
+                             "--to", "10", "--checkpoint", ck)
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("elapsed", ["NaN", "Infinity"])
+    def test_non_finite_elapsed_resume_exits_2(self, capsys, tmp_path, elapsed):
+        ck = tmp_path / "ck.json"
+        ck.write_text('{"version": 1, "campaign": "wilson_zero", "lo": 3, '
+                      '"hi": 100, "last_p": 50, "hits": [5, 13], '
+                      f'"elapsed_s": {elapsed}, "scanned": 14}}')
+        code, out, err = run(capsys, "search", "wilson_zero", "--to", "100",
+                             "--checkpoint", str(ck), "--resume")
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+        assert elapsed in ck.read_text()  # not written back
+
     def test_qpm_pairs(self, capsys):
         code, out, _ = run(capsys, "search", "qpm_zero", "--to", "37",
                            "--m-max", "20")

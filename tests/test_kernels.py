@@ -140,7 +140,7 @@ def test_bell_mod_non_unit_factorial_uses_triangle():
 
 
 @pytest.mark.parametrize("c", [4, 9, 15, 21, 25])
-def test_gertsch_wilson_scan_rejects_composite(c):
+def test_gertsch_wilson_column_rejects_composite(c):
     ks = next(K.run_columns([[c]], 2))[1]
     with pytest.raises(InvariantViolation):
         K.gertsch_column([c], ks)
@@ -287,7 +287,7 @@ def test_column_campaign_hits_match_loops(name):
 
 
 @pytest.mark.parametrize("block", [[4], [9], [15], [21], [25], [7, 9, 11]])
-def test_wilson_scan_rejects_composite(block):
+def test_wilson_column_rejects_composite(block):
     fs = next(K.run_columns([block], 2))[0]
     with pytest.raises(InvariantViolation):
         K.wilson_column(block, fs)
@@ -306,22 +306,31 @@ def _convolution(a, b, n, m):
     return [x % m for x in c]
 
 
-_L = 25  # min(len a, len b) in every nonempty case below; bits(_L) = 5
+_L = 25  # min(len a, len b) in every nonempty one-product case below; bits(_L) = 5
 _SERIES_MODULI = sorted({2 ** ((8 * w - _L.bit_length()) // 2) - d
                          for w in range(1, 10) for d in (0, 1) if (w, d) != (1, 1)}
                         | {12, 49, 101 * 101, 2 ** 31 - 1})
+_K = K._KS2_TERMS
+# The shorter operand at the KS2 crossover and one term either side, with
+# odd and even lengths and n: the two-product route splits by parity.
+_KS2_SHAPES = [(_K - 1, _K + 1, 2 * _K - 1),  # one product; n = len a + len b - 1
+               (_K, _K, 2 * _K - 1),          # odd n = len a + len b - 1
+               (_K + 1, _K, 2 * _K),          # even n = len a + len b - 1
+               (_K + 1, _K + 1, _K + 2),      # n below the product's end
+               (2 * _K, _K + 1, _K + 1),      # n = len b < len a
+               (_K, _K + 1, 2 * _K + 9)]      # n past the product's last coefficient
 _SERIES_SHAPES = [(40, 25, 64),   # n = len a + len b - 1
                   (40, 25, 30),   # len b < n < len a
                   (25, 40, 20),   # n below both lengths
                   (25, 40, 70),   # n past the product's last coefficient
                   (25, 25, 25),
-                  (40, 25, 0)]
+                  (40, 25, 0),
+                  *_KS2_SHAPES]
 
 
-@pytest.mark.parametrize("m", _SERIES_MODULI)
-def test_series_mul_matches_convolution(m):
+def _series_mul_matches_convolution(m, shapes):
     rng = random.Random(m)
-    for la, lb, n in _SERIES_SHAPES:
+    for la, lb, n in shapes:
         for a, b in (([m - 1] * la, [m - 1] * lb),
                      ([rng.randrange(m) for _ in range(la)],
                       [rng.randrange(m) for _ in range(lb)])):
@@ -329,9 +338,27 @@ def test_series_mul_matches_convolution(m):
 
 
 @pytest.mark.parametrize("m", _SERIES_MODULI)
+def test_series_mul_matches_convolution(m):
+    _series_mul_matches_convolution(m, _SERIES_SHAPES)
+
+
+# p^e on seeded primes, and one modulus whose slots are wider than a word
+@pytest.mark.parametrize("m", [p ** e for p in random.Random(20261018).sample(
+    sieve_primes(3, 60_000), 2) for e in (1, 2, 3)] + [(2 ** 61 - 1) ** 2])
+def test_series_mul_two_products_match_convolution(m):
+    _series_mul_matches_convolution(m, _KS2_SHAPES)
+
+
+_LEAF = K._LEAF_TERMS
+
+
+@pytest.mark.parametrize("m", _SERIES_MODULI)
 def test_series_inv_matches_convolution(m):
     rng = random.Random(-m)
-    for n, length in ((1, 1), (2, 5), (37, 37), (100, 100), (60, 3)):
+    for n, length in ((1, 1), (2, 5), (37, 37), (100, 100), (60, 3),
+                      (_LEAF - 1, _LEAF - 1), (_LEAF, _LEAF), (_LEAF + 1, _LEAF + 1),
+                      (63, 63), (65, 65), (127, 127), (129, 129), (511, 511),
+                      (513, 513), (3000, 300)):
         f = [rng.randrange(m) for _ in range(length)]
         f[0] = next(u for u in range(m - 1, 0, -1) if math.gcd(u, m) == 1)
         g = K._series_inv(f, n, m)

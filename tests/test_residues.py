@@ -81,6 +81,11 @@ class TestQuotientKernels:
         with pytest.raises(DomainError):
             R.fermat_quotient_mod(7, 14)
 
+    @pytest.mark.parametrize("e", [0, -1])
+    def test_fermat_power_below_one_rejected(self, e):
+        with pytest.raises(DomainError):
+            R.fermat_quotient_mod(7, 2, e)
+
     def test_fermat_matches_exact(self):
         for p in (5, 7, 13):
             for a in range(1, p):
@@ -577,5 +582,5 @@ class TestPrimeContexts:
             for m in range(1, 7):
                 if m % p:
                     assert ctx.sun_zagier(m) == self._sun_zagier_loop(ctx, m), (p, m)
-            for m in (1, 2, 3, 4, 5, -1, -2, -3, -4, -5):
+            for m in [*range(-8, 0), *range(1, 9), 0, p, -2 * p]:
                 assert ctx.agoh_sum(m) == self._agoh_sum_loop(ctx, m), (p, m)

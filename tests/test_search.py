@@ -6,7 +6,7 @@ import pytest
 
 from kurepa import _kernels as K
 from kurepa import search as S
-from kurepa.errors import CheckpointError, DomainError
+from kurepa.errors import CheckpointError, DomainError, EmptyRangeError
 from kurepa.modmath import iter_primes
 
 
@@ -142,7 +142,8 @@ class TestCheckpointing:
 
     @pytest.mark.parametrize("field, value", [
         ("last_p", 1), ("last_p", 98), ("last_p", 1001), ("last_p", 5000),
-        ("scanned", -3), ("elapsed_s", -0.5)])
+        ("scanned", -3), ("elapsed_s", -0.5), ("elapsed_s", float("nan")),
+        ("elapsed_s", float("inf")), ("elapsed_s", float("-inf"))])
     def test_out_of_range_state_rejected(self, tmp_path, field, value):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(self.VALID))
@@ -176,6 +177,16 @@ class TestCheckpointing:
         with pytest.raises(CheckpointError):
             S.run_campaign("wilson_zero", 100, 1000, checkpoint_path=str(path),
                            resume=True)
+
+    @pytest.mark.parametrize("run", [
+        S.run_campaign, lambda *a, **kw: S.run_sharded(*a, shards=2, **kw)],
+        ids=["run_campaign", "run_sharded"])
+    def test_empty_range_rejected(self, tmp_path, run):
+        path = tmp_path / "ck.json"
+        with pytest.raises(EmptyRangeError):
+            run("wilson_zero", 50, 10, checkpoint_path=str(path))
+        assert not os.path.exists(path)
+        assert run("wilson_zero", 50, 50).hits == []
 
     def test_resume_wrong_campaign(self, tmp_path):
         path = str(tmp_path / "ck.json")
