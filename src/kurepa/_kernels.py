@@ -21,6 +21,7 @@ O(p) per prime. (p-1)! mod p^e and !p mod p^e have one route, the run tree
 `run_columns`: a campaign run passes it all its checkpoint blocks and reads
 one block's columns per step; `_factorial_columns` is its one-block case,
 which `residues.prime_contexts` and a lone `residues.PrimeContext` call.
+Its steps compose in `_then` alone, where another big-integer backend goes.
 `wilson_column` and `gertsch_column` turn a campaign's columns mod p^2 into
 W_p and Gertsch_p mod p. The three quotients by p, `fermat_quotient`,
 `wilson_quotient` and `gertsch_quotient`, each check that p divides their
@@ -269,7 +270,7 @@ def bell_seq_mod(n: int, m: int, facts: tuple | None = None) -> list[int]:
     solved by divide and conquer: the left half's terms reach the right half
     in one series product. Past the last unit index t, Bell_{r+1} =
     sum_k C(r,k) Bell_k, the row C(t, .) from factorials and each next row by
-    Pascal's rule, O(r) per value (Bell_p..Bell_{p+6} mod p, or small
+    Pascal's rule, O(r) per value (Bell_p..Bell_{p+5} mod p, or small
     composite m).
     """
     top = _unit_top(n, m)
@@ -414,12 +415,22 @@ def wilson_quotient(p: int, f: int) -> int:
 # The state at n is (f, s) = ((n-1)!, sum_{k<n} k!), and step k maps it to
 # (k*f, s + k*f); at n = p it holds ((p-1)!, !p). The steps k = a..b-1
 # compose to f -> P*f, s -> s + Q*f with P = a(a+1)...(b-1) and
-# Q = sum_{j=a}^{b-1} a(a+1)...j; two adjacent spans compose as
-# (P1*P2, Q1 + P1*Q2). The states at a run's primes come from one
-# accumulating remainder tree (Costa, Gerbicz and Harvey, for Wilson
-# quotients; Andrejic, Bostan and Tatarevic, for left factorials).
+# Q = sum_{j=a}^{b-1} a(a+1)...j; a state is the steps from n = 1. `_then`
+# alone composes two spans, so another big-integer backend goes there. The
+# states at a run's primes come from one accumulating remainder tree (Costa,
+# Gerbicz and Harvey, for Wilson quotients; Andrejic, Bostan and Tatarevic,
+# for left factorials).
 
 _LEAF_STEPS = 32
+
+
+def _then(x: tuple[int, int], y: tuple[int, int], m=None) -> tuple[int, int]:
+    """The steps x followed by the steps y, (P1*P2, Q1 + P1*Q2), reduced
+    mod m, or exact for m None."""
+    (p1, q1), (p2, q2) = x, y
+    if m is None:
+        return p1 * p2, q1 + p1 * q2
+    return p1 * p2 % m, (q1 + p1 * q2) % m
 
 
 def _steps(a: int, b: int) -> tuple[int, int]:
@@ -431,9 +442,7 @@ def _steps(a: int, b: int) -> tuple[int, int]:
             q += prod
         return prod, q
     mid = (a + b) // 2
-    p1, q1 = _steps(a, mid)
-    p2, q2 = _steps(mid, b)
-    return p1 * p2, q1 + p1 * q2
+    return _then(_steps(a, mid), _steps(mid, b))
 
 
 def _product_tree(nodes: list, i: int, j: int) -> tuple:
@@ -451,53 +460,43 @@ def _moduli(ps: list[int], e: int) -> tuple:
     return _product_tree([(p ** e,) for p in ps], 0, len(ps))
 
 
-def _block(node: tuple, ps: list[int], i: int, j: int, f: int, s: int,
+def _block(node: tuple, ps: list[int], i: int, j: int, x: tuple[int, int],
            out: list, c=None):
     """Fill out[i:j] with the states at ps[i], ..., ps[j-1], given the state
-    at ps[i] reduced mod node's modulus; ps may hold one entry past the
+    x at ps[i] reduced mod node's modulus; ps may hold one entry past the
     block's primes, the next block's first. Return the (P, Q) of the steps
     from ps[i] to ps[j], reduced mod c (exact for c None), or None when ps
     ends at j."""
     if j - i == 1:
-        out[i] = (f, s)
+        out[i] = x
         return _steps(ps[i], ps[j]) if j < len(ps) else None
     _, left, right = node
     mid = (i + j) // 2
-    pl, ql = _block(left, ps, i, mid, f % left[0], s % left[0], out)
-    m = right[0]
-    span = _block(right, ps, mid, j, f * pl % m, (s + f * ql) % m, out, c)
-    if span is None:
-        return None
-    pr, qr = span
-    if c is None:
-        return pl * pr, ql + pl * qr
-    return pl * pr % c, (ql + pl * qr) % c
+    span = _block(left, ps, i, mid, (x[0] % left[0], x[1] % left[0]), out)
+    rest = _block(right, ps, mid, j, _then(x, span, right[0]), out, c)
+    return None if rest is None else _then(span, rest, c)
 
 
-def _walk(node: tuple, blocks: list, e: int, i: int, j: int, f: int, s: int,
-          c):
-    """Yield the columns mod p^e of blocks[i:j] in order, given the state at
-    their first prime reduced mod node's modulus. Return the (P, Q) of the
-    steps from blocks[i][0] to blocks[j][0] reduced mod c, the product of
-    the moduli that read it, or None when nothing does (c None)."""
+def _walk(node: tuple, blocks: list, e: int, i: int, j: int,
+          x: tuple[int, int], c):
+    """Yield the columns mod p^e of blocks[i:j] in order, given the state x
+    at their first prime reduced mod node's modulus. Return the (P, Q) of
+    the steps from blocks[i][0] to blocks[j][0] reduced mod c, the product
+    of the moduli that read it, or None when nothing does (c None)."""
     if j - i == 1:
         ps = blocks[i]
         out = [None] * len(ps)
         span = _block(_moduli(ps, e), ps if c is None else ps + blocks[j][:1],
-                      0, len(ps), f, s, out, c)
-        yield [x[0] for x in out], [x[1] for x in out]
+                      0, len(ps), x, out, c)
+        yield [y[0] for y in out], [y[1] for y in out]
         return span
     _, left, right = node
     mid = (i + j) // 2
-    m = right[0]
-    pl, ql = yield from _walk(left, blocks, e, i, mid, f % left[0],
-                              s % left[0], m if c is None else m * c)
-    span = yield from _walk(right, blocks, e, mid, j, f * pl % m,
-                            (s + f * ql) % m, c)
-    if span is None:
-        return None
-    pr, qr = span
-    return pl * pr % c, (ql + pl * qr) % c
+    lm, m = left[0], right[0]
+    span = yield from _walk(left, blocks, e, i, mid, (x[0] % lm, x[1] % lm),
+                            m if c is None else m * c)
+    rest = yield from _walk(right, blocks, e, mid, j, _then(x, span, m), c)
+    return None if rest is None else _then(span, rest, c)
 
 
 def run_columns(blocks: list[list[int]], e: int):
@@ -518,12 +517,11 @@ def run_columns(blocks: list[list[int]], e: int):
     # again when it is reached, so one is held at a time
     tree = _product_tree([(_moduli(ps, e)[0],) for ps in blocks], 0, len(blocks))
     m, first = tree[0], blocks[0][0]
-    f = s = 1 % m
+    x = (1 % m, 1 % m)
     width = max(_LEAF_STEPS, m.bit_length() // first.bit_length())
     for a in range(1, first, width):
-        prod, q = _steps(a, min(a + width, first))
-        f, s = f * prod % m, (s + f * q) % m
-    yield from _walk(tree, blocks, e, 0, len(blocks), f, s, None)
+        x = _then(x, _steps(a, min(a + width, first)), m)
+    yield from _walk(tree, blocks, e, 0, len(blocks), x, None)
 
 
 def _factorial_columns(primes, e: int) -> tuple[list[int], list[int]]:

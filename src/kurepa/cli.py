@@ -133,7 +133,7 @@ def cmd_search(args) -> int:
         stride=args.stride, params=params)
     print(json.dumps({
         "campaign": ck.campaign, "lo": ck.lo, "hi": ck.hi,
-        "hits": [list(h) if isinstance(h, tuple) else h for h in ck.hits],
+        "hits": ck.hits,
         "scanned": ck.scanned, "elapsed_s": round(ck.elapsed_s, 3),
         "primes_per_second": round(ck.primes_per_second, 1),
     }))

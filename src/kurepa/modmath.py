@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterator
 
 from . import config
@@ -258,20 +259,18 @@ def sieve_upto(n: int) -> list[int]:
     return [i for i in range(n + 1) if sieve[i]]
 
 
-def iter_primes(lo: int, hi: int,
-                segment: int = config.SIEVE_SEGMENT) -> Iterator[int]:
+def iter_primes(lo: int, hi: int) -> Iterator[int]:
     """Yield the primes in [lo, hi] ascending via a segmented sieve.
 
-    Memory stays bounded by the segment length plus the base primes up to
-    sqrt(hi), so a reader that streams them never holds a full-range sieve.
-    The Fermat-quotient campaigns stream; a campaign run that reads the
-    factorial columns lists all its primes, because its remainder tree
-    needs every block's modulus before the first block.
+    Memory stays bounded by the segment length `config.SIEVE_SEGMENT`, read
+    at call time, plus the base primes up to sqrt(hi), so a reader that
+    streams them never holds a full-range sieve. The Fermat-quotient
+    campaigns stream; a campaign run that reads the factorial columns lists
+    all its primes, because its remainder tree needs every block's modulus
+    before the first block.
     """
     if lo < 2:
         raise DomainError(f"range must start at 2 or above, got lo={lo}")
-    if segment < 1:
-        raise DomainError(f"sieve segment must be >= 1, got {segment}")
     if hi < lo:
         raise EmptyRangeError(f"empty prime range [{lo}, {hi}]")
     base = sieve_upto(math.isqrt(hi))
@@ -279,7 +278,7 @@ def iter_primes(lo: int, hi: int,
         for p in base:
             if lo <= p <= hi:
                 yield p
-    start = max(lo, math.isqrt(hi) + 1)
+    start, segment = max(lo, math.isqrt(hi) + 1), config.SIEVE_SEGMENT
     while start <= hi:
         end = min(start + segment - 1, hi)
         block = bytearray([1]) * (end - start + 1)
@@ -288,16 +287,13 @@ def iter_primes(lo: int, hi: int,
             if first > end:
                 continue
             block[first - start:: p] = bytearray(len(range(first, end + 1, p)))
-        for i, flag in enumerate(block):
-            if flag:
-                yield start + i
+        yield from compress(range(start, end + 1), block)
         start = end + 1
 
 
-def sieve_primes(lo: int, hi: int,
-                 segment: int = config.SIEVE_SEGMENT) -> list[int]:
+def sieve_primes(lo: int, hi: int) -> list[int]:
     """The primes in [lo, hi], ascending."""
-    return list(iter_primes(lo, hi, segment))
+    return list(iter_primes(lo, hi))
 
 
 @dataclass(frozen=True)

@@ -136,9 +136,9 @@ class PrimeContext:
 
     @cached_property
     def bell_seq(self) -> list[int]:
-        """Bell_0..Bell_{p+6} mod p, up to the Touchard window."""
+        """Bell_0..Bell_{p+5} mod p, up to the Touchard window."""
         _require_cap("Bell row: p - 1", self.p - 1, self.bell_cap)
-        return _kernels.bell_seq_mod(self.p + 6, self.p, self.factorials)
+        return _kernels.bell_seq_mod(self.p + 5, self.p, self.factorials)
 
     @cached_property
     def inv(self) -> list[int]:
@@ -367,7 +367,7 @@ def bell_sequence_mod(n: int, m: int) -> list[int]:
     come from one chirp-z series product; otherwise Bell_k = k! [x^k] of
     exp(e^x - 1) by series products while k! is a unit mod m. Then
     Bell_{r+1} = sum_k C(r,k) Bell_k at O(r) per value (the Touchard window
-    Bell_p..Bell_{p+6} mod p, say)."""
+    Bell_p..Bell_{p+5} mod p, say)."""
     if n < 0:
         raise DomainError("bell needs n >= 0")
     _require_modulus(m)

@@ -156,7 +156,7 @@ class Checkpoint:
         return json.dumps({
             "campaign": self.campaign, "lo": self.lo, "hi": self.hi,
             "last_p": self.last_p,
-            "hits": [list(h) if isinstance(h, tuple) else h for h in self.hits],
+            "hits": self.hits,
             "elapsed_s": round(self.elapsed_s, 6),
             "scanned": self.scanned,
             "version": self.version,
@@ -179,10 +179,15 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointError(
                 f"unsupported checkpoint version {obj.get('version')!r}")
         hits = [tuple(h) if isinstance(h, list) else h for h in obj["hits"]]
-        ck = Checkpoint(campaign=obj["campaign"], lo=int(obj["lo"]),
-                        hi=int(obj["hi"]), last_p=int(obj["last_p"]),
-                        hits=hits, elapsed_s=float(obj["elapsed_s"]),
-                        scanned=int(obj.get("scanned", 0)))
+        nums = {k: obj[k] for k in ("lo", "hi", "last_p", "elapsed_s")}
+        nums["scanned"] = obj.get("scanned", 0)
+        for k, v in nums.items():
+            # bool is an int subclass, so compare the exact type
+            if type(v) is not int and not (k == "elapsed_s" and type(v) is float):
+                raise CheckpointError(
+                    f"corrupt checkpoint {path!r}: {k} {v!r} has the wrong type")
+        nums["elapsed_s"] = float(nums["elapsed_s"])
+        ck = Checkpoint(campaign=obj["campaign"], hits=hits, **nums)
     except CheckpointError:
         raise
     except (OSError, ValueError, KeyError, TypeError) as e:

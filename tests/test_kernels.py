@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kurepa import _kernels as K
 from kurepa import adele as A
@@ -192,6 +193,39 @@ def test_factorial_columns_match_exact_left_factorial():
         assert fs == [math.factorial(p - 1) % p ** e for p in primes]
 
 
+# The tree's one composition rule: `_then` joins adjacent spans into the
+# span over both, and its reduced form is the exact result reduced.
+
+# span lengths around _LEAF_STEPS, and up to a few thousand steps
+_GAPS = st.one_of(st.sampled_from([0, 1, 31, 32, 33]), st.integers(0, 3000))
+_PRIME_POWERS = st.builds(pow, st.sampled_from(sieve_primes(3, 20_000)),
+                          st.integers(1, 3))
+_MODULI = st.one_of(_PRIME_POWERS,
+                    st.lists(_PRIME_POWERS, min_size=2, max_size=8).map(math.prod))
+_SPANS = st.tuples(st.integers(0, 1 << 3000), st.integers(0, 1 << 3000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.integers(1, 5000), g1=_GAPS, g2=_GAPS)
+def test_then_joins_adjacent_step_spans(a, g1, g2):
+    b, c = a + g1, a + g1 + g2
+    assert K._then(K._steps(a, b), K._steps(b, c)) == K._steps(a, c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=_SPANS, y=_SPANS, m=_MODULI)
+def test_then_reduced_is_exact_reduced(x, y, m):
+    p, q = K._then(x, y)
+    assert K._then(x, y, m) == (p % m, q % m)
+
+
+@settings(max_examples=50, deadline=None)
+@given(x=_SPANS)
+def test_then_no_steps_is_identity(x):
+    assert K._then((1, 0), x) == x
+    assert K._then(x, (1, 0)) == x
+
+
 # The run-level tree: every block's columns from `run_columns` against the
 # per-prime loops, and every column campaign's hits against hits computed
 # per prime from those loops.
@@ -237,10 +271,10 @@ def test_run_columns_compute_one_block_per_step(monkeypatch):
     # a block's columns are computed when they are asked for, not before
     tops, block = [], K._block
 
-    def counted(node, ps, i, j, f, s, out, c=None):
+    def counted(node, ps, i, j, x, out, c=None):
         if (i, j) == (0, len(out)):
             tops.append(ps[0])
-        return block(node, ps, i, j, f, s, out, c)
+        return block(node, ps, i, j, x, out, c)
 
     monkeypatch.setattr(K, "_block", counted)
     blocks = _blocks(sieve_primes(3, 400), 10)
@@ -367,8 +401,9 @@ def test_series_inv_matches_convolution(m):
 
 
 # The power-series tables against their O(p^2) triangles and recurrences.
-# The Bell row runs to Bell_{p+6}: past p-1 it leaves the series for the
-# binomial recurrence, which is what the Touchard checks C03 and C04 read.
+# The Bell row runs to Bell_{p+6}, one past the record's Bell_{p+5}: past
+# p-1 it leaves the series for the binomial recurrence, which is what the
+# Touchard checks C03 and C04 read.
 
 _SERIES = {
     "bernoulli": (lambda p: K.bernoulli_table_mod(p, _facts(p)), bernoulli_table_mod_py),

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from kurepa import config
 from kurepa.errors import DomainError, EmptyRangeError, NotInvertibleError
 from kurepa.modmath import (
     UNDEFINED,
@@ -45,16 +46,12 @@ class TestSieve:
         assert sieve_primes(2, 500) == brute_primes(2, 500)
         assert sieve_primes(900, 1100) == brute_primes(900, 1100)
 
-    def test_segment_boundaries(self):
+    def test_segment_boundaries(self, monkeypatch):
         # tiny segments force many blocks and off-by-one exposure
-        assert list(iter_primes(9000, 11000, segment=64)) == brute_primes(9000, 11000)
-        assert list(iter_primes(2, 300, segment=10)) == brute_primes(2, 300)
-
-    @pytest.mark.parametrize("segment", [0, -4])
-    def test_segment_below_one_rejected(self, segment):
-        # a segment of 0 once left the sieve looping on the same window
-        with pytest.raises(DomainError):
-            sieve_primes(3, 50, segment=segment)
+        monkeypatch.setattr(config, "SIEVE_SEGMENT", 64)
+        assert list(iter_primes(9000, 11000)) == brute_primes(9000, 11000)
+        monkeypatch.setattr(config, "SIEVE_SEGMENT", 10)
+        assert list(iter_primes(2, 300)) == brute_primes(2, 300)
 
     def test_sieve_upto(self):
         assert sieve_upto(1) == []

@@ -529,7 +529,7 @@ class TestPrimeContexts:
             assert list(ctx.bern.values) == bernoulli_table_mod_py(p), p
             assert list(ctx.greg.values) == gregory_table_mod_py(p)[1:], p
             assert ctx.stirling_row == K.stirling2_row_mod_py(p, p), p
-            assert ctx.bell_seq == bell_seq_mod_py(p + 6, p), p
+            assert ctx.bell_seq == bell_seq_mod_py(p + 5, p), p
             assert ctx.inv == [0] + [pow(k, -1, p) for k in range(1, p)], p
             assert ctx.der == int(R.derangement_mod(p - 1, p)), p
 

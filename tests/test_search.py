@@ -152,6 +152,26 @@ class TestCheckpointing:
         with pytest.raises(CheckpointError):
             S.load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("field, value", [
+        ("last_p", 500.9), ("last_p", 500.0), ("last_p", "500"), ("lo", 100.0),
+        ("lo", 99.9), ("hi", 1000.5), ("hi", "1000"), ("scanned", 2.0),
+        ("scanned", "7"), ("scanned", True), ("lo", True), ("elapsed_s", "2"),
+        ("elapsed_s", True)])
+    def test_non_integer_state_rejected(self, tmp_path, field, value):
+        # int() and float() once truncated floats and parsed strings
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**self.VALID, field: value}))
+        with pytest.raises(CheckpointError):
+            S.load_checkpoint(str(path))
+        with pytest.raises(CheckpointError):
+            S.run_campaign("wilson_zero", 100, 1000, checkpoint_path=str(path),
+                           resume=True)
+
+    def test_integer_elapsed_accepted(self, tmp_path):
+        path = tmp_path / "ck.json"
+        path.write_text(json.dumps({**self.VALID, "elapsed_s": 2}))
+        assert S.load_checkpoint(str(path)).elapsed_s == 2.0
+
     @pytest.mark.parametrize("hit", ["abc", None, [5], [2, 3, 101], [2.5, 101], 101.0])
     def test_malformed_hit_rejected(self, tmp_path, hit):
         path = tmp_path / "ck.json"
