@@ -8,22 +8,26 @@ w-byte slots through 8-byte `array` words by w strided slice copies, so no
 Python loop runs per coefficient; `_series_inv` solves a series inverse's
 first coefficients directly and the rest by Newton iteration at precisions
 halved from the top down, as Buhler, Crandall, Ernvall, Metsankyla and
-Shokrollahi (2001) do for Bernoulli numbers mod p. The Bernoulli table
-inverts a series of half its length, y coth y in u = y^2, since the odd B_k
-vanish. At a prime modulus the Bell row is a length-(p-1) DFT over F_p,
-which Bluestein's chirp-z (1970) turns into one product; at prime powers and
-composite moduli it is a divide-and-conquer solve of B' = e^x B. All four
-read one k!, 1/k! mod p pair from `_factorials`, which the residue record
-passes; called without it, the Bell and Stirling rows build their own. The
-tables' O(p^2) oracles are in `tests/oracles.py`, except the Stirling triangle,
-which also serves rows whose factorials are not units mod m. `bell_mod` is
-O(p) per prime. (p-1)! mod p^e and !p mod p^e have one route, the run tree
-`run_columns`: a campaign run passes it all its checkpoint blocks and reads
-one block's columns per step; `_factorial_columns` is its one-block case,
-which `residues.prime_contexts` and a lone `residues.PrimeContext` call.
-Its steps compose in `_then` alone, where another big-integer backend goes.
-`wilson_column` and `gertsch_column` turn a campaign's columns mod p^2 into
-W_p and Gertsch_p mod p. The three quotients by p, `fermat_quotient`,
+Shokrollahi (2001) do for Bernoulli numbers mod p; `_series_div` divides
+by inverting only to half the quotient's length (Karp and Markstein, 1997).
+The Bernoulli table is one such division of half its length, y coth y in
+u = y^2, since the odd B_k vanish. At a prime modulus the Bell row is a
+length-(p-1) DFT over F_p, which Bluestein's chirp-z (1970) turns into one
+product; at prime powers and composite moduli it is a divide-and-conquer
+solve of B' = e^x B; past its last unit index (the Touchard window) each
+value is one dot product. All four read one k!, 1/k! mod p pair from
+`_factorials`, one loop at a prime by Wilson's reflection, which the
+residue record passes; called without it, the Bell and Stirling rows build
+their own. The tables' O(p^2) oracles are in `tests/oracles.py`, except the
+Stirling triangle, which also serves rows whose factorials are not units
+mod m. `bell_mod` is O(p) per prime and inverts the (p-1)! its caller reads
+from the run tree. (p-1)! mod p^e and !p mod p^e have one route, the run
+tree `run_columns`: a campaign run passes it all its checkpoint blocks and
+reads one block's columns per step; `_factorial_columns` is its one-block
+case, which `residues.prime_contexts` and a lone `residues.PrimeContext`
+call. Its steps compose in `_then` alone, where another big-integer backend
+goes. `wilson_column` and `gertsch_column` turn a campaign's columns mod p^2
+into W_p and Gertsch_p mod p. The three quotients by p, `fermat_quotient`,
 `wilson_quotient` and `gertsch_quotient`, each check that p divides their
 numerator and raise InvariantViolation otherwise.
 """
@@ -32,9 +36,9 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import accumulate, repeat
-from math import isqrt
-from operator import add, mod, mul
+from itertools import accumulate, islice, repeat, zip_longest
+from math import gcd, isqrt
+from operator import add, mod, mul, neg
 
 from .errors import InvariantViolation
 
@@ -172,22 +176,61 @@ def _series_inv(f: list[int], n: int, m: int) -> list[int]:
     return g
 
 
+def _series_div(c: list[int], s: list[int], n: int, m: int) -> list[int]:
+    """The first n coefficients of c(x)/s(x) mod m; s[0] must be a unit
+    mod m, and coefficients lie in [0, m).
+
+    Karp and Markstein's division (1997): invert s only to k = ceil(n/2)
+    terms, g; then y = c*g is c/s mod x^k, the residual c - s*y is
+    x^k * r, and c/s = y + x^k * g*r mod x^n, as n - k <= k. So the last
+    Newton step of a full-length inverse and the product after it become
+    one product s*y and two of half the length.
+    """
+    k = (n + 1) // 2
+    g = _series_inv(s, k, m)
+    y = _series_mul(c, g, k, m)
+    if k == n:
+        return y
+    sy = _series_mul(s, y, n, m)[k:]
+    r = [(a - b) % m for a, b in zip_longest(c[k:n], sy, fillvalue=0)]
+    return y + _series_mul(g, r, n - k, m)
+
+
 def _unit_top(n: int, m: int) -> int:
-    """The largest k <= n with k! a unit mod m (k below m's least prime)."""
-    return next((k - 1 for k in range(2, n + 1) if m % k == 0), n)
+    """The largest k <= n with k! a unit mod m (k below m's least prime),
+    by trial division up to min(n, isqrt(m)): past isqrt(m) without a
+    divisor, m's least prime is m itself."""
+    for k in range(2, min(n, isqrt(m)) + 1):
+        if m % k == 0:
+            return k - 1
+    return min(n, m - 1) if m > 1 else n
 
 
 def _factorials(n: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """((k! mod m), (1/k! mod m)) for k = 0..n, n! a unit mod m; tuples, as
-    several readers share one pair. Plain loops: faster than accumulate."""
-    fact, inv_fact = [1 % m] * (n + 1), [0] * (n + 1)
+    several readers share one pair. Plain loops: faster than accumulate.
+
+    At n = m - 1 with (m-1)! = -1 (mod m), which by Wilson's theorem means
+    m is prime, 1/k! = (-1)^(k+1) (m-1-k)!: the k! column reversed, with
+    the even k negated, and no second loop."""
+    fact = [1 % m] * (n + 1)
     for k in range(1, n + 1):
         fact[k] = fact[k - 1] * k % m
-    x = pow(fact[n], -1, m)
+    if n == m - 1 > 0 and fact[n] == n:
+        inv_fact = fact[::-1]
+        inv_fact[0::2] = [m - x for x in inv_fact[0::2]]
+    else:
+        inv_fact = _inverse_factorials(n, m, pow(fact[n], -1, m))
+    return tuple(fact), tuple(inv_fact)
+
+
+def _inverse_factorials(n: int, m: int, x: int) -> list[int]:
+    """[1/k! mod m for k = 0..n] from x = 1/n! mod m, by 1/(k-1)! = k/k!."""
+    inv_fact = [0] * (n + 1)
     for k in range(n, 0, -1):
         inv_fact[k], x = x, x * k % m
     inv_fact[0] = x
-    return tuple(fact), tuple(inv_fact)
+    return inv_fact
 
 
 def _powers(n: int, e: int, m: int) -> list[int]:
@@ -248,10 +291,10 @@ def _bell_row_prime(p: int, inv_fact) -> list[int]:
     xs = [1] * L  # xs[a] = g^a, so xs[-a] = g^-a
     for a in range(1, L):
         xs[a] = xs[a - 1] * g % p
-    chirp, ichirp = [1] * L, [1] * L  # g^(C(k,2)) and g^(-C(k,2))
-    for k in range(1, L):
-        chirp[k] = chirp[k - 1] * xs[k - 1] % p
-        ichirp[k] = ichirp[k - 1] * xs[1 - k] % p
+    # g^(C(k,2)) and g^(-C(k,2)), looked up in xs at C(k,2) mod L
+    ex = list(map(mod, accumulate(range(L - 1), initial=0), repeat(L)))
+    chirp = list(map(xs.__getitem__, ex))
+    ichirp = list(map(xs.__getitem__, map(neg, ex)))
     f = [x * y % p for x, y in zip(map(w.__getitem__, xs), ichirp)]
     # c[L-1+n] - c[n-1] = sum_a f_a chirp_(a+n), as chirp_(k+L) = -chirp_k
     c = _series_mul(f[::-1], chirp, 2 * L - 1, p)
@@ -268,10 +311,12 @@ def bell_seq_mod(n: int, m: int, facts: tuple | None = None) -> list[int]:
     Otherwise, while k! is a unit mod m, Bell_k = k! b_k with sum b_k x^k =
     exp(e^x - 1); from B' = e^x B, (k+1) b_{k+1} = sum_{j<=k} b_j / (k-j)!,
     solved by divide and conquer: the left half's terms reach the right half
-    in one series product. Past the last unit index t, Bell_{r+1} =
-    sum_k C(r,k) Bell_k, the row C(t, .) from factorials and each next row by
-    Pascal's rule, O(r) per value (Bell_p..Bell_{p+5} mod p, or small
-    composite m).
+    in one series product. Past the last unit index t, umbrally
+    Bell^(r+1) = (Bell + 1)^r (Bell_{r+1} = sum_k C(r,k) Bell_k), so
+    Bell_{t+i+1} = sum_{j<=i} C(i,j) T_j with T_j = sum_k C(t,k) Bell_{k+j}:
+    the row C(t, .) from factorials, then one dot product with it per value
+    and a short row C(i, .) by Pascal's rule (Bell_p..Bell_{p+5} mod p, or
+    small composite m).
     """
     top = _unit_top(n, m)
     fact, inv_fact = facts or _factorials(top, m)
@@ -282,9 +327,11 @@ def bell_seq_mod(n: int, m: int, facts: tuple | None = None) -> list[int]:
     if n == top:
         return bell
     row = [fact[top] * x % m for x in map(mul, inv_fact, reversed(inv_fact))]
-    for r in range(top, n):
-        bell.append(sum(map(mul, row, bell)) % m)
-        row = [1 % m, *map(mod, map(add, row, row[1:]), repeat(m)), 1 % m]
+    ts, small = [], [1 % m]  # small: C(i, .) mod m
+    for i in range(n - top):
+        ts.append(sum(map(mul, row, islice(bell, i, None))) % m)
+        bell.append(sum(map(mul, small, ts)) % m)
+        small = [1 % m, *map(mod, map(add, small, small[1:]), repeat(m)), 1 % m]
     return bell
 
 
@@ -311,16 +358,21 @@ def _bell_solve(top: int, m: int, fact, inv_fact) -> list[int]:
     return [f * x % m for f, x in zip(fact, b)]
 
 
-def bell_mod(n: int, m: int, pw: tuple[int, ...] | None = None) -> int:
+def bell_mod(n: int, m: int, fact: int | None = None,
+             pw: tuple[int, ...] | None = None) -> int:
     """Bell_n mod m. When n! is a unit mod m (n = p-1, m = p^e for an odd
     prime p), the O(n) explicit-Stirling sum
     Bell_n = sum_{j=1..n} (j^n/j!) D_{n-j}, D_t = sum_{i<=t} (-1)^i/i!,
-    built with C-level accumulate and map; pw, when given, holds
-    j^n mod m for j = 0..n, as `_powers(n, n, m)` does. Otherwise read from
+    built with C-level accumulate and map. fact, when given, is n! mod m,
+    which the production callers already hold in their (p-1)! column, so
+    only the backward loop for 1/k! runs; pw, when given, holds j^n mod m
+    for j = 0..n, as `_powers(n, n, m)` does. Otherwise read from
     `bell_seq_mod`."""
-    if n == 0 or _unit_top(n, m) < n:
+    if fact is None:
+        fact = factorial_mod(n, m)
+    if n == 0 or gcd(fact, m) != 1:
         return bell_seq_mod(n, m)[n]
-    _, inv_fact = _factorials(n, m)
+    inv_fact = _inverse_factorials(n, m, pow(fact, -1, m))
     d = _alternating_sums(inv_fact, m)
     if pw is None:
         pw = _powers(n, n, m)
@@ -331,13 +383,13 @@ def bernoulli_table_mod(p: int, facts: tuple) -> list[int]:
     """B_0..B_{p-2} mod p for a prime p, from facts = `_factorials(p - 1, p)`.
     The odd B_k vanish past B_1 = -1/2, and with y = x/2, u = y^2,
     x/(e^x - 1) + x/2 = y coth y = C(u)/S(u) for C(u) = sum_k u^k/(2k)! and
-    S(u) = sum_k u^k/(2k+1)!; so B_2k = (2k)! 4^-k [u^k] C/S, from a series
-    inverse of half the table's length and one product."""
+    S(u) = sum_k u^k/(2k+1)!; so B_2k = (2k)! 4^-k [u^k] C/S, one series
+    division of half the table's length (`_series_div`)."""
     if p == 2:
         return [1]  # B_0 alone
     fact, inv_fact = facts
     h = (p - 1) // 2  # B_0, B_2, ..., B_{p-3}
-    cs = _series_mul(inv_fact[0::2], _series_inv(inv_fact[1::2], h, p), h, p)
+    cs = _series_div(inv_fact[0::2], inv_fact[1::2], h, p)
     table = [0] * (p - 1)
     inv4, q = pow(4, -1, p), 1
     for k in range(h):
@@ -541,8 +593,13 @@ def wilson_column(primes, fs) -> list[int]:
     return [wilson_quotient(p, f) % p for p, f in zip(primes, fs)]
 
 
-def gertsch_column(primes, ks) -> list[int]:
-    """Gertsch_p mod p from ks = !p mod p^2."""
-    return [gertsch_quotient(p, k, bell_mod(p - 1, p * p))
-            for p, k in zip(primes, ks)]
+def gertsch_column(primes, fs, ks) -> list[int]:
+    """Gertsch_p mod p from fs = (p-1)! and ks = !p mod p^2. Wilson's
+    congruence, checked first, makes (p-1)! a unit mod p^2, which
+    `bell_mod` then inverts instead of building it again."""
+    gs = []
+    for p, f, k in zip(primes, fs, ks):
+        wilson_quotient(p, f)
+        gs.append(gertsch_quotient(p, k, bell_mod(p - 1, p * p, f)))
+    return gs
 

@@ -229,14 +229,12 @@ def _c23(ctx):
 
 
 def _c24(ctx):
-    p = ctx.p
-    diff = exact.left_factorial(p + 1) - exact.left_factorial(p) - math.factorial(p)
-    return diff, 0
+    lf, lf_next = ctx.left_factorials
+    return lf_next - lf - math.factorial(ctx.p), 0
 
 
 def _c25(ctx):
-    p = ctx.p
-    return math.gcd(exact.left_factorial(p), math.factorial(p)), 2
+    return math.gcd(ctx.left_factorials[0], math.factorial(ctx.p)), 2
 
 
 def _c26(ctx):
@@ -257,7 +255,7 @@ def _c28(ctx):
 
 
 def _c29(ctx):
-    rep = exact.successor_identities(ctx.p)
+    rep = exact._successor_report(ctx.p, *ctx.left_factorials)
     splits = [exact.genus_split_report(g1, g2)
               for g1, g2 in ((1, 1), (1, 2), (2, 2))]
     lhs = (int(rep.step_holds), int(rep.factorial_diff_holds),

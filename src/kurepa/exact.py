@@ -49,15 +49,29 @@ factorial = math.factorial
 
 
 def left_factorial(n: int) -> int:
-    """!n = 0! + 1! + ... + (n-1)!; the empty sum !0 is 0."""
+    """!n = 0! + 1! + ... + (n-1)!; the empty sum !0 is 0.
+
+    By binary splitting (Haible and Papanikolaou, 1998): !n = 1 + Q for
+    (P, Q) = (1*2*...*(n-1), sum_{j<n} j!) of the steps 1..n-1.
+    """
     if n < 0:
         raise DomainError("left_factorial needs n >= 0")
-    total, f = 0, 1
-    for m in range(n):
-        if m:
-            f *= m
-        total += f
-    return total
+    return 1 + _factorial_sums(1, n)[1] if n else 0
+
+
+def _factorial_sums(a: int, b: int) -> tuple[int, int]:
+    """(P, Q) = (a(a+1)...(b-1), sum_{j=a}^{b-1} a(a+1)...j), exact; the
+    halves join as (P1*P2, Q1 + P1*Q2)."""
+    if b - a <= 32:
+        p, q = 1, 0
+        for k in range(a, b):
+            p *= k
+            q += p
+        return p, q
+    mid = (a + b) // 2
+    p1, q1 = _factorial_sums(a, mid)
+    p2, q2 = _factorial_sums(mid, b)
+    return p1 * p2, q1 + p1 * q2
 
 
 def bell_sequence_exact(n: int, cap: int = config.EXACT_BELL_CAP) -> list[int]:
@@ -310,11 +324,14 @@ class SuccessorReport:
 def successor_identities(n: int) -> SuccessorReport:
     if n < 1:
         raise DomainError("successor identities need n >= 1")
-    step = left_factorial(n + 1) == left_factorial(n) + factorial(n)
-    if n % 2 == 0:
-        diff = left_factorial(n) - left_factorial(n - 1) == factorial(n - 1)
-    else:
-        diff = True
+    return _successor_report(n, left_factorial(n), left_factorial(n + 1))
+
+
+def _successor_report(n: int, lf: int, lf_next: int) -> SuccessorReport:
+    """The report at n >= 1 from lf = !n and lf_next = !(n+1), for a caller
+    that already holds both."""
+    step = lf_next == lf + factorial(n)
+    diff = n % 2 == 1 or lf - left_factorial(n - 1) == factorial(n - 1)
     return SuccessorReport(n=n, step_holds=step, factorial_diff_holds=diff)
 
 

@@ -68,9 +68,11 @@ class PrimeContext:
 
     The constructor checks once that p is an odd prime. The base values are
     ((p-1)!, !p) mod p^3 from one block-kernel call (`prime_contexts` makes
-    one for a whole window) and k!, 1/k! mod p for k < p from one
+    one for a whole window), the exact pair (!p, !(p+1)) that the catalog's
+    exact checks read, and k!, 1/k! mod p for k < p from one
     `_kernels._factorials` call, which the four mod-p tables, the inverses
-    and Der_{p-1} read; every quotient reduces them mod p^e. Bell_{p-1} and
+    and Der_{p-1} read; every quotient reduces them mod p^e. Bell_{p-1},
+    which inverts the column's (p-1)! instead of building it again, and
     the powers j^(p-1) are built at the lowest precision their readers need:
     mod p^2 for Gertsch, Lerch, the Fermat-quotient sum, the Bell-Wilson sum
     and Bell at e <= 2; mod p^3 only for Bell at e = 3 and sum_a a^(p-1)
@@ -117,7 +119,8 @@ class PrimeContext:
         """Bell_{p-1} mod p^3."""
         p = self.p
         _require_cap("Bell_(p-1): p - 1", p - 1, self.bell_cap)
-        return _kernels.bell_mod(p - 1, p ** 3, self.powers3)
+        m = p ** 3
+        return _kernels.bell_mod(p - 1, m, self.fact(m), self.powers3)
 
     @cached_property
     def bell2(self) -> int:
@@ -126,7 +129,14 @@ class PrimeContext:
         if "bell3" in vars(self):
             return self.bell3 % (p * p)
         _require_cap("Bell_(p-1): p - 1", p - 1, self.bell_cap)
-        return _kernels.bell_mod(p - 1, p * p, self.powers2)
+        m = p * p
+        return _kernels.bell_mod(p - 1, m, self.fact(m), self.powers2)
+
+    @cached_property
+    def left_factorials(self) -> tuple[int, int]:
+        """(!p, !(p+1)) exactly, each by its own binary splitting, so the
+        exact checks of !(p+1) = !p + p! compare two independent values."""
+        return exact.left_factorial(self.p), exact.left_factorial(self.p + 1)
 
     @cached_property
     def factorials(self) -> tuple[tuple[int, ...], tuple[int, ...]]:

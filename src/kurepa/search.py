@@ -52,13 +52,13 @@ def _scan_mirimanoff(primes, cols, params):
 
 
 def _scan_gertsch_wilson(primes, cols, params):
-    gs = _kernels.gertsch_column(primes, cols[1])
+    gs = _kernels.gertsch_column(primes, *cols)
     ws = _kernels.wilson_column(primes, cols[0])
     return [p for p, g, w in zip(primes, gs, ws) if g == w]
 
 
 def _scan_gertsch_zero(primes, cols, params):
-    gs = _kernels.gertsch_column(primes, cols[1])
+    gs = _kernels.gertsch_column(primes, *cols)
     return [p for p, g in zip(primes, gs) if g == 0]
 
 
@@ -175,6 +175,9 @@ def load_checkpoint(path: str) -> Checkpoint:
     try:
         with open(path) as fh:
             obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise CheckpointError(
+                f"corrupt checkpoint {path!r}: not a JSON object")
         if obj.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"unsupported checkpoint version {obj.get('version')!r}")

@@ -8,9 +8,41 @@ column mod p by the GF(p) falling-product form. `gertsch_split_py` checks
 Gertsch_p mod p at primes too large for the triangle, in O(p) without
 Bell_{p-1}. `inverse_table`, the recurrence 1/i = -(p // i) / (p mod i),
 feeds the two recurrences and the tables' congruence test; production reads
-1/k = (k-1)!/k! off the residue record's factorials. Only the tests import
-them.
+1/k = (k-1)!/k! off the residue record's factorials. `left_factorials_py`
+checks the binary splitting of `exact.left_factorial`, `factorials_py` the
+Wilson reflection of `_kernels._factorials`, and `unit_top_py` the trial
+division of `_kernels._unit_top`. Only the tests import them.
 """
+
+
+def left_factorials_py(n: int):
+    """Yield !0, !1, ..., !n exactly, !k = 0! + 1! + ... + (k-1)!, from one
+    loop of products."""
+    total, f = 0, 1
+    yield total
+    for m in range(n):
+        if m:
+            f *= m
+        total += f
+        yield total
+
+
+def factorials_py(n: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """((k! mod m), (1/k! mod m)) for k = 0..n by a forward loop and a
+    backward one from 1/n!; n! must be a unit mod m."""
+    fact, inv_fact = [1 % m] * (n + 1), [0] * (n + 1)
+    for k in range(1, n + 1):
+        fact[k] = fact[k - 1] * k % m
+    x = pow(fact[n], -1, m)
+    for k in range(n, 0, -1):
+        inv_fact[k], x = x, x * k % m
+    inv_fact[0] = x
+    return tuple(fact), tuple(inv_fact)
+
+
+def unit_top_py(n: int, m: int) -> int:
+    """The largest k <= n with k! a unit mod m, by scanning k = 2..n."""
+    return next((k - 1 for k in range(2, n + 1) if m % k == 0), n)
 
 
 def inverse_table(p: int) -> list[int]:

@@ -94,7 +94,7 @@ class TestRunCatalog:
 
     def test_one_primality_check_and_inverse_table_per_prime(self, monkeypatch):
         # the record's inverses, tables and Der_{p-1} read one k!, 1/k! pair
-        # mod p; bell_mod builds the other, mod p^2
+        # mod p; bell_mod inverts the record's (p-1)! mod p^2 and builds none
         primality, pairs = [], []
         original = modmath.is_prime
         for name, mod in list(sys.modules.items()):
@@ -110,8 +110,7 @@ class TestRunCatalog:
         assert res.ok
         primes = list(modmath.iter_primes(3, 600))
         assert primality == primes
-        assert sorted(pairs) == sorted([(p - 1, p) for p in primes]
-                                       + [(p - 1, p * p) for p in primes])
+        assert sorted(pairs) == [(p - 1, p) for p in primes]
         assert blocks == [primes]  # one block pass for the window
 
     def test_composite_raises(self):

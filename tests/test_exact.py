@@ -1,11 +1,13 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from kurepa import exact
 from kurepa.errors import CapacityError, DomainError
+from oracles import left_factorials_py
 
 
 class TestLeftFactorial:
@@ -25,6 +27,24 @@ class TestLeftFactorial:
         for n in range(1, 40):
             assert (exact.left_factorial(n + 1)
                     == exact.left_factorial(n) + math.factorial(n))
+
+    def test_binary_splitting_matches_loop(self):
+        for n, want in enumerate(left_factorials_py(3000)):
+            assert exact.left_factorial(n) == want, n
+
+    def test_binary_splitting_matches_loop_seeded(self):
+        for n in random.Random(20261019).sample(range(3001, 20_001), 5):
+            *_, want = left_factorials_py(n)
+            assert exact.left_factorial(n) == want, n
+
+    def test_successor_report_reads_the_given_values(self):
+        # the catalog's C29 passes the record's (!p, !(p+1)); a wrong value
+        # shows as a failed identity
+        for n in (1, 2, 7, 10):
+            lf, lf_next = exact.left_factorial(n), exact.left_factorial(n + 1)
+            assert exact._successor_report(n, lf, lf_next) == exact.successor_identities(n)
+            assert not exact._successor_report(n, lf, lf_next + 1).step_holds
+        assert not exact._successor_report(10, 1, exact.left_factorial(11)).factorial_diff_holds
 
 
 class TestBell:

@@ -17,8 +17,9 @@ from kurepa import exact, search
 from kurepa import residues as R
 from kurepa.errors import InvariantViolation
 from kurepa.modmath import PrimeRange, fraction_residue, rational_residue, sieve_primes
-from oracles import (bell_seq_mod_py, bernoulli_table_mod_py, gregory_table_mod_py,
-                     inverse_table, kurepa_gf_mod_py, kurepa_mod_py)
+from oracles import (bell_seq_mod_py, bernoulli_table_mod_py, factorials_py,
+                     gregory_table_mod_py, inverse_table, kurepa_gf_mod_py,
+                     kurepa_mod_py, unit_top_py)
 
 PRIMES = [3, 5, 7, 11, 13, 17, 31, 97, 101, 563]
 
@@ -102,18 +103,26 @@ def test_wilson_column_values():
 def test_gertsch_wilson_column_values():
     primes = [3, 5, 7, 11, 13]
     fs, ks = next(K.run_columns([primes], 2))
-    assert K.gertsch_column(primes, ks) == [exact.gertsch_quotient_exact(p) % p
-                                           for p in primes]
+    assert K.gertsch_column(primes, fs, ks) == [exact.gertsch_quotient_exact(p) % p
+                                               for p in primes]
     assert K.wilson_column(primes, fs) == [exact.wilson_quotient_exact(p) % p
                                            for p in primes]
 
 
-# Bell_{p-1} mod p^e: the O(p) explicit-Stirling route against the triangle.
+# Bell_{p-1} mod p^e: the O(p) explicit-Stirling route against the triangle,
+# building (p-1)! itself and reading it from the run tree's column.
+
+def _assert_bell_mod_matches_triangle(primes, e):
+    fs = next(K.run_columns([primes], e))[0]
+    for p, f in zip(primes, fs):
+        want = bell_seq_mod_py(p - 1, p ** e)[p - 1]
+        assert K.bell_mod(p - 1, p ** e) == want, p
+        assert K.bell_mod(p - 1, p ** e, f) == want, p
+
 
 @pytest.mark.parametrize("e", [1, 2, 3])
 def test_bell_mod_matches_triangle_small_primes(e):
-    for p in sieve_primes(2, 400):
-        assert K.bell_mod(p - 1, p ** e) == bell_seq_mod_py(p - 1, p ** e)[p - 1], p
+    _assert_bell_mod_matches_triangle(sieve_primes(2, 400), e)
 
 
 @pytest.mark.parametrize("e", [2, 3])
@@ -121,8 +130,7 @@ def test_bell_mod_matches_triangle_random_window(e):
     rng = random.Random(20260409 + e)
     pool = sieve_primes(1000, 5000)
     start = rng.randrange(len(pool) - 20)
-    for p in pool[start:start + 20]:
-        assert K.bell_mod(p - 1, p ** e) == bell_seq_mod_py(p - 1, p ** e)[p - 1], p
+    _assert_bell_mod_matches_triangle(pool[start:start + 20], e)
 
 
 def test_bell_mod_matches_exact_small_primes():
@@ -137,14 +145,16 @@ def test_bell_mod_non_unit_factorial_uses_triangle():
     # is read from the Bell row past its last unit index
     for c in (4, 9, 15, 25):
         for m in (c, c * c):
-            assert K.bell_mod(c - 1, m) == exact.bell_exact(c - 1) % m
+            want = exact.bell_exact(c - 1) % m
+            assert K.bell_mod(c - 1, m) == want
+            assert K.bell_mod(c - 1, m, math.factorial(c - 1) % m) == want
 
 
 @pytest.mark.parametrize("c", [4, 9, 15, 21, 25])
 def test_gertsch_wilson_column_rejects_composite(c):
-    ks = next(K.run_columns([[c]], 2))[1]
+    fs, ks = next(K.run_columns([[c]], 2))
     with pytest.raises(InvariantViolation):
-        K.gertsch_column([c], ks)
+        K.gertsch_column([c], fs, ks)
 
 
 # ((p-1)! mod p^e, !p mod p^e) by the one-block case of the run tree, against
@@ -398,6 +408,71 @@ def test_series_inv_matches_convolution(m):
         g = K._series_inv(f, n, m)
         assert len(g) == n
         assert _convolution(f, g, n, m) == [1 % m] + [0] * (n - 1), (n, length)
+
+
+# Karp and Markstein's division against the full-length inverse and one
+# product, at lengths around the leaf size, the KS2 crossover and the
+# Newton steps' halvings, with c shorter than n too.
+
+@pytest.mark.parametrize("m", [p ** e for p in random.Random(20261020).sample(
+    sieve_primes(3, 60_000), 1) for e in (1, 2, 3)] + [(2 ** 61 - 1) ** 2])
+def test_series_div_matches_inverse_then_product(m):
+    rng = random.Random(m)
+    for n in (1, 31, 32, 33, 63, 64, 65, 255, 256, 257, 511, 512, 513, 3000):
+        s = [rng.randrange(m) for _ in range(n)]
+        s[0] = next(u for u in range(m - 1, 0, -1) if math.gcd(u, m) == 1)
+        for length in (n, n // 2, 1):
+            c = [rng.randrange(m) for _ in range(length)]
+            assert (K._series_div(c, s, n, m)
+                    == K._series_mul(c, K._series_inv(s, n, m), n, m)), (n, length)
+
+
+# `_factorials` by Wilson's reflection and `_unit_top` by trial division,
+# against the two loops and the scan they replace.
+
+def test_factorials_match_two_loops_small_primes():
+    for p in sieve_primes(2, 500):
+        assert K._factorials(p - 1, p) == factorials_py(p - 1, p), p
+
+
+def test_factorials_match_two_loops_seeded_primes():
+    for p in random.Random(20261021).sample(sieve_primes(500, 60_000), 6):
+        assert K._factorials(p - 1, p) == factorials_py(p - 1, p), p
+
+
+@pytest.mark.parametrize("m", [1, 4, 9, 15, 25, 27, 30, 101 * 101, 563 ** 3])
+def test_factorials_unchanged_off_prime_moduli(m):
+    # no reflection: m is not prime, or n < m - 1
+    for n in range(K._unit_top(m + 5, m) + 1):
+        assert K._factorials(n, m) == factorials_py(n, m), n
+    assert K._factorials(100, 101) == factorials_py(100, 101)
+    assert K._factorials(50, 101) == factorials_py(50, 101)
+
+
+def test_unit_top_matches_scan():
+    for m in range(1, 3001):
+        for n in range(81):
+            assert K._unit_top(n, m) == unit_top_py(n, m), (n, m)
+    for p in sieve_primes(2, 200):
+        for m in (p * p, p ** 3):
+            for n in range(2 * p + 2):
+                assert K._unit_top(n, m) == unit_top_py(n, m), (n, m)
+
+
+# The Bell row past its last unit index: the Touchard window Bell_p..Bell_{p+5}
+# mod p, and rows that run far past it at composite moduli.
+
+def test_touchard_window_matches_triangle_at_primes():
+    for m in (2, 3, 5, 7, 101, 563):
+        assert K.bell_seq_mod(m + 5, m) == bell_seq_mod_py(m + 5, m), m
+
+
+@pytest.mark.parametrize("m", [4, 9, 15, 25, 27, 30, 125])
+def test_bell_row_past_the_unit_index_matches_triangle(m):
+    top = K._unit_top(m, m)
+    want = bell_seq_mod_py(top + 40, m)
+    for n in range(top, top + 41):
+        assert K.bell_seq_mod(n, m) == want[:n + 1], n
 
 
 # The power-series tables against their O(p^2) triangles and recurrences.

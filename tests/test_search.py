@@ -86,13 +86,17 @@ class TestZeroCampaignWiring:
     @pytest.mark.parametrize("name", ["gertsch_zero", "kurepa_zero"])
     def test_planted_zeros_are_the_hits(self, monkeypatch, name):
         seen = []
+        # gertsch_zero reads the true (p-1)! mod p^2 column; for kurepa_zero
+        # it is all zeros, so reading it fails
+        primes = list(iter_primes(3, 1100))
+        fact = (dict(zip(primes, next(K.run_columns([primes], 2))[0]))
+                if name == "gertsch_zero" else dict.fromkeys(primes, 0))
 
         def planted(blocks, e):
             assert e == S.CAMPAIGNS[name].e
             for block in blocks:
                 seen.extend(block)
-                # the (p-1)! column is all zeros, so reading it fails
-                yield ([0] * len(block),
+                yield ([fact[p] for p in block],
                        [self._k(name, p, p in self.PLANTED) for p in block])
 
         monkeypatch.setattr(K, "run_columns", planted)
@@ -120,6 +124,13 @@ class TestCheckpointing:
     def test_corrupt_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
+        with pytest.raises(CheckpointError):
+            S.load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("top", ["[1, 2]", '"x"', "3", "null"])
+    def test_top_level_not_an_object(self, tmp_path, top):
+        path = tmp_path / "bad.json"
+        path.write_text(top)
         with pytest.raises(CheckpointError):
             S.load_checkpoint(str(path))
 
