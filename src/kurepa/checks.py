@@ -230,11 +230,11 @@ def _c23(ctx):
 
 def _c24(ctx):
     lf, lf_next = ctx.left_factorials
-    return lf_next - lf - math.factorial(ctx.p), 0
+    return lf_next - lf - ctx.factorial_exact, 0
 
 
 def _c25(ctx):
-    return math.gcd(ctx.left_factorials[0], math.factorial(ctx.p)), 2
+    return math.gcd(ctx.left_factorials[0], ctx.factorial_exact), 2
 
 
 def _c26(ctx):
@@ -255,7 +255,8 @@ def _c28(ctx):
 
 
 def _c29(ctx):
-    rep = exact._successor_report(ctx.p, *ctx.left_factorials)
+    rep = exact._successor_report(ctx.p, *ctx.left_factorials,
+                                  ctx.factorial_exact)
     splits = [exact.genus_split_report(g1, g2)
               for g1, g2 in ((1, 1), (1, 2), (2, 2))]
     lhs = (int(rep.step_holds), int(rep.factorial_diff_holds),

@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true",
                    help="resume from --checkpoint")
     p.add_argument("--stride", type=int, default=config.CHECKPOINT_STRIDE,
-                   help="primes per checkpoint flush")
+                   help="primes per checkpoint block")
     p.add_argument("--m-max", type=int, default=None,
                    help="qpm_zero: largest m to test")
     p.add_argument("--verify", action="store_true",

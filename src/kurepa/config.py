@@ -26,7 +26,7 @@ EXACT_POWER_SUM_CAP = 101
 # Segmented sieve block length.
 SIEVE_SEGMENT = 1 << 20
 
-# Search campaigns: checkpoint flush interval, in primes processed.
+# Search campaigns: primes per checkpoint block.
 CHECKPOINT_STRIDE = 10_000
 
 # Pollard-rho budget, in multiplications, for one factorize() call.

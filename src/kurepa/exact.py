@@ -324,13 +324,15 @@ class SuccessorReport:
 def successor_identities(n: int) -> SuccessorReport:
     if n < 1:
         raise DomainError("successor identities need n >= 1")
-    return _successor_report(n, left_factorial(n), left_factorial(n + 1))
+    return _successor_report(n, left_factorial(n), left_factorial(n + 1),
+                             factorial(n))
 
 
-def _successor_report(n: int, lf: int, lf_next: int) -> SuccessorReport:
-    """The report at n >= 1 from lf = !n and lf_next = !(n+1), for a caller
-    that already holds both."""
-    step = lf_next == lf + factorial(n)
+def _successor_report(n: int, lf: int, lf_next: int,
+                      fact: int) -> SuccessorReport:
+    """The report at n >= 1 from lf = !n, lf_next = !(n+1) and fact = n!,
+    for a caller that already holds all three."""
+    step = lf_next == lf + fact
     diff = n % 2 == 1 or lf - left_factorial(n - 1) == factorial(n - 1)
     return SuccessorReport(n=n, step_holds=step, factorial_diff_holds=diff)
 

@@ -68,7 +68,7 @@ class PrimeContext:
 
     The constructor checks once that p is an odd prime. The base values are
     ((p-1)!, !p) mod p^3 from one block-kernel call (`prime_contexts` makes
-    one for a whole window), the exact pair (!p, !(p+1)) that the catalog's
+    one for a whole window), the exact !p, !(p+1) and p! that the catalog's
     exact checks read, and k!, 1/k! mod p for k < p from one
     `_kernels._factorials` call, which the four mod-p tables, the inverses
     and Der_{p-1} read; every quotient reduces them mod p^e. Bell_{p-1},
@@ -137,6 +137,11 @@ class PrimeContext:
         """(!p, !(p+1)) exactly, each by its own binary splitting, so the
         exact checks of !(p+1) = !p + p! compare two independent values."""
         return exact.left_factorial(self.p), exact.left_factorial(self.p + 1)
+
+    @cached_property
+    def factorial_exact(self) -> int:
+        """p! exactly, which the exact left-factorial checks share."""
+        return exact.factorial(self.p)
 
     @cached_property
     def factorials(self) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -1,9 +1,13 @@
 """Checkpointed prime-search campaigns for the exceptional sets.
 
 A campaign is a deterministic per-prime predicate scanned over a range in
-blocks; after each block the full state is flushed to a single JSON document
-replaced atomically, so a killed run resumes to exactly the hits an
-uninterrupted run would have produced.
+blocks. After each block the run hands a snapshot of its full state to its
+own writer thread, which replaces a single JSON document atomically (temp
+file, fsync, rename); the newest snapshot wins, so while the run is in
+progress the file may lag the scan by the write in flight, and on return it
+is final and durable. A killed run resumes from the block boundary on disk
+to exactly the hits an uninterrupted run would have produced. A failed write
+is a CheckpointError.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -163,12 +168,77 @@ class Checkpoint:
         })
 
     def write(self, path: str):
-        tmp = f"{path}.tmp"
-        with open(tmp, "w") as fh:
-            fh.write(self.to_json())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        """Write this checkpoint to path now, on the calling thread."""
+        _write_text(path, self.to_json())
+
+
+def _write_text(path: str, text: str):
+    """Replace the file at path by text atomically: write a temp file, fsync
+    it and rename it into place. Every checkpoint write goes through here."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
+class _Writer:
+    """One thread that writes a run's checkpoint snapshots to one path.
+
+    `put` leaves a snapshot in a one-slot mailbox and returns at once; a
+    snapshot put while a write is in flight replaces any still waiting, so
+    the thread always writes the newest one and never queues old ones.
+    `close` waits until the newest snapshot is on disk and the thread has
+    ended. After a failed write the thread ends; the next `put` and `close`
+    raise CheckpointError, chained from the OSError.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self._cond = threading.Condition()
+        self._text: Optional[str] = None   # newest snapshot not yet written
+        self._closed = False
+        self._error: Optional[OSError] = None
+        self._thread = threading.Thread(target=self._run,
+                                        name="kurepa-checkpoint-writer")
+        self._thread.start()
+
+    def _run(self):
+        while True:
+            with self._cond:
+                while self._text is None and not self._closed:
+                    self._cond.wait()
+                text, self._text = self._text, None
+            if text is None:
+                return
+            try:
+                _write_text(self.path, text)
+            except OSError as e:
+                self._error = e
+                return
+
+    def _raise_error(self):
+        if self._error is not None:
+            raise CheckpointError(f"cannot write checkpoint {self.path!r}: "
+                                  f"{self._error}") from self._error
+
+    def put(self, text: str):
+        self._raise_error()
+        with self._cond:
+            self._text = text
+            self._cond.notify()
+
+    def join(self):
+        """Write the newest snapshot, then end the thread; no error raised."""
+        with self._cond:
+            self._closed = True
+            self._cond.notify()
+        self._thread.join()
+
+    def close(self):
+        self.join()
+        self._raise_error()
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -244,8 +314,17 @@ def run_campaign(name: str, lo: int, hi: int, *,
                  params: Optional[dict] = None,
                  stop_after_blocks: Optional[int] = None,
                  progress: Optional[Callable[[Checkpoint], None]] = None) -> Checkpoint:
-    """Scan the odd primes in [lo, hi] for a campaign's hits, flushing a
-    checkpoint every `stride` primes.
+    """Scan the odd primes in [lo, hi] for a campaign's hits in blocks of
+    `stride` primes, checkpointing after each block.
+
+    With a checkpoint_path, each block's checkpoint goes to the run's own
+    writer thread, so the scan never waits on the disk. The newest
+    checkpoint wins: while the run is in progress the file may lag the scan
+    by the write in flight, and every file written is complete, fsynced and
+    renamed into place. The writer has finished before this function
+    returns, stops or raises, so on return the file is the returned
+    checkpoint, final and durable. A failed write raises CheckpointError
+    (chained from the OSError), unless the scan itself raised first.
 
     A campaign that reads the ((p-1)!, !p) columns sieves the run's primes
     up front and reads each block's columns from one remainder tree over
@@ -256,9 +335,10 @@ def run_campaign(name: str, lo: int, hi: int, *,
     against (name, lo, hi) and continued past its last processed prime, as
     a run of its own whose tree starts there; interrupted-and-resumed runs
     produce hits identical to uninterrupted ones. stop_after_blocks is a
-    testing hook that abandons the scan early (after flushing), simulating a
-    kill at a checkpoint boundary. Scans run on one thread; `workers`
-    accepts only 1. An empty range, hi < lo, raises EmptyRangeError.
+    testing hook that abandons the scan early (after its checkpoint is
+    written), simulating a kill at a checkpoint boundary. Scans run on one
+    thread; `workers` accepts only 1. An empty range, hi < lo, raises
+    EmptyRangeError.
     """
     if name not in CAMPAIGNS:
         raise DomainError(f"unknown campaign {name!r}; "
@@ -284,6 +364,27 @@ def run_campaign(name: str, lo: int, hi: int, *,
         ck = Checkpoint(campaign=name, lo=lo, hi=hi, last_p=lo - 1)
         start = max(lo, 3)
 
+    writer = _Writer(checkpoint_path) if checkpoint_path else None
+    try:
+        _advance(campaign, ck, start, stride, params, stop_after_blocks,
+                 progress, writer)
+    except BaseException:
+        if writer is not None:
+            writer.join()   # the scan's own exception wins over a failed write
+        raise
+    if writer is not None:
+        writer.close()
+    return ck
+
+
+def _advance(campaign: Campaign, ck: Checkpoint, start: int, stride: int,
+             params: dict, stop_after_blocks: Optional[int],
+             progress: Optional[Callable[[Checkpoint], None]],
+             writer: Optional[_Writer]):
+    """Scan the odd primes of [start, ck.hi] into ck block by block, handing
+    each block's snapshot to the writer, until the range is exhausted or
+    stop_after_blocks blocks are done."""
+    hi = ck.hi
     t0 = time.monotonic()
     blocks_done = 0
     if start <= hi:
@@ -299,19 +400,20 @@ def run_campaign(name: str, lo: int, hi: int, *,
             ck.scanned += len(block)
             ck.elapsed_s += time.monotonic() - t0
             t0 = time.monotonic()
-            if checkpoint_path:
-                ck.write(checkpoint_path)
+            if writer is not None:
+                writer.put(ck.to_json())
             if progress:
                 progress(ck)
             blocks_done += 1
             if stop_after_blocks is not None and blocks_done >= stop_after_blocks:
-                return ck
-    # range exhausted: mark the whole range processed
-    ck.last_p = max(ck.last_p, hi)
-    ck.elapsed_s += time.monotonic() - t0
-    if checkpoint_path:
-        ck.write(checkpoint_path)
-    return ck
+                return
+    if ck.last_p < hi or blocks_done == 0:
+        # range exhausted: mark it all processed, unless the last block's
+        # snapshot already ends at hi and so is the final one
+        ck.last_p = hi
+        ck.elapsed_s += time.monotonic() - t0
+        if writer is not None:
+            writer.put(ck.to_json())
 
 
 def run_sharded(name: str, lo: int, hi: int, shards: int, *,

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 
 from kurepa import _kernels as K
 from kurepa import checks as C
-from kurepa import modmath, residues
+from kurepa import exact, modmath, residues
 from kurepa import tables as T
 from kurepa.errors import DomainError
 
@@ -112,6 +113,21 @@ class TestRunCatalog:
         assert primality == primes
         assert sorted(pairs) == [(p - 1, p) for p in primes]
         assert blocks == [primes]  # one block pass for the window
+
+    def test_one_exact_factorial_per_prime(self, monkeypatch):
+        # C24, C25 and C29 read the record's p! rather than each building it
+        calls, original = [], math.factorial
+
+        def counted(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(math, "factorial", counted)
+        monkeypatch.setattr(exact, "factorial", counted)
+        res = C.run_catalog(11, 400, ids=["C24", "C25", "C29"])
+        assert res.ok and all(not o.skipped for o in res.outcomes)
+        # the genus splits of C29 take (2g - 1)! for 2g - 1 <= 7 only
+        assert [n for n in calls if n > 7] == list(modmath.iter_primes(11, 400))
 
     def test_composite_raises(self):
         with pytest.raises(DomainError):

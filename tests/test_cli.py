@@ -130,6 +130,13 @@ class TestSearch:
         assert code == 2
         assert "corrupt" in err
 
+    def test_unwritable_checkpoint_exits_2(self, capsys, tmp_path):
+        ck = str(tmp_path / "missing" / "ck.json")
+        code, out, err = run(capsys, "search", "wilson_zero", "--to", "100",
+                             "--checkpoint", ck)
+        assert code == 2
+        assert out == "" and err.startswith("error: cannot write checkpoint")
+
     def test_empty_range_exits_2(self, capsys, tmp_path):
         ck = str(tmp_path / "ck.json")
         code, out, err = run(capsys, "search", "wilson_zero", "--from", "50",

@@ -38,13 +38,17 @@ class TestLeftFactorial:
             assert exact.left_factorial(n) == want, n
 
     def test_successor_report_reads_the_given_values(self):
-        # the catalog's C29 passes the record's (!p, !(p+1)); a wrong value
-        # shows as a failed identity
+        # the catalog's C29 passes the record's (!p, !(p+1)) and p!; a wrong
+        # value shows as a failed identity
         for n in (1, 2, 7, 10):
             lf, lf_next = exact.left_factorial(n), exact.left_factorial(n + 1)
-            assert exact._successor_report(n, lf, lf_next) == exact.successor_identities(n)
-            assert not exact._successor_report(n, lf, lf_next + 1).step_holds
-        assert not exact._successor_report(10, 1, exact.left_factorial(11)).factorial_diff_holds
+            fact = exact.factorial(n)
+            assert (exact._successor_report(n, lf, lf_next, fact)
+                    == exact.successor_identities(n))
+            assert not exact._successor_report(n, lf, lf_next + 1, fact).step_holds
+            assert not exact._successor_report(n, lf, lf_next, fact + 1).step_holds
+        assert not exact._successor_report(
+            10, 1, exact.left_factorial(11), exact.factorial(10)).factorial_diff_holds
 
 
 class TestBell:

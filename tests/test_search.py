@@ -1,12 +1,15 @@
 import json
 import os
 import random
+import sys
+import threading
 
 import pytest
 
 from kurepa import _kernels as K
 from kurepa import search as S
-from kurepa.errors import CheckpointError, DomainError, EmptyRangeError
+from kurepa.errors import (CheckpointError, DomainError, EmptyRangeError,
+                           InvariantViolation)
 from kurepa.modmath import iter_primes
 
 
@@ -236,6 +239,183 @@ class TestCheckpointing:
             "hits": [], "elapsed_s": 0.0, "scanned": 0, "version": 99}))
         with pytest.raises(CheckpointError):
             S.load_checkpoint(str(path))
+
+
+def _read(path):
+    with open(path) as fh:
+        return fh.read()
+
+
+class TestCheckpointWriter:
+    """Each checkpointed run hands its block snapshots to one writer thread
+    that writes the newest; every text goes through `_write_text`."""
+
+    @pytest.fixture
+    def written(self, monkeypatch):
+        texts = {}   # path -> every text written there, in order
+        write = S._write_text
+
+        def recording(path, text):
+            write(path, text)
+            texts.setdefault(path, []).append(text)
+
+        monkeypatch.setattr(S, "_write_text", recording)
+        before = set(threading.enumerate())
+        yield texts
+        # no writer outlives its run, whatever the run did
+        assert set(threading.enumerate()) <= before
+
+    @staticmethod
+    def _last_ps(texts):
+        return [json.loads(t)["last_p"] for t in texts]
+
+    def _check(self, texts, path, ck):
+        last_ps = self._last_ps(texts[path])
+        assert all(a < b for a, b in zip(last_ps, last_ps[1:])), last_ps
+        assert texts[path][-1] == ck.to_json()
+        assert _read(path) == ck.to_json()
+
+    @pytest.mark.parametrize("name, hi", [("wilson_zero", 2000), ("wilson_zero", 1999),
+                                          ("wieferich", 4000)])
+    def test_full_run(self, tmp_path, written, name, hi):
+        path = str(tmp_path / "ck.json")
+        ck = S.run_campaign(name, 3, hi, checkpoint_path=path, stride=17)
+        assert ck.complete
+        self._check(written, path, ck)
+
+    def test_stop_then_resume(self, tmp_path, written):
+        path = str(tmp_path / "ck.json")
+        part = S.run_campaign("wilson_zero", 3, 2000, checkpoint_path=path,
+                              stride=17, stop_after_blocks=5)
+        self._check(written, path, part)
+        stopped = len(written[path])
+        resumed = S.run_campaign("wilson_zero", 3, 2000, checkpoint_path=path,
+                                 resume=True, stride=17)
+        self._check(written, path, resumed)
+        assert self._last_ps(written[path][stopped:])[0] > part.last_p
+        assert resumed.hits == [5, 13, 563]
+
+    def test_resume_of_a_complete_run_rewrites_it(self, tmp_path, written):
+        path = str(tmp_path / "ck.json")
+        S.run_campaign("wilson_zero", 3, 600, checkpoint_path=path)
+        again = S.run_campaign("wilson_zero", 3, 600, checkpoint_path=path, resume=True)
+        assert written[path][-1] == _read(path) == again.to_json()
+
+    def test_sharded(self, tmp_path, written):
+        path = str(tmp_path / "ck.json")
+        merged = S.run_sharded("wilson_zero", 3, 2000, shards=3,
+                               checkpoint_path=path, stride=17)
+        assert merged.hits == [5, 13, 563]
+        for i in range(3):
+            shard = S.load_checkpoint(f"{path}.shard{i}")
+            assert shard.complete
+            self._check(written, f"{path}.shard{i}", shard)
+
+    def test_scan_does_not_wait_for_the_disk(self, tmp_path, written, monkeypatch):
+        # every write blocks until the scan's last block is done; the scan
+        # goes on meanwhile, and the writer then skips to the newest snapshot
+        release, recording = threading.Event(), S._write_text
+
+        def blocked(p, text):
+            assert release.wait(timeout=10)
+            recording(p, text)
+
+        monkeypatch.setattr(S, "_write_text", blocked)
+        seen = []
+
+        def progress(ck):
+            seen.append(ck.last_p)
+            if ck.last_p == 1999:
+                release.set()
+
+        path = str(tmp_path / "ck.json")
+        ck = S.run_campaign("wilson_zero", 3, 2000, checkpoint_path=path,
+                            stride=17, progress=progress)
+        assert len(seen) == 18
+        assert len(written[path]) <= 3
+        self._check(written, path, ck)
+
+    def test_stress_short_switch_interval(self, tmp_path, written):
+        # a lost or reordered snapshot shows as a non-increasing last_p or a
+        # file that is not the returned checkpoint
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(3):
+                path = str(tmp_path / f"ck{trial}.json")
+                ck = S.run_campaign("kurepa_zero", 3, 3000, checkpoint_path=path,
+                                    stride=3)
+                self._check(written, path, ck)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_missing_directory(self, tmp_path, written):
+        path = str(tmp_path / "missing" / "ck.json")
+        with pytest.raises(CheckpointError) as err:
+            S.run_campaign("wilson_zero", 3, 100, checkpoint_path=path)
+        assert isinstance(err.value.__cause__, FileNotFoundError)
+        assert not os.path.exists(path)
+
+    def test_failed_final_write(self, tmp_path, written, monkeypatch):
+        # the final checkpoint is always written, so failing it always raises
+        path = str(tmp_path / "ck.json")
+        recording = S._write_text
+
+        def failing(p, text):
+            if json.loads(text)["last_p"] == 2000:
+                raise OSError(28, "No space left on device")
+            recording(p, text)
+
+        monkeypatch.setattr(S, "_write_text", failing)
+        with pytest.raises(CheckpointError) as err:
+            S.run_campaign("wilson_zero", 3, 2000, checkpoint_path=path, stride=17)
+        assert isinstance(err.value.__cause__, OSError)
+        if os.path.exists(path):
+            assert S.load_checkpoint(path).last_p == self._last_ps(written[path])[-1]
+
+    def test_failed_write_stops_the_scan(self, tmp_path, written, monkeypatch):
+        # once the writer has failed, the next block boundary raises
+        def failing(p, text):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(S, "_write_text", failing)
+        seen = []
+
+        def progress(ck):
+            seen.append(ck.last_p)
+            for t in threading.enumerate():
+                if t.name == "kurepa-checkpoint-writer":
+                    t.join(timeout=10)
+                    assert not t.is_alive()
+
+        with pytest.raises(CheckpointError):
+            S.run_campaign("wilson_zero", 3, 2000, stride=17, progress=progress,
+                           checkpoint_path=str(tmp_path / "ck.json"))
+        assert seen == [61]
+
+    @staticmethod
+    def _composite_after_first_block(monkeypatch):
+        run_columns = K.run_columns
+
+        def planted(blocks, e):
+            columns = run_columns(blocks, e)
+            yield next(columns)
+            for block in blocks[1:]:
+                # (n-1)! = 0 (mod n) at a composite n > 4
+                yield [0] * len(block), [0] * len(block)
+
+        monkeypatch.setattr(K, "run_columns", planted)
+
+    @pytest.mark.parametrize("where", ["ck.json", "missing/ck.json"])
+    def test_scan_error_wins(self, tmp_path, written, monkeypatch, where):
+        self._composite_after_first_block(monkeypatch)
+        path = str(tmp_path / where)
+        with pytest.raises(InvariantViolation):
+            S.run_campaign("wilson_zero", 3, 2000, checkpoint_path=path, stride=17)
+        if where == "ck.json":
+            # the first block's checkpoint is on disk
+            assert self._last_ps(written[path]) == [61]
+            assert S.load_checkpoint(path).last_p == 61
 
 
 class TestResumability:
