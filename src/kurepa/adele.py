@@ -87,13 +87,8 @@ class AdeleElement:
         common = [p for p in sorted(self.residues) if p not in undef]
         mismatch = tuple(p for p in common
                          if self.residues[p] != other.residues[p])
-        agree_from: Optional[int] = None
-        if common:
-            last_bad = mismatch[-1] if mismatch else None
-            for p in common:
-                if last_bad is None or p > last_bad:
-                    agree_from = p
-                    break
+        last_bad = mismatch[-1] if mismatch else 0
+        agree_from = next((p for p in common if p > last_bad), None)
         return AdeleComparison(mismatch_primes=mismatch, agree_from=agree_from)
 
     def to_json(self) -> str:

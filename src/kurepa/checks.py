@@ -58,9 +58,7 @@ class CheckOutcome:
 
 
 def _plain(v):
-    if isinstance(v, tuple):
-        return list(v)
-    return v
+    return list(v) if isinstance(v, tuple) else v
 
 
 @dataclass(frozen=True)
@@ -234,7 +232,9 @@ def _c24(ctx):
 
 
 def _c25(ctx):
-    return math.gcd(ctx.left_factorials[0], ctx.factorial_exact), 2
+    # gcd(!p, p!) = 2 exactly while no odd prime q <= p has !q = 0 (mod q)
+    return (math.gcd(ctx.left_factorials[0], ctx.factorial_exact)
+            if ctx.kurepa_zeros else 2), 2
 
 
 def _c26(ctx):
@@ -388,14 +388,12 @@ class CatalogResult:
 
     @property
     def assertion_failures(self) -> list[CheckOutcome]:
-        return [o for o in self.outcomes
-                if not o.skipped and not o.holds
+        return [o for o in self.outcomes if not (o.skipped or o.holds)
                 and CATALOG[o.check_id].kind == "assert"]
 
     @property
     def findings(self) -> list[CheckOutcome]:
-        return [o for o in self.outcomes
-                if not o.skipped and not o.holds
+        return [o for o in self.outcomes if not (o.skipped or o.holds)
                 and CATALOG[o.check_id].kind != "assert"]
 
     @property
@@ -407,12 +405,7 @@ class CatalogResult:
         for o in self.outcomes:
             row = out.setdefault(o.check_id,
                                  {"held": 0, "failed": 0, "skipped": 0})
-            if o.skipped:
-                row["skipped"] += 1
-            elif o.holds:
-                row["held"] += 1
-            else:
-                row["failed"] += 1
+            row["skipped" if o.skipped else "held" if o.holds else "failed"] += 1
         return out
 
 

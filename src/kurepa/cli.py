@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import adele, checks, config, factorizer, residues, search, tables
@@ -64,22 +65,14 @@ def cmd_residues(args) -> int:
     return EXIT_OK
 
 
-def _outcome_rows(outcomes):
-    return [o.as_dict() for o in outcomes]
-
-
 def _caps(args) -> dict:
     return {"bell_cap": args.bell_cap, "bern_cap": args.bernoulli_cap}
 
 
 def cmd_check(args) -> int:
     res = checks.run_catalog(args.from_, args.to, ids=[args.id], **_caps(args))
-    dest = open(args.out, "w") if args.out else sys.stdout
-    try:
-        _emit_rows(_outcome_rows(res.outcomes), args.format, dest)
-    finally:
-        if args.out:
-            dest.close()
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as dest:
+        _emit_rows([o.as_dict() for o in res.outcomes], args.format, dest)
     kind = checks.CATALOG[args.id].kind
     if kind != "assert":
         findings = [o for o in res.outcomes if not o.skipped and not o.holds]
@@ -179,10 +172,8 @@ def cmd_adele(args) -> int:
 def cmd_factor_ln1(args) -> int:
     rows = factorizer.left_factorial_minus_one_table(
         args.nmax, budget=args.budget, long_run=args.long_run)
-    out = []
-    for n, f in zip(range(3, args.nmax + 1), rows):
-        out.append({"n": n, "factorization": str(f),
-                    "complete": f.complete})
+    out = [{"n": n, "factorization": str(f), "complete": f.complete}
+           for n, f in zip(range(3, args.nmax + 1), rows)]
     _emit_rows(out, args.format, sys.stdout)
     return EXIT_OK if all(f.complete for f in rows) else EXIT_MISMATCH
 

@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from . import config
+from . import config, search
 from .errors import DomainError, InvariantViolation
-from .exact import left_factorial
+from .exact import factorial, left_factorial
 from .modmath import is_prime, sieve_upto
 
 __all__ = [
@@ -186,16 +186,15 @@ class GcdReport:
 
 
 def kurepa_gcd_check(n_max: int) -> GcdReport:
-    """gcd(!n, n!) = 2 for every 2 < n <= n_max (exact big-integer gcds)."""
+    """gcd(!n, n!) = 2 for every 2 < n <= n_max. By Kurepa's reformulation
+    (Ivic and Mijajlovic, 1973; !n = 2 (mod 4), 8 | n! for n >= 4, and
+    !n = !q (mod q) for odd primes q <= n) it fails exactly from the first
+    odd prime q with !q = 0 (mod q): the first hit of one `kurepa_zero`
+    campaign pass. None is known; past it each gcd is computed exactly."""
     if n_max < 3:
         raise DomainError("kurepa_gcd_check needs n_max >= 3")
-    failures = []
-    lf, f = 4, 6  # !3, 3!
-    for n in range(3, n_max + 1):
-        g = math.gcd(lf, f)
-        if g != 2:
-            failures.append((n, g))
-        lf += f
-        f *= n + 1
-    return GcdReport(n_max=n_max, all_two=not failures,
-                     failures=tuple(failures))
+    zeros = search.run_campaign("kurepa_zero", 3, n_max).hits
+    gcds = ((n, math.gcd(left_factorial(n), factorial(n)))
+            for n in range(zeros[0] if zeros else n_max + 1, n_max + 1))
+    failures = tuple((n, g) for n, g in gcds if g != 2)
+    return GcdReport(n_max=n_max, all_two=not failures, failures=failures)

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 from itertools import accumulate, repeat
 from operator import floordiv, mod, mul
 from typing import Iterable, Iterator, Optional
 
-from . import _kernels, config, exact
+from . import _kernels, config, exact, search
 from .errors import CapacityError, DomainError, InvariantViolation
-from .modmath import UNDEFINED, Residue, fraction_residue, is_prime
+from .modmath import UNDEFINED, Residue, fraction_residue, is_prime, iter_primes
 
 __all__ = [
     "PrimeContext",
@@ -89,6 +89,7 @@ class PrimeContext:
         self.bell_cap = bell_cap
         self.bern_cap = bern_cap
         self._agoh_even = {}  # E(y) of `agoh_sum`, by y = x^2 mod p
+        self._window_zeros = None  # its window's `_kurepa_zeros`, if any
 
     # -- base values, built once
 
@@ -192,6 +193,13 @@ class PrimeContext:
     def kurepa(self, e: int) -> int:
         """!p mod p^e, e <= 3."""
         return self.columns[1] % self.p ** e
+
+    @cached_property
+    def kurepa_zeros(self) -> list[int]:
+        """The odd primes q <= p with !q = 0 (mod q), none if Kurepa's
+        conjecture holds: its window's `_kurepa_zeros`, or its own."""
+        zeros = self._window_zeros or partial(_kurepa_zeros, [self.p], [self.kurepa(1)])
+        return [q for q in zeros() if q <= self.p]
 
     def bell(self, e: int) -> int:
         """Bell_{p-1} mod p^e, e <= 3."""
@@ -341,13 +349,27 @@ def prime_contexts(primes: Iterable[int], **caps) -> Iterator[PrimeContext]:
     Every prime is checked by the PrimeContext constructor before any work;
     the ((p-1)!, !p) mod p^3 columns come from one block-kernel pass. No
     record is referenced here once yielded, so its cached tables go when the
-    caller drops it. `caps` are PrimeContext keywords.
+    caller drops it. They share one `_kurepa_zeros` call, made when first
+    read. `caps` are PrimeContext keywords.
     """
     records = deque(PrimeContext(p, **caps) for p in primes)
-    fs, ks = _kernels._factorial_columns([ctx.p for ctx in records], 3)
+    ps = [ctx.p for ctx in records]
+    fs, ks = _kernels._factorial_columns(ps, 3)
+    zeros = cache(partial(_kurepa_zeros, ps, ks))
     for col in zip(fs, ks):
         records[0].columns = col
+        records[0]._window_zeros = zeros
         yield records.popleft()
+
+
+def _kurepa_zeros(ps: list[int], ks: list[int]) -> list[int]:
+    """The odd primes q <= max(ps) with !q = 0 (mod q), given ks[i] = !p mod
+    p^e at p = ps[i]. If ps lists every prime from ps[0] to max(ps) in order,
+    its own are read off ks and one `kurepa_zero` campaign pass finds those
+    below ps[0]; otherwise that pass runs over [3, max(ps)]."""
+    lo = ps[0] if ps == list(iter_primes(ps[0], max(ps))) else max(ps) + 1
+    own = [p for p, k in zip(ps, ks) if p >= lo and k % p == 0]
+    return (search.run_campaign("kurepa_zero", 3, lo - 1).hits if lo > 3 else []) + own
 
 
 def factorial_mod(k: int, m: int) -> int:

@@ -7,7 +7,8 @@ file, fsync, rename); the newest snapshot wins, so while the run is in
 progress the file may lag the scan by the write in flight, and on return it
 is final and durable. A killed run resumes from the block boundary on disk
 to exactly the hits an uninterrupted run would have produced. A failed write
-is a CheckpointError.
+is a CheckpointError and removes its temp file; a run killed mid-write can
+leave one, which the next write overwrites.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 import os
 import threading
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -174,13 +176,19 @@ class Checkpoint:
 
 def _write_text(path: str, text: str):
     """Replace the file at path by text atomically: write a temp file, fsync
-    it and rename it into place. Every checkpoint write goes through here."""
+    it and rename it into place, or remove it if any step raises. Every
+    checkpoint write goes through here."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 class _Writer:
@@ -471,20 +479,13 @@ def verify_expected(name: str, ck: Checkpoint) -> VerifyReport:
     if campaign.expected is None:
         raise DomainError(f"campaign {name!r} has no expected-hit fixture")
     flo, fhi, fhits, mode = campaign.expected
-
-    def hit_p(h):
-        return h[1] if isinstance(h, tuple) else h
-
     if ck.lo > flo or ck.last_p < fhi:
         return VerifyReport(name, "inconclusive", tuple(fhits),
                             tuple(ck.hits))
-    found = tuple(h for h in ck.hits if flo <= hit_p(h) <= fhi)
+    found = tuple(h for h in ck.hits
+                  if flo <= (h[1] if isinstance(h, tuple) else h) <= fhi)
     fset, gset = set(fhits), set(found)
-    if mode == "contains":
-        missing = tuple(sorted(fset - gset))
-        status = "pass" if not missing else "fail"
-        return VerifyReport(name, status, tuple(fhits), found, missing, ())
     missing = tuple(sorted(fset - gset))
-    unexpected = tuple(sorted(gset - fset))
-    status = "pass" if not missing and not unexpected else "fail"
+    unexpected = () if mode == "contains" else tuple(sorted(gset - fset))
+    status = "fail" if missing or unexpected else "pass"
     return VerifyReport(name, status, tuple(fhits), found, missing, unexpected)

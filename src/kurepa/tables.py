@@ -281,10 +281,9 @@ def _reproduce_bell_wilson(hi: int = 600) -> TableReport:
 
 def _reproduce_factorizations(n_max: int = 24) -> TableReport:
     from .factorizer import factorize
-    from .exact import left_factorial
     rep = TableReport("factorizations")
     for n in range(3, n_max + 1):
-        f = factorize(left_factorial(n) - 1)
+        f = factorize(exact.left_factorial(n) - 1)
         computed = tuple(f.factors)
         rep.rows.append((n, computed, f.complete))
         if not f.complete:

@@ -1,0 +1,27 @@
+import pytest
+
+from kurepa import _kernels as K
+from kurepa import exact, factorizer
+
+
+@pytest.fixture
+def plant_kurepa_zero(monkeypatch):
+    """plant(q) makes the prime q a Kurepa zero, !q = 0 (mod q), for every
+    reader of the run tree's !p column: the `kurepa_zero` campaign and the
+    residue records. The exact !n, n >= q, is multiplied by q, as a real
+    zero would make q divide it, so the exact gcd(!n, n!) is not 2 there."""
+    def plant(q):
+        columns, left_factorial = K.run_columns, exact.left_factorial
+
+        def planted(blocks, e):
+            for block, (fs, ks) in zip(blocks, columns(blocks, e)):
+                yield fs, [0 if p == q else k for p, k in zip(block, ks)]
+
+        def multiplied(n):
+            return left_factorial(n) * (q if n >= q else 1)
+
+        monkeypatch.setattr(K, "run_columns", planted)
+        monkeypatch.setattr(exact, "left_factorial", multiplied)
+        monkeypatch.setattr(factorizer, "left_factorial", multiplied)
+        return multiplied
+    return plant

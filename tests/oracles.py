@@ -11,8 +11,12 @@ feeds the two recurrences and the tables' congruence test; production reads
 1/k = (k-1)!/k! off the residue record's factorials. `left_factorials_py`
 checks the binary splitting of `exact.left_factorial`, `factorials_py` the
 Wilson reflection of `_kernels._factorials`, and `unit_top_py` the trial
-division of `_kernels._unit_top`. Only the tests import them.
+division of `_kernels._unit_top`. `kurepa_gcds_py`, the exact gcd(!n, n!)
+for every n, checks C25 and `factorizer.kurepa_gcd_check`, which read the
+`kurepa_zero` campaign instead. Only the tests import them.
 """
+
+import math
 
 
 def left_factorials_py(n: int):
@@ -25,6 +29,16 @@ def left_factorials_py(n: int):
             f *= m
         total += f
         yield total
+
+
+def kurepa_gcds_py(n_max: int):
+    """Yield (n, gcd(!n, n!)) for n = 3..n_max by exact big-integer gcds,
+    growing !n and n! one step at a time."""
+    lf, f = 4, 6  # !3, 3!
+    for n in range(3, n_max + 1):
+        yield n, math.gcd(lf, f)
+        lf += f
+        f *= n + 1
 
 
 def factorials_py(n: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

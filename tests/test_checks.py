@@ -7,9 +7,10 @@ import pytest
 
 from kurepa import _kernels as K
 from kurepa import checks as C
-from kurepa import exact, modmath, residues
+from kurepa import exact, modmath, residues, search
 from kurepa import tables as T
 from kurepa.errors import DomainError
+from oracles import kurepa_gcds_py
 
 
 class TestRunCheck:
@@ -154,6 +155,73 @@ class TestRunCatalog:
         res = C.run_catalog(3, 60, ids=["C16"])
         s = res.summary()["C16"]
         assert s["failed"] == 0 and s["held"] > 0
+
+
+class TestKurepaRoute:
+    """C25 reads the Kurepa zeros below each prime, from one `kurepa_zero`
+    campaign pass below its window and the window's own !p columns, and
+    takes the exact gcd(!p, p!) only past a zero."""
+
+    @pytest.fixture(scope="class")
+    def gcds(self):
+        return dict(kurepa_gcds_py(2000))
+
+    @staticmethod
+    def _c25(outcomes):
+        return [(o.p, o.lhs, o.holds) for o in outcomes if o.check_id == "C25"]
+
+    def test_every_prime_to_2000(self, gcds):
+        res = C.run_catalog(3, 2000, ids=["C25"])
+        assert self._c25(res.outcomes) == [
+            (p, gcds[p], gcds[p] == 2) for p in modmath.iter_primes(3, 2000)]
+
+    def test_windows_past_3(self, gcds):
+        res = C.run_catalog(1009, 1500, ids=["C25"])
+        assert self._c25(res.outcomes) == [
+            (p, gcds[p], True) for p in modmath.iter_primes(1009, 1500)]
+        lo = random.Random(25).randint(2000, 3700)
+        res = C.run_catalog(lo, lo + 300, ids=["C25"])
+        want = [math.gcd(exact.left_factorial(p), math.factorial(p))
+                for p in modmath.iter_primes(lo, lo + 300)]
+        assert [o.lhs for o in res.outcomes] == want == [2] * len(want)
+
+    def test_lone_record(self, gcds):
+        for p in (3, 5, 7, 1009, 1999):
+            o = C.run_check("C25", p)
+            assert (o.lhs, o.holds) == (gcds[p], True)
+
+    def test_planted_zero_fails_from_it(self, plant_kurepa_zero):
+        q = 101
+        lf = plant_kurepa_zero(q)
+
+        def want(p):
+            g = math.gcd(lf(p), math.factorial(p))
+            return p, g, g == 2
+
+        # below the window, inside it, and for lone records
+        for lo, hi in ((3, 300), (53, 300), (103, 300)):
+            res = C.run_catalog(lo, hi, ids=["C25"])
+            assert self._c25(res.outcomes) == [want(p) for p in modmath.iter_primes(lo, hi)]
+        assert [C.run_check("C25", p).holds for p in (97, 101, 103, 211)] == [
+            True, False, False, False]
+        assert want(101)[1] == 202
+        # windows that are not every prime in their range
+        for window in ([5, 103], [103, 5], [5, 103, 101, 97]):
+            zeros = [ctx.kurepa_zeros for ctx in residues.prime_contexts(window)]
+            assert zeros == [[101] if p >= q else [] for p in window]
+
+    def test_one_pass_per_window_and_only_for_c25(self, monkeypatch):
+        calls, run = [], search.run_campaign
+        monkeypatch.setattr(search, "run_campaign",
+                            lambda *a, **k: calls.append(a) or run(*a, **k))
+        others = [i for i in C.check_ids() if i != "C25"]
+        assert C.run_catalog(101, 300, ids=others).ok
+        assert calls == []
+        assert C.run_catalog(101, 300).ok
+        assert calls == [("kurepa_zero", 3, 100)]
+        calls.clear()
+        assert C.run_catalog(3, 300, ids=["C25"]).ok
+        assert calls == []
 
 
 class TestTables:

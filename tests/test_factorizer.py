@@ -6,6 +6,7 @@ from kurepa import factorizer as F
 from kurepa.errors import DomainError
 from kurepa.exact import left_factorial
 from kurepa.modmath import is_prime
+from oracles import kurepa_gcds_py
 
 
 class TestFactorize:
@@ -93,6 +94,28 @@ class TestGcd:
         for n in range(3, 40):
             g = math.gcd(left_factorial(n), math.factorial(n))
             assert g == 2
+
+    def test_matches_exact_gcds_every_n(self):
+        gcds = list(kurepa_gcds_py(2000))
+        for n in range(3, 2001):
+            failures = tuple((m, g) for m, g in gcds[:n - 2] if g != 2)
+            assert F.kurepa_gcd_check(n) == F.GcdReport(n, not failures, failures)
+
+    def test_planted_zero_takes_one_exact_gcd_per_n_from_it(
+            self, monkeypatch, plant_kurepa_zero):
+        import math
+        q, n_max = 101, 300
+        lf = plant_kurepa_zero(q)
+        gcd, calls = math.gcd, []
+        monkeypatch.setattr(math, "gcd", lambda a, b: calls.append(a) or gcd(a, b))
+        rep = F.kurepa_gcd_check(n_max)
+        assert len(calls) == n_max - q + 1
+        want = tuple((n, gcd(lf(n), math.factorial(n))) for n in range(q, n_max + 1))
+        assert not rep.all_two and rep.failures == want
+        assert all(g % (2 * q) == 0 for _, g in want)
+        calls.clear()
+        assert F.kurepa_gcd_check(q - 1) == F.GcdReport(q - 1, True, ())
+        assert calls == []
 
 
 class TestStabilization:

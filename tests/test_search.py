@@ -119,7 +119,7 @@ class TestCheckpointing:
     def test_json_schema(self, tmp_path):
         path = str(tmp_path / "ck.json")
         S.run_campaign("wilson_zero", 3, 200, checkpoint_path=path)
-        obj = json.loads(open(path).read())
+        obj = json.loads(_read(path))
         assert set(obj) == {"campaign", "lo", "hi", "last_p", "hits",
                             "elapsed_s", "scanned", "version"}
         assert obj["version"] == 1
@@ -392,6 +392,23 @@ class TestCheckpointWriter:
             S.run_campaign("wilson_zero", 3, 2000, stride=17, progress=progress,
                            checkpoint_path=str(tmp_path / "ck.json"))
         assert seen == [61]
+
+    @pytest.mark.parametrize("stride", [17, 5000])
+    def test_failed_fsync_leaves_no_temp_file(self, tmp_path, written,
+                                              monkeypatch, stride):
+        # the temp file is written, then fsync fails, at a block boundary
+        # (stride 17) or at the one final write (stride 5000): the file is
+        # removed and the writer's OSError is a CheckpointError
+        def failing(fd):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(os, "fsync", failing)
+        path = tmp_path / "ck.json"
+        with pytest.raises(CheckpointError) as err:
+            S.run_campaign("wilson_zero", 3, 2000, stride=stride,
+                           checkpoint_path=str(path))
+        assert isinstance(err.value.__cause__, OSError)
+        assert list(tmp_path.iterdir()) == []
 
     @staticmethod
     def _composite_after_first_block(monkeypatch):
