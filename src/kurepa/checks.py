@@ -361,12 +361,14 @@ def run_check(check_id: str, p: int, ctx: Optional[PrimeContext] = None,
               **caps) -> CheckOutcome:
     """Evaluate one check at one prime. It is skipped as not applicable at p
     outside [min_p, max_p], and when the record refuses a value past its cap:
-    the record raises CapacityError before it builds that value."""
+    the record raises CapacityError before it builds that value. Without a
+    ctx it reads the lone record of `residues._record`, which consecutive
+    calls at one p and one pair of caps share."""
     if check_id not in CATALOG:
         raise DomainError(f"unknown check id {check_id!r}")
     desc = CATALOG[check_id]
     if ctx is None:
-        ctx = PrimeContext(p, **caps)
+        ctx = residues._record(p, **caps)
     if desc.min_p <= p <= (desc.max_p or p):
         try:
             out = desc.run(ctx)

@@ -3,17 +3,21 @@
 `PrimeContext` is the one route to every residue at one prime: it checks
 that p is an odd prime once, builds each base value once, and derives the
 rest by reduction. The public per-prime functions check their arguments and
-read one of its fields; `prime_contexts` streams the records of a window
-from one block-kernel pass. Division-by-p steps always verify divisibility
-first and raise InvariantViolation otherwise, so a wrong quotient can never
-silently poison a downstream table.
+read one of its fields from `_record`, a one-record slot: consecutive calls
+at one prime and one pair of caps share a record, so `residue_profile(p, e)`
+for e = 1, 2, 3 and then `gregory_mod_table(p)` build each value once. At
+most one such record is held. `prime_contexts` streams the records of a
+window from one block-kernel pass and never touches the slot. Division-by-p
+steps always verify divisibility first and raise InvariantViolation
+otherwise, so a wrong quotient can never silently poison a downstream table.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from dataclasses import asdict, dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, lru_cache, partial
 from itertools import accumulate, repeat
 from operator import floordiv, mod, mul
 from typing import Iterable, Iterator, Optional
@@ -79,6 +83,12 @@ class PrimeContext:
     mod p^3, which share one power table. Once the p^3 value is built, the
     p^2 one is read off it. Bell is capped at p - 1 <= bell_cap and the
     tables at p <= bern_cap.
+
+    The per-prime functions read the record in `_record`, which keeps the
+    most recent lone record, so consecutive calls at one p and one pair of
+    caps share its values (about 5 MB at p = 19997 once three profiles and
+    the Gregory table are built). A failed check or cap stores nothing: it
+    raises again on the next read.
     """
 
     def __init__(self, p: int,
@@ -343,6 +353,19 @@ def _horner(c: list[int], x: int, p: int) -> int:
     return s
 
 
+def _record(p: int, bell_cap: int = config.BELL_MOD_CAP,
+            bern_cap: int = config.BERNOULLI_MOD_CAP) -> PrimeContext:
+    """The record of a lone prime, shared with the previous call when that
+    was at the same p and caps. The caps are filled in before the lookup, so
+    a call that names the defaults and one that omits them share it."""
+    return _last_record(p, bell_cap, bern_cap)
+
+
+@lru_cache(maxsize=1)
+def _last_record(p: int, bell_cap: int, bern_cap: int) -> PrimeContext:
+    return PrimeContext(p, bell_cap, bern_cap)
+
+
 def prime_contexts(primes: Iterable[int], **caps) -> Iterator[PrimeContext]:
     """The records of a window of odd primes, one at a time, in input order.
 
@@ -350,7 +373,8 @@ def prime_contexts(primes: Iterable[int], **caps) -> Iterator[PrimeContext]:
     the ((p-1)!, !p) mod p^3 columns come from one block-kernel pass. No
     record is referenced here once yielded, so its cached tables go when the
     caller drops it. They share one `_kurepa_zeros` call, made when first
-    read. `caps` are PrimeContext keywords.
+    read. `caps` are PrimeContext keywords. The `_record` slot is neither
+    read nor filled.
     """
     records = deque(PrimeContext(p, **caps) for p in primes)
     ps = [ctx.p for ctx in records]
@@ -362,14 +386,42 @@ def prime_contexts(primes: Iterable[int], **caps) -> Iterator[PrimeContext]:
         yield records.popleft()
 
 
+class _KurepaZeros:
+    """The Kurepa zeros found so far in this process: `zeros` lists, in
+    increasing order, every odd prime q < `below` with !q = 0 (mod q).
+    Readers extend it under `lock`."""
+
+    def __init__(self):
+        self.below, self.zeros = 3, []
+        self.lock = threading.Lock()
+
+    def cover(self, hi: int):
+        """Extend the prefix to hi by one `kurepa_zero` pass over the gap."""
+        if hi >= self.below:
+            self.zeros += search.run_campaign("kurepa_zero", self.below, hi).hits
+            self.below = hi + 1
+
+
+_known_zeros = _KurepaZeros()
+
+
 def _kurepa_zeros(ps: list[int], ks: list[int]) -> list[int]:
     """The odd primes q <= max(ps) with !q = 0 (mod q), given ks[i] = !p mod
     p^e at p = ps[i]. If ps lists every prime from ps[0] to max(ps) in order,
-    its own are read off ks and one `kurepa_zero` campaign pass finds those
-    below ps[0]; otherwise that pass runs over [3, max(ps)]."""
-    lo = ps[0] if ps == list(iter_primes(ps[0], max(ps))) else max(ps) + 1
-    own = [p for p, k in zip(ps, ks) if p >= lo and k % p == 0]
-    return (search.run_campaign("kurepa_zero", 3, lo - 1).hits if lo > 3 else []) + own
+    a `kurepa_zero` pass covers the gap between the known prefix and ps[0],
+    and ks extends the prefix past max(ps); otherwise the pass covers the
+    gap up to max(ps). No prime is scanned twice in a process."""
+    known, top = _known_zeros, max(ps)
+    contiguous = ps == list(iter_primes(ps[0], top))
+    with known.lock:
+        if contiguous:
+            known.cover(ps[0] - 1)
+            if known.below <= top:
+                known.zeros += [p for p, k in zip(ps, ks) if p >= known.below and k % p == 0]
+                known.below = top + 1
+        else:
+            known.cover(top)
+        return [q for q in known.zeros if q <= top]
 
 
 def factorial_mod(k: int, m: int) -> int:
@@ -386,7 +438,7 @@ def kurepa_mod(p: int, e: int = 1) -> Residue:
         raise DomainError(f"modulus power must be 1, 2 or 3, got {e}")
     if p == 2:
         return Residue(2, 2 ** e)
-    return Residue(PrimeContext(p).kurepa(e), p ** e)
+    return Residue(_record(p).kurepa(e), p ** e)
 
 
 def bell_mod(n: int, m: int) -> Residue:
@@ -438,7 +490,7 @@ def wilson_quotient_mod(p: int, e: int = 1) -> Residue:
 
     A failed Wilson check means the input was not prime.
     """
-    ctx = PrimeContext(p)
+    ctx = _record(p)
     if e not in (1, 2):
         raise DomainError(f"modulus power must be 1 or 2, got {e}")
     return Residue(ctx.wilson2, p ** e)
@@ -461,12 +513,12 @@ def _fermat_quotient(p: int, a: int, e: int) -> int:
 
 def lerch_quotient_mod(p: int) -> Residue:
     """L_p mod p: (sum_a q_p(a) - W_p)/p, both taken mod p^2."""
-    return Residue(PrimeContext(p).lerch, p)
+    return Residue(_record(p).lerch, p)
 
 
 def gertsch_quotient_mod(p: int) -> Residue:
     """Gertsch_p mod p = ((!p - Bell_{p-1} + 1) mod p^2) / p."""
-    return Residue(PrimeContext(p).gertsch, p)
+    return Residue(_record(p).gertsch, p)
 
 
 # ---------------------------------------------------------------------------
@@ -512,12 +564,12 @@ def bernoulli_mod_table(p: int) -> BernoulliModTable:
     """B_k mod p for 0 <= k <= p-2: the even ones from y coth y =
     C(u)/S(u) in u = y^2, a Newton inverse of half the table's length and
     one big-int series product; B_1 = -1/2 and the odd ones past it are 0."""
-    return PrimeContext(p).bern
+    return _record(p).bern
 
 
 def gregory_mod_table(p: int) -> GregoryModTable:
     """G_n mod p for 1 <= n <= p-2 (denominators k+1 <= p-1 are invertible)."""
-    return PrimeContext(p).greg
+    return _record(p).greg
 
 
 def stirling2_row_mod(n: int, m: int) -> list[int]:
@@ -547,7 +599,7 @@ class BernoulliIndexSums:
 
 
 def bernoulli_index_sums(p: int) -> BernoulliIndexSums:
-    return PrimeContext(p).bern_sums
+    return _record(p).bern_sums
 
 
 def bernoulli_factorial_sum_mod(p: int) -> Residue:
@@ -557,12 +609,12 @@ def bernoulli_factorial_sum_mod(p: int) -> Residue:
     bernoulli_left_factorial_sum_mod; it is NOT congruent to W_p + 2 (the
     index-weighted sum is).
     """
-    return Residue(PrimeContext(p).bern_factorial_sum, p)
+    return Residue(_record(p).bern_factorial_sum, p)
 
 
 def bernoulli_left_factorial_sum_mod(p: int) -> Residue:
     """sum_{m=1}^{(p-3)/2} (B_{2m}/(2m)!) * (!(2m) - 1) mod p."""
-    ctx = PrimeContext(p)
+    ctx = _record(p)
     if p < 5:
         raise DomainError("bernoulli_left_factorial_sum_mod needs p >= 5")
     return Residue(ctx.bern_left_factorial_sum, p)
@@ -574,12 +626,12 @@ def bernoulli_left_factorial_sum_mod(p: int) -> Residue:
 def agoh_giuga_mod(p: int) -> Residue:
     """AG_p mod p = W_p + 1, checked against exact rationals within the
     exact-Bernoulli cap (see PrimeContext.ag)."""
-    return Residue(PrimeContext(p).ag, p)
+    return Residue(_record(p).ag, p)
 
 
 def special_quotient_mod(p: int, m: int) -> Residue:
     """Q_p(m) = AG_p + q_p(m) mod p."""
-    ctx = PrimeContext(p)
+    ctx = _record(p)
     if m % p == 0:
         raise DomainError(f"p must not divide m (p={p}, m={m})")
     return Residue(ctx.ag + ctx.q(m), p)
@@ -593,7 +645,7 @@ FRACTIONAL = UNDEFINED  # same marker: p does not divide Bell_{p-1}
 
 def bell_wilson_sum_mod(p: int):
     """(Bell_{p-1}/p + W_p) mod p when p | Bell_{p-1}; FRACTIONAL otherwise."""
-    s = PrimeContext(p).bell_wilson_sum
+    s = _record(p).bell_wilson_sum
     return s if s is FRACTIONAL else Residue(s, p)
 
 
@@ -611,7 +663,7 @@ def harmonic_mod(p: int, n: int, k: int) -> Residue:
 
 def sun_zagier_sum(p: int, m: int) -> Residue:
     """sum_{0<k<p} Bell_k / (-m)^k mod p; equals (-1)^(m-1) Der_{m-1}."""
-    ctx = PrimeContext(p)
+    ctx = _record(p)
     if m % p == 0:
         raise DomainError(f"p must not divide m (p={p}, m={m})")
     return Residue(ctx.sun_zagier(m), p)
@@ -656,8 +708,9 @@ class ResidueProfile:
 def residue_profile(p: int, e: int = 1,
                     bell_cap: int = config.BELL_MOD_CAP,
                     bern_cap: int = config.BERNOULLI_MOD_CAP) -> ResidueProfile:
-    """Every field read from one PrimeContext."""
-    ctx = PrimeContext(p, bell_cap, bern_cap)
+    """Every field read from one PrimeContext, the one `_record` holds, which
+    the next call at the same p and caps reads again."""
+    ctx = _record(p, bell_cap, bern_cap)
     if e not in (1, 2, 3):
         raise DomainError(f"modulus power must be 1, 2 or 3, got {e}")
     sums = ctx.bern_sums

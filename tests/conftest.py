@@ -1,7 +1,15 @@
 import pytest
 
 from kurepa import _kernels as K
-from kurepa import exact, factorizer
+from kurepa import exact, factorizer, residues
+
+
+@pytest.fixture(autouse=True)
+def fresh_records(monkeypatch):
+    """Each test starts with no lone residue record and no known Kurepa
+    zeros, so neither holds values built under another test's monkeypatch."""
+    residues._last_record.cache_clear()
+    monkeypatch.setattr(residues, "_known_zeros", residues._KurepaZeros())
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -209,6 +210,40 @@ class TestKurepaRoute:
         for window in ([5, 103], [103, 5], [5, 103, 101, 97]):
             zeros = [ctx.kurepa_zeros for ctx in residues.prime_contexts(window)]
             assert zeros == [[101] if p >= q else [] for p in window]
+
+    @pytest.mark.parametrize("order", ["ascending", "shuffled"])
+    def test_consecutive_windows_scan_each_prime_once(self, monkeypatch, gcds, order):
+        # 16 consecutive windows of [3, 600], as the catalog benchmark cuts them
+        rng = random.Random(2201)
+        primes = list(modmath.iter_primes(3, 600))
+        cuts = sorted(rng.sample(range(1, len(primes)), 15))
+        windows = [(primes[a], primes[b - 1])
+                   for a, b in zip([0, *cuts], [*cuts, len(primes)])]
+        if order == "shuffled":
+            rng.shuffle(windows)
+        scanned, inside = Counter(), []
+        run, columns = search.run_campaign, K.run_columns
+
+        def campaign(*a, **k):
+            inside.append(a)
+            try:
+                return run(*a, **k)
+            finally:
+                inside.pop()
+
+        def counted(blocks, e):
+            if inside:
+                scanned.update(p for block in blocks for p in block)
+            return columns(blocks, e)
+        monkeypatch.setattr(search, "run_campaign", campaign)
+        monkeypatch.setattr(K, "run_columns", counted)
+        got = []
+        for lo, hi in windows:
+            got += self._c25(C.run_catalog(lo, hi, ids=["C25"]).outcomes)
+        assert sorted(got) == [(p, gcds[p], gcds[p] == 2) for p in primes]
+        assert all(n == 1 for n in scanned.values()), scanned
+        if order == "ascending":
+            assert not scanned  # each window extends the prefix by its own column
 
     def test_one_pass_per_window_and_only_for_c25(self, monkeypatch):
         calls, run = [], search.run_campaign

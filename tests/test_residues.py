@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from kurepa import _kernels as K
-from kurepa import exact, residues as R
+from kurepa import config, exact, residues as R
 from kurepa.errors import CapacityError, DomainError, InvariantViolation
 from kurepa.modmath import Residue, fraction_residue, iter_primes, mod_inv, sieve_primes
 from kurepa.residues import PrimeContext
@@ -584,3 +584,125 @@ class TestPrimeContexts:
                     assert ctx.sun_zagier(m) == self._sun_zagier_loop(ctx, m), (p, m)
             for m in [*range(-8, 0), *range(1, 9), 0, p, -2 * p]:
                 assert ctx.agoh_sum(m) == self._agoh_sum_loop(ctx, m), (p, m)
+
+
+class TestLoneRecord:
+    """Consecutive per-prime calls at one prime and one pair of caps share
+    the record that `R._record` holds; errors are never kept."""
+
+    def test_one_build_per_prime_across_calls(self, monkeypatch):
+        calls = {"is_prime": 0, "_factorial_columns": 0, "_factorials": 0}
+        bell_moduli = []
+
+        def counted(holder, name):
+            fn = getattr(holder, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(holder, name, wrapper)
+        for holder in (R, exact):
+            counted(holder, "is_prime")
+        counted(K, "_factorial_columns")
+        counted(K, "_factorials")
+        bell = K.bell_mod
+        monkeypatch.setattr(K, "bell_mod",
+                            lambda *a: bell_moduli.append(a[1]) or bell(*a))
+        p = 101
+        profiles = [R.residue_profile(p, e) for e in (1, 2, 3)]
+        table = R.gregory_mod_table(p)
+        g = R.gertsch_quotient_mod(p)
+        assert calls == {"is_prime": 1, "_factorial_columns": 1, "_factorials": 1}
+        assert bell_moduli == [p ** 2, p ** 3]
+        assert [prof.gertsch_q for prof in profiles] == [int(g)] * 3
+        assert list(table.values) == gregory_table_mod_py(p)[1:]
+
+    @staticmethod
+    def _outcome(fn):
+        try:
+            return fn()
+        except (CapacityError, DomainError) as exc:
+            return type(exc)
+
+    def test_same_values_as_a_fresh_record(self, monkeypatch):
+        rng = random.Random(20261019)
+        primes = rng.sample(sieve_primes(3, 3000), 20)
+        default = {}
+        calls = [
+            lambda p, e, caps: R.kurepa_mod(p, e),
+            lambda p, e, caps: R.wilson_quotient_mod(p, min(e, 2)),
+            lambda p, e, caps: R.lerch_quotient_mod(p),
+            lambda p, e, caps: R.gertsch_quotient_mod(p),
+            lambda p, e, caps: R.agoh_giuga_mod(p),
+            lambda p, e, caps: R.bell_wilson_sum_mod(p),
+            lambda p, e, caps: R.bernoulli_mod_table(p),
+            lambda p, e, caps: R.gregory_mod_table(p),
+            lambda p, e, caps: R.bernoulli_index_sums(p),
+            lambda p, e, caps: R.bernoulli_factorial_sum_mod(p),
+            lambda p, e, caps: R.bernoulli_left_factorial_sum_mod(p),
+            lambda p, e, caps: R.special_quotient_mod(p, e + 1),
+            lambda p, e, caps: R.sun_zagier_sum(p, e + 2),
+            lambda p, e, caps: R.residue_profile(p, e, **caps),
+        ]
+        p = primes[0]
+        seen = []
+        for _ in range(300):
+            if rng.random() < 0.5:  # half the calls stay at the previous prime
+                p = rng.choice(primes)
+            caps = rng.choice([default, {"bell_cap": config.BELL_MOD_CAP,
+                                         "bern_cap": config.BERNOULLI_MOD_CAP},
+                               {"bell_cap": p - 1, "bern_cap": p},
+                               {"bell_cap": 10, "bern_cap": 20}])
+            e, i = rng.choice((1, 2, 3)), rng.randrange(len(calls))
+            if rng.random() < 0.1:
+                with pytest.raises(DomainError):
+                    calls[i](rng.choice((9, 15, 3001 * 3)), e, caps)
+            got = self._outcome(lambda: calls[i](p, e, caps))
+            with monkeypatch.context() as m:
+                m.setattr(R, "_record", PrimeContext)
+                want = self._outcome(lambda: calls[i](p, e, caps))
+            assert got == want, (p, e, i, caps)
+            seen.append((p, e))
+        assert {e for _, e in seen} == {1, 2, 3}
+        assert sum(a == b for a, b in zip(seen, seen[1:])) > 10  # repeats happen
+
+    def test_composite_raises_every_call(self):
+        R.gertsch_quotient_mod(101)
+        for _ in range(3):
+            for c in (9, 15, 10_001):
+                with pytest.raises(DomainError):
+                    R.gertsch_quotient_mod(c)
+        assert R._record(101).p == 101
+
+    def test_capacity_error_is_not_kept(self):
+        p = 1009
+        for _ in range(2):
+            with pytest.raises(CapacityError):
+                R.residue_profile(p, 2, bell_cap=10)
+        prof = R.residue_profile(p, 2)
+        assert prof.bell_mod == K.bell_seq_mod(p - 1, p * p)[p - 1]
+        with pytest.raises(CapacityError):
+            R.residue_profile(p, 2, bell_cap=10)
+
+    def test_invariant_violation_every_call(self, monkeypatch):
+        columns = K._factorial_columns
+
+        def corrupt(primes, e):
+            fs, ks = columns(primes, e)
+            return [f + 1 for f in fs], ks
+        monkeypatch.setattr(K, "_factorial_columns", corrupt)
+        for _ in range(3):
+            with pytest.raises(InvariantViolation):
+                R.wilson_quotient_mod(101)
+            with pytest.raises(InvariantViolation):
+                R.wilson_quotient_mod(101, 2)
+
+    def test_windows_stay_out_of_the_slot(self):
+        assert R._last_record.cache_info().currsize == 0
+        list(R.prime_contexts([3, 5, 7]))
+        assert R._last_record.cache_info().currsize == 0
+        held = R._record(101)
+        for ctx in R.prime_contexts([5, 101, 103]):
+            ctx.gertsch
+        assert R._last_record.cache_info().currsize == 1
+        assert R._record(101) is held
