@@ -23,13 +23,15 @@ Stirling triangle, which also serves rows whose factorials are not units
 mod m. `bell_mod` is O(p) per prime and inverts the (p-1)! its caller reads
 from the run tree. (p-1)! mod p^e and !p mod p^e have one route, the run
 tree `run_columns`: a campaign run passes it all its blocks and reads one
-block's columns per step; the `kurepa_zero` run at e = 1 also serves C25 and
-`factorizer.kurepa_gcd_check`. `_factorial_columns` is its one-block case,
-which the residue records call. Its steps compose in `_then` alone, the seam
-for another big-int backend. `wilson_column` and `gertsch_column` turn a
-campaign's columns mod p^2 into W_p and Gertsch_p mod p. The three quotients
-by p, `fermat_quotient`, `wilson_quotient` and `gertsch_quotient`, each
-check that p divides their numerator and raise InvariantViolation otherwise.
+block's columns per step; the `kurepa_zero` run at e = 1 also extends
+`search.kurepa_zeros`, the one prefix of Kurepa zeros that C25 and
+`factorizer.kurepa_gcd_check` read. `_factorial_columns` is its one-block
+case, which the residue records call. Its steps compose in `_then` alone,
+the seam for another big-int backend. `wilson_column` and `gertsch_column`
+turn a campaign's columns mod p^2 into W_p and Gertsch_p mod p. The three
+quotients by p, `fermat_quotient`, `wilson_quotient` and `gertsch_quotient`,
+each check that p divides their numerator and raise InvariantViolation
+otherwise.
 """
 
 from __future__ import annotations

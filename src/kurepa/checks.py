@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Optional
 
-from . import config, exact, residues
+from . import config, exact, residues, search
 from .errors import CapacityError, DomainError
 from .modmath import fraction_residue, iter_primes
 from .residues import PrimeContext, prime_contexts  # PrimeContext re-exported
@@ -234,7 +234,7 @@ def _c24(ctx):
 def _c25(ctx):
     # gcd(!p, p!) = 2 exactly while no odd prime q <= p has !q = 0 (mod q)
     return (math.gcd(ctx.left_factorials[0], ctx.factorial_exact)
-            if ctx.kurepa_zeros else 2), 2
+            if search.kurepa_zeros(ctx.p) else 2), 2
 
 
 def _c26(ctx):
@@ -363,12 +363,15 @@ def run_check(check_id: str, p: int, ctx: Optional[PrimeContext] = None,
     outside [min_p, max_p], and when the record refuses a value past its cap:
     the record raises CapacityError before it builds that value. Without a
     ctx it reads the lone record of `residues._record`, which consecutive
-    calls at one p and one pair of caps share."""
+    calls at one p and one pair of caps share; a ctx at another prime than
+    p raises DomainError."""
     if check_id not in CATALOG:
         raise DomainError(f"unknown check id {check_id!r}")
     desc = CATALOG[check_id]
     if ctx is None:
         ctx = residues._record(p, **caps)
+    elif ctx.p != p:
+        raise DomainError(f"record is at p = {ctx.p}, not at p = {p}")
     if desc.min_p <= p <= (desc.max_p or p):
         try:
             out = desc.run(ctx)
@@ -416,7 +419,9 @@ def run_catalog(lo: int, hi: int, ids: Optional[list[str]] = None,
     """Run a subset (default: all) of the catalog over the primes in [lo, hi].
 
     Outcomes are deterministic and sorted by (id, p); assertion-class
-    failures make .ok false, measurement/scan findings never do.
+    failures make .ok false, measurement/scan findings never do. When C25
+    runs, one `search.kurepa_zeros(hi)` call covers the Kurepa zeros of
+    every prime in the window before the first one is read.
     """
     if ids is None:
         ids = check_ids()
@@ -424,6 +429,8 @@ def run_catalog(lo: int, hi: int, ids: Optional[list[str]] = None,
         for i in ids:
             if i not in CATALOG:
                 raise DomainError(f"unknown check id {i!r}")
+    if "C25" in ids:
+        search.kurepa_zeros(hi)
     result = CatalogResult(lo, hi)
     for ctx in prime_contexts(iter_primes(max(lo, 3), hi), **caps):
         for check_id in ids:

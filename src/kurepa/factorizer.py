@@ -189,11 +189,12 @@ def kurepa_gcd_check(n_max: int) -> GcdReport:
     """gcd(!n, n!) = 2 for every 2 < n <= n_max. By Kurepa's reformulation
     (Ivic and Mijajlovic, 1973; !n = 2 (mod 4), 8 | n! for n >= 4, and
     !n = !q (mod q) for odd primes q <= n) it fails exactly from the first
-    odd prime q with !q = 0 (mod q): the first hit of one `kurepa_zero`
-    campaign pass. None is known; past it each gcd is computed exactly."""
+    odd prime q with !q = 0 (mod q): the first of `search.kurepa_zeros`,
+    whose prefix C25 shares. None is known; past it each gcd is computed
+    exactly."""
     if n_max < 3:
         raise DomainError("kurepa_gcd_check needs n_max >= 3")
-    zeros = search.run_campaign("kurepa_zero", 3, n_max).hits
+    zeros = search.kurepa_zeros(n_max)
     gcds = ((n, math.gcd(left_factorial(n), factorial(n)))
             for n in range(zeros[0] if zeros else n_max + 1, n_max + 1))
     failures = tuple((n, g) for n, g in gcds if g != 2)

@@ -7,24 +7,26 @@ read one of its fields from `_record`, a one-record slot: consecutive calls
 at one prime and one pair of caps share a record, so `residue_profile(p, e)`
 for e = 1, 2, 3 and then `gregory_mod_table(p)` build each value once. At
 most one such record is held. `prime_contexts` streams the records of a
-window from one block-kernel pass and never touches the slot. Division-by-p
-steps always verify divisibility first and raise InvariantViolation
-otherwise, so a wrong quotient can never silently poison a downstream table.
+window from one block-kernel pass and never touches the slot. A record holds
+values at its own prime only; the Kurepa zeros below p that check C25 reads
+come from `search.kurepa_zeros`, which this module does not import.
+Division-by-p steps always verify divisibility first and raise
+InvariantViolation otherwise, so a wrong quotient can never silently poison
+a downstream table.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import asdict, dataclass
-from functools import cache, cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
 from operator import floordiv, mod, mul
 from typing import Iterable, Iterator, Optional
 
-from . import _kernels, config, exact, search
+from . import _kernels, config, exact
 from .errors import CapacityError, DomainError, InvariantViolation
-from .modmath import UNDEFINED, Residue, fraction_residue, is_prime, iter_primes
+from .modmath import UNDEFINED, Residue, fraction_residue, is_prime
 
 __all__ = [
     "PrimeContext",
@@ -82,7 +84,8 @@ class PrimeContext:
     and Bell at e <= 2; mod p^3 only for Bell at e = 3 and sum_a a^(p-1)
     mod p^3, which share one power table. Once the p^3 value is built, the
     p^2 one is read off it. Bell is capped at p - 1 <= bell_cap and the
-    tables at p <= bern_cap.
+    tables at p <= bern_cap. Every value is a value at p: nothing here reads
+    or keeps another prime's residues.
 
     The per-prime functions read the record in `_record`, which keeps the
     most recent lone record, so consecutive calls at one p and one pair of
@@ -99,7 +102,6 @@ class PrimeContext:
         self.bell_cap = bell_cap
         self.bern_cap = bern_cap
         self._agoh_even = {}  # E(y) of `agoh_sum`, by y = x^2 mod p
-        self._window_zeros = None  # its window's `_kurepa_zeros`, if any
 
     # -- base values, built once
 
@@ -203,13 +205,6 @@ class PrimeContext:
     def kurepa(self, e: int) -> int:
         """!p mod p^e, e <= 3."""
         return self.columns[1] % self.p ** e
-
-    @cached_property
-    def kurepa_zeros(self) -> list[int]:
-        """The odd primes q <= p with !q = 0 (mod q), none if Kurepa's
-        conjecture holds: its window's `_kurepa_zeros`, or its own."""
-        zeros = self._window_zeros or partial(_kurepa_zeros, [self.p], [self.kurepa(1)])
-        return [q for q in zeros() if q <= self.p]
 
     def bell(self, e: int) -> int:
         """Bell_{p-1} mod p^e, e <= 3."""
@@ -372,56 +367,14 @@ def prime_contexts(primes: Iterable[int], **caps) -> Iterator[PrimeContext]:
     Every prime is checked by the PrimeContext constructor before any work;
     the ((p-1)!, !p) mod p^3 columns come from one block-kernel pass. No
     record is referenced here once yielded, so its cached tables go when the
-    caller drops it. They share one `_kurepa_zeros` call, made when first
-    read. `caps` are PrimeContext keywords. The `_record` slot is neither
-    read nor filled.
+    caller drops it. `caps` are PrimeContext keywords. The `_record` slot is
+    neither read nor filled.
     """
     records = deque(PrimeContext(p, **caps) for p in primes)
-    ps = [ctx.p for ctx in records]
-    fs, ks = _kernels._factorial_columns(ps, 3)
-    zeros = cache(partial(_kurepa_zeros, ps, ks))
+    fs, ks = _kernels._factorial_columns([ctx.p for ctx in records], 3)
     for col in zip(fs, ks):
         records[0].columns = col
-        records[0]._window_zeros = zeros
         yield records.popleft()
-
-
-class _KurepaZeros:
-    """The Kurepa zeros found so far in this process: `zeros` lists, in
-    increasing order, every odd prime q < `below` with !q = 0 (mod q).
-    Readers extend it under `lock`."""
-
-    def __init__(self):
-        self.below, self.zeros = 3, []
-        self.lock = threading.Lock()
-
-    def cover(self, hi: int):
-        """Extend the prefix to hi by one `kurepa_zero` pass over the gap."""
-        if hi >= self.below:
-            self.zeros += search.run_campaign("kurepa_zero", self.below, hi).hits
-            self.below = hi + 1
-
-
-_known_zeros = _KurepaZeros()
-
-
-def _kurepa_zeros(ps: list[int], ks: list[int]) -> list[int]:
-    """The odd primes q <= max(ps) with !q = 0 (mod q), given ks[i] = !p mod
-    p^e at p = ps[i]. If ps lists every prime from ps[0] to max(ps) in order,
-    a `kurepa_zero` pass covers the gap between the known prefix and ps[0],
-    and ks extends the prefix past max(ps); otherwise the pass covers the
-    gap up to max(ps). No prime is scanned twice in a process."""
-    known, top = _known_zeros, max(ps)
-    contiguous = ps == list(iter_primes(ps[0], top))
-    with known.lock:
-        if contiguous:
-            known.cover(ps[0] - 1)
-            if known.below <= top:
-                known.zeros += [p for p, k in zip(ps, ks) if p >= known.below and k % p == 0]
-                known.below = top + 1
-        else:
-            known.cover(top)
-        return [q for q in known.zeros if q <= top]
 
 
 def factorial_mod(k: int, m: int) -> int:

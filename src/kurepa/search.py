@@ -32,6 +32,7 @@ __all__ = [
     "Checkpoint",
     "run_campaign",
     "run_sharded",
+    "kurepa_zeros",
     "verify_expected",
     "VerifyReport",
 ]
@@ -422,6 +423,26 @@ def _advance(campaign: Campaign, ck: Checkpoint, start: int, stride: int,
         ck.elapsed_s += time.monotonic() - t0
         if writer is not None:
             writer.put(ck.to_json())
+
+
+# (below, zeros): every odd prime < below is scanned; zeros are its Kurepa zeros
+_kurepa_prefix: tuple[int, tuple[int, ...]] = (3, ())
+_kurepa_lock = threading.Lock()
+
+
+def kurepa_zeros(n: int) -> list[int]:
+    """The odd primes q <= n with !q = 0 (mod q), none if Kurepa's
+    conjecture holds. The process keeps one prefix of scanned primes: under
+    a lock, a call runs one `kurepa_zero` pass over only the part of [3, n]
+    that the prefix does not cover, and extends the prefix once the pass
+    returns, so no prime is scanned twice in a process."""
+    global _kurepa_prefix
+    with _kurepa_lock:
+        below, zeros = _kurepa_prefix
+        if n >= below:
+            zeros += tuple(run_campaign("kurepa_zero", below, n).hits)
+            _kurepa_prefix = n + 1, zeros
+    return [q for q in zeros if q <= n]
 
 
 def run_sharded(name: str, lo: int, hi: int, shards: int, *,

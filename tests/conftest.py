@@ -1,23 +1,25 @@
 import pytest
 
 from kurepa import _kernels as K
-from kurepa import exact, factorizer, residues
+from kurepa import exact, factorizer, residues, search
 
 
 @pytest.fixture(autouse=True)
 def fresh_records(monkeypatch):
-    """Each test starts with no lone residue record and no known Kurepa
-    zeros, so neither holds values built under another test's monkeypatch."""
+    """Each test starts with no lone residue record and no scanned prefix of
+    Kurepa zeros, so neither holds values built under another test's
+    monkeypatch."""
     residues._last_record.cache_clear()
-    monkeypatch.setattr(residues, "_known_zeros", residues._KurepaZeros())
+    monkeypatch.setattr(search, "_kurepa_prefix", (3, ()))
 
 
 @pytest.fixture
 def plant_kurepa_zero(monkeypatch):
     """plant(q) makes the prime q a Kurepa zero, !q = 0 (mod q), for every
-    reader of the run tree's !p column: the `kurepa_zero` campaign and the
-    residue records. The exact !n, n >= q, is multiplied by q, as a real
-    zero would make q divide it, so the exact gcd(!n, n!) is not 2 there."""
+    reader of the run tree's !p column: the `kurepa_zero` campaign, so
+    `search.kurepa_zeros`, and the residue records. The exact !n, n >= q, is
+    multiplied by q, as a real zero would make q divide it, so the exact
+    gcd(!n, n!) is not 2 there."""
     def plant(q):
         columns, left_factorial = K.run_columns, exact.left_factorial
 

@@ -8,7 +8,7 @@ import pytest
 
 from kurepa import _kernels as K
 from kurepa import checks as C
-from kurepa import exact, modmath, residues, search
+from kurepa import exact, factorizer, modmath, residues, search
 from kurepa import tables as T
 from kurepa.errors import DomainError
 from oracles import kurepa_gcds_py
@@ -28,6 +28,12 @@ class TestRunCheck:
         o = C.run_check("C31", 11)
         assert not o.holds  # 11 is not in the agreement set
         assert C.CATALOG["C31"].kind == "measure"
+
+    def test_record_at_another_prime(self):
+        ctx = residues.PrimeContext(7)
+        with pytest.raises(DomainError):
+            C.run_check("C05", 5, ctx)
+        assert C.run_check("C05", 7, ctx) == C.run_check("C05", 7)
 
     @staticmethod
     def _c11_lhs_loop(ctx):
@@ -159,9 +165,10 @@ class TestRunCatalog:
 
 
 class TestKurepaRoute:
-    """C25 reads the Kurepa zeros below each prime, from one `kurepa_zero`
-    campaign pass below its window and the window's own !p columns, and
-    takes the exact gcd(!p, p!) only past a zero."""
+    """C25 reads the Kurepa zeros below each prime from
+    `search.kurepa_zeros`, which `run_catalog` extends to the window's top
+    before its first record, and takes the exact gcd(!p, p!) only past a
+    zero."""
 
     @pytest.fixture(scope="class")
     def gcds(self):
@@ -208,8 +215,8 @@ class TestKurepaRoute:
         assert want(101)[1] == 202
         # windows that are not every prime in their range
         for window in ([5, 103], [103, 5], [5, 103, 101, 97]):
-            zeros = [ctx.kurepa_zeros for ctx in residues.prime_contexts(window)]
-            assert zeros == [[101] if p >= q else [] for p in window]
+            for ctx in residues.prime_contexts(window):
+                assert C.run_check("C25", ctx.p, ctx).holds == (ctx.p < q)
 
     @pytest.mark.parametrize("order", ["ascending", "shuffled"])
     def test_consecutive_windows_scan_each_prime_once(self, monkeypatch, gcds, order):
@@ -242,8 +249,6 @@ class TestKurepaRoute:
             got += self._c25(C.run_catalog(lo, hi, ids=["C25"]).outcomes)
         assert sorted(got) == [(p, gcds[p], gcds[p] == 2) for p in primes]
         assert all(n == 1 for n in scanned.values()), scanned
-        if order == "ascending":
-            assert not scanned  # each window extends the prefix by its own column
 
     def test_one_pass_per_window_and_only_for_c25(self, monkeypatch):
         calls, run = [], search.run_campaign
@@ -253,10 +258,29 @@ class TestKurepaRoute:
         assert C.run_catalog(101, 300, ids=others).ok
         assert calls == []
         assert C.run_catalog(101, 300).ok
-        assert calls == [("kurepa_zero", 3, 100)]
+        assert calls == [("kurepa_zero", 3, 300)]
         calls.clear()
         assert C.run_catalog(3, 300, ids=["C25"]).ok
         assert calls == []
+
+    @pytest.mark.parametrize("planted", [False, True])
+    @pytest.mark.parametrize("first", ["C25", "gcd_check"])
+    def test_one_prefix_for_c25_and_gcd_check(self, monkeypatch, plant_kurepa_zero,
+                                              first, planted):
+        q, hi = 101, 300
+        if planted:
+            plant_kurepa_zero(q)
+        calls, run = [], search.run_campaign
+        monkeypatch.setattr(search, "run_campaign",
+                            lambda *a, **k: calls.append(a) or run(*a, **k))
+        steps = [lambda: C.run_catalog(q, hi, ids=["C25"]).ok,
+                 lambda: factorizer.kurepa_gcd_check(hi).all_two]
+        if first == "gcd_check":
+            steps.reverse()
+        assert steps[0]() is not planted
+        assert calls == [("kurepa_zero", 3, hi)]
+        assert steps[1]() is not planted
+        assert calls == [("kurepa_zero", 3, hi)]
 
 
 class TestTables:

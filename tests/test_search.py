@@ -3,6 +3,8 @@ import os
 import random
 import sys
 import threading
+import time
+from collections import Counter
 
 import pytest
 
@@ -105,6 +107,45 @@ class TestZeroCampaignWiring:
         monkeypatch.setattr(K, "run_columns", planted)
         assert S.run_campaign(name, 2, 1100, stride=100).hits == self.PLANTED
         assert seen == list(iter_primes(3, 1100))
+
+
+class TestKurepaZeros:
+    """`kurepa_zeros(n)` extends one process-wide prefix under a lock, by a
+    `kurepa_zero` pass over only the primes it does not yet cover."""
+
+    def test_two_threads_share_one_prefix(self, monkeypatch, plant_kurepa_zero):
+        plant_kurepa_zero(101)
+        scanned, columns = Counter(), K.run_columns
+
+        def counted(blocks, e):
+            scanned.update(p for block in blocks for p in block)
+            time.sleep(0.05)  # hold the lock while the other thread arrives
+            return columns(blocks, e)
+        monkeypatch.setattr(K, "run_columns", counted)
+        assert S.kurepa_zeros(2) == S.kurepa_zeros(-1) == []
+        assert not scanned
+        start, got = threading.Barrier(2), {}
+
+        def call(n):
+            start.wait()
+            got[n] = S.kurepa_zeros(n)
+        threads = [threading.Thread(target=call, args=(n,)) for n in (2000, 3000)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert got == {2000: [101], 3000: [101]}
+        assert S._kurepa_prefix == (3001, (101,))
+        assert scanned == Counter(iter_primes(3, 3000))
+
+    def test_failed_pass_leaves_the_prefix(self, monkeypatch):
+        def failing(blocks, e):
+            raise InvariantViolation("planted")
+            yield
+        monkeypatch.setattr(K, "run_columns", failing)
+        with pytest.raises(InvariantViolation):
+            S.kurepa_zeros(100)
+        assert S._kurepa_prefix == (3, ())
 
 
 class TestCheckpointing:
