@@ -13,10 +13,22 @@ come from `search.kurepa_zeros`, which this module does not import.
 Division-by-p steps always verify divisibility first and raise
 InvariantViolation otherwise, so a wrong quotient can never silently poison
 a downstream table.
+
+Records at one prime share one value: the Gregory table G_1..G_{p-2} mod
+p. Both the catalog (C18, C19) and the adele constants `gamma_M` and
+`G_A(k)` read it, each from its own window of records, so every record
+takes it from `_gregory_tables`, a process-wide store keyed by p, and
+builds it only on a miss. The store holds at most `config.BERNOULLI_MOD_CAP`
+cells (table entries) in all, one table at the cap: a table that would go
+past that is returned but not kept, and nothing is evicted, so a scan over
+more primes than fit keeps its first part instead of thrashing. The
+Bernoulli, Stirling and Bell-row tables have one reader family each, so
+they stay per record.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
@@ -85,7 +97,10 @@ class PrimeContext:
     mod p^3, which share one power table. Once the p^3 value is built, the
     p^2 one is read off it. Bell is capped at p - 1 <= bell_cap and the
     tables at p <= bern_cap. Every value is a value at p: nothing here reads
-    or keeps another prime's residues.
+    or keeps another prime's residues. The Gregory table is the one value
+    shared across records: `greg` checks the cap, then reads p's table from
+    the bounded process-wide store `_gregory_tables`, and only on a miss
+    builds it (and `factorials`) and offers it to the store.
 
     The per-prime functions read the record in `_record`, which keeps the
     most recent lone record, so consecutive calls at one p and one pair of
@@ -187,9 +202,13 @@ class PrimeContext:
 
     @cached_property
     def greg(self) -> GregoryModTable:
-        _require_cap("Gregory table: p", self.p, self.bern_cap)
-        return GregoryModTable(
-            self.p, tuple(_kernels.gregory_table_mod(self.p, self.factorials)[1:]))
+        p = self.p
+        _require_cap("Gregory table: p", p, self.bern_cap)
+        table = _gregory_tables.get(p)
+        if table is None:
+            table = _keep_gregory(GregoryModTable(
+                p, tuple(_kernels.gregory_table_mod(p, self.factorials)[1:])))
+        return table
 
     @cached_property
     def stirling_row(self) -> list[int]:
@@ -359,6 +378,27 @@ def _record(p: int, bell_cap: int = config.BELL_MOD_CAP,
 @lru_cache(maxsize=1)
 def _last_record(p: int, bell_cap: int, bern_cap: int) -> PrimeContext:
     return PrimeContext(p, bell_cap, bern_cap)
+
+
+# The Gregory tables of every record, by p, and their total length in cells.
+_gregory_lock = threading.Lock()
+_gregory_tables: dict[int, GregoryModTable] = {}
+_gregory_cells = 0
+
+
+def _keep_gregory(table: GregoryModTable) -> GregoryModTable:
+    """The stored table at table.p. The store keeps `table` when it holds no
+    table at that p and has room for it within config.BERNOULLI_MOD_CAP
+    cells; otherwise `table` is returned without being kept."""
+    global _gregory_cells
+    with _gregory_lock:
+        held = _gregory_tables.get(table.p)
+        if held is not None:
+            return held
+        if _gregory_cells + len(table) <= config.BERNOULLI_MOD_CAP:
+            _gregory_tables[table.p] = table
+            _gregory_cells += len(table)
+        return table
 
 
 def prime_contexts(primes: Iterable[int], **caps) -> Iterator[PrimeContext]:

@@ -6,10 +6,12 @@ from kurepa import exact, factorizer, residues, search
 
 @pytest.fixture(autouse=True)
 def fresh_records(monkeypatch):
-    """Each test starts with no lone residue record and no scanned prefix of
-    Kurepa zeros, so neither holds values built under another test's
-    monkeypatch."""
+    """Each test starts with no lone residue record, an empty Gregory store
+    and no scanned prefix of Kurepa zeros, so none holds values built under
+    another test's monkeypatch."""
     residues._last_record.cache_clear()
+    residues._gregory_tables.clear()
+    residues._gregory_cells = 0
     monkeypatch.setattr(search, "_kurepa_prefix", (3, ()))
 
 

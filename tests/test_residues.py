@@ -1,14 +1,19 @@
 import math
 import random
+import sys
+import threading
 import weakref
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 
 from kurepa import _kernels as K
-from kurepa import config, exact, residues as R
+from kurepa import adele as A, checks as C, config, exact, residues as R
 from kurepa.errors import CapacityError, DomainError, InvariantViolation
-from kurepa.modmath import Residue, fraction_residue, iter_primes, mod_inv, sieve_primes
+from kurepa.modmath import (PrimeRange, Residue, fraction_residue, iter_primes, mod_inv,
+                            sieve_primes)
 from kurepa.residues import PrimeContext
 from oracles import (bell_seq_mod_py, bernoulli_table_mod_py, gertsch_split_py,
                      gregory_table_mod_py, kurepa_gf_mod_py, kurepa_mod_py)
@@ -706,3 +711,109 @@ class TestLoneRecord:
             ctx.gertsch
         assert R._last_record.cache_info().currsize == 1
         assert R._record(101) is held
+
+
+class TestGregoryStore:
+    """Every record takes p's Gregory table from one process-wide store,
+    which holds at most config.BERNOULLI_MOD_CAP cells and evicts nothing."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        built, build = [], K.gregory_table_mod
+        monkeypatch.setattr(K, "gregory_table_mod",
+                            lambda p, facts: built.append(p) or build(p, facts))
+        return built
+
+    @staticmethod
+    def _held_cells():
+        assert R._gregory_cells == sum(map(len, R._gregory_tables.values()))
+        return R._gregory_cells
+
+    def test_once_per_prime_across_catalog_and_criterion_11(self, monkeypatch):
+        built = self._count_builds(monkeypatch)
+        assert C.run_catalog(3, 600).ok
+        w = PrimeRange(3, 500)
+        lhs = A.gamma_M(w)
+        rhs = A.gamma_W(w) + A.ell_A(2, w) - A.embed_integer(1, w)
+        assert lhs.compare(rhs).identical_on_window
+        w = PrimeRange(7, 300)
+        for k in (2, 3, 4):
+            acc = reduce(add, (A.embed_integer((-1) ** (j - 1) * math.comb(k, j), w)
+                               * A.ell_A(j + 1, w) for j in range(1, k + 1)))
+            rhs = A.embed_integer((-1) ** k, w) * acc
+            assert A.G_A(k, w).compare(rhs).identical_on_window, k
+        assert sorted(built) == list(iter_primes(3, 600))
+        assert len(built) == 108
+
+    def test_built_and_stored_tables_match_the_oracle(self, monkeypatch):
+        built = self._count_builds(monkeypatch)
+        primes = list(iter_primes(3, 600)) + random.Random(1019).sample(
+            sieve_primes(2000, 4000), 2)
+        for p in primes:
+            first = PrimeContext(p).greg  # built
+            second = PrimeContext(p).greg  # read from the store
+            want = gregory_table_mod_py(p)[1:]
+            assert list(first.values) == want, p
+            assert list(second.values) == want, p
+        assert built == primes
+        assert sorted(R._gregory_tables) == sorted(primes)
+
+    def test_bound_keeps_the_first_part(self, monkeypatch):
+        bound = 100
+        monkeypatch.setattr(config, "BERNOULLI_MOD_CAP", bound)
+        built = self._count_builds(monkeypatch)
+        for ctx in R.prime_contexts(iter_primes(3, 200)):
+            ctx.greg
+            assert self._held_cells() <= bound
+        kept = list(iter_primes(3, 23))  # 1 + 3 + ... + 21 = 82 cells; 29 adds 27
+        assert sorted(R._gregory_tables) == kept
+        p = 101
+        table = PrimeContext(p).greg
+        assert list(table.values) == K.gregory_table_mod(p, K._factorials(p - 1, p))[1:]
+        assert p not in R._gregory_tables
+        built.clear()
+        assert PrimeContext(p).greg == table
+        assert built == [p]  # not kept, so built again
+        assert sorted(R._gregory_tables) == kept and self._held_cells() == 82
+
+    def test_cap_checked_before_the_store(self, monkeypatch):
+        p = 101
+        PrimeContext(p).greg
+        assert p in R._gregory_tables
+        built = self._count_builds(monkeypatch)
+        facts = []
+        monkeypatch.setattr(K, "_factorials", lambda *a: facts.append(a))
+        with pytest.raises(CapacityError, match="Gregory table: p = 101 exceeds the cap 100"):
+            PrimeContext(p, bern_cap=p - 1).greg
+        res = C.run_catalog(p, p, ids=["C18", "C19"], bern_cap=p - 1)
+        assert [(o.check_id, o.skipped) for o in res.outcomes] == [("C18", True),
+                                                                   ("C19", True)]
+        assert list(PrimeContext(p).greg.values) == gregory_table_mod_py(p)[1:]
+        assert built == [] and facts == []  # a hit builds no table and no k!
+
+    def test_two_threads_share_the_store(self):
+        w = PrimeRange(3, 400)
+        got = [None, None]
+
+        def read(i):
+            got[i] = A.G_A(2, w)
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside builds and inserts
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got[0].residues == got[1].residues
+        assert got[0].undefined_at == got[1].undefined_at
+        assert sorted(R._gregory_tables) == list(iter_primes(3, 400))
+        cells = self._held_cells()
+        assert cells == sum(p - 2 for p in iter_primes(3, 400))
+        # the later of two builds at one p gets the stored table and adds no cells
+        held = R._gregory_tables[397]
+        assert R._keep_gregory(R.GregoryModTable(397, held.values)) is held
+        assert self._held_cells() == cells
