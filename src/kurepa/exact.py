@@ -10,11 +10,11 @@ with these values reduced mod p^e.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import config
+from ._memo import Memo
 from .errors import CapacityError, DomainError, InvariantViolation
 from .modmath import Residue, is_prime
 
@@ -127,14 +127,11 @@ def stirling2(n: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli and Gregory numbers (memoized, lock-guarded so concurrent callers
-# see identical tables regardless of interleaving)
+# Bernoulli and Gregory numbers by index, each memo extended in order under its
+# lock, so concurrent callers see identical values regardless of interleaving
 
-_bern_lock = threading.Lock()
-_bern: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
-
-_greg_lock = threading.Lock()
-_greg: list[Fraction] = [Fraction(1), Fraction(1, 2)]
+_bern = Memo()
+_greg = Memo()
 
 
 def bernoulli_exact(k: int) -> Fraction:
@@ -149,18 +146,20 @@ def bernoulli_exact(k: int) -> Fraction:
             f"exact Bernoulli capped at index {config.EXACT_BERNOULLI_CAP} (asked {k})")
     if k % 2 == 1 and k > 1:
         return Fraction(0)
-    with _bern_lock:
+    with _bern.lock:
+        if not _bern:  # seeded at first use and after clear()
+            _bern.update({0: Fraction(1), 1: Fraction(-1, 2)})
         while len(_bern) <= k:
             n = len(_bern) + 1  # solving for B_{n-1}
             if (n - 1) % 2 == 1:
-                _bern.append(Fraction(0))
+                _bern[n - 1] = Fraction(0)
                 continue
             s = Fraction(1)
             for j in range(1, n - 1):
                 bj = _bern[j]
                 if bj:
                     s += math.comb(n, j) * bj
-            _bern.append(-s / n)
+            _bern[n - 1] = -s / n
         return _bern[k]
 
 
@@ -175,13 +174,15 @@ def gregory_exact(n: int) -> Fraction:
     if n > config.EXACT_GREGORY_CAP:
         raise CapacityError(
             f"exact Gregory capped at index {config.EXACT_GREGORY_CAP} (asked {n})")
-    with _greg_lock:
+    with _greg.lock:
+        if not _greg:  # seeded at first use and after clear()
+            _greg.update({0: Fraction(1), 1: Fraction(1, 2)})
         while len(_greg) <= n:
             m = len(_greg)
             g = Fraction(0)
             for k in range(1, m + 1):
                 g += Fraction((-1) ** (k + 1), k + 1) * _greg[m - k]
-            _greg.append(g)
+            _greg[m] = g
         return _greg[n]
 
 

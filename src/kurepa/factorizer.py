@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import config, search
+from ._memo import Memo
 from .errors import DomainError, InvariantViolation
 from .exact import factorial, left_factorial
 from .modmath import is_prime, sieve_upto
@@ -26,14 +27,14 @@ __all__ = [
 ]
 
 _TRIAL_LIMIT = 1_000_000
-_trial_primes: Optional[list[int]] = None
+_trial_primes = Memo()  # _TRIAL_LIMIT: the primes up to it, sieved once
 
 
 def _trial_prime_list() -> list[int]:
-    global _trial_primes
-    if _trial_primes is None:
-        _trial_primes = sieve_upto(_TRIAL_LIMIT)
-    return _trial_primes
+    with _trial_primes.lock:
+        if not _trial_primes:
+            _trial_primes[_TRIAL_LIMIT] = sieve_upto(_TRIAL_LIMIT)
+        return _trial_primes[_TRIAL_LIMIT]
 
 
 @dataclass(frozen=True)

@@ -3,40 +3,36 @@
 `PrimeContext` is the one route to every residue at one prime: it checks
 that p is an odd prime once, builds each base value once, and derives the
 rest by reduction. The public per-prime functions check their arguments and
-read one of its fields from `_record`, a one-record slot: consecutive calls
-at one prime and one pair of caps share a record, so `residue_profile(p, e)`
-for e = 1, 2, 3 and then `gregory_mod_table(p)` build each value once. At
-most one such record is held. `prime_contexts` streams the records of a
-window from one block-kernel pass and never touches the slot. A record holds
-values at its own prime only; the Kurepa zeros below p that check C25 reads
-come from `search.kurepa_zeros`, which this module does not import.
-Division-by-p steps always verify divisibility first and raise
+read one of its fields from `_record`, which keeps the lone record in the
+memo `_records`: consecutive calls at one prime and one pair of caps share
+it, so `residue_profile(p, e)` for e = 1, 2, 3 and then
+`gregory_mod_table(p)` build each value once. `prime_contexts` streams the
+records of a window from one block-kernel pass and never touches that memo.
+A record holds values at its own prime only; the Kurepa zeros below p that
+check C25 reads come from `search.kurepa_zeros`, which this module does not
+import. Division-by-p steps always verify divisibility first and raise
 InvariantViolation otherwise, so a wrong quotient can never silently poison
 a downstream table.
 
-Records at one prime share one value: the Gregory table G_1..G_{p-2} mod
-p. Both the catalog (C18, C19) and the adele constants `gamma_M` and
-`G_A(k)` read it, each from its own window of records, so every record
-takes it from `_gregory_tables`, a process-wide store keyed by p, and
-builds it only on a miss. The store holds at most `config.BERNOULLI_MOD_CAP`
-cells (table entries) in all, one table at the cap: a table that would go
-past that is returned but not kept, and nothing is evicted, so a scan over
-more primes than fit keeps its first part instead of thrashing. The
-Bernoulli, Stirling and Bell-row tables have one reader family each, so
-they stay per record.
+Records share one value, p's Gregory table G_1..G_{p-2} mod p, which the
+catalog (C18, C19) and the adele constants `gamma_M` and `G_A(k)` each read
+from their own window of records. The memo `_gregory_tables` keeps it by p,
+at most `config.BERNOULLI_MOD_CAP` cells in all: a table that would go past
+that is returned but not kept, and nothing is evicted, so a scan over more
+primes than fit keeps its first part instead of thrashing.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import asdict, dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate, repeat
 from operator import floordiv, mod, mul
 from typing import Iterable, Iterator, Optional
 
 from . import _kernels, config, exact
+from ._memo import Memo
 from .errors import CapacityError, DomainError, InvariantViolation
 from .modmath import UNDEFINED, Residue, fraction_residue, is_prime
 
@@ -97,16 +93,10 @@ class PrimeContext:
     mod p^3, which share one power table. Once the p^3 value is built, the
     p^2 one is read off it. Bell is capped at p - 1 <= bell_cap and the
     tables at p <= bern_cap. Every value is a value at p: nothing here reads
-    or keeps another prime's residues. The Gregory table is the one value
-    shared across records: `greg` checks the cap, then reads p's table from
-    the bounded process-wide store `_gregory_tables`, and only on a miss
-    builds it (and `factorials`) and offers it to the store.
-
-    The per-prime functions read the record in `_record`, which keeps the
-    most recent lone record, so consecutive calls at one p and one pair of
-    caps share its values (about 5 MB at p = 19997 once three profiles and
-    the Gregory table are built). A failed check or cap stores nothing: it
-    raises again on the next read.
+    or keeps another prime's residues, except `greg`: after the cap check it
+    reads p's table from the memo `_gregory_tables`, and only on a miss
+    builds it (and `factorials`) and offers it to the memo. A failed check
+    or cap stores nothing: it raises again on the next read.
     """
 
     def __init__(self, p: int,
@@ -206,8 +196,12 @@ class PrimeContext:
         _require_cap("Gregory table: p", p, self.bern_cap)
         table = _gregory_tables.get(p)
         if table is None:
-            table = _keep_gregory(GregoryModTable(
-                p, tuple(_kernels.gregory_table_mod(p, self.factorials)[1:])))
+            table = GregoryModTable(
+                p, tuple(_kernels.gregory_table_mod(p, self.factorials)[1:]))
+            with _gregory_tables.lock:  # a table held at p wins; this one is kept if it fits
+                cells = sum(map(len, _gregory_tables.values()))
+                if p in _gregory_tables or cells + len(table) <= config.BERNOULLI_MOD_CAP:
+                    table = _gregory_tables.setdefault(p, table)
         return table
 
     @cached_property
@@ -367,38 +361,22 @@ def _horner(c: list[int], x: int, p: int) -> int:
     return s
 
 
+_records = Memo()  # the lone record, by (p, bell_cap, bern_cap); at most one
+_gregory_tables = Memo()  # every record's Gregory table, by p
+
+
 def _record(p: int, bell_cap: int = config.BELL_MOD_CAP,
             bern_cap: int = config.BERNOULLI_MOD_CAP) -> PrimeContext:
     """The record of a lone prime, shared with the previous call when that
-    was at the same p and caps. The caps are filled in before the lookup, so
-    a call that names the defaults and one that omits them share it."""
-    return _last_record(p, bell_cap, bern_cap)
-
-
-@lru_cache(maxsize=1)
-def _last_record(p: int, bell_cap: int, bern_cap: int) -> PrimeContext:
-    return PrimeContext(p, bell_cap, bern_cap)
-
-
-# The Gregory tables of every record, by p, and their total length in cells.
-_gregory_lock = threading.Lock()
-_gregory_tables: dict[int, GregoryModTable] = {}
-_gregory_cells = 0
-
-
-def _keep_gregory(table: GregoryModTable) -> GregoryModTable:
-    """The stored table at table.p. The store keeps `table` when it holds no
-    table at that p and has room for it within config.BERNOULLI_MOD_CAP
-    cells; otherwise `table` is returned without being kept."""
-    global _gregory_cells
-    with _gregory_lock:
-        held = _gregory_tables.get(table.p)
-        if held is not None:
-            return held
-        if _gregory_cells + len(table) <= config.BERNOULLI_MOD_CAP:
-            _gregory_tables[table.p] = table
-            _gregory_cells += len(table)
-        return table
+    was at the same p and caps; a miss empties `_records` before it builds.
+    The caps are filled in before the lookup, so a call that names the
+    defaults and one that omits them share it."""
+    key = p, bell_cap, bern_cap
+    with _records.lock:
+        if key not in _records:
+            _records.clear()
+            _records[key] = PrimeContext(*key)
+        return _records[key]
 
 
 def prime_contexts(primes: Iterable[int], **caps) -> Iterator[PrimeContext]:
@@ -407,7 +385,7 @@ def prime_contexts(primes: Iterable[int], **caps) -> Iterator[PrimeContext]:
     Every prime is checked by the PrimeContext constructor before any work;
     the ((p-1)!, !p) mod p^3 columns come from one block-kernel pass. No
     record is referenced here once yielded, so its cached tables go when the
-    caller drops it. `caps` are PrimeContext keywords. The `_record` slot is
+    caller drops it. `caps` are PrimeContext keywords. The `_records` memo is
     neither read nor filled.
     """
     records = deque(PrimeContext(p, **caps) for p in primes)

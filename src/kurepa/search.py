@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import _kernels, config
+from ._memo import Memo
 from .errors import CheckpointError, DomainError, EmptyRangeError
 from .modmath import iter_primes
 
@@ -425,23 +426,20 @@ def _advance(campaign: Campaign, ck: Checkpoint, start: int, stride: int,
             writer.put(ck.to_json())
 
 
-# (below, zeros): every odd prime < below is scanned; zeros are its Kurepa zeros
-_kurepa_prefix: tuple[int, tuple[int, ...]] = (3, ())
-_kurepa_lock = threading.Lock()
+# the scanned prefix: every odd prime < "below" is scanned; "zeros" are its Kurepa zeros
+_kurepa_prefix = Memo()
 
 
 def kurepa_zeros(n: int) -> list[int]:
     """The odd primes q <= n with !q = 0 (mod q), none if Kurepa's
-    conjecture holds. The process keeps one prefix of scanned primes: under
-    a lock, a call runs one `kurepa_zero` pass over only the part of [3, n]
-    that the prefix does not cover, and extends the prefix once the pass
-    returns, so no prime is scanned twice in a process."""
-    global _kurepa_prefix
-    with _kurepa_lock:
-        below, zeros = _kurepa_prefix
+    conjecture holds. Under the prefix's lock, a call runs one `kurepa_zero`
+    pass over only the part of [3, n] that the prefix does not cover and
+    extends it once the pass returns, so no prime is scanned twice."""
+    with _kurepa_prefix.lock:
+        below, zeros = _kurepa_prefix.get("below", 3), _kurepa_prefix.get("zeros", ())
         if n >= below:
             zeros += tuple(run_campaign("kurepa_zero", below, n).hits)
-            _kurepa_prefix = n + 1, zeros
+            _kurepa_prefix.update(below=n + 1, zeros=zeros)
     return [q for q in zeros if q <= n]
 
 

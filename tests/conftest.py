@@ -1,18 +1,14 @@
 import pytest
 
 from kurepa import _kernels as K
-from kurepa import exact, factorizer, residues, search
+from kurepa import _memo, exact, factorizer
 
 
 @pytest.fixture(autouse=True)
-def fresh_records(monkeypatch):
-    """Each test starts with no lone residue record, an empty Gregory store
-    and no scanned prefix of Kurepa zeros, so none holds values built under
-    another test's monkeypatch."""
-    residues._last_record.cache_clear()
-    residues._gregory_tables.clear()
-    residues._gregory_cells = 0
-    monkeypatch.setattr(search, "_kurepa_prefix", (3, ()))
+def fresh_records():
+    """Each test starts with every process-wide memo empty, so none holds
+    values built under another test's monkeypatch."""
+    _memo.clear_all()
 
 
 @pytest.fixture

@@ -703,13 +703,13 @@ class TestLoneRecord:
                 R.wilson_quotient_mod(101, 2)
 
     def test_windows_stay_out_of_the_slot(self):
-        assert R._last_record.cache_info().currsize == 0
+        assert len(R._records) == 0
         list(R.prime_contexts([3, 5, 7]))
-        assert R._last_record.cache_info().currsize == 0
+        assert len(R._records) == 0
         held = R._record(101)
         for ctx in R.prime_contexts([5, 101, 103]):
             ctx.gertsch
-        assert R._last_record.cache_info().currsize == 1
+        assert len(R._records) == 1
         assert R._record(101) is held
 
 
@@ -726,8 +726,7 @@ class TestGregoryStore:
 
     @staticmethod
     def _held_cells():
-        assert R._gregory_cells == sum(map(len, R._gregory_tables.values()))
-        return R._gregory_cells
+        return sum(map(len, R._gregory_tables.values()))
 
     def test_once_per_prime_across_catalog_and_criterion_11(self, monkeypatch):
         built = self._count_builds(monkeypatch)
@@ -811,9 +810,18 @@ class TestGregoryStore:
         assert got[0].residues == got[1].residues
         assert got[0].undefined_at == got[1].undefined_at
         assert sorted(R._gregory_tables) == list(iter_primes(3, 400))
-        cells = self._held_cells()
-        assert cells == sum(p - 2 for p in iter_primes(3, 400))
-        # the later of two builds at one p gets the stored table and adds no cells
-        held = R._gregory_tables[397]
-        assert R._keep_gregory(R.GregoryModTable(397, held.values)) is held
-        assert self._held_cells() == cells
+        assert self._held_cells() == sum(p - 2 for p in iter_primes(3, 400))
+
+    def test_later_of_two_builds_gets_the_held_table(self, monkeypatch):
+        PrimeContext(397).greg
+        cells, racing, build = self._held_cells(), [], K.gregory_table_mod
+
+        def raced(p, facts):  # a second record at p builds and stores first
+            monkeypatch.setattr(K, "gregory_table_mod", build)
+            racing.append(PrimeContext(p).greg)
+            return build(p, facts)
+        monkeypatch.setattr(K, "gregory_table_mod", raced)
+        later = PrimeContext(401).greg
+        assert later is racing[0] is R._gregory_tables[401]
+        assert list(later.values) == gregory_table_mod_py(401)[1:]
+        assert self._held_cells() == cells + 399  # one table's cells, not two

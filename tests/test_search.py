@@ -135,7 +135,7 @@ class TestKurepaZeros:
         for t in threads:
             t.join()
         assert got == {2000: [101], 3000: [101]}
-        assert S._kurepa_prefix == (3001, (101,))
+        assert S._kurepa_prefix == {"below": 3001, "zeros": (101,)}
         assert scanned == Counter(iter_primes(3, 3000))
 
     def test_failed_pass_leaves_the_prefix(self, monkeypatch):
@@ -145,7 +145,7 @@ class TestKurepaZeros:
         monkeypatch.setattr(K, "run_columns", failing)
         with pytest.raises(InvariantViolation):
             S.kurepa_zeros(100)
-        assert S._kurepa_prefix == (3, ())
+        assert S._kurepa_prefix == {}
 
 
 class TestCheckpointing:
