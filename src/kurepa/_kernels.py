@@ -27,11 +27,12 @@ block's columns per step; the `kurepa_zero` run at e = 1 also extends
 `search.kurepa_zeros`, the one prefix of Kurepa zeros that C25 and
 `factorizer.kurepa_gcd_check` read. `_factorial_columns` is its one-block
 case, which the residue records call. Its steps compose in `_then` alone,
-the seam for another big-int backend. `wilson_column` and `gertsch_column`
-turn a campaign's columns mod p^2 into W_p and Gertsch_p mod p. The three
-quotients by p, `fermat_quotient`, `wilson_quotient` and `gertsch_quotient`,
-each check that p divides their numerator and raise InvariantViolation
-otherwise.
+the seam for another big-int backend; `_steps`, their exact binary
+splitting, also gives `exact.left_factorial`. `wilson_column` and
+`gertsch_column` turn a campaign's columns mod p^2 into W_p and Gertsch_p
+mod p. The three quotients by p, `fermat_quotient`, `wilson_quotient` and
+`gertsch_quotient`, each check that p divides their numerator and raise
+InvariantViolation otherwise.
 """
 
 from __future__ import annotations

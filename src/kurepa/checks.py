@@ -21,7 +21,7 @@ from itertools import accumulate
 from typing import Callable, Optional
 
 from . import config, exact, residues, search
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, EmptyRangeError
 from .modmath import fraction_residue, iter_primes
 from .residues import PrimeContext, prime_contexts  # PrimeContext re-exported
 from .tables import reproduce_table  # re-exported: catalog + tables in one place
@@ -421,7 +421,8 @@ def run_catalog(lo: int, hi: int, ids: Optional[list[str]] = None,
     Outcomes are deterministic and sorted by (id, p); assertion-class
     failures make .ok false, measurement/scan findings never do. When C25
     runs, one `search.kurepa_zeros(hi)` call covers the Kurepa zeros of
-    every prime in the window before the first one is read.
+    every prime in the window before the first one is read. A window with
+    no odd prime gives an empty result; hi < lo raises EmptyRangeError.
     """
     if ids is None:
         ids = check_ids()
@@ -429,10 +430,13 @@ def run_catalog(lo: int, hi: int, ids: Optional[list[str]] = None,
         for i in ids:
             if i not in CATALOG:
                 raise DomainError(f"unknown check id {i!r}")
+    if hi < lo:
+        raise EmptyRangeError(f"empty prime range [{lo}, {hi}]")
     if "C25" in ids:
         search.kurepa_zeros(hi)
     result = CatalogResult(lo, hi)
-    for ctx in prime_contexts(iter_primes(max(lo, 3), hi), **caps):
+    primes = iter_primes(max(lo, 3), hi) if hi >= 3 else ()
+    for ctx in prime_contexts(primes, **caps):
         for check_id in ids:
             result.outcomes.append(run_check(check_id, ctx.p, ctx))
     result.outcomes.sort(key=lambda o: (o.check_id, o.p))

@@ -149,10 +149,17 @@ _ADELE_CONSTANTS = {
     "gamma_Q": lambda w, a: adele.gamma_Q(a.m, w),
     "G_A": lambda w, a: adele.G_A(a.k, w),
     "Z_A": lambda w, a: adele.Z_A(a.k, w),
-    "log": lambda w, a: adele.log_A(Fraction(a.x), w),
-    "ell": lambda w, a: adele.ell_A(Fraction(a.x), w),
-    "embed": lambda w, a: adele.embed_rational(Fraction(a.x), w),
+    "log": lambda w, a: adele.log_A(_rational(a.x), w),
+    "ell": lambda w, a: adele.ell_A(_rational(a.x), w),
+    "embed": lambda w, a: adele.embed_rational(_rational(a.x), w),
 }
+
+
+def _rational(x: str) -> Fraction:
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"--x must be a rational a/b with b != 0, got {x!r}") from None
 
 
 def cmd_adele(args) -> int:

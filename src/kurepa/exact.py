@@ -4,7 +4,8 @@ from them.
 This module is the oracle side of every dual-route check: no floats anywhere,
 Bernoulli/Gregory values are Fractions, quotients are exact divisions with
 divisibility asserted. The fast per-prime kernels in `residues` must agree
-with these values reduced mod p^e.
+with these values reduced mod p^e. Only the left factorial shares code with
+them, `_kernels._steps`; `tests/oracles.py` checks it by a plain loop.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import config
+from . import _kernels, config
 from ._memo import Memo
 from .errors import CapacityError, DomainError, InvariantViolation
 from .modmath import Residue, is_prime
@@ -51,27 +52,13 @@ factorial = math.factorial
 def left_factorial(n: int) -> int:
     """!n = 0! + 1! + ... + (n-1)!; the empty sum !0 is 0.
 
-    By binary splitting (Haible and Papanikolaou, 1998): !n = 1 + Q for
-    (P, Q) = (1*2*...*(n-1), sum_{j<n} j!) of the steps 1..n-1.
+    By binary splitting (Haible and Papanikolaou, 1998): !n = 1 + Q for the
+    exact (P, Q) = ((n-1)!, sum_{j<n} j!) of the steps 1..n-1, from
+    `_kernels._steps`, the splitting that also feeds the run tree.
     """
     if n < 0:
         raise DomainError("left_factorial needs n >= 0")
-    return 1 + _factorial_sums(1, n)[1] if n else 0
-
-
-def _factorial_sums(a: int, b: int) -> tuple[int, int]:
-    """(P, Q) = (a(a+1)...(b-1), sum_{j=a}^{b-1} a(a+1)...j), exact; the
-    halves join as (P1*P2, Q1 + P1*Q2)."""
-    if b - a <= 32:
-        p, q = 1, 0
-        for k in range(a, b):
-            p *= k
-            q += p
-        return p, q
-    mid = (a + b) // 2
-    p1, q1 = _factorial_sums(a, mid)
-    p2, q2 = _factorial_sums(mid, b)
-    return p1 * p2, q1 + p1 * q2
+    return 1 + _kernels._steps(1, n)[1] if n else 0
 
 
 def bell_sequence_exact(n: int, cap: int = config.EXACT_BELL_CAP) -> list[int]:

@@ -247,20 +247,15 @@ def is_prime(n: int) -> bool:
 # Sieving
 
 def sieve_upto(n: int) -> list[int]:
-    """All primes <= n by a plain Eratosthenes sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start:: p] = bytearray(len(range(start, n + 1, p)))
-    return [i for i in range(n + 1) if sieve[i]]
+    """All primes <= n, read from `iter_primes`, whose base primes up to
+    sqrt(n) come from this function in turn, down to n < 2."""
+    return list(iter_primes(2, n)) if n >= 2 else []
 
 
 def iter_primes(lo: int, hi: int) -> Iterator[int]:
-    """Yield the primes in [lo, hi] ascending via a segmented sieve.
+    """Yield the primes in [lo, hi] ascending via a segmented sieve, the
+    one Eratosthenes sieve here: its base primes up to sqrt(hi) come from
+    `sieve_upto`, which reads this generator again at sqrt(hi).
 
     Memory stays bounded by the segment length `config.SIEVE_SEGMENT`, read
     at call time, plus the base primes up to sqrt(hi), so a reader that

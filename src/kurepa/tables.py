@@ -281,6 +281,8 @@ def _reproduce_bell_wilson(hi: int = 600) -> TableReport:
 
 def _reproduce_factorizations(n_max: int = 24) -> TableReport:
     from .factorizer import factorize
+    if n_max not in FACTORIZATIONS:  # the rows n = 3..30
+        raise DomainError(f"factorizations n_max must be in [3, 30], got {n_max}")
     rep = TableReport("factorizations")
     for n in range(3, n_max + 1):
         f = factorize(exact.left_factorial(n) - 1)

@@ -10,7 +10,7 @@ from kurepa import _kernels as K
 from kurepa import checks as C
 from kurepa import exact, factorizer, modmath, residues, search
 from kurepa import tables as T
-from kurepa.errors import DomainError
+from kurepa.errors import DomainError, EmptyRangeError
 from oracles import kurepa_gcds_py
 
 
@@ -157,6 +157,15 @@ class TestRunCatalog:
     def test_unknown_id(self):
         with pytest.raises(DomainError):
             C.run_catalog(3, 10, ids=["nope"])
+
+    @pytest.mark.parametrize("lo, hi", [(2, 2), (24, 28)])
+    def test_window_without_odd_primes_is_empty(self, lo, hi):
+        res = C.run_catalog(lo, hi)
+        assert (res.lo, res.hi, res.outcomes, res.ok) == (lo, hi, [], True)
+
+    def test_hi_below_lo_names_the_callers_range(self):
+        with pytest.raises(EmptyRangeError, match=r"\[5, 4\]"):
+            C.run_catalog(5, 4)
 
     def test_summary_counts(self):
         res = C.run_catalog(3, 60, ids=["C16"])
@@ -320,6 +329,13 @@ class TestTables:
         assert rep.ok
         assert [d.row for d in rep.diffs] == [21]
         assert rep.diffs[0].known
+
+    @pytest.mark.parametrize("n_max", [2, 31])
+    def test_factorizations_outside_3_to_30(self, monkeypatch, n_max):
+        # the range check comes before anything is factored
+        monkeypatch.setattr(factorizer, "factorize", None)
+        with pytest.raises(DomainError, match=r"\[3, 30\]"):
+            C.reproduce_table("factorizations", n_max=n_max)
 
     def test_unknown_table(self):
         with pytest.raises(DomainError):

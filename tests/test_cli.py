@@ -82,6 +82,11 @@ class TestCatalog:
         assert code == 0
         assert {r["id"] for r in json.loads(out)} == {"C01", "C05"}
 
+    def test_window_without_odd_primes_exits_0(self, capsys):
+        code, out, _ = run(capsys, "catalog", "--from", "2", "--to", "2",
+                           "--format", "json")
+        assert (code, out) == (0, "")
+
 
 class TestTable:
     def test_gertsch(self, capsys):
@@ -97,6 +102,12 @@ class TestTable:
     def test_factorizations(self, capsys):
         code, _, _ = run(capsys, "table", "factorizations", "--nmax", "12")
         assert code == 0
+
+    @pytest.mark.parametrize("nmax", ["2", "31"])
+    def test_factorizations_nmax_outside_3_to_30_exits_2(self, capsys, nmax):
+        code, out, err = run(capsys, "table", "factorizations", "--nmax", nmax)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "[3, 30]" in err
 
     def test_unknown_name(self, capsys):
         with pytest.raises(SystemExit) as e:
@@ -194,6 +205,13 @@ class TestAdele:
                              "--pmin", "3", "--pmax", "7")
         assert code == 0
         assert "undefined at: [3]" in err
+
+    @pytest.mark.parametrize("constant", ["log", "ell", "embed"])
+    @pytest.mark.parametrize("x", ["abc", "1/0"])
+    def test_malformed_x_exits_2(self, capsys, constant, x):
+        code, out, err = run(capsys, "adele", constant, "--x", x, "--pmax", "20")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--x" in err
 
 
 class TestFactorLn1:

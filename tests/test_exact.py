@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from kurepa import exact
-from kurepa.errors import CapacityError, DomainError
+from kurepa import exact, residues
+from kurepa.errors import CapacityError, DomainError, InvariantViolation
 from oracles import left_factorials_py
 
 
@@ -247,6 +247,29 @@ class TestQuotients:
         rec = exact.quotient_record(5)
         assert (rec.wilson, rec.lerch, rec.gertsch, rec.h) == \
             (5, 13, 4, Fraction(66, 5))
+
+
+def _off_by_one(monkeypatch, name):
+    original = getattr(exact, name)
+    monkeypatch.setattr(exact, name, lambda n: original(n) + 1)
+
+
+def _corrupt_powers2(ctx):
+    ctx.powers2 = (ctx.powers2[0], ctx.powers2[1] + 1, *ctx.powers2[2:])
+    return ctx.qsum
+
+
+@pytest.mark.parametrize("plant, quotient", [
+    (lambda mp: _off_by_one(mp, "factorial"), lambda: exact.wilson_quotient_exact(7)),
+    (lambda mp: None, lambda: exact.fermat_quotient_exact(2, 15)),
+    (lambda mp: _off_by_one(mp, "left_factorial"),
+     lambda: exact.gertsch_quotient_exact(7)),
+    (lambda mp: None, lambda: _corrupt_powers2(residues.PrimeContext(7))),
+], ids=["wilson", "fermat", "gertsch", "qsum"])
+def test_division_by_p_checks_its_numerator(monkeypatch, plant, quotient):
+    plant(monkeypatch)
+    with pytest.raises(InvariantViolation):
+        quotient()
 
 
 def hodge_series_oracle(gmax):

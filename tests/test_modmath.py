@@ -57,6 +57,11 @@ class TestSieve:
         assert sieve_upto(1) == []
         assert sieve_upto(2) == [2]
         assert sieve_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+        # sieve_upto reads iter_primes, which takes its base primes from
+        # sieve_upto(isqrt(n)): this pins the recursion's ends (n < 4) and
+        # every prime square up to 400, plus 31^2
+        for n in [*range(401), 961, 10**4]:
+            assert sieve_upto(n) == brute_primes(2, n), n
 
     def test_fermat_cross_validation(self):
         # every sieved p satisfies a^(p-1) = 1 (mod p) for p not dividing a
