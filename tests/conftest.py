@@ -21,8 +21,12 @@ def plant_kurepa_zero(monkeypatch):
     def plant(q):
         columns, left_factorial = K.run_columns, exact.left_factorial
 
-        def planted(blocks, e):
-            for block, (fs, ks) in zip(blocks, columns(blocks, e)):
+        def planted(blocks, e, width=2):
+            for block, cols in zip(blocks, columns(blocks, e, width)):
+                if width == 1:
+                    yield cols
+                    continue
+                fs, ks = cols
                 yield fs, [0 if p == q else k for p, k in zip(block, ks)]
 
         def multiplied(n):

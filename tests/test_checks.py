@@ -247,10 +247,10 @@ class TestKurepaRoute:
             finally:
                 inside.pop()
 
-        def counted(blocks, e):
+        def counted(blocks, e, width=2):
             if inside:
                 scanned.update(p for block in blocks for p in block)
-            return columns(blocks, e)
+            return columns(blocks, e, width)
         monkeypatch.setattr(search, "run_campaign", campaign)
         monkeypatch.setattr(K, "run_columns", counted)
         got = []

@@ -85,6 +85,13 @@ class TestCatalog:
     def test_window_without_odd_primes_exits_0(self, capsys):
         code, out, _ = run(capsys, "catalog", "--from", "2", "--to", "2",
                            "--format", "json")
+        assert (code, out) == (0, "[]\n")
+        assert json.loads(out) == []
+
+    @pytest.mark.parametrize("fmt", ["human", "csv"])
+    def test_window_without_odd_primes_prints_nothing(self, capsys, fmt):
+        code, out, _ = run(capsys, "catalog", "--from", "2", "--to", "2",
+                           "--format", fmt)
         assert (code, out) == (0, "")
 
 
@@ -103,11 +110,25 @@ class TestTable:
         code, _, _ = run(capsys, "table", "factorizations", "--nmax", "12")
         assert code == 0
 
-    @pytest.mark.parametrize("nmax", ["2", "31"])
+    @pytest.mark.parametrize("nmax", ["0", "2", "31"])
     def test_factorizations_nmax_outside_3_to_30_exits_2(self, capsys, nmax):
+        # --nmax 0 once fell back to the default 24 and printed 22 rows
         code, out, err = run(capsys, "table", "factorizations", "--nmax", nmax)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "[3, 30]" in err
+
+    @pytest.mark.parametrize("nmax", ["0", "2"])
+    def test_bell_wilson_nmax_below_3_exits_2(self, capsys, nmax):
+        # --nmax 0 once fell back to the default 600 and printed 108 rows
+        code, out, err = run(capsys, "table", "bell_wilson", "--nmax", nmax)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and ">= 3" in err
+
+    def test_bell_wilson_nmax_sets_the_last_prime(self, capsys):
+        code, out, _ = run(capsys, "table", "bell_wilson", "--nmax", "3",
+                           "--format", "json")
+        assert code == 0
+        assert [r["row"] for r in json.loads(out)] == [3]
 
     def test_unknown_name(self, capsys):
         with pytest.raises(SystemExit) as e:

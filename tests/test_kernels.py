@@ -236,6 +236,27 @@ def test_then_no_steps_is_identity(x):
     assert K._then(x, (1, 0)) == x
 
 
+# Width 1 carries P alone: its spans are the pair's first component, and
+# `_then` and `_mod` on them are the exact results reduced.
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.integers(1, 5000), g1=_GAPS, g2=_GAPS)
+def test_width_one_spans_are_the_pairs_first_component(a, g1, g2):
+    b, c = a + g1, a + g1 + g2
+    assert K._steps(a, c, 1) == K._steps(a, c)[:1]
+    assert K._then(K._steps(a, b, 1), K._steps(b, c, 1)) == K._steps(a, c, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=_SPANS, y=_SPANS, m=_MODULI)
+def test_width_one_then_and_mod_are_exact_reduced(x, y, m):
+    (p,) = K._then(x[:1], y[:1])
+    assert p == x[0] * y[0]
+    assert K._then(x[:1], y[:1], m) == (p % m,)
+    assert K._mod(x[:1], m) == (x[0] % m,)
+    assert K._mod(x, m) == (x[0] % m, x[1] % m)
+
+
 # The run-level tree: every block's columns from `run_columns` against the
 # per-prime loops, and every column campaign's hits against hits computed
 # per prime from those loops.
@@ -245,10 +266,14 @@ def _blocks(primes, size):
 
 
 def _assert_run_matches_loops(blocks, e):
-    got = list(K.run_columns(blocks, e))
-    assert len(got) == len(blocks)
-    for block, cols in zip(blocks, got):
-        assert cols == _columns_oracle(block, e), (block[0], len(block))
+    # the pair route against the loops, and the width-1 route, which carries
+    # (p-1)! alone, against both
+    got, facts = list(K.run_columns(blocks, e)), list(K.run_columns(blocks, e, 1))
+    assert len(got) == len(facts) == len(blocks)
+    for block, cols, fs in zip(blocks, got, facts):
+        want = _columns_oracle(block, e)
+        assert cols == want, (block[0], len(block))
+        assert fs == (want[0],) == cols[:1], (block[0], len(block))
 
 
 @pytest.mark.parametrize("e", [1, 2, 3])
@@ -274,7 +299,7 @@ def test_run_columns_match_loops_seeded_windows(e):
 def test_run_columns_single_prime_runs(e):
     for p in (3, 5, 7919):
         _assert_run_matches_loops([[p]], e)
-    assert list(K.run_columns([], e)) == []
+    assert list(K.run_columns([], e)) == list(K.run_columns([], e, 1)) == []
 
 
 def test_run_columns_compute_one_block_per_step(monkeypatch):
@@ -317,8 +342,33 @@ def _oracle_hits(name, p, f, k):
     return [p] if hit else []
 
 
+# the campaigns that read the !p column; the other column campaigns read
+# (p-1)! alone, and their runs carry no !p
+_LEFT_FACTORIAL = {"kurepa_zero", "gertsch_wilson", "gertsch_zero"}
+
+
 def test_campaigns_declare_their_column_exponent():
     assert {name: c.e for name, c in search.CAMPAIGNS.items()} == _COLUMN_E
+
+
+def test_campaigns_declare_whether_they_read_left_factorials():
+    assert {name for name, c in search.CAMPAIGNS.items()
+            if c.left_factorial} == _LEFT_FACTORIAL
+
+
+@pytest.mark.parametrize("name", sorted(n for n, e in _COLUMN_E.items() if e))
+def test_column_campaign_runs_carry_the_columns_they_read(monkeypatch, name):
+    calls, columns = [], K.run_columns
+
+    def recorded(blocks, e, width=2):
+        calls.append((e, width))
+        for cols in columns(blocks, e, width):
+            assert len(cols) == width
+            yield cols
+
+    monkeypatch.setattr(K, "run_columns", recorded)
+    search.run_campaign(name, 3, 200, stride=7)
+    assert calls == [(_COLUMN_E[name], 2 if name in _LEFT_FACTORIAL else 1)]
 
 
 @pytest.mark.parametrize("name", sorted(n for n, e in _COLUMN_E.items() if e))

@@ -97,8 +97,8 @@ class TestZeroCampaignWiring:
         fact = (dict(zip(primes, next(K.run_columns([primes], 2))[0]))
                 if name == "gertsch_zero" else dict.fromkeys(primes, 0))
 
-        def planted(blocks, e):
-            assert e == S.CAMPAIGNS[name].e
+        def planted(blocks, e, width=2):
+            assert (e, width) == (S.CAMPAIGNS[name].e, 2)
             for block in blocks:
                 seen.extend(block)
                 yield ([fact[p] for p in block],
@@ -117,10 +117,10 @@ class TestKurepaZeros:
         plant_kurepa_zero(101)
         scanned, columns = Counter(), K.run_columns
 
-        def counted(blocks, e):
+        def counted(blocks, e, width=2):
             scanned.update(p for block in blocks for p in block)
             time.sleep(0.05)  # hold the lock while the other thread arrives
-            return columns(blocks, e)
+            return columns(blocks, e, width)
         monkeypatch.setattr(K, "run_columns", counted)
         assert S.kurepa_zeros(2) == S.kurepa_zeros(-1) == []
         assert not scanned
@@ -139,7 +139,7 @@ class TestKurepaZeros:
         assert scanned == Counter(iter_primes(3, 3000))
 
     def test_failed_pass_leaves_the_prefix(self, monkeypatch):
-        def failing(blocks, e):
+        def failing(blocks, e, width=2):
             raise InvariantViolation("planted")
             yield
         monkeypatch.setattr(K, "run_columns", failing)
@@ -455,8 +455,8 @@ class TestCheckpointWriter:
     def _composite_after_first_block(monkeypatch):
         run_columns = K.run_columns
 
-        def planted(blocks, e):
-            columns = run_columns(blocks, e)
+        def planted(blocks, e, width=2):
+            columns = run_columns(blocks, e, width)
             yield next(columns)
             for block in blocks[1:]:
                 # (n-1)! = 0 (mod n) at a composite n > 4
@@ -513,6 +513,38 @@ class TestResumability:
                                  resume=True, stride=50)
         assert resumed.elapsed_s >= part.elapsed_s
         assert resumed.scanned > part.scanned
+
+
+class TestWilsonFamily:
+    """The campaigns that read (p-1)! alone run on the width-1 tree. A run
+    interrupted and resumed, and a sharded run, give the serial run's hits
+    at every stride."""
+    NAMES = sorted(n for n, c in S.CAMPAIGNS.items()
+                   if c.e is not None and not c.left_factorial)
+    HI = 1200   # past a hit of each: 563, 71, 1163 and (20, 37)
+
+    def test_the_four_campaigns(self):
+        assert self.NAMES == ["qpm_zero", "wilson_plus_half", "wilson_plus_two",
+                              "wilson_zero"]
+
+    @pytest.mark.parametrize("stride", [1, 7, 10_000])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_resume_and_shards_match_serial(self, tmp_path, name, stride):
+        serial = S.run_campaign(name, 3, self.HI)
+        assert serial.hits
+        path = str(tmp_path / "ck.json")
+        S.run_campaign(name, 3, self.HI, checkpoint_path=path, stride=stride,
+                       stop_after_blocks=2)
+        resumed = S.run_campaign(name, 3, self.HI, checkpoint_path=path,
+                                 resume=True, stride=stride)
+        assert (resumed.hits, resumed.complete) == (serial.hits, True)
+        assert S.run_sharded(name, 3, self.HI, shards=3,
+                             stride=stride).hits == serial.hits
+        S.run_sharded(name, 3, self.HI, shards=3, checkpoint_path=path,
+                      stride=stride, stop_after_blocks=1)
+        resumed = S.run_sharded(name, 3, self.HI, shards=3, checkpoint_path=path,
+                                resume=True, stride=stride)
+        assert (resumed.hits, resumed.complete) == (serial.hits, True)
 
 
 class TestSharding:
