@@ -22,11 +22,13 @@ their own. The tables' O(p^2) oracles are in `tests/oracles.py`, except the
 Stirling triangle, which also serves rows whose factorials are not units
 mod m. `bell_mod` is O(p) per prime and inverts the (p-1)! its caller reads
 from the run tree. (p-1)! mod p^e and !p mod p^e have one route, the run
-tree `run_columns`: a campaign run passes it all its blocks and reads one
-block's columns per step; the `kurepa_zero` run at e = 1 also extends
-`search.kurepa_zeros`, the one prefix of Kurepa zeros that C25 and
-`factorizer.kurepa_gcd_check` read. A campaign that reads no !p column
-(the three Wilson campaigns and `qpm_zero`) runs the same tree at width 1,
+tree `run_columns`: one product tree over a run's primes, walked once. A
+campaign run passes it all its blocks, which only mark where the walk
+hands out columns, and reads one block's columns per step; the
+`kurepa_zero` run at e = 1 also extends `search.kurepa_zeros`, the one
+prefix of Kurepa zeros that C25 and `factorizer.kurepa_gcd_check` read. A
+campaign that reads no !p column (the three Wilson campaigns and
+`qpm_zero`) runs the same tree at width 1,
 carrying (p-1)! alone, at about half the cost. `_factorial_columns` is its
 one-block case, which the residue records call. Its spans compose in
 `_then` and reduce in `_mod` alone, the seam for another big-int backend;
@@ -480,7 +482,13 @@ def wilson_quotient(p: int, f: int) -> int:
 # `_mod` alone reduces one, so another big-integer backend goes there. The
 # states at a run's primes come from one accumulating remainder tree
 # (Costa, Gerbicz and Harvey, for Wilson quotients; Andrejic, Bostan and
-# Tatarevic, for left factorials).
+# Tatarevic, for left factorials): one product tree of p^e over all the
+# run's primes and one walk down it. A left span is read by its right
+# sibling and by its parent's readers; it is reduced mod their product
+# where that has fewer bits than the exact span, about
+# (ps[mid] - ps[i]) log2 ps[mid], and kept exact below. So the top of the
+# tree reduces and its lower levels compose exact spans, whatever the
+# blocks, which only mark where the walk yields.
 
 _LEAF_STEPS = 32
 
@@ -527,47 +535,29 @@ def _product_tree(nodes: list, i: int, j: int) -> tuple:
     return (left[0] * right[0], left, right)
 
 
-def _moduli(ps: list[int], e: int) -> tuple:
-    """The product tree of p^e over ps."""
-    return _product_tree([(p ** e,) for p in ps], 0, len(ps))
-
-
-def _block(node: tuple, ps: list[int], i: int, j: int, x: tuple, out: list,
-           c=None):
-    """Fill out[i:j] with the states at ps[i], ..., ps[j-1], given the state
-    x at ps[i] reduced mod node's modulus; ps may hold one entry past the
-    block's primes, the next block's first. Return the span of the steps
-    from ps[i] to ps[j], of x's width and reduced mod c (exact for c None),
-    or None when ps ends at j."""
+def _walk(node: tuple, ps: list[int], i: int, j: int, x: tuple, c,
+          ends: set, out: list):
+    """Append the states at ps[i], ..., ps[j-1] to out, given the state x at
+    ps[i] reduced mod node's modulus, and yield out's columns, emptying it,
+    after each index in ends, the ends of the blocks. Return the span of the
+    steps from ps[i] to ps[j] reduced mod c, the product of the moduli that
+    read it (exact for c None), or None when ps ends at j."""
     if j - i == 1:
-        out[i] = x
+        out.append(x)
+        if j in ends:
+            yield tuple(map(list, zip(*out)))
+            out.clear()
         return _steps(ps[i], ps[j], len(x)) if j < len(ps) else None
     _, left, right = node
     mid = (i + j) // 2
-    span = _block(left, ps, i, mid, _mod(x, left[0]), out)
-    rest = _block(right, ps, mid, j, _then(x, span, right[0]), out, c)
-    return None if rest is None else _then(span, rest, c)
-
-
-def _walk(node: tuple, blocks: list, e: int, i: int, j: int, x: tuple, c):
-    """Yield the columns mod p^e of blocks[i:j] in order, one list per
-    component of the state x at their first prime, which is reduced mod
-    node's modulus. Return the span of the steps from blocks[i][0] to
-    blocks[j][0] reduced mod c, the product of the moduli that read it, or
-    None when nothing does (c None)."""
-    if j - i == 1:
-        ps = blocks[i]
-        out = [None] * len(ps)
-        span = _block(_moduli(ps, e), ps if c is None else ps + blocks[j][:1],
-                      0, len(ps), x, out, c)
-        yield tuple(map(list, zip(*out)))
-        return span
-    _, left, right = node
-    mid = (i + j) // 2
-    lm, m = left[0], right[0]
-    span = yield from _walk(left, blocks, e, i, mid, _mod(x, lm),
-                            m if c is None else m * c)
-    rest = yield from _walk(right, blocks, e, mid, j, _then(x, span, m), c)
+    # the right sibling and this span's readers read the left span; reduce
+    # it mod their product only where that is smaller than the exact span
+    r = None if c is None else right[0] * c
+    if r is not None and r.bit_length() >= (ps[mid] - ps[i]) * ps[mid].bit_length():
+        r = None
+    span = yield from _walk(left, ps, i, mid, _mod(x, left[0]), r, ends, out)
+    rest = yield from _walk(right, ps, mid, j, _then(x, span, right[0]), c,
+                            ends, out)
     return None if rest is None else _then(span, rest, c)
 
 
@@ -576,28 +566,30 @@ def run_columns(blocks: list[list[int]], e: int, width: int = 2):
     width 1 ([(p-1)! mod p^e],) alone.
 
     The blocks are consecutive: each lists ascending integers >= 1, all
-    below the next block's first. The state is carried from n = 1 to the
-    run's first prime once, modulo the product M of all moduli, in chunks
-    whose exact spans have about as many bits as M. A product tree whose
-    leaves are the blocks then splits it down; each block is a tree over the
-    gaps between its primes, each gap stepped once, and every left subtree
-    hands its span to its right sibling. Each block's columns are computed
-    when they are asked for, not before. A width-1 run carries (n-1)! alone
-    and costs about half as much: over [3, 2e5] in blocks of 10,000 primes,
-    a `wilson_zero` run took 2.04 s carrying (p-1)! alone and 4.03 s
-    carrying both (medians of 3, 2-core host, Python 3.11).
+    below the next block's first. One product tree of p^e over all the
+    run's primes is built once. The state is carried from n = 1 to the
+    run's first prime once, modulo the tree's root M, in chunks whose exact
+    spans have about as many bits as M; one walk then splits it down the
+    tree, stepping each gap between consecutive primes once, and every left
+    subtree hands its span to its right sibling. The blocks only mark where
+    the walk yields: each block's columns are computed when they are asked
+    for, not before, and the stride does not change the work. A width-1 run
+    carries (n-1)! alone and costs about half as much: over [3, 2e5] in
+    blocks of 10,000 primes, a `wilson_zero` run took 2.39 s carrying (p-1)!
+    alone and 4.60 s carrying both (medians of 3, 2-core host, Python 3.11).
     """
-    if not blocks:
+    ps = [p for block in blocks for p in block]
+    if not ps:
         return
-    # the leaves keep only each block's modulus; a block's own tree is built
-    # again when it is reached, so one is held at a time
-    tree = _product_tree([(_moduli(ps, e)[0],) for ps in blocks], 0, len(blocks))
-    m, first = tree[0], blocks[0][0]
+    tree = _product_tree([(p ** e,) for p in ps], 0, len(ps))
+    m, first = tree[0], ps[0]
     x = (1 % m, 1 % m)[:width]
     chunk = max(_LEAF_STEPS, m.bit_length() // first.bit_length())
     for a in range(1, first, chunk):
         x = _then(x, _steps(a, min(a + chunk, first), width), m)
-    yield from _walk(tree, blocks, e, 0, len(blocks), x, None)
+    # the root's span has no reader: the empty product 1
+    yield from _walk(tree, ps, 0, len(ps), x, 1,
+                     set(accumulate(map(len, blocks))), [])
 
 
 def _factorial_columns(primes, e: int) -> tuple[list[int], list[int]]:

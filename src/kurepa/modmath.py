@@ -84,6 +84,8 @@ class Residue:
     __rmul__ = __mul__
 
     def __pow__(self, exp: int) -> "Residue":
+        if exp < 0:
+            return self.inverse() ** -exp
         return Residue(pow(self.value, exp, self.modulus), self.modulus)
 
     def inverse(self) -> "Residue":

@@ -266,7 +266,9 @@ def load_checkpoint(path: str) -> Checkpoint:
         if not isinstance(obj, dict):
             raise CheckpointError(
                 f"corrupt checkpoint {path!r}: not a JSON object")
-        if obj.get("version") != CHECKPOINT_VERSION:
+        # True == 1, so compare the exact type here too
+        if (obj.get("version") != CHECKPOINT_VERSION
+                or type(obj["version"]) is not int):
             raise CheckpointError(
                 f"unsupported checkpoint version {obj.get('version')!r}")
         hits = [tuple(h) if isinstance(h, list) else h for h in obj["hits"]]
@@ -289,6 +291,8 @@ def load_checkpoint(path: str) -> Checkpoint:
     if ck.scanned < 0 or not 0 <= ck.elapsed_s < math.inf:
         raise CheckpointError(f"corrupt checkpoint {path!r}: negative scanned "
                               "or elapsed_s, or non-finite elapsed_s")
+    # a scan finds each hit once, in order of p and then m (0 for plain hits)
+    key = (ck.lo - 1, 0)
     for h in ck.hits:
         m, p = h if isinstance(h, tuple) and len(h) == 2 else (0, h)
         if type(m) is not int or type(p) is not int:
@@ -296,6 +300,10 @@ def load_checkpoint(path: str) -> Checkpoint:
         if not ck.lo <= p <= ck.last_p:
             raise CheckpointError(
                 f"corrupt checkpoint {path!r}: hit {h} outside [{ck.lo}, last_p]")
+        if (p, m) <= key:
+            raise CheckpointError(f"corrupt checkpoint {path!r}: hit {h} "
+                                  "repeated or out of scan order")
+        key = (p, m)
     return ck
 
 

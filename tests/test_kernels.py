@@ -6,6 +6,7 @@ every production Fermat quotient reads one helper."""
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -303,20 +304,46 @@ def test_run_columns_single_prime_runs(e):
 
 
 def test_run_columns_compute_one_block_per_step(monkeypatch):
-    # a block's columns are computed when they are asked for, not before
-    tops, block = [], K._block
+    # a block's columns are computed when they are asked for, not before:
+    # its own gaps are stepped, and none from the next block's first on
+    starts, steps = [], K._steps
 
-    def counted(node, ps, i, j, x, out, c=None):
-        if (i, j) == (0, len(out)):
-            tops.append(ps[0])
-        return block(node, ps, i, j, x, out, c)
+    def counted(a, b, width=2):
+        starts.append(a)
+        return steps(a, b, width)
 
-    monkeypatch.setattr(K, "_block", counted)
+    monkeypatch.setattr(K, "_steps", counted)
     blocks = _blocks(sieve_primes(3, 400), 10)
     run = K.run_columns(blocks, 2)
-    for b, ps in enumerate(blocks):
+    for ps, after in zip(blocks, [ps[0] for ps in blocks[1:]] + [math.inf]):
         next(run)
-        assert tops == [ps[0] for ps in blocks[:b + 1]]
+        assert ps[0] <= max(starts) < after
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_run_columns_work_does_not_depend_on_the_stride(monkeypatch, e):
+    # the blocks only mark where columns are handed out: every stride, and
+    # one block, makes the same compositions and the same exact spans
+    calls, then, steps = Counter(), K._then, K._steps
+    monkeypatch.setattr(K, "_then", lambda *a: calls.update(["_then"]) or then(*a))
+    monkeypatch.setattr(K, "_steps", lambda *a: calls.update(["_steps"]) or steps(*a))
+    primes = sieve_primes(3, 3000)
+    for width in (1, 2):
+        work = []
+        for size in (1, 7, 128, len(primes)):
+            calls.clear()
+            list(K.run_columns(_blocks(primes, size), e, width))
+            work.append(dict(calls))
+        assert all(w == work[0] for w in work), (width, work)
+
+
+def test_run_columns_build_each_tree_node_once(monkeypatch):
+    built, tree = [], K._product_tree
+    monkeypatch.setattr(K, "_product_tree",
+                        lambda nodes, i, j: built.append((i, j)) or tree(nodes, i, j))
+    primes = sieve_primes(3, 3000)
+    list(K.run_columns(_blocks(primes, 7), 2))
+    assert len(built) == len(set(built)) == 2 * len(primes) - 1
 
 
 # the exponent e of the columns each campaign reads; None: no columns

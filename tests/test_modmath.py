@@ -117,6 +117,12 @@ class TestResidue:
         assert a.inverse() * a == 1
         assert int(a) == 5
 
+    def test_negative_power(self):
+        a = Residue(5, 11)
+        assert a ** -1 == a.inverse() and a ** -3 == a.inverse() ** 3
+        with pytest.raises(NotInvertibleError):
+            Residue(2, 4) ** -1
+
     def test_modulus_mismatch(self):
         with pytest.raises(DomainError):
             Residue(1, 5) + Residue(1, 7)

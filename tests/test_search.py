@@ -239,6 +239,25 @@ class TestCheckpointing:
             S.run_campaign("wilson_zero", 100, 1000, checkpoint_path=str(path),
                            resume=True)
 
+    @pytest.mark.parametrize("campaign, hits", [
+        ("wilson_zero", [13, 5, 5]), ("wilson_zero", [5, 5]), ("wilson_zero", [13, 5]),
+        ("qpm_zero", [[3, 101], [2, 101]]), ("qpm_zero", [[2, 103], [2, 101]]),
+        ("qpm_zero", [[2, 101], [2, 101]])])
+    def test_hits_repeated_or_out_of_order_rejected(self, tmp_path, campaign, hits):
+        # a scan finds each hit once, in order of p, then of m for pairs
+        ok = {"wilson_zero": [5, 13], "qpm_zero": [[2, 101], [3, 101], [2, 103]]}
+        path = tmp_path / "ck.json"
+        state = {**self.VALID, "campaign": campaign, "lo": 3, "last_p": 1000}
+        path.write_text(json.dumps({**state, "hits": ok[campaign]}))
+        assert S.load_checkpoint(str(path)).hits == [
+            tuple(h) if isinstance(h, list) else h for h in ok[campaign]]
+        path.write_text(json.dumps({**state, "hits": hits}))
+        with pytest.raises(CheckpointError):
+            S.load_checkpoint(str(path))
+        with pytest.raises(CheckpointError):
+            S.run_campaign(campaign, 3, 1000, checkpoint_path=str(path),
+                           resume=True)
+
     def test_last_p_bounds_load(self, tmp_path):
         path = tmp_path / "ck.json"
         for last_p in (99, 1000):
@@ -278,6 +297,14 @@ class TestCheckpointing:
         path.write_text(json.dumps({
             "campaign": "wilson_zero", "lo": 3, "hi": 100, "last_p": 97,
             "hits": [], "elapsed_s": 0.0, "scanned": 0, "version": 99}))
+        with pytest.raises(CheckpointError):
+            S.load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", None])
+    def test_version_of_the_wrong_type_rejected(self, tmp_path, version):
+        # True == 1.0 == 1, so the version's exact type is compared
+        path = tmp_path / "ck.json"
+        path.write_text(json.dumps({**self.VALID, "version": version}))
         with pytest.raises(CheckpointError):
             S.load_checkpoint(str(path))
 
