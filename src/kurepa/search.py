@@ -92,7 +92,7 @@ def _scan_kurepa_zero(primes, cols, params):
 
 def _scan_qpm_zero(primes, cols, params):
     """(m, p) pairs with Q_p(m) = AG_p + q_p(m) = 0 (mod p), via AG_p = W_p+1."""
-    m_max = int(params.get("m_max", 20))
+    m_max = params["m_max"]
     ws = _kernels.wilson_column(primes, cols[0])
     hits = []
     for p, w in zip(primes, ws):
@@ -117,6 +117,11 @@ class Campaign:
     # True: the columns are ((p-1)!, !p); False: ((p-1)!,) alone, and the
     # run carries no !p
     left_factorial: bool = False
+    # the params the scan reads, each with its default; a run's checkpoint
+    # records them, and a resume must pass the same
+    params: dict = field(default_factory=dict)
+    # True: each hit is an (m, p) pair; False: a prime p
+    pair_hits: bool = False
 
 
 CAMPAIGNS: dict[str, Campaign] = {c.name: c for c in [
@@ -143,8 +148,21 @@ CAMPAIGNS: dict[str, Campaign] = {c.name: c for c in [
     Campaign("qpm_zero", "pairs (m, p) with AG_p + q_p(m) = 0 (mod p)",
              _scan_qpm_zero,
              expected=(3, 37, ((2, 3), (6, 7), (14, 19), (5, 23), (19, 31),
-                               (20, 37)), "contains"), e=2),
+                               (20, 37)), "contains"), e=2,
+             params={"m_max": 20}, pair_hits=True),
 ]}
+
+
+def _run_params(campaign: Campaign, params: Optional[dict]) -> dict:
+    """The campaign's params for a run: each of its params, from params or
+    else its default; names it does not take are ignored. An m_max that is
+    not an int >= 2 raises DomainError."""
+    params = params or {}
+    out = {k: params.get(k, v) for k, v in campaign.params.items()}
+    # bool is an int subclass, so compare the exact type
+    if "m_max" in out and (type(out["m_max"]) is not int or out["m_max"] < 2):
+        raise DomainError(f"m_max must be an integer >= 2, got {out['m_max']!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +178,7 @@ class Checkpoint:
     elapsed_s: float = 0.0
     scanned: int = 0     # primes processed, for primes/second accounting
     version: int = CHECKPOINT_VERSION
+    params: dict = field(default_factory=dict)  # the run's `_run_params`
 
     @property
     def complete(self) -> bool:
@@ -170,6 +189,8 @@ class Checkpoint:
         return self.scanned / self.elapsed_s if self.elapsed_s > 0 else float("inf")
 
     def to_json(self) -> str:
+        """The checkpoint file's JSON; "params" only for a campaign that
+        takes params, so the other campaigns' files keep their fields."""
         return json.dumps({
             "campaign": self.campaign, "lo": self.lo, "hi": self.hi,
             "last_p": self.last_p,
@@ -177,6 +198,7 @@ class Checkpoint:
             "elapsed_s": round(self.elapsed_s, 6),
             "scanned": self.scanned,
             "version": self.version,
+            **({"params": self.params} if self.params else {}),
         })
 
     def write(self, path: str):
@@ -271,6 +293,17 @@ def load_checkpoint(path: str) -> Checkpoint:
                 or type(obj["version"]) is not int):
             raise CheckpointError(
                 f"unsupported checkpoint version {obj.get('version')!r}")
+        campaign = CAMPAIGNS.get(obj["campaign"])
+        if campaign is None:
+            raise CheckpointError(f"corrupt checkpoint {path!r}: unknown "
+                                  f"campaign {obj['campaign']!r}")
+        # a file without params (as every one before they were recorded)
+        # holds the campaign's defaults
+        params = obj.get("params", {})
+        if not isinstance(params, dict):
+            raise CheckpointError(
+                f"corrupt checkpoint {path!r}: params {params!r} is not an object")
+        params = _run_params(campaign, params)
         hits = [tuple(h) if isinstance(h, list) else h for h in obj["hits"]]
         nums = {k: obj[k] for k in ("lo", "hi", "last_p", "elapsed_s")}
         nums["scanned"] = obj.get("scanned", 0)
@@ -280,7 +313,7 @@ def load_checkpoint(path: str) -> Checkpoint:
                 raise CheckpointError(
                     f"corrupt checkpoint {path!r}: {k} {v!r} has the wrong type")
         nums["elapsed_s"] = float(nums["elapsed_s"])
-        ck = Checkpoint(campaign=obj["campaign"], hits=hits, **nums)
+        ck = Checkpoint(campaign=campaign.name, hits=hits, params=params, **nums)
     except CheckpointError:
         raise
     except (OSError, ValueError, KeyError, TypeError) as e:
@@ -291,10 +324,14 @@ def load_checkpoint(path: str) -> Checkpoint:
     if ck.scanned < 0 or not 0 <= ck.elapsed_s < math.inf:
         raise CheckpointError(f"corrupt checkpoint {path!r}: negative scanned "
                               "or elapsed_s, or non-finite elapsed_s")
-    # a scan finds each hit once, in order of p and then m (0 for plain hits)
+    # a scan finds each hit once, in order of p and then m (0 for plain
+    # hits); a pair campaign's hits are (m, p) pairs, the others' primes
     key = (ck.lo - 1, 0)
     for h in ck.hits:
-        m, p = h if isinstance(h, tuple) and len(h) == 2 else (0, h)
+        if campaign.pair_hits:
+            m, p = h if isinstance(h, tuple) and len(h) == 2 else (None, None)
+        else:
+            m, p = 0, h
         if type(m) is not int or type(p) is not int:
             raise CheckpointError(f"corrupt checkpoint {path!r}: malformed hit {h!r}")
         if not ck.lo <= p <= ck.last_p:
@@ -358,9 +395,12 @@ def run_campaign(name: str, lo: int, hi: int, *,
     n = 1 to the run's first prime once, and computes a block's columns
     only when that block is scanned. The Fermat-quotient campaigns stream
     their primes instead.
+    params are the campaign's params (`Campaign.params` holds each one's
+    default; only qpm_zero takes one, m_max, an int >= 2); a name the
+    campaign does not take is ignored, and a bad value raises DomainError.
     With resume=True the checkpoint at checkpoint_path is loaded, validated
-    against (name, lo, hi) and continued past its last processed prime, as
-    a run of its own whose tree starts there; interrupted-and-resumed runs
+    against (name, lo, hi, params) and continued past its last processed
+    prime, as a run of its own whose tree starts there; interrupted-and-resumed runs
     produce hits identical to uninterrupted ones. stop_after_blocks is a
     testing hook that abandons the scan early (after its checkpoint is
     written), simulating a kill at a checkpoint boundary. Scans run on one
@@ -376,7 +416,7 @@ def run_campaign(name: str, lo: int, hi: int, *,
     if workers != 1:
         raise DomainError(f"workers must be 1, got {workers}")
     campaign = CAMPAIGNS[name]
-    params = dict(params or {})
+    params = _run_params(campaign, params)
 
     if resume:
         if not checkpoint_path:
@@ -386,9 +426,13 @@ def run_campaign(name: str, lo: int, hi: int, *,
             raise CheckpointError(
                 f"checkpoint is for {ck.campaign}[{ck.lo},{ck.hi}], "
                 f"not {name}[{lo},{hi}]")
+        if ck.params != params:
+            raise CheckpointError(f"checkpoint was written with params "
+                                  f"{ck.params}, not {params}")
         start = max(ck.last_p + 1, 3)
     else:
-        ck = Checkpoint(campaign=name, lo=lo, hi=hi, last_p=lo - 1)
+        ck = Checkpoint(campaign=name, lo=lo, hi=hi, last_p=lo - 1,
+                        params=params)
         start = max(lo, 3)
 
     writer = _Writer(checkpoint_path) if checkpoint_path else None
@@ -490,7 +534,8 @@ def run_sharded(name: str, lo: int, hi: int, shards: int, *,
             name, a, b, checkpoint_path=path,
             resume=resume and os.path.exists(path), **kwargs))
     last_p = next((part.last_p for part in parts if not part.complete), hi)
-    merged = Checkpoint(campaign=name, lo=lo, hi=hi, last_p=last_p)
+    merged = Checkpoint(campaign=name, lo=lo, hi=hi, last_p=last_p,
+                        params=parts[0].params)
     for part in parts:
         merged.hits.extend(part.hits)
         merged.scanned += part.scanned

@@ -195,6 +195,32 @@ class TestSearch:
         hits = [tuple(h) for h in json.loads(out)["hits"]]
         assert (14, 19) in hits
 
+    def test_m_max_below_two_exits_2(self, capsys):
+        code, out, err = run(capsys, "search", "qpm_zero", "--to", "37",
+                             "--m-max", "1")
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
+    def test_resume_with_other_m_max_exits_2(self, capsys, tmp_path):
+        ck = str(tmp_path / "ck.json")
+        code, _, _ = run(capsys, "search", "qpm_zero", "--to", "37",
+                         "--checkpoint", ck)
+        assert code == 0
+        code, out, err = run(capsys, "search", "qpm_zero", "--to", "37",
+                             "--checkpoint", ck, "--resume", "--m-max", "5")
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
+    def test_pair_hit_in_a_wilson_zero_file_exits_2(self, capsys, tmp_path):
+        ck = tmp_path / "ck.json"
+        ck.write_text('{"version": 1, "campaign": "wilson_zero", "lo": 3, '
+                      '"hi": 100, "last_p": 50, "hits": [[2, 7], 13], '
+                      '"elapsed_s": 0.0, "scanned": 14}')
+        code, out, err = run(capsys, "search", "wilson_zero", "--to", "100",
+                             "--checkpoint", str(ck), "--resume")
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
     def test_rate_reported(self, capsys):
         code, out, _ = run(capsys, "search", "kurepa_zero", "--to", "500")
         assert json.loads(out)["primes_per_second"] > 0

@@ -6,6 +6,7 @@ every production Fermat quotient reads one helper."""
 
 import math
 import random
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -502,6 +503,77 @@ def test_series_div_matches_inverse_then_product(m):
             c = [rng.randrange(m) for _ in range(length)]
             assert (K._series_div(c, s, n, m)
                     == K._series_mul(c, K._series_inv(s, n, m), n, m)), (n, length)
+
+
+# `_powers` walks the process's one factorization table, which grows to
+# cover the largest n asked, at least doubling; every row against plain pow.
+
+def _moduli(rng) -> list[int]:
+    """p, p^2 and p^3 for a seeded prime p, and a seeded composite m."""
+    p = rng.choice(sieve_primes(2, 70_000))
+    return [p, p * p, p ** 3, rng.randrange(2, 10 ** 6) * rng.randrange(2, 10 ** 6)]
+
+
+def test_powers_match_pow_small_n():
+    rng = random.Random(20261019)
+    for n in range(65):
+        for e in (n, n + 1):
+            for m in _moduli(rng) + [1, 2]:
+                assert K._powers(n, e, m) == [pow(j, e, m) for j in range(n + 1)], (n, e, m)
+    assert max(K._factorization) == 64
+
+
+@pytest.mark.parametrize("order", ["increasing", "decreasing", "random"])
+def test_powers_match_pow_across_growths(monkeypatch, order):
+    rng = random.Random(f"powers-{order}")
+    ns = rng.sample(range(65, 30_001), 6) + [30_000]
+    ns.sort(reverse=order == "decreasing")
+    if order == "random":
+        rng.shuffle(ns)
+    built, sieve = [], K._sieve_factors
+    monkeypatch.setattr(K, "_sieve_factors", lambda n: built.append(n) or sieve(n))
+    reads, top, growths = set(), -1, 0
+    for i, n in enumerate(ns):
+        # past the bound N the table grows; below it, N is read too
+        for k in [n] if n > top else [n, top]:
+            e, m = k + i % 2, _moduli(rng)[i % 4]
+            reads.add("below" if k < top else "at" if k == top else "across")
+            assert K._powers(k, e, m) == [pow(j, e, m) for j in range(k + 1)], (k, e, m)
+            if k > top:
+                top, growths = max(k, 2 * top), growths + 1
+            assert list(K._factorization) == [top]
+    assert reads == {"below", "at", "across"}
+    # one sieve per growth, each at least twice the last; none below the bound
+    assert len(built) == growths and built[-1] == top
+    assert all(b >= 2 * a for a, b in zip(built, built[1:]))
+
+
+def test_powers_two_threads_grow_one_table():
+    start, got = threading.Barrier(2), {}
+    m = 10_007 ** 2
+
+    def call(n):
+        start.wait(timeout=60)
+        got[n] = K._powers(n, n, m)
+    threads = [threading.Thread(target=call, args=(n,)) for n in (10_000, 20_000)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    for n in (10_000, 20_000):
+        assert got[n] == [pow(j, n, m) for j in range(n + 1)], n
+    assert max(K._factorization) >= 20_000
+
+
+def test_factorization_table_is_least_prime_and_cofactor():
+    primes, composites = K._factors(5000)
+    top = max(K._factorization)
+    assert list(primes) == sieve_primes(2, top)
+    assert sorted([*primes, *(j for j, _, _ in composites)]) == list(range(2, top + 1))
+    assert composites == sorted(composites)
+    for j, q, c in composites:
+        assert q * c == j and q == min(d for d in primes if j % d == 0), j
 
 
 # `_factorials` by Wilson's reflection and `_unit_top` by trial division,

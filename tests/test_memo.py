@@ -6,11 +6,12 @@ import threading
 import time
 
 import kurepa.cli  # noqa: F401  (loads every kurepa module)
-from kurepa import _memo, checks, exact, factorizer, residues, search
+from kurepa import _kernels, _memo, checks, exact, factorizer, residues, search
 from oracles import gregory_table_mod_py
 from test_exact import bernoulli_akiyama_tanigawa, gregory_integral_oracle
 
-MEMOS = {("kurepa.exact", "_bern"), ("kurepa.exact", "_greg"),
+MEMOS = {("kurepa._kernels", "_factorization"),
+         ("kurepa.exact", "_bern"), ("kurepa.exact", "_greg"),
          ("kurepa.factorizer", "_trial_primes"), ("kurepa.residues", "_records"),
          ("kurepa.residues", "_gregory_tables"), ("kurepa.search", "_kurepa_prefix")}
 
@@ -60,6 +61,7 @@ def test_every_memo_is_registered_and_cleared():
     assert all(any(m is memo for m in _memo._memos) for memo in found.values())
     first = _fill()
     assert all(found.values()), [k for k, m in found.items() if not m]
+    factorization = dict(_kernels._factorization)
     _memo.clear_all()
     assert not any(found.values())
     # re-seeded from empty, the exact memos agree with the independent oracles
@@ -69,6 +71,7 @@ def test_every_memo_is_registered_and_cleared():
     assert _fill() == first
     assert list(first[2].values) == gregory_table_mod_py(1009)[1:]
     assert len(residues._records) == 1 and 1009 in residues._gregory_tables
+    assert _kernels._factorization == factorization
 
 
 def test_two_threads_sieve_the_trial_primes_once(monkeypatch):

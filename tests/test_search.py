@@ -227,17 +227,39 @@ class TestCheckpointing:
         path.write_text(json.dumps({**self.VALID, "elapsed_s": 2}))
         assert S.load_checkpoint(str(path)).elapsed_s == 2.0
 
-    @pytest.mark.parametrize("hit", ["abc", None, [5], [2, 3, 101], [2.5, 101], 101.0])
+    @pytest.mark.parametrize("hit", ["abc", None, [5], [2, 3, 101], [2.5, 101], 101.0,
+                                     [2, 101]])
     def test_malformed_hit_rejected(self, tmp_path, hit):
+        # a wilson_zero hit is a prime, never an (m, p) pair
         path = tmp_path / "ck.json"
-        path.write_text(json.dumps({**self.VALID, "last_p": 1000, "hits": [[2, 101]]}))
-        S.load_checkpoint(str(path))
+        path.write_text(json.dumps({**self.VALID, "last_p": 1000, "hits": [101]}))
+        assert S.load_checkpoint(str(path)).hits == [101]
         path.write_text(json.dumps({**self.VALID, "last_p": 1000, "hits": [hit]}))
         with pytest.raises(CheckpointError):
             S.load_checkpoint(str(path))
         with pytest.raises(CheckpointError):
             S.run_campaign("wilson_zero", 100, 1000, checkpoint_path=str(path),
                            resume=True)
+
+    @pytest.mark.parametrize("hits", [[7], [[2, 3], 7], [[2, 3, 7]], [[2.0, 7]],
+                                      [["2", 7]], [[2, None]]])
+    def test_malformed_pair_hit_rejected(self, tmp_path, hits):
+        # a qpm_zero hit is an (m, p) pair of ints, never a bare prime
+        path = tmp_path / "ck.json"
+        state = {**self.VALID, "campaign": "qpm_zero", "lo": 3, "hi": 37, "last_p": 37}
+        path.write_text(json.dumps({**state, "hits": [[2, 3], [5, 23]]}))
+        assert S.load_checkpoint(str(path)).hits == [(2, 3), (5, 23)]
+        path.write_text(json.dumps({**state, "hits": hits}))
+        with pytest.raises(CheckpointError):
+            S.load_checkpoint(str(path))
+        with pytest.raises(CheckpointError):
+            S.run_campaign("qpm_zero", 3, 37, checkpoint_path=str(path), resume=True)
+
+    def test_unknown_campaign_rejected(self, tmp_path):
+        path = tmp_path / "ck.json"
+        path.write_text(json.dumps({**self.VALID, "campaign": "nope"}))
+        with pytest.raises(CheckpointError):
+            S.load_checkpoint(str(path))
 
     @pytest.mark.parametrize("campaign, hits", [
         ("wilson_zero", [13, 5, 5]), ("wilson_zero", [5, 5]), ("wilson_zero", [13, 5]),
@@ -312,6 +334,93 @@ class TestCheckpointing:
 def _read(path):
     with open(path) as fh:
         return fh.read()
+
+
+class TestCampaignParams:
+    """qpm_zero's m_max is recorded in its checkpoint, and a resume must
+    pass the same."""
+
+    def test_default_is_recorded(self, tmp_path):
+        path = str(tmp_path / "ck.json")
+        ck = S.run_campaign("qpm_zero", 3, 37, checkpoint_path=path)
+        assert ck.params == {"m_max": 20}
+        assert json.loads(_read(path))["params"] == {"m_max": 20}
+        assert S.load_checkpoint(path).params == {"m_max": 20}
+
+    @pytest.mark.parametrize("m_max", [5, 20])
+    def test_cut_and_resume_equals_the_whole_run(self, tmp_path, m_max):
+        path = str(tmp_path / "ck.json")
+        full = S.run_campaign("qpm_zero", 3, 200, stride=5, params={"m_max": m_max})
+        part = S.run_campaign("qpm_zero", 3, 200, stride=5, params={"m_max": m_max},
+                              checkpoint_path=path, stop_after_blocks=3)
+        assert not part.complete
+        resumed = S.run_campaign("qpm_zero", 3, 200, stride=5,
+                                 params={"m_max": m_max}, checkpoint_path=path,
+                                 resume=True)
+        assert resumed.hits == full.hits
+        assert len(full.hits) == {5: 2, 20: 25}[m_max]
+
+    @pytest.mark.parametrize("first, then", [(20, 5), (5, 20), (5, None)])
+    def test_resume_with_other_params_raises(self, tmp_path, first, then):
+        path = str(tmp_path / "ck.json")
+        S.run_campaign("qpm_zero", 3, 200, stride=5, params={"m_max": first},
+                       checkpoint_path=path, stop_after_blocks=3)
+        params = {} if then is None else {"m_max": then}
+        with pytest.raises(CheckpointError):
+            S.run_campaign("qpm_zero", 3, 200, stride=5, params=params,
+                           checkpoint_path=path, resume=True)
+
+    def test_sharded_resume_with_other_params_raises(self, tmp_path):
+        path = str(tmp_path / "ck.json")
+        S.run_sharded("qpm_zero", 3, 200, shards=2, stride=5, params={"m_max": 20},
+                      checkpoint_path=path, stop_after_blocks=1)
+        with pytest.raises(CheckpointError):
+            S.run_sharded("qpm_zero", 3, 200, shards=2, stride=5,
+                          params={"m_max": 5}, checkpoint_path=path, resume=True)
+        merged = S.run_sharded("qpm_zero", 3, 200, shards=2, stride=5,
+                               params={"m_max": 20}, checkpoint_path=path,
+                               resume=True)
+        assert merged.params == {"m_max": 20}
+        assert merged.hits == S.run_campaign("qpm_zero", 3, 200).hits
+
+    def test_file_without_params_resumes_at_the_defaults(self, tmp_path):
+        path = str(tmp_path / "ck.json")
+        S.run_campaign("qpm_zero", 3, 200, stride=5, checkpoint_path=path,
+                       stop_after_blocks=3)
+        obj = json.loads(_read(path))
+        del obj["params"]
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        assert S.load_checkpoint(path).params == {"m_max": 20}
+        resumed = S.run_campaign("qpm_zero", 3, 200, stride=5,
+                                 checkpoint_path=path, resume=True)
+        assert resumed.hits == S.run_campaign("qpm_zero", 3, 200).hits
+        with pytest.raises(CheckpointError):
+            S.run_campaign("qpm_zero", 3, 200, stride=5, params={"m_max": 5},
+                           checkpoint_path=path, resume=True)
+
+    @pytest.mark.parametrize("params", [{"m_max": 1}, {"m_max": 0}, {"m_max": True},
+                                        {"m_max": 2.0}, {"m_max": "20"}])
+    def test_bad_params_rejected(self, tmp_path, params):
+        with pytest.raises(DomainError):
+            S.run_campaign("qpm_zero", 3, 37, params=params)
+        path = tmp_path / "ck.json"
+        S.run_campaign("qpm_zero", 3, 37, checkpoint_path=str(path))
+        path.write_text(json.dumps({**json.loads(path.read_text()), "params": params}))
+        with pytest.raises(CheckpointError):
+            S.load_checkpoint(str(path))
+
+    def test_params_a_campaign_does_not_take_are_ignored(self, tmp_path):
+        path = str(tmp_path / "ck.json")
+        ck = S.run_campaign("wilson_zero", 3, 600, params={"m_max": 1},
+                            checkpoint_path=path)
+        assert ck.hits == [5, 13, 563] and ck.params == {}
+        assert "params" not in json.loads(_read(path))
+        assert S.run_campaign("qpm_zero", 3, 37, params={"n_max": 1}).params == {
+            "m_max": 20}
+
+    def test_m_max_two_scans_m_two(self):
+        assert S.run_campaign("qpm_zero", 3, 37, params={"m_max": 2}).hits == [(2, 3)]
 
 
 class TestCheckpointWriter:
