@@ -250,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int, default=config.CHECKPOINT_STRIDE,
                    help="primes per checkpoint block")
     p.add_argument("--m-max", type=int, default=None,
-                   help="qpm_zero: largest m to test")
+                   help="qpm_zero only: largest m to test; any other "
+                   "campaign refuses it")
     p.add_argument("--verify", action="store_true",
                    help="compare hits against the desk-scale fixture")
     p.set_defaults(fn=cmd_search)

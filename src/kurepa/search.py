@@ -25,7 +25,7 @@ from typing import Callable, Optional
 from . import _kernels, config
 from ._memo import Memo
 from .errors import CheckpointError, DomainError, EmptyRangeError
-from .modmath import iter_primes
+from .modmath import is_prime, iter_primes
 
 __all__ = [
     "Campaign",
@@ -107,6 +107,9 @@ def _scan_qpm_zero(primes, cols, params):
 
 @dataclass(frozen=True)
 class Campaign:
+    """A campaign and its contract: the params a run takes and the hits a
+    run may hold. Every run, resume, shard merge and fixture check reads
+    them through `run_params` and `hit_key`."""
     name: str
     description: str
     scan: Callable[[list[int], Optional[tuple], dict], list]
@@ -118,10 +121,46 @@ class Campaign:
     # run carries no !p
     left_factorial: bool = False
     # the params the scan reads, each with its default; a run's checkpoint
-    # records them, and a resume must pass the same
+    # records them, and a resume must pass the same. A campaign that takes
+    # m_max tests each m in 2..m_max at each prime, so its hits are (m, p)
+    # pairs; the others' hits are primes.
     params: dict = field(default_factory=dict)
-    # True: each hit is an (m, p) pair; False: a prime p
-    pair_hits: bool = False
+
+    def run_params(self, params: Optional[dict]) -> dict:
+        """The params of a run: each param the campaign takes, from params
+        or else its default. A name it does not take, or an m_max that is
+        not an int >= 2, raises DomainError."""
+        params = params or {}
+        others = sorted(set(params) - set(self.params))
+        if others:
+            raise DomainError(f"campaign {self.name!r} takes no param "
+                              f"{', '.join(others)}")
+        out = {**self.params, **params}
+        # bool is an int subclass, so compare the exact type
+        if "m_max" in out and (type(out["m_max"]) is not int or out["m_max"] < 2):
+            raise DomainError(f"m_max must be an integer >= 2, got {out['m_max']!r}")
+        return out
+
+    def hit_key(self, hit, lo: int, last_p: int, params: dict) -> tuple[int, int]:
+        """The scan-order key (p, m) of a hit of a run over [lo, last_p]
+        with params, m = 0 for a prime hit; a scan finds each hit once, in
+        order of this key. A hit of the wrong shape, whose p is not an odd
+        prime in [lo, last_p], or whose m lies outside 2..m_max or is a
+        multiple of p, raises DomainError."""
+        pairs = "m_max" in self.params
+        if pairs:
+            m, p = hit if type(hit) is tuple and len(hit) == 2 else (None, None)
+        else:
+            m, p = 0, hit
+        if type(m) is not int or type(p) is not int:
+            raise DomainError(f"malformed {self.name} hit {hit!r}")
+        if not (lo <= p <= last_p and p > 2 and is_prime(p)):
+            raise DomainError(f"hit {hit!r}: {p} is not an odd prime "
+                              f"in [{lo}, {last_p}]")
+        if pairs and not (2 <= m <= params["m_max"] and m % p):
+            raise DomainError(f"hit {hit!r}: m = {m} is outside 2..m_max = "
+                              f"{params['m_max']} or a multiple of {p}")
+        return p, m
 
 
 CAMPAIGNS: dict[str, Campaign] = {c.name: c for c in [
@@ -149,20 +188,8 @@ CAMPAIGNS: dict[str, Campaign] = {c.name: c for c in [
              _scan_qpm_zero,
              expected=(3, 37, ((2, 3), (6, 7), (14, 19), (5, 23), (19, 31),
                                (20, 37)), "contains"), e=2,
-             params={"m_max": 20}, pair_hits=True),
+             params={"m_max": 20}),
 ]}
-
-
-def _run_params(campaign: Campaign, params: Optional[dict]) -> dict:
-    """The campaign's params for a run: each of its params, from params or
-    else its default; names it does not take are ignored. An m_max that is
-    not an int >= 2 raises DomainError."""
-    params = params or {}
-    out = {k: params.get(k, v) for k, v in campaign.params.items()}
-    # bool is an int subclass, so compare the exact type
-    if "m_max" in out and (type(out["m_max"]) is not int or out["m_max"] < 2):
-        raise DomainError(f"m_max must be an integer >= 2, got {out['m_max']!r}")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +205,7 @@ class Checkpoint:
     elapsed_s: float = 0.0
     scanned: int = 0     # primes processed, for primes/second accounting
     version: int = CHECKPOINT_VERSION
-    params: dict = field(default_factory=dict)  # the run's `_run_params`
+    params: dict = field(default_factory=dict)  # `Campaign.run_params`
 
     @property
     def complete(self) -> bool:
@@ -303,7 +330,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         if not isinstance(params, dict):
             raise CheckpointError(
                 f"corrupt checkpoint {path!r}: params {params!r} is not an object")
-        params = _run_params(campaign, params)
+        params = campaign.run_params(params)
+        # JSON holds a pair hit as a list
         hits = [tuple(h) if isinstance(h, list) else h for h in obj["hits"]]
         nums = {k: obj[k] for k in ("lo", "hi", "last_p", "elapsed_s")}
         nums["scanned"] = obj.get("scanned", 0)
@@ -324,23 +352,16 @@ def load_checkpoint(path: str) -> Checkpoint:
     if ck.scanned < 0 or not 0 <= ck.elapsed_s < math.inf:
         raise CheckpointError(f"corrupt checkpoint {path!r}: negative scanned "
                               "or elapsed_s, or non-finite elapsed_s")
-    # a scan finds each hit once, in order of p and then m (0 for plain
-    # hits); a pair campaign's hits are (m, p) pairs, the others' primes
     key = (ck.lo - 1, 0)
     for h in ck.hits:
-        if campaign.pair_hits:
-            m, p = h if isinstance(h, tuple) and len(h) == 2 else (None, None)
-        else:
-            m, p = 0, h
-        if type(m) is not int or type(p) is not int:
-            raise CheckpointError(f"corrupt checkpoint {path!r}: malformed hit {h!r}")
-        if not ck.lo <= p <= ck.last_p:
-            raise CheckpointError(
-                f"corrupt checkpoint {path!r}: hit {h} outside [{ck.lo}, last_p]")
-        if (p, m) <= key:
+        try:
+            h_key = campaign.hit_key(h, ck.lo, ck.last_p, ck.params)
+        except DomainError as e:
+            raise CheckpointError(f"corrupt checkpoint {path!r}: {e}") from e
+        if h_key <= key:
             raise CheckpointError(f"corrupt checkpoint {path!r}: hit {h} "
                                   "repeated or out of scan order")
-        key = (p, m)
+        key = h_key
     return ck
 
 
@@ -397,7 +418,7 @@ def run_campaign(name: str, lo: int, hi: int, *,
     their primes instead.
     params are the campaign's params (`Campaign.params` holds each one's
     default; only qpm_zero takes one, m_max, an int >= 2); a name the
-    campaign does not take is ignored, and a bad value raises DomainError.
+    campaign does not take, or a bad value, raises DomainError.
     With resume=True the checkpoint at checkpoint_path is loaded, validated
     against (name, lo, hi, params) and continued past its last processed
     prime, as a run of its own whose tree starts there; interrupted-and-resumed runs
@@ -416,7 +437,7 @@ def run_campaign(name: str, lo: int, hi: int, *,
     if workers != 1:
         raise DomainError(f"workers must be 1, got {workers}")
     campaign = CAMPAIGNS[name]
-    params = _run_params(campaign, params)
+    params = campaign.run_params(params)
 
     if resume:
         if not checkpoint_path:
@@ -540,7 +561,9 @@ def run_sharded(name: str, lo: int, hi: int, shards: int, *,
         merged.hits.extend(part.hits)
         merged.scanned += part.scanned
         merged.elapsed_s += part.elapsed_s
-    merged.hits.sort(key=lambda h: (h[1], h[0]) if isinstance(h, tuple) else (h, 0))
+    # a shard past the first unfinished one may hold hits beyond last_p
+    campaign = CAMPAIGNS[name]
+    merged.hits.sort(key=lambda h: campaign.hit_key(h, lo, hi, merged.params))
     return merged
 
 
@@ -556,18 +579,25 @@ class VerifyReport:
 
 def verify_expected(name: str, ck: Checkpoint) -> VerifyReport:
     """Compare a completed checkpoint against the campaign's desk-scale
-    fixture; a checkpoint not covering the fixture range is inconclusive."""
+    fixture; a checkpoint not covering the fixture range is inconclusive.
+    Only the fixture hits a run with the checkpoint's params can find are
+    expected (for qpm_zero, the pairs with m <= its m_max)."""
     campaign = CAMPAIGNS[name]
     if campaign.expected is None:
         raise DomainError(f"campaign {name!r} has no expected-hit fixture")
     flo, fhi, fhits, mode = campaign.expected
+    expected = []
+    for h in fhits:
+        with suppress(DomainError):
+            campaign.hit_key(h, flo, fhi, ck.params)
+            expected.append(h)
+    expected = tuple(expected)
     if ck.lo > flo or ck.last_p < fhi:
-        return VerifyReport(name, "inconclusive", tuple(fhits),
-                            tuple(ck.hits))
+        return VerifyReport(name, "inconclusive", expected, tuple(ck.hits))
     found = tuple(h for h in ck.hits
-                  if flo <= (h[1] if isinstance(h, tuple) else h) <= fhi)
-    fset, gset = set(fhits), set(found)
-    missing = tuple(sorted(fset - gset))
-    unexpected = () if mode == "contains" else tuple(sorted(gset - fset))
+                  if flo <= campaign.hit_key(h, ck.lo, ck.last_p, ck.params)[0] <= fhi)
+    missing = tuple(h for h in expected if h not in found)
+    unexpected = () if mode == "contains" else tuple(h for h in found
+                                                      if h not in expected)
     status = "fail" if missing or unexpected else "pass"
-    return VerifyReport(name, status, tuple(fhits), found, missing, unexpected)
+    return VerifyReport(name, status, expected, found, missing, unexpected)

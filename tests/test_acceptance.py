@@ -201,20 +201,21 @@ def test_criterion_12_resumability():
     import os
     import tempfile
     rng = random.Random(563)
-    cases = [("wilson_zero", 3, 2500), ("wilson_plus_two", 3, 2500),
-             ("kurepa_zero", 3, 5000), ("qpm_zero", 3, 37)]
-    full = {c[0]: search.run_campaign(c[0], c[1], c[2],
-                                      params={"m_max": 20}) for c in cases}
+    # only qpm_zero takes m_max; any other campaign refuses it
+    cases = [("wilson_zero", 3, 2500, {}), ("wilson_plus_two", 3, 2500, {}),
+             ("kurepa_zero", 3, 5000, {}), ("qpm_zero", 3, 37, {"m_max": 20})]
+    full = {name: search.run_campaign(name, lo, hi, params=params)
+            for name, lo, hi, params in cases}
     with tempfile.TemporaryDirectory() as tmp:
         for trial in range(20):
-            name, lo, hi = cases[trial % len(cases)][:3]
+            name, lo, hi, params = cases[trial % len(cases)]
             stride = rng.choice([5, 11, 23, 47, 80])
             blocks = rng.randint(1, 5)
             path = os.path.join(tmp, f"t{trial}.json")
             search.run_campaign(name, lo, hi, checkpoint_path=path,
                                 stride=stride, stop_after_blocks=blocks,
-                                params={"m_max": 20})
+                                params=params)
             resumed = search.run_campaign(name, lo, hi, checkpoint_path=path,
                                           resume=True, stride=stride,
-                                          params={"m_max": 20})
+                                          params=params)
             assert resumed.hits == full[name].hits, (name, trial)

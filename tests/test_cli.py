@@ -221,6 +221,20 @@ class TestSearch:
         assert code == 2
         assert out == "" and err.startswith("error:")
 
+    def test_m_max_for_another_campaign_exits_2(self, capsys):
+        code, out, err = run(capsys, "search", "wilson_zero", "--to", "100",
+                             "--m-max", "5")
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
+    def test_verify_at_a_small_m_max_expects_its_pairs(self, capsys):
+        # (2, 3) is the only fixture pair with m <= 3
+        code, out, err = run(capsys, "search", "qpm_zero", "--to", "37",
+                             "--m-max", "3", "--verify")
+        assert code == 0
+        assert json.loads(out)["hits"] == [[2, 3]]
+        assert "verify pass" in err
+
     def test_rate_reported(self, capsys):
         code, out, _ = run(capsys, "search", "kurepa_zero", "--to", "500")
         assert json.loads(out)["primes_per_second"] > 0

@@ -255,6 +255,37 @@ class TestCheckpointing:
         with pytest.raises(CheckpointError):
             S.run_campaign("qpm_zero", 3, 37, checkpoint_path=str(path), resume=True)
 
+    @pytest.mark.parametrize("campaign, hits", [
+        ("wilson_zero", [15]), ("wilson_zero", [5, 9]), ("wilson_zero", [2]),
+        ("qpm_zero", [[3, 3]]), ("qpm_zero", [[2, 3], [7, 7]]), ("qpm_zero", [[2, 9]]),
+        ("qpm_zero", [[1, 101]]), ("qpm_zero", [[0, 101]]), ("qpm_zero", [[-2, 101]]),
+        ("qpm_zero", [[21, 101]]), ("qpm_zero", [[2, 2]])])
+    def test_hits_a_scan_cannot_find_rejected(self, tmp_path, campaign, hits):
+        # a hit's p is an odd prime, and a pair's m lies in 2..m_max and is
+        # not a multiple of p
+        path = tmp_path / "ck.json"
+        state = {**self.VALID, "campaign": campaign, "lo": 2, "last_p": 1000}
+        path.write_text(json.dumps({**state, "hits": hits}))
+        with pytest.raises(CheckpointError):
+            S.load_checkpoint(str(path))
+        with pytest.raises(CheckpointError):
+            S.run_campaign(campaign, 2, 1000, checkpoint_path=str(path), resume=True)
+
+    def test_pair_hit_beyond_the_files_m_max_rejected(self, tmp_path):
+        # a --m-max 5 run never tests m = 20
+        path = str(tmp_path / "ck.json")
+        S.run_campaign("qpm_zero", 3, 200, stride=5, params={"m_max": 5},
+                       checkpoint_path=path)
+        assert S.load_checkpoint(path).hits == [(2, 3), (5, 23)]
+        obj = json.loads(_read(path))
+        with open(path, "w") as fh:
+            json.dump({**obj, "hits": [[2, 3], [20, 47]]}, fh)
+        with pytest.raises(CheckpointError):
+            S.load_checkpoint(path)
+        with pytest.raises(CheckpointError):
+            S.run_campaign("qpm_zero", 3, 200, stride=5, params={"m_max": 5},
+                           checkpoint_path=path, resume=True)
+
     def test_unknown_campaign_rejected(self, tmp_path):
         path = tmp_path / "ck.json"
         path.write_text(json.dumps({**self.VALID, "campaign": "nope"}))
@@ -410,14 +441,26 @@ class TestCampaignParams:
         with pytest.raises(CheckpointError):
             S.load_checkpoint(str(path))
 
-    def test_params_a_campaign_does_not_take_are_ignored(self, tmp_path):
+    @pytest.mark.parametrize("name, params", [
+        ("wilson_zero", {"m_max": 5}), ("wilson_zero", {"m_max": 1}),
+        ("kurepa_zero", {"m_max": 20}), ("qpm_zero", {"n_max": 1}),
+        ("qpm_zero", {"m_max": 20, "n_max": 1})],
+        ids=["wilson_zero-m_max", "wilson_zero-m_max_1", "kurepa_zero-m_max",
+             "qpm_zero-n_max", "qpm_zero-m_max_and_n_max"])
+    def test_params_a_campaign_does_not_take_rejected(self, tmp_path, name, params):
         path = str(tmp_path / "ck.json")
-        ck = S.run_campaign("wilson_zero", 3, 600, params={"m_max": 1},
-                            checkpoint_path=path)
-        assert ck.hits == [5, 13, 563] and ck.params == {}
-        assert "params" not in json.loads(_read(path))
-        assert S.run_campaign("qpm_zero", 3, 37, params={"n_max": 1}).params == {
-            "m_max": 20}
+        with pytest.raises(DomainError):
+            S.run_campaign(name, 3, 100, params=params, checkpoint_path=path)
+        assert not os.path.exists(path)
+        with pytest.raises(DomainError):
+            S.run_sharded(name, 3, 100, shards=2, params=params)
+        # nor does a checkpoint load that records one
+        ck = S.run_campaign(name, 3, 100, checkpoint_path=path)
+        obj = {**json.loads(_read(path)), "params": {**ck.params, **params}}
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        with pytest.raises(CheckpointError):
+            S.load_checkpoint(path)
 
     def test_m_max_two_scans_m_two(self):
         assert S.run_campaign("qpm_zero", 3, 37, params={"m_max": 2}).hits == [(2, 3)]
@@ -722,6 +765,23 @@ class TestSharding:
         with pytest.raises(CheckpointError):
             S.run_sharded("wilson_zero", 3, 2000, shards=3, resume=True)
 
+    def test_merge_reads_the_hit_contract(self, monkeypatch):
+        # the merge orders the shards' hits by Campaign.hit_key, so a shard
+        # holding a hit no scan can make fails the merge
+        single = S.run_campaign("qpm_zero", 3, 37)
+        run = S.run_campaign
+
+        def planted(name, lo, hi, **kw):
+            ck = run(name, lo, hi, **kw)
+            if lo == 3:
+                ck.hits.append((21, 5))
+            return ck
+
+        assert S.run_sharded("qpm_zero", 3, 37, shards=3).hits == single.hits
+        monkeypatch.setattr(S, "run_campaign", planted)
+        with pytest.raises(DomainError):
+            S.run_sharded("qpm_zero", 3, 37, shards=3)
+
     def test_pair_shard_invariance(self):
         single = S.run_campaign("qpm_zero", 3, 37, params={"m_max": 20})
         sharded = S.run_sharded("qpm_zero", 3, 37, shards=3,
@@ -740,6 +800,20 @@ class TestVerify:
         part = S.run_campaign("wilson_plus_two", 3, 2000, checkpoint_path=path,
                               stride=10, stop_after_blocks=1)
         assert S.verify_expected("wilson_plus_two", part).status == "inconclusive"
+
+    @pytest.mark.parametrize("m_max, expected", [
+        (2, ((2, 3),)), (3, ((2, 3),)), (6, ((2, 3), (6, 7), (5, 23))),
+        (20, ((2, 3), (6, 7), (14, 19), (5, 23), (19, 31), (20, 37)))])
+    def test_expects_the_fixture_pairs_within_m_max(self, m_max, expected):
+        ck = S.run_campaign("qpm_zero", 3, 37, params={"m_max": m_max})
+        rep = S.verify_expected("qpm_zero", ck)
+        assert (rep.status, rep.expected, rep.missing) == ("pass", expected, ())
+
+    def test_fail_on_missing_pair(self):
+        ck = S.run_campaign("qpm_zero", 3, 37, params={"m_max": 6})
+        ck.hits.remove((6, 7))
+        rep = S.verify_expected("qpm_zero", ck)
+        assert (rep.status, rep.missing) == ("fail", ((6, 7),))
 
     def test_fail_on_tampered_hits(self):
         ck = S.run_campaign("wilson_plus_two", 3, 2000)
