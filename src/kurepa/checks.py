@@ -416,7 +416,8 @@ class CatalogResult:
 
 def run_catalog(lo: int, hi: int, ids: Optional[list[str]] = None,
                 **caps) -> CatalogResult:
-    """Run a subset (default: all) of the catalog over the primes in [lo, hi].
+    """Run a subset (default: all) of the catalog over the primes in [lo, hi],
+    each named check once per prime.
 
     Outcomes are deterministic and sorted by (id, p); assertion-class
     failures make .ok false, measurement/scan findings never do. When C25
@@ -430,6 +431,7 @@ def run_catalog(lo: int, hi: int, ids: Optional[list[str]] = None,
         for i in ids:
             if i not in CATALOG:
                 raise DomainError(f"unknown check id {i!r}")
+        ids = list(dict.fromkeys(ids))  # a repeated id runs once
     if hi < lo:
         raise EmptyRangeError(f"empty prime range [{lo}, {hi}]")
     if "C25" in ids:

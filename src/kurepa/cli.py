@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import adele, checks, config, factorizer, residues, search, tables
 from .errors import CapacityError, CheckpointError, DomainError, KurepaError
-from .modmath import PrimeRange, is_prime
+from .modmath import PrimeRange
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -56,9 +56,6 @@ def _emit_rows(rows: list[dict], fmt: str, out):
 
 
 def cmd_residues(args) -> int:
-    if not is_prime(args.p):
-        print(f"error: {args.p} is not prime", file=sys.stderr)
-        return EXIT_USAGE
     prof = residues.residue_profile(args.p, args.pow,
                                     bell_cap=args.bell_cap,
                                     bern_cap=args.bernoulli_cap)
@@ -178,10 +175,10 @@ def cmd_adele(args) -> int:
 
 
 def cmd_factor_ln1(args) -> int:
-    rows = factorizer.left_factorial_minus_one_table(
-        args.nmax, budget=args.budget, long_run=args.long_run)
+    rows = factorizer.left_factorial_minus_one_table(args.nmax,
+                                                     budget=args.budget)
     out = [{"n": n, "factorization": str(f), "complete": f.complete}
-           for n, f in zip(range(3, args.nmax + 1), rows)]
+           for n, f in enumerate(rows, start=3)]
     _emit_rows(out, args.format, sys.stdout)
     return EXIT_OK if all(f.complete for f in rows) else EXIT_MISMATCH
 
@@ -268,9 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factor-ln1",
                        help="factor !n - 1 for 3 <= n <= nmax")
-    p.add_argument("--nmax", type=int, default=24)
-    p.add_argument("--long-run", action="store_true",
-                   help="allow nmax up to 30 (20+ digit factors)")
+    p.add_argument("--nmax", type=int, default=24, help="at most 30")
     p.add_argument("--budget", type=int, default=config.FACTOR_BUDGET)
     _add_format(p)
     p.set_defaults(fn=cmd_factor_ln1)

@@ -164,17 +164,12 @@ def factorize(n: int, budget: int = config.FACTOR_BUDGET) -> Factorization:
 
 
 def left_factorial_minus_one_table(n_max: int = 24,
-                                   budget: int = config.FACTOR_BUDGET,
-                                   long_run: bool = False) -> list[Factorization]:
-    """Factor !n - 1 for 3 <= n <= n_max.
-
-    Rows past n=24 contain 20+ digit prime cofactors and are gated behind
-    long_run to keep default invocations quick.
-    """
+                                   budget: int = config.FACTOR_BUDGET
+                                   ) -> list[Factorization]:
+    """Factor !n - 1 for 3 <= n <= n_max <= 30: the rows of
+    `tables.FACTORIZATIONS`, which `tables.reproduce_table` reads from here."""
     if not 3 <= n_max <= 30:
-        raise DomainError("n_max must be in [3, 30]")
-    if n_max > 24 and not long_run:
-        raise DomainError("n_max > 24 requires long_run=True")
+        raise DomainError(f"n_max must be in [3, 30], got {n_max}")
     return [factorize(left_factorial(n) - 1, budget=budget)
             for n in range(3, n_max + 1)]
 

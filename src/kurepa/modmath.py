@@ -256,8 +256,10 @@ def sieve_upto(n: int) -> list[int]:
 
 def iter_primes(lo: int, hi: int) -> Iterator[int]:
     """Yield the primes in [lo, hi] ascending via a segmented sieve, the
-    one Eratosthenes sieve here: its base primes up to sqrt(hi) come from
-    `sieve_upto`, which reads this generator again at sqrt(hi).
+    one sieve for prime windows: its base primes up to sqrt(hi) come from
+    `sieve_upto`, which reads this generator again at sqrt(hi). The power
+    tables read `_kernels._sieve_factors` instead, a least-prime-factor
+    sieve of 1..N that also gives each composite's factorization.
 
     Memory stays bounded by the segment length `config.SIEVE_SEGMENT`, read
     at call time, plus the base primes up to sqrt(hi), so a reader that

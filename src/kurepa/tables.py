@@ -282,12 +282,9 @@ def _reproduce_bell_wilson(hi: int = 600) -> TableReport:
 
 
 def _reproduce_factorizations(n_max: int = 24) -> TableReport:
-    from .factorizer import factorize
-    if n_max not in FACTORIZATIONS:  # the rows n = 3..30
-        raise DomainError(f"factorizations n_max must be in [3, 30], got {n_max}")
+    from .factorizer import left_factorial_minus_one_table
     rep = TableReport("factorizations")
-    for n in range(3, n_max + 1):
-        f = factorize(exact.left_factorial(n) - 1)
+    for n, f in enumerate(left_factorial_minus_one_table(n_max), start=3):
         computed = tuple(f.factors)
         rep.rows.append((n, computed, f.complete))
         if not f.complete:

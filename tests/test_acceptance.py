@@ -158,9 +158,9 @@ def test_criterion_10_factorizations():
     rep = tables.reproduce_table("factorizations", n_max=24)
     assert rep.ok
     assert [d.row for d in rep.diffs] == [21] and rep.diffs[0].known
-    # the long-run rows, gated behind the flag, also reproduce
+    # the rows past 24, with 20+ digit prime factors, also reproduce
     from kurepa.factorizer import left_factorial_minus_one_table
-    rows = left_factorial_minus_one_table(30, long_run=True)
+    rows = left_factorial_minus_one_table(30)
     for n, f in zip(range(3, 31), rows):
         assert f.complete
         err = tables.ERRATA.get(("factorizations", n))

@@ -88,6 +88,16 @@ class TestRunCatalog:
         bad = [o for o in res.outcomes if not o.skipped and not o.holds]
         assert bad == []
 
+    def test_repeated_id_runs_once(self):
+        once = C.run_catalog(3, 20, ids=["C01"])
+        twice = C.run_catalog(3, 20, ids=["C01", "C01"])
+        assert len(twice.outcomes) == len(once.outcomes) == 7
+        assert twice.summary() == once.summary()
+        mixed = C.run_catalog(3, 20, ids=["C02", "C01", "C02"])
+        assert Counter(o.check_id for o in mixed.outcomes) == {"C01": 7, "C02": 7}
+        with pytest.raises(DomainError, match="C99"):
+            C.run_catalog(3, 20, ids=["C01", "C99", "C01"])
+
     def test_c18_over_500(self):
         res = C.run_catalog(3, 500, ids=["C18"])
         assert res.ok
@@ -329,6 +339,15 @@ class TestTables:
         assert rep.ok
         assert [d.row for d in rep.diffs] == [21]
         assert rep.diffs[0].known
+
+    def test_factorizations_read_the_factorizer_table(self, monkeypatch):
+        # `table factorizations` and `factor-ln1` share one route
+        calls, table = [], factorizer.left_factorial_minus_one_table
+        monkeypatch.setattr(factorizer, "left_factorial_minus_one_table",
+                            lambda n_max: calls.append(n_max) or table(n_max))
+        rep = C.reproduce_table("factorizations", n_max=12)
+        assert calls == [12]
+        assert [r[0] for r in rep.rows] == list(range(3, 13))
 
     @pytest.mark.parametrize("n_max", [2, 31])
     def test_factorizations_outside_3_to_30(self, monkeypatch, n_max):

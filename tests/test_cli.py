@@ -20,7 +20,14 @@ class TestResidues:
     def test_composite_exits_2(self, capsys):
         code, _, err = run(capsys, "residues", "--p", "4")
         assert code == 2
-        assert "not prime" in err
+        assert err == "error: odd prime required, got 4\n"
+
+    @pytest.mark.parametrize("p", ["2", "1"])
+    def test_not_an_odd_prime_one_error_line(self, capsys, p):
+        # the record's one check words these as it words a composite
+        code, out, err = run(capsys, "residues", "--p", p)
+        assert code == 2 and out == ""
+        assert err == f"error: odd prime required, got {p}\n"
 
     def test_wilson_prime_row(self, capsys):
         code, out, _ = run(capsys, "residues", "--p", "563", "--format", "json")
@@ -283,10 +290,18 @@ class TestFactorLn1:
         rows = json.loads(out)
         assert rows[0]["n"] == 3 and rows[0]["factorization"] == "3"
 
+    def test_nmax_28_completes(self, capsys):
+        code, out, _ = run(capsys, "factor-ln1", "--nmax", "28",
+                           "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert [r["n"] for r in rows] == list(range(3, 29))
+        assert all(r["complete"] for r in rows)
+
     def test_gate_exits_2(self, capsys):
-        code, _, err = run(capsys, "factor-ln1", "--nmax", "28")
-        assert code == 2
-        assert "long_run" in err
+        code, out, err = run(capsys, "factor-ln1", "--nmax", "31")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "[3, 30]" in err
 
 
 class TestByteStability:

@@ -67,10 +67,9 @@ class TestLeftFactorialTable:
         assert rows[0].factors == ((3, 1),)                            # n=3
 
     def test_gate(self):
-        with pytest.raises(DomainError):
-            F.left_factorial_minus_one_table(30)
-        with pytest.raises(DomainError):
-            F.left_factorial_minus_one_table(2)
+        for n_max in (2, 31):
+            with pytest.raises(DomainError, match=r"\[3, 30\]"):
+                F.left_factorial_minus_one_table(n_max)
 
     def test_rows_recompose(self):
         for n, f in zip(range(3, 15), F.left_factorial_minus_one_table(14)):

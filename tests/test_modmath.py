@@ -1,7 +1,9 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from kurepa import config
+from kurepa import config, modmath
 from kurepa.errors import DomainError, EmptyRangeError, NotInvertibleError
 from kurepa.modmath import (
     UNDEFINED,
@@ -101,6 +103,47 @@ class TestIsPrime:
         flags = set(sieve_primes(2, 5000))
         for n in range(2, 5000):
             assert is_prime(n) == (n in flags)
+
+
+class TestBPSW:
+    """is_prime above the deterministic Miller-Rabin bound: a strong base-2
+    test, the perfect-square guard, then the strong Lucas chain."""
+
+    M89, M107, M127 = 2 ** 89 - 1, 2 ** 107 - 1, 2 ** 127 - 1
+
+    @pytest.mark.parametrize("n", [M89, M107, M127])
+    def test_mersenne_primes(self, n):
+        assert n > modmath._MR_DETERMINISTIC_BOUND
+        assert is_prime(n)
+
+    @pytest.mark.parametrize("n", [M89 * M107, M89 ** 2])
+    def test_composites(self, n):
+        assert not is_prime(n)
+
+    def test_square_rejected_before_the_lucas_chain(self, monkeypatch):
+        # A square has no D with Jacobi(D/n) = -1, so the Lucas parameter
+        # search would never end. Only squares of Wieferich primes' products
+        # pass the base-2 test, and the known ones lie below the bound, so a
+        # base-2 liar is planted to reach the guard.
+        monkeypatch.setattr(modmath, "_miller_rabin_witness", lambda n, a: False)
+        monkeypatch.setattr(modmath, "_strong_lucas_prp", None)
+        assert not is_prime(self.M89 ** 2)
+
+    # OEIS A217255, the first strong Lucas pseudoprimes (Selfridge method A)
+    @pytest.mark.parametrize("n", [5459, 5777, 10877, 16109, 18971])
+    def test_strong_lucas_pseudoprimes_pass(self, n):
+        assert not is_prime(n)
+        assert modmath._strong_lucas_prp(n)
+
+    def test_strong_lucas_passes_primes(self):
+        primes = sieve_primes(3, 3000) + [self.M89, self.M107, self.M127]
+        assert all(map(modmath._strong_lucas_prp, primes))
+
+    def test_strong_lucas_rejects_odd_composites(self):
+        pseudo = {5459, 5777, 10877, 16109, 18971}
+        for n in range(9, 20000, 2):
+            if not is_prime(n) and math.isqrt(n) ** 2 != n:
+                assert modmath._strong_lucas_prp(n) == (n in pseudo), n
 
 
 class TestResidue:

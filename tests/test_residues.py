@@ -119,6 +119,40 @@ class TestQuotientKernels:
         assert R.gertsch_quotient_mod(11) == 356540 % 11
 
 
+class TestDivisibilityInvariants:
+    """A value that breaks a proved divisibility raises InvariantViolation
+    instead of yielding a quotient."""
+
+    PRIMES = (3, 5, 7, 11, 13, 101)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_gertsch_numerator_off_by_one(self, p):
+        m = p * p
+        k2, b2 = exact.left_factorial(p) % m, exact.bell_exact(p - 1) % m
+        assert K.gertsch_quotient(p, k2, b2) == exact.gertsch_quotient_exact(p) % p
+        for bad in (k2 + 1, k2 - 1):
+            with pytest.raises(InvariantViolation, match="Gertsch"):
+                K.gertsch_quotient(p, bad, b2)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_lerch_with_planted_qsum(self, p):
+        ctx = PrimeContext(p)
+        ctx.qsum = (ctx.wilson + 1) % p  # shadows the cached property
+        for _ in range(2):
+            with pytest.raises(InvariantViolation, match="Lerch"):
+                ctx.lerch
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_ag_with_planted_exact_mismatch(self, monkeypatch, p):
+        assert p - 1 <= config.EXACT_BERNOULLI_CAP  # the exact path runs
+        ag = exact._agoh_giuga
+        monkeypatch.setattr(exact, "_agoh_giuga", lambda q: ag(q) + 1)
+        ctx = PrimeContext(p)
+        for _ in range(2):
+            with pytest.raises(InvariantViolation, match=f"AG_{p}"):
+                ctx.ag
+
+
 class TestModTables:
     def test_bernoulli_entries(self):
         assert R.bernoulli_mod_table(7).value(1) == 3       # -1/2 mod 7
