@@ -357,19 +357,19 @@ def check_ids() -> list[str]:
     return sorted(CATALOG)
 
 
-def run_check(check_id: str, p: int, ctx: Optional[PrimeContext] = None,
-              **caps) -> CheckOutcome:
+def run_check(check_id: str, p: int,
+              ctx: Optional[PrimeContext] = None) -> CheckOutcome:
     """Evaluate one check at one prime. It is skipped as not applicable at p
     outside [min_p, max_p], and when the record refuses a value past its cap:
     the record raises CapacityError before it builds that value. Without a
-    ctx it reads the lone record of `residues._record`, which consecutive
-    calls at one p and one pair of caps share; a ctx at another prime than
-    p raises DomainError."""
+    ctx it reads the lone record of `residues._record` at the default caps,
+    which consecutive calls at one p share; other caps come in a ctx, and a
+    ctx at another prime than p raises DomainError."""
     if check_id not in CATALOG:
         raise DomainError(f"unknown check id {check_id!r}")
     desc = CATALOG[check_id]
     if ctx is None:
-        ctx = residues._record(p, **caps)
+        ctx = residues._record(p)
     elif ctx.p != p:
         raise DomainError(f"record is at p = {ctx.p}, not at p = {p}")
     if desc.min_p <= p <= (desc.max_p or p):

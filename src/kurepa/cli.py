@@ -81,7 +81,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    ids = args.ids.split(",") if args.ids else None
+    ids = None if args.ids is None else args.ids.split(",")
     res = checks.run_catalog(args.from_, args.to, ids=ids, **_caps(args))
     rows = [{"id": cid, **counts} for cid, counts in sorted(res.summary().items())]
     _emit_rows(rows, args.format, sys.stdout)
@@ -94,12 +94,16 @@ def cmd_catalog(args) -> int:
     return EXIT_OK if res.ok else EXIT_MISMATCH
 
 
+# the keyword that --nmax sets, for the tables that take a bound
+_TABLE_BOUNDS = {"factorizations": "n_max", "bell_wilson": "hi"}
+
+
 def cmd_table(args) -> int:
     kwargs = {}
-    if args.name == "factorizations":
-        kwargs["n_max"] = 24 if args.nmax is None else args.nmax
-    if args.name == "bell_wilson" and args.nmax is not None:
-        kwargs["hi"] = args.nmax
+    if args.nmax is not None:
+        if args.name not in _TABLE_BOUNDS:
+            raise DomainError(f"table {args.name} takes no --nmax")
+        kwargs[_TABLE_BOUNDS[args.name]] = args.nmax
     rep = tables.reproduce_table(args.name, **kwargs)
     rows = [{"row": r[0], "values": r[1:]} for r in rep.rows]
     _emit_rows(rows, args.format, sys.stdout)
@@ -233,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="reproduce a reference table and diff it")
     p.add_argument("name", choices=tables.TABLE_NAMES)
     p.add_argument("--nmax", type=int,
-                   help="factorizations: last n; bell_wilson: last prime")
+                   help="factorizations: last n; bell_wilson: last prime; "
+                        "no other table takes it")
     _add_format(p)
     p.set_defaults(fn=cmd_table)
 

@@ -1,8 +1,10 @@
 """Default kernel caps and knobs.
 
 The residue record and the catalog take the Bell and Bernoulli caps as
-arguments, which the CLI sets with `--bell-cap` and `--bernoulli-cap`;
-everything else reads this module.
+arguments, which the CLI sets with `--bell-cap` and `--bernoulli-cap`; their
+defaults are bound when `residues` is imported, so a later change here does
+not reach them. Everything else reads this module when it is called: the
+exact caps `EXACT_*_CAP` take effect at the next call of an `exact` oracle.
 """
 
 # Largest n for bell_mod (O(n) when n! is a unit mod m, else read from the

@@ -61,13 +61,13 @@ def left_factorial(n: int) -> int:
     return 1 + _kernels._steps(1, n)[1] if n else 0
 
 
-def bell_sequence_exact(n: int, cap: int = config.EXACT_BELL_CAP) -> list[int]:
+def bell_sequence_exact(n: int) -> list[int]:
     """Bell_0..Bell_n via the Bell (Aitken) triangle, one row in memory."""
     if n < 0:
         raise DomainError("bell needs n >= 0")
-    if n > cap:
-        raise CapacityError(f"exact Bell capped at {cap} (asked {n}); "
-                            "use the modular path for large indices")
+    if n > config.EXACT_BELL_CAP:
+        raise CapacityError(f"exact Bell capped at {config.EXACT_BELL_CAP} "
+                            f"(asked {n}); use the modular path for large indices")
     out = [1]
     row = [1]
     for _ in range(n):
@@ -79,8 +79,8 @@ def bell_sequence_exact(n: int, cap: int = config.EXACT_BELL_CAP) -> list[int]:
     return out
 
 
-def bell_exact(n: int, cap: int = config.EXACT_BELL_CAP) -> int:
-    return bell_sequence_exact(n, cap)[n]
+def bell_exact(n: int) -> int:
+    return bell_sequence_exact(n)[n]
 
 
 def derangement_exact(n: int) -> int:
@@ -176,10 +176,20 @@ def gregory_exact(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # Quotients
 
+def _require_odd_prime(what: str, p: int):
+    if p < 3 or not is_prime(p):
+        raise DomainError(f"{what} needs an odd prime, got {p}")
+
+
 def wilson_quotient_exact(p: int) -> int:
     """W_p = ((p-1)! + 1) / p, exact; domain error on composite p."""
     if p < 2 or not is_prime(p):
         raise DomainError(f"Wilson quotient needs a prime, got {p}")
+    return _wilson_quotient(p)
+
+
+def _wilson_quotient(p: int) -> int:
+    """wilson_quotient_exact for a prime p that the caller has checked."""
     num = factorial(p - 1) + 1
     if num % p:
         raise InvariantViolation(f"(p-1)!+1 not divisible by {p}")
@@ -188,48 +198,70 @@ def wilson_quotient_exact(p: int) -> int:
 
 def fermat_quotient_exact(a: int, p: int) -> int:
     """q_p(a) = (a^(p-1) - 1) / p, exact, for p prime not dividing a."""
+    if p < 2 or not is_prime(p):
+        raise DomainError(f"Fermat quotient needs a prime, got {p}")
+    return _fermat_quotient(a, p)
+
+
+def _fermat_quotient(a: int, p: int) -> int:
+    """fermat_quotient_exact for a prime p that the caller has checked."""
     if a % p == 0:
         raise DomainError(f"fermat quotient needs p does not divide a ({a}, {p})")
     num = a ** (p - 1) - 1
     if num % p:
-        raise InvariantViolation(f"{a}^{p}-1 - 1 not divisible by {p}")
+        raise InvariantViolation(f"{a}^({p}-1) - 1 not divisible by {p}")
     return num // p
 
 
-def sum_fermat_quotients_exact(p: int,
-                               cap: int = config.EXACT_POWER_SUM_CAP) -> int:
-    """sum_{a=1}^{p-1} q_p(a), exact (O(p) exact powers a^(p-1))."""
-    if p > cap:
-        raise CapacityError(f"exact Fermat-quotient sum capped at p <= {cap}")
-    return sum(fermat_quotient_exact(a, p) for a in range(1, p))
+def sum_fermat_quotients_exact(p: int) -> int:
+    """sum_{a=1}^{p-1} q_p(a), exact (O(p) exact powers a^(p-1)), for a
+    prime p up to config.EXACT_POWER_SUM_CAP."""
+    if p < 2 or not is_prime(p):
+        raise DomainError(f"Fermat-quotient sum needs a prime, got {p}")
+    return _sum_fermat_quotients(p)
+
+
+def _sum_fermat_quotients(p: int) -> int:
+    """sum_fermat_quotients_exact for a prime p that the caller has checked."""
+    if p > config.EXACT_POWER_SUM_CAP:
+        raise CapacityError("exact Fermat-quotient sum capped at "
+                            f"p <= {config.EXACT_POWER_SUM_CAP}")
+    return sum(_fermat_quotient(a, p) for a in range(1, p))
 
 
 def gertsch_quotient_exact(p: int) -> int:
-    """(!p - Bell_{p-1} + 1) / p, always an exact integer for odd prime p.
+    """(!p - Bell_{p-1} + 1) / p, always an exact integer for odd prime p;
+    Bell_{p-1} is capped at index config.EXACT_BELL_CAP.
 
     OEIS A309483.
     """
-    if p < 3 or not is_prime(p):
-        raise DomainError(f"Gertsch quotient needs an odd prime, got {p}")
-    num = left_factorial(p) - bell_exact(p - 1, cap=max(p, config.EXACT_BELL_CAP)) + 1
+    _require_odd_prime("Gertsch quotient", p)
+    return _gertsch_quotient(p)
+
+
+def _gertsch_quotient(p: int) -> int:
+    """gertsch_quotient_exact for an odd prime p that the caller has checked."""
+    num = left_factorial(p) - bell_exact(p - 1) + 1
     if num % p:
         raise InvariantViolation(f"Gertsch numerator not divisible by {p}")
     return num // p
 
 
-def lerch_quotient_exact(p: int,
-                         cap: int = config.EXACT_POWER_SUM_CAP) -> Fraction:
+def lerch_quotient_exact(p: int) -> Fraction:
     """L_p = (sum_a q_p(a) - W_p) / p; an integer by Lerch's congruence."""
-    if p < 3 or not is_prime(p):
-        raise DomainError(f"Lerch quotient needs an odd prime, got {p}")
-    return Fraction(sum_fermat_quotients_exact(p, cap) - wilson_quotient_exact(p), p)
+    _require_odd_prime("Lerch quotient", p)
+    return _qsum_quotient(_sum_fermat_quotients(p), _wilson_quotient(p), p)
 
 
 def h_quotient_exact(p: int) -> Fraction:
     """(sum_a q_p(a) - Gertsch_p) / p; genuinely fractional for some p (H_5 = 66/5)."""
-    if p < 3 or not is_prime(p):
-        raise DomainError(f"H quotient needs an odd prime, got {p}")
-    return Fraction(sum_fermat_quotients_exact(p) - gertsch_quotient_exact(p), p)
+    _require_odd_prime("H quotient", p)
+    return _qsum_quotient(_sum_fermat_quotients(p), _gertsch_quotient(p), p)
+
+
+def _qsum_quotient(qsum: int, x: int, p: int) -> Fraction:
+    """(qsum - x) / p for qsum = sum_a q_p(a): L_p at x = W_p, H_p at x = G_p."""
+    return Fraction(qsum - x, p)
 
 
 def agoh_giuga_exact(p: int) -> Fraction:
@@ -238,8 +270,7 @@ def agoh_giuga_exact(p: int) -> Fraction:
     By von Staudt-Clausen the p in B_{p-1}'s denominator cancels, so the
     result's denominator is coprime to p.
     """
-    if p < 3 or not is_prime(p):
-        raise DomainError(f"Agoh-Giuga quotient needs an odd prime, got {p}")
+    _require_odd_prime("Agoh-Giuga quotient", p)
     return _agoh_giuga(p)
 
 
@@ -288,13 +319,12 @@ class QuotientRecord:
 
 
 def quotient_record(p: int) -> QuotientRecord:
-    return QuotientRecord(
-        p=p,
-        wilson=wilson_quotient_exact(p),
-        lerch=lerch_quotient_exact(p),
-        gertsch=gertsch_quotient_exact(p),
-        h=h_quotient_exact(p),
-    )
+    """The four quotients at the odd prime p, building W_p, sum_a q_p(a) and
+    G_p once each."""
+    _require_odd_prime("quotient record", p)
+    w, qsum, g = _wilson_quotient(p), _sum_fermat_quotients(p), _gertsch_quotient(p)
+    return QuotientRecord(p=p, wilson=w, lerch=_qsum_quotient(qsum, w, p),
+                          gertsch=g, h=_qsum_quotient(qsum, g, p))
 
 
 # ---------------------------------------------------------------------------

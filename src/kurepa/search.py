@@ -204,7 +204,6 @@ class Checkpoint:
     hits: list = field(default_factory=list)
     elapsed_s: float = 0.0
     scanned: int = 0     # primes processed, for primes/second accounting
-    version: int = CHECKPOINT_VERSION
     params: dict = field(default_factory=dict)  # `Campaign.run_params`
 
     @property
@@ -224,7 +223,7 @@ class Checkpoint:
             "hits": self.hits,
             "elapsed_s": round(self.elapsed_s, 6),
             "scanned": self.scanned,
-            "version": self.version,
+            "version": CHECKPOINT_VERSION,
             **({"params": self.params} if self.params else {}),
         })
 

@@ -256,7 +256,7 @@ def _exact_named(p):
             "gamma_M": sum(fr(abs(exact.gregory_exact(n))) * pow(n, -1, p)
                            for n in range(1, p - 1)) % p,
             "gamma_G": exact.gertsch_quotient_exact(p) % p,
-            "gamma_L": fr(exact.lerch_quotient_exact(p, cap=200)),
+            "gamma_L": fr(exact.lerch_quotient_exact(p)),
             "gamma_AG": ag,
             "gamma_Kp": exact.left_factorial(p) % p,
             **{f"gamma_Q({m})": (ag + exact.fermat_quotient_exact(m, p)) % p
@@ -280,7 +280,8 @@ def _column_named(primes):
 
 
 class TestWindowRoute:
-    def test_named_constants_match_exact_and_scans(self):
+    def test_named_constants_match_exact_and_scans(self, monkeypatch):
+        monkeypatch.setattr(config, "EXACT_POWER_SUM_CAP", 200)
         w = PrimeRange(3, 400)
         primes = w.primes()
         got = _named(w)

@@ -67,7 +67,7 @@ class TestRunCheck:
         monkeypatch.setattr(K, "bell_seq_mod", lambda *a: built.append(a))
         for check_id, p, caps in (("C07", 11, {"bern_cap": 10}), ("C01", 23, {"bell_cap": 21}),
                                   ("C14", 263, {}), ("C16", 131, {})):
-            o = C.run_check(check_id, p, **caps)
+            o = C.run_check(check_id, p, residues.PrimeContext(p, **caps))
             assert o.skipped and o.note == "not applicable", check_id
         assert built == []
 

@@ -89,6 +89,14 @@ class TestCatalog:
         assert code == 0
         assert {r["id"] for r in json.loads(out)} == {"C01", "C05"}
 
+    @pytest.mark.parametrize("ids", ["", "C01,"])
+    def test_empty_id_exits_2(self, capsys, ids):
+        # --ids "" once read as no subset and ran all 32 checks
+        code, out, err = run(capsys, "catalog", "--to", "20", "--ids", ids,
+                             "--format", "json")
+        assert (code, out) == (2, "")
+        assert err == "error: unknown check id ''\n"
+
     def test_window_without_odd_primes_exits_0(self, capsys):
         code, out, _ = run(capsys, "catalog", "--from", "2", "--to", "2",
                            "--format", "json")
@@ -136,6 +144,14 @@ class TestTable:
                            "--format", "json")
         assert code == 0
         assert [r["row"] for r in json.loads(out)] == [3]
+
+    @pytest.mark.parametrize("name", ["table1", "quotients", "gertsch",
+                                      "agoh_giuga"])
+    def test_nmax_for_a_table_without_a_bound_exits_2(self, capsys, name):
+        # --nmax was once ignored here and the whole table printed
+        code, out, err = run(capsys, "table", name, "--nmax", "5")
+        assert (code, out) == (2, "")
+        assert err == f"error: table {name} takes no --nmax\n"
 
     def test_unknown_name(self, capsys):
         with pytest.raises(SystemExit) as e:

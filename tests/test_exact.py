@@ -1,11 +1,12 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from kurepa import exact, residues
+from kurepa import config, exact, residues
 from kurepa.errors import CapacityError, DomainError, InvariantViolation
 from oracles import left_factorials_py
 
@@ -65,6 +66,33 @@ class TestBell:
     def test_cap(self):
         with pytest.raises(CapacityError):
             exact.bell_exact(10_000)
+
+
+class TestCapsReadAtCall:
+    """The exact caps come from `config` at each call, not at import."""
+
+    def test_lowered_caps_refuse(self, monkeypatch):
+        monkeypatch.setattr(config, "EXACT_BELL_CAP", 10)
+        monkeypatch.setattr(config, "EXACT_POWER_SUM_CAP", 5)
+        for call in (lambda: exact.bell_exact(11),
+                     lambda: exact.gertsch_quotient_exact(13),
+                     lambda: exact.lerch_quotient_exact(7)):
+            with pytest.raises(CapacityError):
+                call()
+        assert exact.gertsch_quotient_exact(11) == 356540
+        assert exact.lerch_quotient_exact(5) == 13
+
+    def test_raised_caps_admit(self, monkeypatch):
+        with pytest.raises(CapacityError):
+            exact.gertsch_quotient_exact(263)
+        monkeypatch.setattr(config, "EXACT_BELL_CAP", 300)
+        monkeypatch.setattr(config, "EXACT_POWER_SUM_CAP", 200)
+        assert exact.bell_exact(280) == sum(exact.stirling2_row(280))
+        assert (exact.gertsch_quotient_exact(263) % 263
+                == int(residues.gertsch_quotient_mod(263)))
+        lerch = exact.lerch_quotient_exact(151)
+        assert lerch.denominator == 1
+        assert lerch % 151 == int(residues.lerch_quotient_mod(151))
 
 
 def brute_derangements(n):
@@ -202,6 +230,23 @@ class TestQuotients:
         with pytest.raises(DomainError):
             exact.wilson_quotient_exact(9)
 
+    @pytest.mark.parametrize("quotient", [
+        lambda: exact.fermat_quotient_exact(2, 341),  # a base-2 pseudoprime
+        lambda: exact.fermat_quotient_exact(2, 9),
+        lambda: exact.sum_fermat_quotients_exact(15),
+    ], ids=["pseudoprime", "fermat", "qsum"])
+    def test_fermat_composite(self, quotient):
+        with pytest.raises(DomainError, match="needs a prime"):
+            quotient()
+
+    def test_fermat_sum_checks_primality_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(exact, "is_prime",
+                            lambda n: calls.append(n) or n == 13)
+        assert exact.sum_fermat_quotients_exact(13) == sum(
+            (a ** 12 - 1) // 13 for a in range(1, 13))
+        assert calls == [13]
+
     def test_gertsch(self):
         assert exact.gertsch_quotient_exact(3) == 1
         assert exact.gertsch_quotient_exact(5) == 4
@@ -248,6 +293,24 @@ class TestQuotients:
         assert (rec.wilson, rec.lerch, rec.gertsch, rec.h) == \
             (5, 13, 4, Fraction(66, 5))
 
+    def test_quotient_record_builds_each_value_once(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(exact, name)
+
+            def call(*args):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(exact, name, call)
+        for name in ("is_prime", "factorial", "left_factorial", "bell_exact",
+                     "_fermat_quotient"):
+            counted(name)
+        rec = exact.quotient_record(7)
+        assert (rec.wilson, rec.lerch, rec.gertsch, rec.h) == (103, 1356, 96, 1357)
+        assert calls == {"is_prime": 1, "factorial": 1, "left_factorial": 1,
+                         "bell_exact": 1, "_fermat_quotient": 6}
+
 
 def _off_by_one(monkeypatch, name):
     original = getattr(exact, name)
@@ -261,7 +324,8 @@ def _corrupt_powers2(ctx):
 
 @pytest.mark.parametrize("plant, quotient", [
     (lambda mp: _off_by_one(mp, "factorial"), lambda: exact.wilson_quotient_exact(7)),
-    (lambda mp: None, lambda: exact.fermat_quotient_exact(2, 15)),
+    (lambda mp: mp.setattr(exact, "is_prime", lambda n: n == 15),
+     lambda: exact.fermat_quotient_exact(2, 15)),
     (lambda mp: _off_by_one(mp, "left_factorial"),
      lambda: exact.gertsch_quotient_exact(7)),
     (lambda mp: None, lambda: _corrupt_powers2(residues.PrimeContext(7))),

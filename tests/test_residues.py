@@ -102,10 +102,11 @@ class TestQuotientKernels:
         assert R.lerch_quotient_mod(5) == 13 % 5
         assert R.lerch_quotient_mod(3) == 0
 
-    def test_lerch_matches_exact(self):
+    def test_lerch_matches_exact(self, monkeypatch):
+        monkeypatch.setattr(config, "EXACT_POWER_SUM_CAP", 200)
         for p in iter_primes(3, 200):
             assert (int(R.lerch_quotient_mod(p))
-                    == int(exact.lerch_quotient_exact(p, cap=200)) % p), p
+                    == int(exact.lerch_quotient_exact(p)) % p), p
 
     def test_lerch_checks_primality_once(self, monkeypatch):
         calls = []
@@ -348,7 +349,8 @@ class TestProfile:
             R.residue_profile(7, 4)
 
     @pytest.mark.parametrize("e", [1, 2, 3])
-    def test_profile_matches_exact_small_primes(self, e):
+    def test_profile_matches_exact_small_primes(self, monkeypatch, e):
+        monkeypatch.setattr(config, "EXACT_POWER_SUM_CAP", 200)
         for p in iter_primes(3, 200):
             prof = R.residue_profile(p, e)
             w = exact.wilson_quotient_exact(p) % p
@@ -361,7 +363,7 @@ class TestProfile:
             assert prof.fermat_q2 == exact.fermat_quotient_exact(2, p) % p, p
             assert prof.fermat_q3 == (exact.fermat_quotient_exact(3, p) % p
                                       if p != 3 else None), p
-            assert prof.lerch_q == int(exact.lerch_quotient_exact(p, cap=200)) % p, p
+            assert prof.lerch_q == int(exact.lerch_quotient_exact(p)) % p, p
             assert prof.ag_q == int(fraction_residue(exact.agoh_giuga_exact(p), p)), p
             assert prof.bernoulli_sums == ((w + 2) % p, (w + 1) % p,
                                            (w + pow(2, -1, p)) % p), p
