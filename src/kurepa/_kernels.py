@@ -21,11 +21,18 @@ residue record passes; called without it, the Bell and Stirling rows build
 their own. The tables' O(p^2) oracles are in `tests/oracles.py`, except the
 Stirling triangle, which also serves rows whose factorials are not units
 mod m. `bell_mod` is O(p) per prime and inverts the (p-1)! its caller reads
-from the run tree. Its power table j^(p-1), like every power table here
-(`_powers`: the Stirling row, the record's tables mod p^2 and p^3), walks
-the process's one factorization of 1..N, the memo `_factorization`: the
-primes and each composite's least prime and cofactor, sieved once and
-grown by doubling, so no call sieves. (p-1)! mod p^e and !p mod p^e have
+from the run tree. The residue record hands it the power table j^(p-1) it
+builds anyway for Lerch and the Fermat-quotient sums, and the sum reads it
+term by term. The Gertsch column's call, mod p^2 with no table, takes the
+split form `_bell_split` instead: Bell_{p-1} = 1 - D_{p-1} + p T, with T
+a sum of Fermat quotients collected per prime by slice sums, and q_p(r) for
+each prime r > sqrt(p) moved onto smaller indices by
+q_p(p - x) = q_p(x) + 1/x, so only the primes up to sqrt(p) call pow.
+Every power table (`_powers`: the Stirling row, the record's tables mod
+p^2 and p^3) walks the process's one factorization of 1..N, the memo
+`_factorization`, whose primes `_bell_split` reads: the primes and each
+composite's least prime and cofactor, sieved once and grown by doubling,
+so no call sieves. (p-1)! mod p^e and !p mod p^e have
 one route, the run tree `run_columns`: one product tree over a run's
 primes, walked once. A
 campaign run passes it all its blocks, which only mark where the walk
@@ -422,10 +429,17 @@ def bell_mod(n: int, m: int, fact: int | None = None,
     Bell_n = sum_{j=1..n} (j^n/j!) D_{n-j}, D_t = sum_{i<=t} (-1)^i/i!,
     built with C-level accumulate and map. fact, when given, is n! mod m,
     which the production callers already hold in their (p-1)! column, so
-    only the backward loop for 1/k! runs; pw, when given, holds j^n mod m
-    for j = 0..n, as `_powers(n, n, m)` does from the process's
-    factorization table; pw[0] = 0 drops the j = 0 term. Otherwise read
-    from `bell_seq_mod`."""
+    only the backward loop for 1/k! runs.
+
+    pw, when given, holds j^n mod m for j = 0..n, and the sum reads it
+    term by term; pw[0] = 0 drops the j = 0 term. The residue record
+    passes its tables mod p^2 and p^3, which it builds anyway for Lerch,
+    the Fermat-quotient sum and sum_a a^(p-1). Without pw, at m = (n+1)^2
+    with n! = -1 (mod n+1), which by Wilson's theorem makes n+1 an odd
+    prime (n >= 2), the split form `_bell_split` builds no power table;
+    this is the Gertsch column's call. Any other call without pw builds
+    `_powers(n, n, m)` from the process's factorization table. When n! is
+    not a unit mod m the value is read from `bell_seq_mod`."""
     if fact is None:
         fact = factorial_mod(n, m)
     if n == 0 or gcd(fact, m) != 1:
@@ -433,9 +447,64 @@ def bell_mod(n: int, m: int, fact: int | None = None,
     inv_fact = _inverse_factorials(n, m, pow(fact, -1, m))
     d = _alternating_sums(inv_fact, m)
     if pw is None:
+        p = n + 1
+        if n > 1 and m == p * p and (fact + 1) % p == 0:
+            return _bell_split(p, inv_fact, d)
         pw = _powers(n, n, m)
     # j pairs with D_{n-j}; pw[0] = 0^n = 0 drops the j = 0 term
     return sum(map(mul, map(mul, pw, inv_fact), reversed(d))) % m
+
+
+def _bell_split(p: int, inv_fact: list[int], d: list[int]) -> int:
+    """Bell_{p-1} mod p^2 for an odd prime p from inv_fact = (1/j! mod p^2)
+    and d = (D_t), j, t < p, with about sqrt(p)/ln(sqrt(p)) pow calls.
+
+    j^(p-1) = 1 + p q_p(j) (mod p^2) splits the explicit sum in two:
+    sum_{j>=1} u_j = 1 - D_{p-1} for u_j = D_{p-1-j}/j! (the Cauchy product
+    of e^-x and e^x), and p T with T = sum_j q_p(j) u_j mod p. As
+    q_p(ab) = q_p(a) + q_p(b) (mod p), T = sum_r q_p(r) W_r over the primes
+    r < p, W_r = sum_k sum of u_j over j = 0 mod r^k: one C-level slice sum
+    per prime power, and no walk over composites.
+
+    A prime r > sqrt(p) calls no pow. From (p - x)^(p-1) = x^(p-1) + p/x
+    (mod p^2), q_p(p - x) = q_p(x) + 1/x, so p = s r + a with 0 < a < r
+    gives q_p(r) = q_p(a) - q_p(s) + 1/a (mod p). Going down from the
+    largest prime, W_r moves onto u_a and -u_s, indices below r whose
+    primes come later, and W_r/a goes into T, with
+    1/a = (-1)^a inv_fact[a] inv_fact[p-a] by Wilson's reflection. The odd
+    primes above p/2 (s = 1, a = p - r even, W_r = u_r) move together in one
+    C-level pass, as their indices a are distinct and none is such a prime.
+    Only the primes up to sqrt(p) read `fermat_quotient`.
+    """
+    n = p - 1
+    u = [x * y % p for x, y in zip(inv_fact, reversed(d))]
+    primes = _factors(n)[0]
+    root = bisect_right(primes, isqrt(p))
+    half = max(bisect_right(primes, p // 2), 1)  # 2 stays with the loop
+    big = primes[half:bisect_right(primes, n)]
+    # the odd primes above p/2: u_{p-r} += u_r, and u_r/(p-r) into T, with
+    # p - r even
+    targets = [p - r for r in big]
+    moved = list(map(u.__getitem__, big))
+    list(map(u.__setitem__, targets, map(add, map(u.__getitem__, targets), moved)))
+    t = sum(map(mul, map(mul, moved, map(inv_fact.__getitem__, targets)),
+                map(inv_fact.__getitem__, big)))
+    # the other primes above sqrt(p), largest first
+    for r in reversed(primes[root:half]):
+        w = sum(u[r::r]) % p
+        s, a = divmod(p, r)
+        u[a] += w
+        u[s] -= w
+        x = w * inv_fact[a] * inv_fact[p - a]
+        t += -x if a % 2 else x
+    # the primes up to sqrt(p), over every power r^k < p
+    for r in primes[:root]:
+        w, rk = 0, r
+        while rk < p:
+            w += sum(u[rk::rk])
+            rk *= r
+        t += w % p * fermat_quotient(p, r)
+    return (1 - d[n] + p * (t % p)) % (p * p)
 
 
 def bernoulli_table_mod(p: int, facts: tuple) -> list[int]:
@@ -664,7 +733,8 @@ def wilson_column(primes, fs) -> list[int]:
 def gertsch_column(primes, fs, ks) -> list[int]:
     """Gertsch_p mod p from fs = (p-1)! and ks = !p mod p^2. Wilson's
     congruence, checked first, makes (p-1)! a unit mod p^2, which
-    `bell_mod` then inverts instead of building it again."""
+    `bell_mod` then inverts instead of building it again; with no power
+    table passed, it takes the split form `_bell_split`."""
     gs = []
     for p, f, k in zip(primes, fs, ks):
         wilson_quotient(p, f)

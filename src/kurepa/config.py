@@ -1,10 +1,11 @@
 """Default kernel caps and knobs.
 
-The residue record and the catalog take the Bell and Bernoulli caps as
-arguments, which the CLI sets with `--bell-cap` and `--bernoulli-cap`; their
-defaults are bound when `residues` is imported, so a later change here does
-not reach them. Everything else reads this module when it is called: the
-exact caps `EXACT_*_CAP` take effect at the next call of an `exact` oracle.
+Every reader takes these values when it is called, so a change here takes
+effect at the next call. The residue record and the catalog also take the
+Bell and Bernoulli caps as arguments, which the CLI sets with `--bell-cap`
+and `--bernoulli-cap`; a cap left None is read from here when the record is
+made, before the lone record's memo key is formed. The exact caps
+`EXACT_*_CAP` take effect at the next call of an `exact` oracle.
 """
 
 # Largest n for bell_mod (O(n) when n! is a unit mod m, else read from the

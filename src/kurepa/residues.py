@@ -92,20 +92,19 @@ class PrimeContext:
     and Bell at e <= 2; mod p^3 only for Bell at e = 3 and sum_a a^(p-1)
     mod p^3, which share one power table. Once the p^3 value is built, the
     p^2 one is read off it. Bell is capped at p - 1 <= bell_cap and the
-    tables at p <= bern_cap. Every value is a value at p: nothing here reads
+    tables at p <= bern_cap; a cap left None is read from `config` when the
+    record is made (`_caps`). Every value is a value at p: nothing here reads
     or keeps another prime's residues, except `greg`: after the cap check it
     reads p's table from the memo `_gregory_tables`, and only on a miss
     builds it (and `factorials`) and offers it to the memo. A failed check
     or cap stores nothing: it raises again on the next read.
     """
 
-    def __init__(self, p: int,
-                 bell_cap: int = config.BELL_MOD_CAP,
-                 bern_cap: int = config.BERNOULLI_MOD_CAP):
+    def __init__(self, p: int, bell_cap: int | None = None,
+                 bern_cap: int | None = None):
         _require_odd_prime(p)
         self.p = p
-        self.bell_cap = bell_cap
-        self.bern_cap = bern_cap
+        self.bell_cap, self.bern_cap = _caps(bell_cap, bern_cap)
         self._agoh_even = {}  # E(y) of `agoh_sum`, by y = x^2 mod p
 
     # -- base values, built once
@@ -365,13 +364,20 @@ _records = Memo()  # the lone record, by (p, bell_cap, bern_cap); at most one
 _gregory_tables = Memo()  # every record's Gregory table, by p
 
 
-def _record(p: int, bell_cap: int = config.BELL_MOD_CAP,
-            bern_cap: int = config.BERNOULLI_MOD_CAP) -> PrimeContext:
+def _caps(bell_cap: int | None, bern_cap: int | None) -> tuple[int, int]:
+    """(bell_cap, bern_cap) with each None read from `config` now."""
+    return (config.BELL_MOD_CAP if bell_cap is None else bell_cap,
+            config.BERNOULLI_MOD_CAP if bern_cap is None else bern_cap)
+
+
+def _record(p: int, bell_cap: int | None = None,
+            bern_cap: int | None = None) -> PrimeContext:
     """The record of a lone prime, shared with the previous call when that
     was at the same p and caps; a miss empties `_records` before it builds.
-    The caps are filled in before the lookup, so a call that names the
-    defaults and one that omits them share it."""
-    key = p, bell_cap, bern_cap
+    The caps are filled in from `config` before the lookup, so a call that
+    names the current defaults and one that omits them share it, and a
+    changed `config` cap makes a new record."""
+    key = p, *_caps(bell_cap, bern_cap)
     with _records.lock:
         if key not in _records:
             _records.clear()
@@ -676,11 +682,11 @@ class ResidueProfile:
         return {**asdict(self), "bernoulli_sums": list(self.bernoulli_sums)}
 
 
-def residue_profile(p: int, e: int = 1,
-                    bell_cap: int = config.BELL_MOD_CAP,
-                    bern_cap: int = config.BERNOULLI_MOD_CAP) -> ResidueProfile:
+def residue_profile(p: int, e: int = 1, bell_cap: int | None = None,
+                    bern_cap: int | None = None) -> ResidueProfile:
     """Every field read from one PrimeContext, the one `_record` holds, which
-    the next call at the same p and caps reads again."""
+    the next call at the same p and caps reads again; a cap left None is
+    the `config` value at the call."""
     ctx = _record(p, bell_cap, bern_cap)
     if e not in (1, 2, 3):
         raise DomainError(f"modulus power must be 1, 2 or 3, got {e}")

@@ -159,6 +159,71 @@ def test_gertsch_wilson_column_rejects_composite(c):
         K.gertsch_column([c], fs, ks)
 
 
+@pytest.mark.parametrize("p", [3, 1511, 32771])
+def test_gertsch_column_rejects_a_wrong_column(p):
+    (f,), (k,) = next(K.run_columns([[p]], 2))
+    for fs, ks in (([f + 1], [k]), ([f], [k + 1])):
+        with pytest.raises(InvariantViolation):
+            K.gertsch_column([p], fs, ks)
+
+
+# Bell_{p-1} mod p^2 with no power table, the Gertsch column's call: the
+# split form, against the explicit sum over a power table and against the
+# triangle, on both sides of p^2 = 2^30, where residues mod p^2 take a
+# second 30-bit digit.
+
+def _not_called(*args):
+    raise AssertionError(f"called with {args}")
+
+
+def _bell_by_table(p: int, f: int) -> int:
+    m = p * p
+    return K.bell_mod(p - 1, m, f, tuple(K._powers(p - 1, p - 1, m)))
+
+
+def test_bell_split_matches_the_table_route(monkeypatch):
+    rng = random.Random(20261019)
+    primes = (sieve_primes(3, 3000) + rng.sample(sieve_primes(3000, 1 << 15), 4)
+              + [32749, 32771] + rng.sample(sieve_primes(1 << 15, 200_000), 4) + [199_999])
+    want = {}
+    for p in primes:
+        f = K.factorial_mod(p - 1, p * p)
+        want[p] = f, _bell_by_table(p, f)
+    monkeypatch.setattr(K, "_powers", _not_called)
+    for p, (f, b) in want.items():
+        assert K.bell_mod(p - 1, p * p, f) == b, p
+
+
+def test_bell_split_matches_triangle(monkeypatch):
+    monkeypatch.setattr(K, "_powers", _not_called)
+    rng = random.Random(20261020)
+    for p in sieve_primes(3, 600) + rng.sample(sieve_primes(600, 3000), 3):
+        assert K.bell_mod(p - 1, p * p) == bell_seq_mod_py(p - 1, p * p)[p - 1], p
+
+
+def test_gertsch_campaigns_build_no_power_table(monkeypatch):
+    primes = sieve_primes(1500, 1700)
+    fs, ks = _columns_oracle(primes, 2)
+    gs = [K.gertsch_quotient(p, k, _bell_by_table(p, f)) for p, f, k in zip(primes, fs, ks)]
+    ws = [(f + 1) // p % p for p, f in zip(primes, fs)]
+    want = {"gertsch_wilson": [p for p, g, w in zip(primes, gs, ws) if g == w],
+            "gertsch_zero": [p for p, g in zip(primes, gs) if g == 0]}
+    monkeypatch.setattr(K, "_powers", _not_called)
+    assert K.gertsch_column(primes, fs, ks) == gs
+    for name, hits in want.items():
+        for stride in (1, 7):
+            assert search.run_campaign(name, 1500, 1700, stride=stride).hits == hits, (name, stride)
+
+
+def test_record_bell_keeps_the_explicit_sum(monkeypatch):
+    p = 3001
+    b3 = K.bell_seq_mod(p - 1, p ** 3)[p - 1]
+    split = K.bell_mod(p - 1, p * p)
+    monkeypatch.setattr(K, "_bell_split", _not_called)
+    assert R.PrimeContext(p).bell2 == split == b3 % p ** 2
+    assert R.PrimeContext(p).bell3 == b3
+
+
 # ((p-1)! mod p^e, !p mod p^e) by the one-block case of the run tree, against
 # the per-prime O(p) loops and the exact left factorial.
 

@@ -725,6 +725,18 @@ class TestLoneRecord:
         with pytest.raises(CapacityError):
             R.residue_profile(p, 2, bell_cap=10)
 
+    def test_config_caps_read_at_call_time(self, monkeypatch):
+        p = 151
+        R.gertsch_quotient_mod(p)  # a record at the import-time caps
+        monkeypatch.setattr(config, "BELL_MOD_CAP", 100)
+        for call in (lambda: R.gertsch_quotient_mod(p), lambda: R.residue_profile(p),
+                     lambda: PrimeContext(p).bell2):
+            with pytest.raises(CapacityError, match="cap 100"):
+                call()
+        monkeypatch.setattr(config, "BERNOULLI_MOD_CAP", 100)
+        with pytest.raises(CapacityError, match="Bernoulli table: p = 151"):
+            R.bernoulli_mod_table(p)
+
     def test_invariant_violation_every_call(self, monkeypatch):
         columns = K._factorial_columns
 
@@ -796,18 +808,21 @@ class TestGregoryStore:
     def test_bound_keeps_the_first_part(self, monkeypatch):
         bound = 100
         monkeypatch.setattr(config, "BERNOULLI_MOD_CAP", bound)
+        # the records' own cap, which would otherwise read the lowered
+        # config value too and refuse every table past p = 100
+        cap = 200
         built = self._count_builds(monkeypatch)
-        for ctx in R.prime_contexts(iter_primes(3, 200)):
+        for ctx in R.prime_contexts(iter_primes(3, 200), bern_cap=cap):
             ctx.greg
             assert self._held_cells() <= bound
         kept = list(iter_primes(3, 23))  # 1 + 3 + ... + 21 = 82 cells; 29 adds 27
         assert sorted(R._gregory_tables) == kept
         p = 101
-        table = PrimeContext(p).greg
+        table = PrimeContext(p, bern_cap=cap).greg
         assert list(table.values) == K.gregory_table_mod(p, K._factorials(p - 1, p))[1:]
         assert p not in R._gregory_tables
         built.clear()
-        assert PrimeContext(p).greg == table
+        assert PrimeContext(p, bern_cap=cap).greg == table
         assert built == [p]  # not kept, so built again
         assert sorted(R._gregory_tables) == kept and self._held_cells() == 82
 
