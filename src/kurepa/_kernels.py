@@ -20,33 +20,20 @@ value is one dot product. All four read one k!, 1/k! mod p pair from
 residue record passes; called without it, the Bell and Stirling rows build
 their own. The tables' O(p^2) oracles are in `tests/oracles.py`, except the
 Stirling triangle, which also serves rows whose factorials are not units
-mod m. `bell_mod` is O(p) per prime and inverts the (p-1)! its caller reads
-from the run tree. The residue record hands it the power table j^(p-1) it
-builds anyway for Lerch and the Fermat-quotient sums, and the sum reads it
-term by term. The Gertsch column's call, mod p^2 with no table, takes the
-split form `_bell_split` instead: Bell_{p-1} = 1 - D_{p-1} + p T, with T
-a sum of Fermat quotients collected per prime by slice sums, and q_p(r) for
-each prime r > sqrt(p) moved onto smaller indices by
-q_p(p - x) = q_p(x) + 1/x, so only the primes up to sqrt(p) call pow.
-Every power table (`_powers`: the Stirling row, the record's tables mod
-p^2 and p^3) walks the process's one factorization of 1..N, the memo
-`_factorization`, whose primes `_bell_split` reads: the primes and each
-composite's least prime and cofactor, sieved once and grown by doubling,
-so no call sieves. (p-1)! mod p^e and !p mod p^e have
-one route, the run tree `run_columns`: one product tree over a run's
-primes, walked once. A
-campaign run passes it all its blocks, which only mark where the walk
-hands out columns, and reads one block's columns per step; the
-`kurepa_zero` run at e = 1 also extends `search.kurepa_zeros`, the one
-prefix of Kurepa zeros that C25 and `factorizer.kurepa_gcd_check` read. A
-campaign that reads no !p column (the three Wilson campaigns and
-`qpm_zero`) runs the same tree at width 1,
-carrying (p-1)! alone, at about half the cost. `_factorial_columns` is its
-one-block case, which the residue records call. Its spans compose in
-`_then` and reduce in `_mod` alone, the seam for another big-int backend;
-`_steps`, their exact binary splitting, also gives `exact.left_factorial`.
-`wilson_column` and `gertsch_column` turn a campaign's columns mod p^2 into
-W_p and Gertsch_p mod p. The three quotients by p, `fermat_quotient`,
+mod m. `bell_mod` is the O(p) explicit sum over the power table j^(p-1)
+that the residue record builds anyway. Every power table (`_powers`) walks
+the memo `_factorization` of 1..N, grown by doubling, so no call sieves.
+(p-1)!, !p and Der_{p-1} mod p^e have one route, the run tree
+`run_columns`, one product tree over a run's primes walked once: at width
+1 ((p-1)! alone) for the Wilson campaigns and `qpm_zero`, 2 (with !p) for
+`kurepa_zero`, 3 (with Der_{p-1}) for the Gertsch campaigns. Its spans
+compose in `_then` and reduce in `_mod` alone, the seam for another
+big-int backend; `_steps`, their exact binary splitting, also gives
+`exact.left_factorial`. `wilson_column` turns the (p-1)! column mod p^2
+into W_p, and `gertsch_column` the width-3 columns into Gertsch_p mod p by
+one loop mod p and `_fermat_sum`'s slice sums, which read only the memo
+`_primes`: no power table, so the record stays its independent oracle.
+The three quotients by p, `fermat_quotient`,
 `wilson_quotient` and `gertsch_quotient`, each check that p divides their
 numerator and raise InvariantViolation otherwise.
 """
@@ -58,10 +45,11 @@ from array import array
 from bisect import bisect_right
 from itertools import accumulate, compress, islice, repeat, zip_longest
 from math import gcd, isqrt, prod
-from operator import add, mod, mul, neg, not_
+from operator import add, mod, mul, neg
 
 from ._memo import Memo
 from .errors import InvariantViolation
+from .modmath import sieve_upto
 
 # No compiled kernels exist; the flag is recorded with each benchmark result.
 HAVE_NUMBA = False
@@ -256,38 +244,49 @@ def _inverse_factorials(n: int, m: int, x: int) -> list[int]:
 
 # The factorization of 1..N that every power table walks: N, to the primes
 # <= N (an array("I")) and, for each composite j <= N in ascending order, the
-# tuple (j, q, j/q) of its least prime q and cofactor. Tuples, not three
-# arrays, because the walk then unpacks ints that already exist: a power
-# table of j^(p-1) mod p^2 for p in [1500, 1545] took 0.44 ms from the
-# tuples, 0.50 ms from arrays and 0.62 ms sieving at each call (medians of
-# 40 interleaved rounds, 2-core host, Python 3.11). They cost about 125
-# bytes per integer below N (25 MB at N = 2e5) against the arrays' 12. One
-# entry, replaced by one at least twice as large when a reader asks past N.
+# tuple (j, q, j/q) of its least prime q and cofactor. Tuples, not arrays,
+# because the walk then unpacks ints that already exist (0.44 against 0.50
+# ms per power table at p near 1500, 2-core host, Python 3.11), at about 125
+# bytes per integer below N (25 MB at N = 2e5). The primes alone, which the
+# Gertsch column reads, are a memo of their own that the factorization
+# reads in turn (70 KB at N = 2e5), so reading them builds no composites.
 _factorization = Memo()
+_primes = Memo()
+
+
+def _grown(memo: Memo, n: int, build):
+    """The table of memo's one entry, whose bound N is at least n: replaced
+    under the memo's lock by build(max(n, 2N)) when N < n. Every reader
+    after a build reads the same table, which nothing changes."""
+    with memo.lock:
+        top = max(memo, default=-1)  # -1: no table yet
+        if top < n:
+            top = max(n, 2 * top)
+            table = build(top)
+            memo.clear()
+            memo[top] = table
+        return memo[top]
 
 
 def _factors(n: int) -> tuple[array, list[tuple[int, int, int]]]:
-    """(primes, composites) of the factorization table covering 1..n, built
-    under the memo's lock at max(n, 2N) when the table's bound N is below
-    n. A build sieves least prime factors once; every reader after it walks
-    the same table, which nothing changes."""
-    with _factorization.lock:
-        top = max(_factorization, default=-1)  # -1: no table yet
-        if top < n:
-            top = max(n, 2 * top)
-            table = _sieve_factors(top)
-            _factorization.clear()
-            _factorization[top] = table
-        return _factorization[top]
+    """(primes, composites) of the factorization table covering 1..n."""
+    return _grown(_factorization, n, _sieve_factors)
+
+
+def _prime_table(n: int) -> array:
+    """The primes up to the prime memo's bound N >= n, as an array("I")."""
+    return _grown(_primes, n, lambda top: array("I", sieve_upto(top)))
 
 
 def _sieve_factors(n: int) -> tuple[array, list[tuple[int, int, int]]]:
-    """The factorization table of 1..n: the primes, and (j, q, j/q) for each
-    composite j in ascending order, q its least prime."""
+    """The factorization table of 1..n: the primes, read from the prime
+    memo, and (j, q, j/q) for each composite j in ascending order, q its
+    least prime, marked by the primes up to sqrt(n), largest first."""
+    primes = _prime_table(n)
+    primes = primes[:bisect_right(primes, n)]
     spf = [0] * (n + 1)  # the least prime factor of a composite; 0 otherwise
-    for i in range(isqrt(n), 1, -1):
-        spf[i * i::i] = [i] * len(range(i * i, n + 1, i))
-    primes = array("I", compress(range(2, n + 1), map(not_, islice(spf, 2, None))))
+    for q in reversed(primes[:bisect_right(primes, isqrt(n))]):
+        spf[q * q::q] = [q] * len(range(q * q, n + 1, q))
     js = compress(range(n + 1), spf)
     return primes, [(j, q, j // q) for j, q in zip(js, filter(None, spf))]
 
@@ -428,83 +427,56 @@ def bell_mod(n: int, m: int, fact: int | None = None,
     prime p), the O(n) explicit-Stirling sum
     Bell_n = sum_{j=1..n} (j^n/j!) D_{n-j}, D_t = sum_{i<=t} (-1)^i/i!,
     built with C-level accumulate and map. fact, when given, is n! mod m,
-    which the production callers already hold in their (p-1)! column, so
-    only the backward loop for 1/k! runs.
-
-    pw, when given, holds j^n mod m for j = 0..n, and the sum reads it
-    term by term; pw[0] = 0 drops the j = 0 term. The residue record
-    passes its tables mod p^2 and p^3, which it builds anyway for Lerch,
-    the Fermat-quotient sum and sum_a a^(p-1). Without pw, at m = (n+1)^2
-    with n! = -1 (mod n+1), which by Wilson's theorem makes n+1 an odd
-    prime (n >= 2), the split form `_bell_split` builds no power table;
-    this is the Gertsch column's call. Any other call without pw builds
-    `_powers(n, n, m)` from the process's factorization table. When n! is
-    not a unit mod m the value is read from `bell_seq_mod`."""
+    which the record holds in its (p-1)! column, so only the backward loop
+    for 1/k! runs. pw, when given, holds j^n mod m for j = 0..n: the
+    record's tables mod p^2 and p^3, built anyway for Lerch, the
+    Fermat-quotient sum and sum_a a^(p-1); without it the call builds
+    `_powers(n, n, m)`. When n! is not a unit mod m the value is read from
+    `bell_seq_mod`."""
     if fact is None:
         fact = factorial_mod(n, m)
     if n == 0 or gcd(fact, m) != 1:
         return bell_seq_mod(n, m)[n]
     inv_fact = _inverse_factorials(n, m, pow(fact, -1, m))
-    d = _alternating_sums(inv_fact, m)
     if pw is None:
-        p = n + 1
-        if n > 1 and m == p * p and (fact + 1) % p == 0:
-            return _bell_split(p, inv_fact, d)
         pw = _powers(n, n, m)
     # j pairs with D_{n-j}; pw[0] = 0^n = 0 drops the j = 0 term
-    return sum(map(mul, map(mul, pw, inv_fact), reversed(d))) % m
+    return sum(map(mul, map(mul, pw, inv_fact),
+                   reversed(_alternating_sums(inv_fact, m)))) % m
 
 
-def _bell_split(p: int, inv_fact: list[int], d: list[int]) -> int:
-    """Bell_{p-1} mod p^2 for an odd prime p from inv_fact = (1/j! mod p^2)
-    and d = (D_t), j, t < p, with about sqrt(p)/ln(sqrt(p)) pow calls.
+def _fermat_sum(p: int, v: list[int]) -> int:
+    """sum_{j=1..p-1} q_p(j) v_j mod p for an odd prime p and a list v of
+    length p, which this changes.
 
-    j^(p-1) = 1 + p q_p(j) (mod p^2) splits the explicit sum in two:
-    sum_{j>=1} u_j = 1 - D_{p-1} for u_j = D_{p-1-j}/j! (the Cauchy product
-    of e^-x and e^x), and p T with T = sum_j q_p(j) u_j mod p. As
-    q_p(ab) = q_p(a) + q_p(b) (mod p), T = sum_r q_p(r) W_r over the primes
-    r < p, W_r = sum_k sum of u_j over j = 0 mod r^k: one C-level slice sum
-    per prime power, and no walk over composites.
-
-    A prime r > sqrt(p) calls no pow. From (p - x)^(p-1) = x^(p-1) + p/x
-    (mod p^2), q_p(p - x) = q_p(x) + 1/x, so p = s r + a with 0 < a < r
-    gives q_p(r) = q_p(a) - q_p(s) + 1/a (mod p). Going down from the
-    largest prime, W_r moves onto u_a and -u_s, indices below r whose
-    primes come later, and W_r/a goes into T, with
-    1/a = (-1)^a inv_fact[a] inv_fact[p-a] by Wilson's reflection. The odd
-    primes above p/2 (s = 1, a = p - r even, W_r = u_r) move together in one
-    C-level pass, as their indices a are distinct and none is such a prime.
-    Only the primes up to sqrt(p) read `fermat_quotient`.
+    As q_p(ab) = q_p(a) + q_p(b) (mod p), the sum is sum_r q_p(r) W_r over
+    the primes r < p, W_r = sum_k sum of v_j over j = 0 mod r^k: one C-level
+    slice sum per prime power, and no walk over composites. A prime
+    r > sqrt(p) calls no pow: q_p(p - x) = q_p(x) + 1/x, from
+    (p - x)^(p-1) = x^(p-1) + p/x (mod p^2), so p = s r + a with 0 < a < r
+    gives q_p(r) = q_p(a) - q_p(s) + 1/a. Going down from the largest
+    prime, W_r moves onto v_a and -v_s, indices whose primes come later,
+    and W_r/a is owed; the owed fractions are summed over one common
+    denominator, which one pow inverts.
     """
-    n = p - 1
-    u = [x * y % p for x, y in zip(inv_fact, reversed(d))]
-    primes = _factors(n)[0]
+    primes = _prime_table(p - 1)
     root = bisect_right(primes, isqrt(p))
-    half = max(bisect_right(primes, p // 2), 1)  # 2 stays with the loop
-    big = primes[half:bisect_right(primes, n)]
-    # the odd primes above p/2: u_{p-r} += u_r, and u_r/(p-r) into T, with
-    # p - r even
-    targets = [p - r for r in big]
-    moved = list(map(u.__getitem__, big))
-    list(map(u.__setitem__, targets, map(add, map(u.__getitem__, targets), moved)))
-    t = sum(map(mul, map(mul, moved, map(inv_fact.__getitem__, targets)),
-                map(inv_fact.__getitem__, big)))
-    # the other primes above sqrt(p), largest first
-    for r in reversed(primes[root:half]):
-        w = sum(u[r::r]) % p
+    num, den = 0, 1
+    for r in reversed(primes[root:bisect_right(primes, p - 1)]):
+        w = sum(v[r::r]) % p
         s, a = divmod(p, r)
-        u[a] += w
-        u[s] -= w
-        x = w * inv_fact[a] * inv_fact[p - a]
-        t += -x if a % 2 else x
+        v[a] += w
+        v[s] -= w
+        num, den = (num * a + w * den) % p, den * a % p
+    t = num * pow(den, -1, p)
     # the primes up to sqrt(p), over every power r^k < p
     for r in primes[:root]:
         w, rk = 0, r
         while rk < p:
-            w += sum(u[rk::rk])
+            w += sum(v[rk::rk])
             rk *= r
         t += w % p * fermat_quotient(p, r)
-    return (1 - d[n] + p * (t % p)) % (p * p)
+    return t % p
 
 
 def bernoulli_table_mod(p: int, facts: tuple) -> list[int]:
@@ -590,21 +562,22 @@ def wilson_quotient(p: int, f: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Columns: ((p-1)! mod p^e, !p mod p^e), or (p-1)! mod p^e alone, for a run
-# of primes at once.
+# Columns: ((p-1)! mod p^e, !p mod p^e), (p-1)! mod p^e alone, or the pair
+# and Der_{p-1} mod p^e, for a run of primes at once.
 #
 # The state at n is (f, s) = ((n-1)!, sum_{k<n} k!), and step k maps it to
 # (k*f, s + k*f); at n = p it holds ((p-1)!, !p). The steps k = a..b-1
 # compose to f -> P*f, s -> s + Q*f with P = a(a+1)...(b-1) and
-# Q = sum_{j=a}^{b-1} a(a+1)...j; a state is the steps from n = 1. A run
-# that reads no !p column carries the width-1 state (f,) and spans (P,)
-# through the same tree: one product and one reduction per join instead of
-# three products and two reductions. `_then` alone composes two spans and
-# `_mod` alone reduces one, so another big-integer backend goes there. The
-# states at a run's primes come from one accumulating remainder tree
-# (Costa, Gerbicz and Harvey, for Wilson quotients; Andrejic, Bostan and
-# Tatarevic, for left factorials): one product tree of p^e over all the
-# run's primes and one walk down it. A left span is read by its right
+# Q = sum_{j=a}^{b-1} a(a+1)...j; a state is the steps from n = 1. Width 1
+# carries (f,) and spans (P,) alone: one product and one reduction per join
+# instead of three and two. Width 3 adds d = Der_{n-1}, the derangement
+# number: step k maps d to k*d + (-1)^k, a span acts as d -> P*d + R, and
+# spans compose as (P1*P2, Q1 + P1*Q2, P2*R1 + R2). `_then` alone composes
+# two spans and `_mod` alone reduces one, so another big-integer backend
+# goes there. The states at a run's primes come from one accumulating
+# remainder tree (Costa, Gerbicz and Harvey, for Wilson quotients;
+# Andrejic, Bostan and Tatarevic, for left factorials): one product tree of
+# p^e over all the run's primes and one walk down it. A left span is read by its right
 # sibling and by its parent's readers; it is reduced mod their product
 # where that has fewer bits than the exact span, about
 # (ps[mid] - ps[i]) log2 ps[mid], and kept exact below. So the top of the
@@ -615,33 +588,48 @@ _LEAF_STEPS = 32
 
 
 def _then(x: tuple, y: tuple, m=None) -> tuple:
-    """The steps x followed by the steps y, (P1*P2, Q1 + P1*Q2) for pairs or
-    (P1*P2,) at width 1, reduced mod m, or exact for m None."""
+    """The steps x followed by the steps y, (P1*P2,) at width 1,
+    (P1*P2, Q1 + P1*Q2) at width 2 or (P1*P2, Q1 + P1*Q2, P2*R1 + R2) at
+    width 3, reduced mod m, or exact for m None."""
     if len(x) == 1:
         p = x[0] * y[0]
         return (p,) if m is None else (p % m,)
-    (p1, q1), (p2, q2) = x, y
+    if len(x) == 2:
+        (p1, q1), (p2, q2) = x, y
+        if m is None:
+            return p1 * p2, q1 + p1 * q2
+        return p1 * p2 % m, (q1 + p1 * q2) % m
+    (p1, q1, r1), (p2, q2, r2) = x, y
     if m is None:
-        return p1 * p2, q1 + p1 * q2
-    return p1 * p2 % m, (q1 + p1 * q2) % m
+        return p1 * p2, q1 + p1 * q2, p2 * r1 + r2
+    return p1 * p2 % m, (q1 + p1 * q2) % m, (p2 * r1 + r2) % m
 
 
 def _mod(x: tuple, m: int) -> tuple:
     """The state or span x reduced mod m."""
-    return (x[0] % m,) if len(x) == 1 else (x[0] % m, x[1] % m)
+    if len(x) == 1:
+        return (x[0] % m,)
+    return (x[0] % m, x[1] % m) if len(x) == 2 else (x[0] % m, x[1] % m, x[2] % m)
 
 
 def _steps(a: int, b: int, width: int = 2) -> tuple:
     """The exact span of the steps k = a..b-1 by binary splitting: (P, Q),
-    or (P,) at width 1."""
+    (P,) at width 1 or (P, Q, R) at width 3."""
     if b - a <= _LEAF_STEPS:
         if width == 1:
             return (prod(range(a, b)),)
         f, q = 1, 0
+        if width == 2:
+            for k in range(a, b):
+                f *= k
+                q += f
+            return f, q
+        r = 0
         for k in range(a, b):
             f *= k
             q += f
-        return f, q
+            r = k * r - 1 if k & 1 else k * r + 1
+        return f, q, r
     mid = (a + b) // 2
     return _then(_steps(a, mid, width), _steps(mid, b, width))
 
@@ -683,28 +671,25 @@ def _walk(node: tuple, ps: list[int], i: int, j: int, x: tuple, c,
 
 
 def run_columns(blocks: list[list[int]], e: int, width: int = 2):
-    """Yield ([(p-1)! mod p^e], [!p mod p^e]) for each block in turn, or at
-    width 1 ([(p-1)! mod p^e],) alone.
+    """Yield ([(p-1)! mod p^e], [!p mod p^e]) for each block in turn, the
+    first alone at width 1, and [Der_{p-1} mod p^e] third at width 3.
 
     The blocks are consecutive: each lists ascending integers >= 1, all
-    below the next block's first. One product tree of p^e over all the
-    run's primes is built once. The state is carried from n = 1 to the
-    run's first prime once, modulo the tree's root M, in chunks whose exact
-    spans have about as many bits as M; one walk then splits it down the
-    tree, stepping each gap between consecutive primes once, and every left
-    subtree hands its span to its right sibling. The blocks only mark where
-    the walk yields: each block's columns are computed when they are asked
-    for, not before, and the stride does not change the work. A width-1 run
-    carries (n-1)! alone and costs about half as much: over [3, 2e5] in
-    blocks of 10,000 primes, a `wilson_zero` run took 2.39 s carrying (p-1)!
-    alone and 4.60 s carrying both (medians of 3, 2-core host, Python 3.11).
+    below the next block's first. One product tree of p^e over the run's
+    primes is built once; the state is carried from n = 1 to the first prime
+    modulo its root M, in chunks of exact spans of about M's size, and one
+    walk splits it down the tree, stepping each gap between primes once.
+    The blocks only mark where the walk yields: each block's columns are
+    computed when asked for, and the stride does not change the work. Over
+    [3, 2e5] mod p^2 in blocks of 10,000 primes a run took 2.2 s at width 1,
+    4.2 s at width 2 and 6.7-7.0 s at width 3 (2-core host, Python 3.11).
     """
     ps = [p for block in blocks for p in block]
     if not ps:
         return
     tree = _product_tree([(p ** e,) for p in ps], 0, len(ps))
     m, first = tree[0], ps[0]
-    x = (1 % m, 1 % m)[:width]
+    x = (1 % m,) * width  # (0!, 0!, Der_0) at n = 1
     chunk = max(_LEAF_STEPS, m.bit_length() // first.bit_length())
     for a in range(1, first, chunk):
         x = _then(x, _steps(a, min(a + chunk, first), width), m)
@@ -730,14 +715,27 @@ def wilson_column(primes, fs) -> list[int]:
     return [wilson_quotient(p, f) % p for p, f in zip(primes, fs)]
 
 
-def gertsch_column(primes, fs, ks) -> list[int]:
-    """Gertsch_p mod p from fs = (p-1)! and ks = !p mod p^2. Wilson's
-    congruence, checked first, makes (p-1)! a unit mod p^2, which
-    `bell_mod` then inverts instead of building it again; with no power
-    table passed, it takes the split form `_bell_split`."""
-    gs = []
-    for p, f, k in zip(primes, fs, ks):
-        wilson_quotient(p, f)
-        gs.append(gertsch_quotient(p, k, bell_mod(p - 1, p * p, f)))
-    return gs
+def gertsch_column(primes, fs, ks, ds) -> list[int]:
+    """Gertsch_p mod p from the width-3 columns fs = (p-1)!, ks = !p and
+    ds = Der_{p-1} mod p^2, with one loop mod p per prime.
 
+    The explicit sum and j^(p-1) = 1 + p q_p(j) give Bell_{p-1} =
+    1 - D_{p-1} + p T (mod p^2), D_{p-1} = Der_{p-1}/(p-1)! and
+    T = sum_j q_p(j) u_j mod p, u_j = D_{p-1-j}/j!. By Wilson's reflection
+    u_j = -e_{p-1-j} (mod p) for e_n = (-1)^n Der_n = 1 - n e_{n-1}, so
+    `_fermat_sum` of the reversed e is -T. Wilson's congruence on f,
+    e_{p-1} = d (mod p) and the Gertsch numerator's divisibility each
+    raise InvariantViolation when they fail."""
+    gs = []
+    for p, f, k, d in zip(primes, fs, ks, ds):
+        wilson_quotient(p, f)
+        e, x = [1] * p, 1
+        for n in range(1, p):
+            x = (1 - n * x) % p
+            e[n] = x
+        if (x - d) % p:
+            raise InvariantViolation(f"derangement column failed at {p}")
+        e.reverse()
+        b2 = 1 - d * pow(f, -1, p * p) - p * _fermat_sum(p, e)
+        gs.append(gertsch_quotient(p, k, b2 % (p * p)))
+    return gs

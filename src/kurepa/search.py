@@ -44,10 +44,10 @@ CHECKPOINT_VERSION = 1
 # ---------------------------------------------------------------------------
 # Campaign predicates (block scans: primes, columns, params -> hits). A
 # campaign that declares an exponent e reads the block's columns mod p^e
-# from the run's `_kernels.run_columns`: ((p-1)!, !p) if it declares that it
-# reads !p (kurepa_zero and the gertsch campaigns), else ((p-1)!,) alone,
-# which the run carries at half the cost (the Wilson campaigns and
-# qpm_zero). The others get None.
+# from the run's `_kernels.run_columns` at the width it declares:
+# ((p-1)!,) alone, which the run carries at half the cost (the Wilson
+# campaigns and qpm_zero), ((p-1)!, !p) (kurepa_zero), or
+# ((p-1)!, !p, Der_{p-1}) (the gertsch campaigns). The others get None.
 
 def _scan_wilson_zero(primes, cols, params):
     ws = _kernels.wilson_column(primes, cols[0])
@@ -117,9 +117,9 @@ class Campaign:
     expected: Optional[tuple] = None
     # the scan reads columns mod p^e; None: it reads no columns
     e: Optional[int] = None
-    # True: the columns are ((p-1)!, !p); False: ((p-1)!,) alone, and the
-    # run carries no !p
-    left_factorial: bool = False
+    # the columns the scan reads, and the run carries: 1, ((p-1)!,);
+    # 2, ((p-1)!, !p); 3, ((p-1)!, !p, Der_{p-1})
+    width: int = 1
     # the params the scan reads, each with its default; a run's checkpoint
     # records them, and a resume must pass the same. A campaign that takes
     # m_max tests each m in 2..m_max at each prime, so its hits are (m, p)
@@ -172,10 +172,10 @@ CAMPAIGNS: dict[str, Campaign] = {c.name: c for c in [
              _scan_mirimanoff, expected=(3, 1_100_000, (11, 1_006_003), "equal")),
     Campaign("gertsch_wilson", "Gertsch_p = W_p (mod p)",
              _scan_gertsch_wilson, expected=(3, 3000, (3, 7, 2887), "equal"), e=2,
-             left_factorial=True),
+             width=3),
     Campaign("gertsch_zero", "Gertsch_p = 0 (mod p): no hits known",
              _scan_gertsch_zero, expected=(3, 3000, (), "equal"), e=2,
-             left_factorial=True),
+             width=3),
     Campaign("wilson_plus_two", "W_p + 2 = 0 (mod p)",
              _scan_wilson_plus_two, expected=(3, 2000, (3, 7, 71), "equal"), e=2),
     Campaign("wilson_plus_half", "W_p + 1/2 = 0 (mod p)",
@@ -183,7 +183,7 @@ CAMPAIGNS: dict[str, Campaign] = {c.name: c for c in [
              e=2),
     Campaign("kurepa_zero", "!p = 0 (mod p): no hits known",
              _scan_kurepa_zero, expected=(3, 100_000, (), "equal"), e=1,
-             left_factorial=True),
+             width=2),
     Campaign("qpm_zero", "pairs (m, p) with AG_p + q_p(m) = 0 (mod p)",
              _scan_qpm_zero,
              expected=(3, 37, ((2, 3), (6, 7), (14, 19), (5, 23), (19, 31),
@@ -409,8 +409,8 @@ def run_campaign(name: str, lo: int, hi: int, *,
     checkpoint, final and durable. A failed write raises CheckpointError
     (chained from the OSError), unless the scan itself raised first.
 
-    A campaign that reads the (p-1)! column, and !p if it declares so,
-    sieves the run's primes up front and reads each block's columns from
+    A campaign that reads the (p-1)! column, and !p and Der_{p-1} if its
+    width says so, sieves the run's primes up front and reads each block's columns from
     one remainder tree over the run (`_kernels.run_columns`): it folds from
     n = 1 to the run's first prime once, and computes a block's columns
     only when that block is scanned. The Fermat-quotient campaigns stream
@@ -483,8 +483,7 @@ def _advance(campaign: Campaign, ck: Checkpoint, start: int, stride: int,
         if campaign.e is not None:
             # the run's tree needs every block's modulus before the first
             blocks = list(blocks)
-            columns = _kernels.run_columns(
-                blocks, campaign.e, 2 if campaign.left_factorial else 1)
+            columns = _kernels.run_columns(blocks, campaign.e, campaign.width)
         for block in blocks:
             hits = _scan_block(campaign, block, params, columns)
             ck.hits.extend(hits)

@@ -14,16 +14,17 @@ def fresh_records():
 @pytest.fixture
 def plant_kurepa_zero(monkeypatch):
     """plant(q) makes the prime q a Kurepa zero, !q = 0 (mod q), for every
-    reader of the run tree's !p column: the `kurepa_zero` campaign, so
-    `search.kurepa_zeros`, and the residue records. The exact !n, n >= q, is
-    multiplied by q, as a real zero would make q divide it, so the exact
-    gcd(!n, n!) is not 2 there."""
+    reader of the run tree's width-2 !p column: the `kurepa_zero` campaign,
+    so `search.kurepa_zeros`, and the residue records. Width-1 and width-3
+    runs pass through unchanged. The exact !n, n >= q, is multiplied by q,
+    as a real zero would make q divide it, so the exact gcd(!n, n!) is not
+    2 there."""
     def plant(q):
         columns, left_factorial = K.run_columns, exact.left_factorial
 
         def planted(blocks, e, width=2):
             for block, cols in zip(blocks, columns(blocks, e, width)):
-                if width == 1:
+                if width != 2:
                     yield cols
                     continue
                 fs, ks = cols

@@ -4,7 +4,8 @@ Each is the plain loop, triangle or recurrence that a `kurepa._kernels`
 route replaces: `kurepa_mod_py` checks the block kernel's !p column, the
 Aitken triangle the Bell row and `bell_mod`, and the two recurrences the
 Bernoulli and Gregory power-series tables. `kurepa_gf_mod_py` checks the !p
-column mod p by the GF(p) falling-product form. `gertsch_split_py` checks
+column mod p by the GF(p) falling-product form, and `derangement_mod_py` the
+run tree's Der_{p-1} column by its recurrence. `gertsch_split_py` checks
 Gertsch_p mod p at primes too large for the triangle, in O(p) without
 Bell_{p-1}. `inverse_table`, the recurrence 1/i = -(p // i) / (p mod i),
 feeds the two recurrences and the tables' congruence test; production reads
@@ -76,6 +77,15 @@ def kurepa_mod_py(p: int, m: int) -> int:
         f = f * n % m
         s += f
     return s % m
+
+
+def derangement_mod_py(n: int, m: int) -> int:
+    """Der_n mod m, the number of derangements of n objects, by
+    Der_k = k Der_{k-1} + (-1)^k from Der_0 = 1."""
+    d = 1 % m
+    for k in range(1, n + 1):
+        d = (k * d - 1 if k & 1 else k * d + 1) % m
+    return d
 
 
 def kurepa_gf_mod_py(p: int) -> int:

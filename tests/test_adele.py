@@ -270,8 +270,8 @@ def _exact_named(p):
 def _column_named(primes):
     """The constants a campaign reads, from the columns mod p^2 of one
     run-tree block; !p mod p is the !p column reduced mod p."""
-    fs, ks2 = next(K.run_columns([primes], 2))
-    ws, gs = K.wilson_column(primes, fs), K.gertsch_column(primes, fs, ks2)
+    fs, ks2, ds = next(K.run_columns([primes], 2, 3))
+    ws, gs = K.wilson_column(primes, fs), K.gertsch_column(primes, fs, ks2, ds)
     ks = [k % p for p, k in zip(primes, ks2)]
     q2 = [(pow(2, p - 1, p * p) - 1) // p for p in primes]
     return {"gamma_W": ws, "gamma_Kp": ks, "gamma_G": gs,

@@ -1,11 +1,14 @@
 """Kernel tests: every table kernel agrees with the exact big-integer oracle
 reduced mod m, and each power-series table with its O(p^2) triangle or
-recurrence; the run tree behind the (p-1)! and !p columns agrees block by
-block with the per-prime O(p) loops, and so do the column campaigns' hits;
-every production Fermat quotient reads one helper."""
+recurrence; the run tree behind the (p-1)!, !p and Der_{p-1} columns agrees
+block by block with the per-prime O(p) loops, and so do the column
+campaigns' hits; every production Fermat quotient reads one helper."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 import threading
 from collections import Counter
 from fractions import Fraction
@@ -19,9 +22,9 @@ from kurepa import exact, search
 from kurepa import residues as R
 from kurepa.errors import InvariantViolation
 from kurepa.modmath import PrimeRange, fraction_residue, rational_residue, sieve_primes
-from oracles import (bell_seq_mod_py, bernoulli_table_mod_py, factorials_py,
-                     gregory_table_mod_py, inverse_table, kurepa_gf_mod_py,
-                     kurepa_mod_py, unit_top_py)
+from oracles import (bell_seq_mod_py, bernoulli_table_mod_py, derangement_mod_py,
+                     factorials_py, gregory_table_mod_py, inverse_table,
+                     kurepa_gf_mod_py, kurepa_mod_py, unit_top_py)
 
 PRIMES = [3, 5, 7, 11, 13, 17, 31, 97, 101, 563]
 
@@ -104,9 +107,9 @@ def test_wilson_column_values():
 
 def test_gertsch_wilson_column_values():
     primes = [3, 5, 7, 11, 13]
-    fs, ks = next(K.run_columns([primes], 2))
-    assert K.gertsch_column(primes, fs, ks) == [exact.gertsch_quotient_exact(p) % p
-                                               for p in primes]
+    fs, ks, ds = next(K.run_columns([primes], 2, 3))
+    assert K.gertsch_column(primes, fs, ks, ds) == [
+        exact.gertsch_quotient_exact(p) % p for p in primes]
     assert K.wilson_column(primes, fs) == [exact.wilson_quotient_exact(p) % p
                                            for p in primes]
 
@@ -154,23 +157,23 @@ def test_bell_mod_non_unit_factorial_uses_triangle():
 
 @pytest.mark.parametrize("c", [4, 9, 15, 21, 25])
 def test_gertsch_wilson_column_rejects_composite(c):
-    fs, ks = next(K.run_columns([[c]], 2))
+    fs, ks, ds = next(K.run_columns([[c]], 2, 3))
     with pytest.raises(InvariantViolation):
-        K.gertsch_column([c], fs, ks)
+        K.gertsch_column([c], fs, ks, ds)
 
 
 @pytest.mark.parametrize("p", [3, 1511, 32771])
 def test_gertsch_column_rejects_a_wrong_column(p):
-    (f,), (k,) = next(K.run_columns([[p]], 2))
-    for fs, ks in (([f + 1], [k]), ([f], [k + 1])):
+    (f,), (k,), (d,) = next(K.run_columns([[p]], 2, 3))
+    for cols in (([f + 1], [k], [d]), ([f], [k + 1], [d]), ([f], [k], [d + 1])):
         with pytest.raises(InvariantViolation):
-            K.gertsch_column([p], fs, ks)
+            K.gertsch_column([p], *cols)
 
 
-# Bell_{p-1} mod p^2 with no power table, the Gertsch column's call: the
-# split form, against the explicit sum over a power table and against the
-# triangle, on both sides of p^2 = 2^30, where residues mod p^2 take a
-# second 30-bit digit.
+# Gertsch_p mod p by the column route, one loop mod p and the Fermat-quotient
+# slice sums with no power table, against Bell_{p-1} mod p^2 by the explicit
+# sum over a power table and by the triangle, on both sides of p^2 = 2^30,
+# where residues mod p^2 take a second 30-bit digit.
 
 def _not_called(*args):
     raise AssertionError(f"called with {args}")
@@ -181,47 +184,75 @@ def _bell_by_table(p: int, f: int) -> int:
     return K.bell_mod(p - 1, m, f, tuple(K._powers(p - 1, p - 1, m)))
 
 
+def _loop_columns(primes) -> tuple[list[int], list[int], list[int]]:
+    """((p-1)!, !p, Der_{p-1}) mod p^2 for each p in primes, by the loops."""
+    return (*_columns_oracle(primes, 2),
+            [derangement_mod_py(p - 1, p * p) for p in primes])
+
+
 def test_bell_split_matches_the_table_route(monkeypatch):
     rng = random.Random(20261019)
     primes = (sieve_primes(3, 3000) + rng.sample(sieve_primes(3000, 1 << 15), 4)
               + [32749, 32771] + rng.sample(sieve_primes(1 << 15, 200_000), 4) + [199_999])
-    want = {}
-    for p in primes:
-        f = K.factorial_mod(p - 1, p * p)
-        want[p] = f, _bell_by_table(p, f)
+    fs, ks, ds = _loop_columns(primes)
+    want = [K.gertsch_quotient(p, k, _bell_by_table(p, f)) for p, f, k in zip(primes, fs, ks)]
     monkeypatch.setattr(K, "_powers", _not_called)
-    for p, (f, b) in want.items():
-        assert K.bell_mod(p - 1, p * p, f) == b, p
+    for p, g, w in zip(primes, K.gertsch_column(primes, fs, ks, ds), want):
+        assert g == w, p
 
 
 def test_bell_split_matches_triangle(monkeypatch):
     monkeypatch.setattr(K, "_powers", _not_called)
     rng = random.Random(20261020)
-    for p in sieve_primes(3, 600) + rng.sample(sieve_primes(600, 3000), 3):
-        assert K.bell_mod(p - 1, p * p) == bell_seq_mod_py(p - 1, p * p)[p - 1], p
+    primes = sieve_primes(3, 600) + rng.sample(sieve_primes(600, 3000), 3)
+    fs, ks, ds = _loop_columns(primes)
+    for p, k, g in zip(primes, ks, K.gertsch_column(primes, fs, ks, ds)):
+        assert g == K.gertsch_quotient(p, k, bell_seq_mod_py(p - 1, p * p)[p - 1]), p
 
 
 def test_gertsch_campaigns_build_no_power_table(monkeypatch):
     primes = sieve_primes(1500, 1700)
-    fs, ks = _columns_oracle(primes, 2)
+    fs, ks, ds = _loop_columns(primes)
     gs = [K.gertsch_quotient(p, k, _bell_by_table(p, f)) for p, f, k in zip(primes, fs, ks)]
     ws = [(f + 1) // p % p for p, f in zip(primes, fs)]
     want = {"gertsch_wilson": [p for p, g, w in zip(primes, gs, ws) if g == w],
             "gertsch_zero": [p for p, g in zip(primes, gs) if g == 0]}
     monkeypatch.setattr(K, "_powers", _not_called)
-    assert K.gertsch_column(primes, fs, ks) == gs
+    assert K.gertsch_column(primes, fs, ks, ds) == gs
     for name, hits in want.items():
         for stride in (1, 7):
             assert search.run_campaign(name, 1500, 1700, stride=stride).hits == hits, (name, stride)
 
 
+def test_gertsch_column_matches_the_record():
+    primes = sieve_primes(3, 3000) + sieve_primes(32_700, 32_800)
+    got = K.gertsch_column(primes, *_loop_columns(primes))
+    for p, g in zip(primes, got):
+        assert g == R.PrimeContext(p, bell_cap=10 ** 6).gertsch, p
+
+
 def test_record_bell_keeps_the_explicit_sum(monkeypatch):
     p = 3001
     b3 = K.bell_seq_mod(p - 1, p ** 3)[p - 1]
-    split = K.bell_mod(p - 1, p * p)
-    monkeypatch.setattr(K, "_bell_split", _not_called)
-    assert R.PrimeContext(p).bell2 == split == b3 % p ** 2
+    (g,) = K.gertsch_column([p], *_loop_columns([p]))
+    monkeypatch.setattr(K, "_fermat_sum", _not_called)
+    assert R.PrimeContext(p).bell2 == b3 % p ** 2
     assert R.PrimeContext(p).bell3 == b3
+    assert R.PrimeContext(p).gertsch == g
+
+
+def test_gertsch_run_builds_no_composite_table():
+    # in a fresh process, so no earlier reader has filled either memo
+    code = ("from kurepa import _kernels as K, search\n"
+            "assert search.run_campaign('gertsch_wilson', 19_000, 20_000).hits == []\n"
+            "print(list(K._factorization), *K._primes)")
+    src = os.path.dirname(os.path.dirname(K.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    held, bound = out.split()
+    assert held == "[]" and int(bound) >= 19_996, out
 
 
 # ((p-1)! mod p^e, !p mod p^e) by the one-block case of the run tree, against
@@ -324,6 +355,30 @@ def test_width_one_then_and_mod_are_exact_reduced(x, y, m):
     assert K._mod(x, m) == (x[0] % m, x[1] % m)
 
 
+# Width 3 adds R, the span of Der_n, to the pair: its first two components
+# are the pair's, it carries Der_{a-1} to Der_{b-1} as d -> P*d + R, and
+# `_then` and `_mod` on it are the exact results reduced.
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.integers(1, 3000), g1=_GAPS, g2=_GAPS)
+def test_width_three_spans_carry_derangements(a, g1, g2):
+    b, c = a + g1, a + g1 + g2
+    x, y, whole = K._steps(a, b, 3), K._steps(b, c, 3), K._steps(a, c, 3)
+    assert whole[:2] == K._steps(a, c)
+    assert K._then(x, y) == whole
+    assert x[0] * exact.derangement_exact(a - 1) + x[2] == exact.derangement_exact(b - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=_SPANS, y=_SPANS, r=st.tuples(st.integers(0, 1 << 3000), st.integers(0, 1 << 3000)),
+       m=_MODULI)
+def test_width_three_then_and_mod_are_exact_reduced(x, y, r, m):
+    x3, y3 = (*x, r[0]), (*y, r[1])
+    whole = K._then(x3, y3)
+    assert whole == (*K._then(x, y), y[0] * r[0] + r[1])
+    assert K._then(x3, y3, m) == K._mod(whole, m) == tuple(v % m for v in whole)
+
+
 # The run-level tree: every block's columns from `run_columns` against the
 # per-prime loops, and every column campaign's hits against hits computed
 # per prime from those loops.
@@ -333,14 +388,18 @@ def _blocks(primes, size):
 
 
 def _assert_run_matches_loops(blocks, e):
-    # the pair route against the loops, and the width-1 route, which carries
-    # (p-1)! alone, against both
+    # the pair route against the loops, the width-1 route, which carries
+    # (p-1)! alone, against both, and the width-3 route, which adds
+    # Der_{p-1}, against the pair and the derangement loop
     got, facts = list(K.run_columns(blocks, e)), list(K.run_columns(blocks, e, 1))
-    assert len(got) == len(facts) == len(blocks)
-    for block, cols, fs in zip(blocks, got, facts):
+    triples = list(K.run_columns(blocks, e, 3))
+    assert len(got) == len(facts) == len(triples) == len(blocks)
+    for block, cols, fs, cols3 in zip(blocks, got, facts, triples):
         want = _columns_oracle(block, e)
         assert cols == want, (block[0], len(block))
         assert fs == (want[0],) == cols[:1], (block[0], len(block))
+        ders = [derangement_mod_py(p - 1, p ** e) for p in block]
+        assert cols3 == (*want, ders), (block[0], len(block))
 
 
 @pytest.mark.parametrize("e", [1, 2, 3])
@@ -366,7 +425,8 @@ def test_run_columns_match_loops_seeded_windows(e):
 def test_run_columns_single_prime_runs(e):
     for p in (3, 5, 7919):
         _assert_run_matches_loops([[p]], e)
-    assert list(K.run_columns([], e)) == list(K.run_columns([], e, 1)) == []
+    assert (list(K.run_columns([], e)) == list(K.run_columns([], e, 1))
+            == list(K.run_columns([], e, 3)) == [])
 
 
 def test_run_columns_compute_one_block_per_step(monkeypatch):
@@ -394,7 +454,7 @@ def test_run_columns_work_does_not_depend_on_the_stride(monkeypatch, e):
     monkeypatch.setattr(K, "_then", lambda *a: calls.update(["_then"]) or then(*a))
     monkeypatch.setattr(K, "_steps", lambda *a: calls.update(["_steps"]) or steps(*a))
     primes = sieve_primes(3, 3000)
-    for width in (1, 2):
+    for width in (1, 2, 3):
         work = []
         for size in (1, 7, 128, len(primes)):
             calls.clear()
@@ -435,9 +495,10 @@ def _oracle_hits(name, p, f, k):
     return [p] if hit else []
 
 
-# the campaigns that read the !p column; the other column campaigns read
-# (p-1)! alone, and their runs carry no !p
-_LEFT_FACTORIAL = {"kurepa_zero", "gertsch_wilson", "gertsch_zero"}
+# the widths of the column campaigns that read the !p column, 3 where they
+# read Der_{p-1} too; the other column campaigns read (p-1)! alone, at
+# width 1, and their runs carry no !p
+_WIDTH = {"kurepa_zero": 2, "gertsch_wilson": 3, "gertsch_zero": 3}
 
 
 def test_campaigns_declare_their_column_exponent():
@@ -445,8 +506,9 @@ def test_campaigns_declare_their_column_exponent():
 
 
 def test_campaigns_declare_whether_they_read_left_factorials():
-    assert {name for name, c in search.CAMPAIGNS.items()
-            if c.left_factorial} == _LEFT_FACTORIAL
+    assert {name: c.width for name, c in search.CAMPAIGNS.items()
+            if c.e is not None} == {name: _WIDTH.get(name, 1)
+                                    for name, e in _COLUMN_E.items() if e}
 
 
 @pytest.mark.parametrize("name", sorted(n for n, e in _COLUMN_E.items() if e))
@@ -461,7 +523,7 @@ def test_column_campaign_runs_carry_the_columns_they_read(monkeypatch, name):
 
     monkeypatch.setattr(K, "run_columns", recorded)
     search.run_campaign(name, 3, 200, stride=7)
-    assert calls == [(_COLUMN_E[name], 2 if name in _LEFT_FACTORIAL else 1)]
+    assert calls == [(_COLUMN_E[name], _WIDTH.get(name, 1))]
 
 
 @pytest.mark.parametrize("name", sorted(n for n, e in _COLUMN_E.items() if e))

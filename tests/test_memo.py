@@ -10,7 +10,7 @@ from kurepa import _kernels, _memo, checks, exact, factorizer, residues, search
 from oracles import gregory_table_mod_py
 from test_exact import bernoulli_akiyama_tanigawa, gregory_integral_oracle
 
-MEMOS = {("kurepa._kernels", "_factorization"),
+MEMOS = {("kurepa._kernels", "_factorization"), ("kurepa._kernels", "_primes"),
          ("kurepa.exact", "_bern"), ("kurepa.exact", "_greg"),
          ("kurepa.factorizer", "_trial_primes"), ("kurepa.residues", "_records"),
          ("kurepa.residues", "_gregory_tables"), ("kurepa.search", "_kurepa_prefix")}

@@ -91,18 +91,22 @@ class TestZeroCampaignWiring:
     @pytest.mark.parametrize("name", ["gertsch_zero", "kurepa_zero"])
     def test_planted_zeros_are_the_hits(self, monkeypatch, name):
         seen = []
-        # gertsch_zero reads the true (p-1)! mod p^2 column; for kurepa_zero
-        # it is all zeros, so reading it fails
+        # gertsch_zero reads the true (p-1)! and Der_{p-1} mod p^2 columns;
+        # for kurepa_zero (p-1)! is all zeros, so reading it fails
         primes = list(iter_primes(3, 1100))
-        fact = (dict(zip(primes, next(K.run_columns([primes], 2))[0]))
-                if name == "gertsch_zero" else dict.fromkeys(primes, 0))
+        fs, _, ds = next(K.run_columns([primes], 2, 3))
+        fact = (dict(zip(primes, fs)) if name == "gertsch_zero"
+                else dict.fromkeys(primes, 0))
+        der = dict(zip(primes, ds))
 
         def planted(blocks, e, width=2):
-            assert (e, width) == (S.CAMPAIGNS[name].e, 2)
+            assert (e, width) == (S.CAMPAIGNS[name].e,
+                                  3 if name == "gertsch_zero" else 2)
             for block in blocks:
                 seen.extend(block)
                 yield ([fact[p] for p in block],
-                       [self._k(name, p, p in self.PLANTED) for p in block])
+                       [self._k(name, p, p in self.PLANTED) for p in block],
+                       [der[p] for p in block])[:width]
 
         monkeypatch.setattr(K, "run_columns", planted)
         assert S.run_campaign(name, 2, 1100, stride=100).hits == self.PLANTED
@@ -699,7 +703,7 @@ class TestWilsonFamily:
     interrupted and resumed, and a sharded run, give the serial run's hits
     at every stride."""
     NAMES = sorted(n for n, c in S.CAMPAIGNS.items()
-                   if c.e is not None and not c.left_factorial)
+                   if c.e is not None and c.width == 1)
     HI = 1200   # past a hit of each: 563, 71, 1163 and (20, 37)
 
     def test_the_four_campaigns(self):
