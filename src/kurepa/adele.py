@@ -10,13 +10,12 @@ confined to a small initial segment.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import _kernels, residues
 from .errors import DomainError
-from .modmath import UNDEFINED, PrimeRange, Residue, rational_residue
+from .modmath import UNDEFINED, PrimeRange, Residue, _Frozen, rational_residue
 
 __all__ = [
     "AdeleElement",
@@ -38,16 +37,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AdeleElement:
+class AdeleElement(_Frozen):
     """A family (r_p mod p) over the primes of a window."""
 
-    window: PrimeRange
-    residues: dict[int, int]
-    undefined_at: frozenset[int] = field(default_factory=frozenset)
+    __slots__ = _fields = ("window", "residues", "undefined_at")
 
-    def __post_init__(self):
-        object.__setattr__(self, "undefined_at", frozenset(self.undefined_at))
+    def __init__(self, window: PrimeRange, residues: dict[int, int],
+                 undefined_at: Iterable[int] = frozenset()):
+        super().__init__(window, residues, frozenset(undefined_at))
 
     def residue(self, p: int) -> Residue:
         return Residue(self.residues[p], p)
@@ -107,8 +104,7 @@ class AdeleElement:
                             frozenset(int(p) for p in obj["undefined_at"]))
 
 
-@dataclass(frozen=True)
-class AdeleComparison:
+class AdeleComparison(NamedTuple):
     """Evidence from comparing two elements on their window.
 
     agree_from is the smallest window prime past the last mismatch (None when

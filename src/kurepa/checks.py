@@ -15,10 +15,9 @@ outcomes materialize both sides so reports are self-contained.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import config, exact, residues, search
 from .errors import CapacityError, DomainError, EmptyRangeError
@@ -41,8 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     check_id: str
     p: int
     lhs: object
@@ -61,8 +59,7 @@ def _plain(v):
     return list(v) if isinstance(v, tuple) else v
 
 
-@dataclass(frozen=True)
-class CheckDescriptor:
+class CheckDescriptor(NamedTuple):
     id: str
     kind: str                    # assert | measure | scan
     statement: str
@@ -385,11 +382,13 @@ def run_check(check_id: str, p: int,
                         note="not applicable", skipped=True)
 
 
-@dataclass
 class CatalogResult:
-    lo: int
-    hi: int
-    outcomes: list[CheckOutcome] = field(default_factory=list)
+    __slots__ = ("lo", "hi", "outcomes")
+
+    def __init__(self, lo: int, hi: int,
+                 outcomes: Optional[list[CheckOutcome]] = None):
+        self.lo, self.hi = lo, hi
+        self.outcomes = [] if outcomes is None else outcomes
 
     @property
     def assertion_failures(self) -> list[CheckOutcome]:

@@ -11,8 +11,8 @@ them, `_kernels._steps`; `tests/oracles.py` checks it by a plain loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import _kernels, config
 from ._memo import Memo
@@ -307,8 +307,7 @@ def giuga_sum(n: int) -> Residue:
     return Residue(s, n)
 
 
-@dataclass(frozen=True)
-class QuotientRecord:
+class QuotientRecord(NamedTuple):
     """All four quotients of one prime, exact."""
 
     p: int
@@ -330,8 +329,7 @@ def quotient_record(p: int) -> QuotientRecord:
 # ---------------------------------------------------------------------------
 # Left-factorial successor identities
 
-@dataclass(frozen=True)
-class SuccessorReport:
+class SuccessorReport(NamedTuple):
     """Exact evaluation of !(n+1) = !n + n! and the factorial step identity."""
 
     n: int
@@ -355,8 +353,7 @@ def _successor_report(n: int, lf: int, lf_next: int,
     return SuccessorReport(n=n, step_holds=step, factorial_diff_holds=diff)
 
 
-@dataclass(frozen=True)
-class GenusSplitReport:
+class GenusSplitReport(NamedTuple):
     """Exact evaluation of the claimed splitting
     (2g1-1)! + (2g2-1)! = (2(g1+g2)-1)!.
 

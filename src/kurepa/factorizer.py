@@ -9,8 +9,7 @@ flagged; a wrong factorization is never returned (recomposition is asserted).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import config, search
 from ._memo import Memo
@@ -37,8 +36,7 @@ def _trial_prime_list() -> list[int]:
         return _trial_primes[_TRIAL_LIMIT]
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """factors multiplied by the cofactor always recompose n exactly;
     complete means the cofactor is 1."""
 
@@ -174,8 +172,7 @@ def left_factorial_minus_one_table(n_max: int = 24,
             for n in range(3, n_max + 1)]
 
 
-@dataclass(frozen=True)
-class GcdReport:
+class GcdReport(NamedTuple):
     n_max: int
     all_two: bool
     failures: tuple[tuple[int, int], ...]  # (n, gcd) where gcd != 2

@@ -9,7 +9,6 @@ hits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import Iterator
@@ -33,23 +32,58 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
+# Records
+
+class _Frozen:
+    """Base of the slotted records whose fields `__init__` sets once, in the
+    order of `_fields`. Assigning or deleting a field raises AttributeError;
+    two records are equal when their classes and fields are; copy and pickle
+    rebuild a record through its constructor."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for name, v in zip(self._fields, values):
+            object.__setattr__(self, name, v)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return self.__class__, self._key()
+
+
+# ---------------------------------------------------------------------------
 # Residues
 
-@dataclass(frozen=True)
-class Residue:
+class Residue(_Frozen):
     """A canonical residue: value in [0, modulus), modulus >= 2.
 
     Arithmetic between residues requires equal moduli; plain ints are
     reduced on the fly.
     """
 
-    value: int
-    modulus: int
+    __slots__ = _fields = ("value", "modulus")
 
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise DomainError(f"modulus must be >= 2, got {self.modulus}")
-        object.__setattr__(self, "value", self.value % self.modulus)
+    def __init__(self, value: int, modulus: int):
+        if modulus < 2:
+            raise DomainError(f"modulus must be >= 2, got {modulus}")
+        super().__init__(value % modulus, modulus)
 
     def _coerce(self, other) -> int:
         if isinstance(other, Residue):
@@ -297,18 +331,17 @@ def sieve_primes(lo: int, hi: int) -> list[int]:
     return list(iter_primes(lo, hi))
 
 
-@dataclass(frozen=True)
-class PrimeRange:
+class PrimeRange(_Frozen):
     """An inclusive prime window [lo, hi]; iteration yields its primes."""
 
-    lo: int
-    hi: int
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo < 2:
-            raise DomainError(f"PrimeRange.lo must be >= 2, got {self.lo}")
-        if self.hi < self.lo:
-            raise EmptyRangeError(f"empty prime range [{self.lo}, {self.hi}]")
+    def __init__(self, lo: int, hi: int):
+        if lo < 2:
+            raise DomainError(f"PrimeRange.lo must be >= 2, got {lo}")
+        if hi < lo:
+            raise EmptyRangeError(f"empty prime range [{lo}, {hi}]")
+        super().__init__(lo, hi)
 
     def __iter__(self) -> Iterator[int]:
         return iter_primes(self.lo, self.hi)

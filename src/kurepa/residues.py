@@ -25,16 +25,15 @@ primes than fit keeps its first part instead of thrashing.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import accumulate, repeat
 from operator import floordiv, mod, mul
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import _kernels, config, exact
 from ._memo import Memo
 from .errors import CapacityError, DomainError, InvariantViolation
-from .modmath import UNDEFINED, Residue, fraction_residue, is_prime
+from .modmath import UNDEFINED, Residue, _Frozen, fraction_residue, is_prime
 
 __all__ = [
     "PrimeContext",
@@ -501,28 +500,33 @@ def gertsch_quotient_mod(p: int) -> Residue:
 # ---------------------------------------------------------------------------
 # Bernoulli / Gregory residue tables
 
-@dataclass(frozen=True)
-class BernoulliModTable:
+class _ModTable(_Frozen):
+    """A table of residues mod the prime p."""
+
+    __slots__ = _fields = ("p", "values")
+
+    def __init__(self, p: int, values: tuple[int, ...]):
+        super().__init__(p, values)
+
+    def __len__(self):
+        return len(self.values)
+
+
+class BernoulliModTable(_ModTable):
     """B_0..B_{p-2} mod p (length p-1)."""
 
-    p: int
-    values: tuple[int, ...]
+    __slots__ = ()
 
     def value(self, k: int) -> int:
         if not 0 <= k <= self.p - 2:
             raise DomainError(f"Bernoulli table index out of range: {k}")
         return self.values[k]
 
-    def __len__(self):
-        return len(self.values)
 
-
-@dataclass(frozen=True)
-class GregoryModTable:
+class GregoryModTable(_ModTable):
     """G_1..G_{p-2} mod p (length p-2); abs(n) gives |G_n| = (-1)^(n-1) G_n."""
 
-    p: int
-    values: tuple[int, ...]
+    __slots__ = ()
 
     def value(self, n: int) -> int:
         if not 1 <= n <= self.p - 2:
@@ -532,9 +536,6 @@ class GregoryModTable:
     def abs(self, n: int) -> int:
         v = self.value(n)
         return v if n % 2 == 1 else (self.p - v) % self.p
-
-    def __len__(self):
-        return len(self.values)
 
 
 def bernoulli_mod_table(p: int) -> BernoulliModTable:
@@ -560,8 +561,7 @@ def stirling2_row_mod(n: int, m: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Truncated Bernoulli sums
 
-@dataclass(frozen=True)
-class BernoulliIndexSums:
+class BernoulliIndexSums(NamedTuple):
     """The three truncated Bernoulli-over-index sums tied to W_p mod p:
 
         alternating = 1 + sum_{k=1}^{p-2} (-1)^k B_k/k  == W_p + 2   (mod p)
@@ -660,8 +660,7 @@ def power_sum_mod(p: int, e: int = 2) -> Residue:
 # ---------------------------------------------------------------------------
 # Full per-prime profile
 
-@dataclass(frozen=True)
-class ResidueProfile:
+class ResidueProfile(NamedTuple):
     """Every residue of interest at one prime, at modulus power e for the
     left-factorial/Bell pair and modulus p for the quotients."""
 
@@ -679,7 +678,7 @@ class ResidueProfile:
     bernoulli_sums: tuple[int, int, int]  # (alternating, plain, even) index sums mod p
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "bernoulli_sums": list(self.bernoulli_sums)}
+        return {**self._asdict(), "bernoulli_sums": list(self.bernoulli_sums)}
 
 
 def residue_profile(p: int, e: int = 1, bell_cap: int | None = None,

@@ -19,8 +19,7 @@ import os
 import threading
 import time
 from contextlib import suppress
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import _kernels, config
 from ._memo import Memo
@@ -105,26 +104,38 @@ def _scan_qpm_zero(primes, cols, params):
     return hits
 
 
-@dataclass(frozen=True)
-class Campaign:
-    """A campaign and its contract: the params a run takes and the hits a
-    run may hold. Every run, resume, shard merge and fixture check reads
-    them through `run_params` and `hit_key`."""
+class _CampaignFields(NamedTuple):
     name: str
     description: str
     scan: Callable[[list[int], Optional[tuple], dict], list]
     # desk-scale expected fixture: (lo, hi, hits, mode)
-    expected: Optional[tuple] = None
+    expected: Optional[tuple]
     # the scan reads columns mod p^e; None: it reads no columns
-    e: Optional[int] = None
+    e: Optional[int]
     # the columns the scan reads, and the run carries: 1, ((p-1)!,);
     # 2, ((p-1)!, !p); 3, ((p-1)!, !p, Der_{p-1})
-    width: int = 1
+    width: int
     # the params the scan reads, each with its default; a run's checkpoint
     # records them, and a resume must pass the same. A campaign that takes
     # m_max tests each m in 2..m_max at each prime, so its hits are (m, p)
     # pairs; the others' hits are primes.
-    params: dict = field(default_factory=dict)
+    params: dict
+
+
+class Campaign(_CampaignFields):
+    """A campaign and its contract: the params a run takes and the hits a
+    run may hold. Every run, resume, shard merge and fixture check reads
+    them through `run_params` and `hit_key`."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, description: str,
+                scan: Callable[[list[int], Optional[tuple], dict], list],
+                expected: Optional[tuple] = None, e: Optional[int] = None,
+                width: int = 1, params: Optional[dict] = None):
+        # each campaign holds its own params dict
+        return super().__new__(cls, name, description, scan, expected, e, width,
+                               {} if params is None else params)
 
     def run_params(self, params: Optional[dict]) -> dict:
         """The params of a run: each param the campaign takes, from params
@@ -195,16 +206,23 @@ CAMPAIGNS: dict[str, Campaign] = {c.name: c for c in [
 # ---------------------------------------------------------------------------
 # Checkpoints
 
-@dataclass
 class Checkpoint:
-    campaign: str
-    lo: int
-    hi: int
-    last_p: int          # last prime processed (lo-1 before any work)
-    hits: list = field(default_factory=list)
-    elapsed_s: float = 0.0
-    scanned: int = 0     # primes processed, for primes/second accounting
-    params: dict = field(default_factory=dict)  # `Campaign.run_params`
+    __slots__ = ("campaign", "lo", "hi", "last_p", "hits", "elapsed_s",
+                 "scanned", "params")
+
+    def __init__(self, campaign: str, lo: int, hi: int, last_p: int,
+                 hits: Optional[list] = None, elapsed_s: float = 0.0,
+                 scanned: int = 0, params: Optional[dict] = None):
+        self.campaign, self.lo, self.hi = campaign, lo, hi
+        self.last_p = last_p  # last prime processed (lo-1 before any work)
+        self.hits = [] if hits is None else hits
+        self.elapsed_s = elapsed_s
+        self.scanned = scanned  # primes processed, for primes/second accounting
+        self.params = {} if params is None else params  # `Campaign.run_params`
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"Checkpoint({fields})"
 
     @property
     def complete(self) -> bool:
@@ -565,8 +583,7 @@ def run_sharded(name: str, lo: int, hi: int, shards: int, *,
     return merged
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     campaign: str
     status: str            # pass | fail | inconclusive
     expected: tuple

@@ -10,8 +10,8 @@ diffs instead of silently "fixing" the reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple, Optional
 
 from . import exact, residues
 from .errors import DomainError
@@ -181,8 +181,7 @@ ERRATA = {
 }
 
 
-@dataclass(frozen=True)
-class CellDiff:
+class CellDiff(NamedTuple):
     row: object
     column: str
     reference: object
@@ -191,12 +190,15 @@ class CellDiff:
     note: str = ""
 
 
-@dataclass
 class TableReport:
-    name: str
-    rows: list = field(default_factory=list)
-    diffs: list = field(default_factory=list)
-    extra_rows: list = field(default_factory=list)
+    __slots__ = ("name", "rows", "diffs", "extra_rows")
+
+    def __init__(self, name: str, rows: Optional[list] = None,
+                 diffs: Optional[list] = None, extra_rows: Optional[list] = None):
+        self.name = name
+        self.rows = [] if rows is None else rows
+        self.diffs = [] if diffs is None else diffs
+        self.extra_rows = [] if extra_rows is None else extra_rows
 
     @property
     def unknown_diffs(self) -> list:

@@ -4,6 +4,9 @@ validation, as the CLI, the checkpoints and the reports read them."""
 
 import inspect
 import io
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +17,19 @@ from kurepa.modmath import PrimeRange, Residue
 
 _W = PrimeRange(3, 7)
 
+
+def test_import_builds_no_dataclass():
+    # in a fresh process, so no earlier import has loaded either module
+    code = ("import sys, kurepa.cli, kurepa.factorizer\n"
+            "from kurepa import modmath, _kernels, residues, exact, checks, "
+            "search, adele, tables\n"
+            "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == [], out
 
 # (record, every field in order, a value for each, the defaults); the
 # values are already canonical, so a record holds them as given
