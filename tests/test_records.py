@@ -5,6 +5,7 @@ validation, as the CLI, the checkpoints and the reports read them."""
 import inspect
 import io
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -123,7 +124,7 @@ def test_repr_lists_fields_in_order(cls, names, values, defaults):
 
 @pytest.mark.parametrize("cls, names, values, defaults", _FROZEN,
                          ids=[spec[0].__name__ for spec in _FROZEN])
-def test_frozen_equality_hash_and_assignment(cls, names, values, defaults):
+def test_frozen_equality_hash_assignment_and_pickle(cls, names, values, defaults):
     a, b = cls(*values), cls(*values)
     assert a == b and not a != b
     other = cls(*values[:-1], defaults.get(names[-1], values[-2]))
@@ -136,7 +137,11 @@ def test_frozen_equality_hash_and_assignment(cls, names, values, defaults):
     for name in names:
         with pytest.raises(AttributeError):
             setattr(a, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(a, name)
     assert _fields(a, names) == values
+    # a record sent to a worker process goes through pickle
+    assert _fields(pickle.loads(pickle.dumps(a)), names) == values
 
 
 @pytest.mark.parametrize("cls", _MUTABLE + (search.Campaign,),
