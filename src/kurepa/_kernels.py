@@ -14,15 +14,17 @@ The Bernoulli table is one such division of half its length, y coth y in
 u = y^2, since the odd B_k vanish. At a prime modulus the Bell row is a
 length-(p-1) DFT over F_p, which Bluestein's chirp-z (1970) turns into one
 product; at prime powers and composite moduli it is a divide-and-conquer
-solve of B' = e^x B; past its last unit index (the Touchard window) each
-value is one dot product. All four read one k!, 1/k! mod p pair from
-`_factorials`, one loop at a prime by Wilson's reflection, which the
-residue record passes; called without it, the Bell and Stirling rows build
-their own. The tables' O(p^2) oracles are in `tests/oracles.py`, except the
-Stirling triangle, which also serves rows whose factorials are not units
-mod m. `bell_mod` is the O(p) explicit sum over the power table j^(p-1)
-that the residue record builds anyway. Every power table (`_powers`) walks
-the memo `_factorization` of 1..N, grown by doubling, so no call sieves.
+solve of B' = e^x B. Past its last unit index (the Touchard window) each
+value is two slice sums at a prime, as C(p-1, k) = (-1)^k (mod p), and one
+dot product with a binomial row at a composite modulus. All four read one
+k!, 1/k! mod p pair from `_factorials`, one loop at a prime by Wilson's
+reflection, which the residue record passes; called without it, the Bell
+and Stirling rows build their own. The tables' O(p^2) oracles are in
+`tests/oracles.py`, except the Stirling triangle, which also serves rows
+whose factorials are not units mod m. `bell_mod` is the O(p) explicit sum
+over the power table j^(p-1) that the residue record builds anyway. Every
+power table (`_powers`) walks the memo `_factorization` of 1..N, grown by
+doubling, so no call sieves.
 (p-1)!, !p and Der_{p-1} mod p^e have one route, the run tree
 `run_columns`, one product tree over a run's primes walked once: at width
 1 ((p-1)! alone) for the Wilson campaigns and `qpm_zero`, 2 (with !p) for
@@ -359,11 +361,13 @@ def _bell_row_prime(p: int, inv_fact) -> list[int]:
     chirp = list(map(xs.__getitem__, ex))
     ichirp = list(map(xs.__getitem__, map(neg, ex)))
     f = [x * y % p for x, y in zip(map(w.__getitem__, xs), ichirp)]
-    # c[L-1+n] - c[n-1] = sum_a f_a chirp_(a+n), as chirp_(k+L) = -chirp_k
+    # c[L-1+n] - c[n-1] = sum_a f_a chirp_(a+n), as chirp_(k+L) = -chirp_k,
+    # paired by zip for n = 1..L-1; at n = 0 the sum is c[L-1] alone
     c = _series_mul(f[::-1], chirp, 2 * L - 1, p)
-    d = [c[L - 1]] + [c[L - 1 + n] - c[n - 1] for n in range(1, L)]
-    return ([(w[0] + d[0]) % p] + [x * y % p for x, y in zip(ichirp[1:], d[1:])]
-            + [d[0]])
+    d0 = c[L - 1]
+    return ([(w[0] + d0) % p]
+            + [x * (a - b) % p for x, a, b in zip(ichirp[1:], c[L:], c)]
+            + [d0])
 
 
 def bell_seq_mod(n: int, m: int, facts: tuple | None = None) -> list[int]:
@@ -376,23 +380,31 @@ def bell_seq_mod(n: int, m: int, facts: tuple | None = None) -> list[int]:
     solved by divide and conquer: the left half's terms reach the right half
     in one series product. Past the last unit index t, umbrally
     Bell^(r+1) = (Bell + 1)^r (Bell_{r+1} = sum_k C(r,k) Bell_k), so
-    Bell_{t+i+1} = sum_{j<=i} C(i,j) T_j with T_j = sum_k C(t,k) Bell_{k+j}:
-    the row C(t, .) from factorials, then one dot product with it per value
-    and a short row C(i, .) by Pascal's rule (Bell_p..Bell_{p+5} mod p, or
-    small composite m).
+    Bell_{t+i+1} = sum_{j<=i} C(i,j) T_j with T_j = sum_k C(t,k) Bell_{k+j},
+    and a short row C(i, .) by Pascal's rule. At a prime m, t = m - 1 and
+    C(m-1, k) = (-1)^k (mod m), so T_j is two slice sums of the row, the
+    Bell_{k+j} at even k less those at odd k (Bell_p..Bell_{p+5} mod p for
+    the record). At a composite m, t < m - 1 and the row C(t, .) comes from
+    factorials, then one dot product with it per value.
     """
     top = _unit_top(n, m)
     fact, inv_fact = facts or _factorials(top, m)
-    if top == m - 1:
+    prime = top == m - 1
+    if prime:
         bell = _bell_row_prime(m, inv_fact)
     else:
         bell = _bell_solve(top, m, fact, inv_fact)
     if n == top:
         return bell
-    row = [fact[top] * x % m for x in map(mul, inv_fact, reversed(inv_fact))]
+    if not prime:
+        row = [fact[top] * x % m for x in map(mul, inv_fact, reversed(inv_fact))]
     ts, small = [], [1 % m]  # small: C(i, .) mod m
     for i in range(n - top):
-        ts.append(sum(map(mul, row, islice(bell, i, None))) % m)
+        if prime:  # C(m-1, k) = (-1)^k (mod m)
+            t = sum(bell[i:i + m:2]) - sum(bell[i + 1:i + m:2])
+        else:
+            t = sum(map(mul, row, islice(bell, i, None)))
+        ts.append(t % m)
         bell.append(sum(map(mul, small, ts)) % m)
         small = [1 % m, *map(mod, map(add, small, small[1:]), repeat(m)), 1 % m]
     return bell

@@ -205,12 +205,8 @@ def _c21(ctx):
 
 
 def _c22(ctx):
-    p = ctx.p
-    s = 0
-    for m in range(p - 1):
-        t = ctx.inv[m + 1]
-        s = (s + t) if m % 2 == 0 else (s - t)
-    return s % p, 2 * ctx.q(2) % p
+    p, inv = ctx.p, ctx.inv
+    return (sum(inv[1:p:2]) - sum(inv[2:p:2])) % p, 2 * ctx.q(2) % p
 
 
 def _c23(ctx):

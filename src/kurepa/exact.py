@@ -5,7 +5,9 @@ This module is the oracle side of every dual-route check: no floats anywhere,
 Bernoulli/Gregory values are Fractions, quotients are exact divisions with
 divisibility asserted. The fast per-prime kernels in `residues` must agree
 with these values reduced mod p^e. Only the left factorial shares code with
-them, `_kernels._steps`; `tests/oracles.py` checks it by a plain loop.
+them, `_kernels._steps`; `tests/oracles.py` checks it by a plain loop, and
+the Bernoulli numbers, which come from integer tangent numbers, by the
+Fraction recurrence.
 """
 
 from __future__ import annotations
@@ -114,8 +116,8 @@ def stirling2(n: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli and Gregory numbers by index, each memo extended in order under its
-# lock, so concurrent callers see identical values regardless of interleaving
+# Bernoulli and Gregory numbers by index, each memo filled under its lock, so
+# concurrent callers see identical values regardless of interleaving
 
 _bern = Memo()
 _greg = Memo()
@@ -124,7 +126,9 @@ _greg = Memo()
 def bernoulli_exact(k: int) -> Fraction:
     """B_k as an exact Fraction (B_1 = -1/2 convention).
 
-    Extends the memo table via n*B_{n-1} + 1 + sum_{j=1}^{n-2} C(n,j)*B_j = 0.
+    A miss refills the memo with B_0..B_n from `_bernoulli_upto`, for
+    n = min(EXACT_BERNOULLI_CAP, max(k, 2 * size)), so indices growing to k
+    refill it O(log k) times.
     """
     if k < 0:
         raise DomainError("bernoulli needs k >= 0")
@@ -134,20 +138,30 @@ def bernoulli_exact(k: int) -> Fraction:
     if k % 2 == 1 and k > 1:
         return Fraction(0)
     with _bern.lock:
-        if not _bern:  # seeded at first use and after clear()
-            _bern.update({0: Fraction(1), 1: Fraction(-1, 2)})
-        while len(_bern) <= k:
-            n = len(_bern) + 1  # solving for B_{n-1}
-            if (n - 1) % 2 == 1:
-                _bern[n - 1] = Fraction(0)
-                continue
-            s = Fraction(1)
-            for j in range(1, n - 1):
-                bj = _bern[j]
-                if bj:
-                    s += math.comb(n, j) * bj
-            _bern[n - 1] = -s / n
+        if k >= len(_bern):
+            n = min(config.EXACT_BERNOULLI_CAP, max(k, 2 * len(_bern)))
+            _bern.update(enumerate(_bernoulli_upto(n)))
         return _bern[k]
+
+
+def _bernoulli_upto(n: int) -> list[Fraction]:
+    """[B_0, ..., B_n] from the tangent numbers T_1..T_h, h = n // 2, where
+    tan x = sum_k T_k x^(2k-1)/(2k-1)!, by Brent and Harvey's in-place
+    integer recurrence (2013), O(h^2) small-by-big products; then
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) and the odd B_k vanish past
+    B_1 = -1/2."""
+    h = n // 2
+    t = [0, 1] + [0] * (h - 1)  # t[k] = T_k for k = 1..h
+    for k in range(2, h + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, h + 1):
+        for j in range(k, h + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    b = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (n - 1)
+    for k in range(1, h + 1):
+        q = 4 ** k
+        b[2 * k] = Fraction(2 * k * t[k] if k % 2 else -2 * k * t[k], q * (q - 1))
+    return b[:n + 1]
 
 
 def gregory_exact(n: int) -> Fraction:

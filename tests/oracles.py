@@ -3,21 +3,24 @@
 Each is the plain loop, triangle or recurrence that a `kurepa._kernels`
 route replaces: `kurepa_mod_py` checks the block kernel's !p column, the
 Aitken triangle the Bell row and `bell_mod`, and the two recurrences the
-Bernoulli and Gregory power-series tables. `kurepa_gf_mod_py` checks the !p
-column mod p by the GF(p) falling-product form, and `derangement_mod_py` the
-run tree's Der_{p-1} column by its recurrence. `gertsch_split_py` checks
-Gertsch_p mod p at primes too large for the triangle, in O(p) without
-Bell_{p-1}. `inverse_table`, the recurrence 1/i = -(p // i) / (p mod i),
-feeds the two recurrences and the tables' congruence test; production reads
-1/k = (k-1)!/k! off the residue record's factorials. `left_factorials_py`
-checks the binary splitting of `exact.left_factorial`, `factorials_py` the
-Wilson reflection of `_kernels._factorials`, and `unit_top_py` the trial
-division of `_kernels._unit_top`. `kurepa_gcds_py`, the exact gcd(!n, n!)
-for every n, checks C25 and `factorizer.kurepa_gcd_check`, which read the
-`kurepa_zero` campaign instead. Only the tests import them.
+Bernoulli and Gregory power-series tables. `bernoulli_exact_py`, the
+Fraction recurrence, checks the tangent numbers of `exact.bernoulli_exact`.
+`kurepa_gf_mod_py` checks the !p column mod p by the GF(p) falling-product
+form, and `derangement_mod_py` the run tree's Der_{p-1} column by its
+recurrence. `gertsch_split_py` checks Gertsch_p mod p at primes too large
+for the triangle, in O(p) without Bell_{p-1}. `inverse_table`, the
+recurrence 1/i = -(p // i) / (p mod i), feeds the two recurrences and the
+tables' congruence test; production reads 1/k = (k-1)!/k! off the residue
+record's factorials. `left_factorials_py` checks the binary splitting of
+`exact.left_factorial`, `factorials_py` the Wilson reflection of
+`_kernels._factorials`, and `unit_top_py` the trial division of
+`_kernels._unit_top`. `kurepa_gcds_py`, the exact gcd(!n, n!) for every n,
+checks C25 and `factorizer.kurepa_gcd_check`, which read the `kurepa_zero`
+campaign instead. Only the tests import them.
 """
 
 import math
+from fractions import Fraction
 
 
 def left_factorials_py(n: int):
@@ -137,6 +140,20 @@ def bell_seq_mod_py(n: int, m: int) -> list[int]:
         row = new
         out.append(row[0])
     return out
+
+
+def bernoulli_exact_py(n: int) -> list[Fraction]:
+    """[B_0, ..., B_n] as Fractions (B_1 = -1/2), each even B_{m-1} solved
+    from m B_{m-1} + 1 + sum_{j=1}^{m-2} C(m,j) B_j = 0; O(n^2)."""
+    b = [Fraction(1), Fraction(-1, 2)][:n + 1]
+    for k in range(2, n + 1):
+        if k % 2:
+            b.append(Fraction(0))
+            continue
+        m = k + 1
+        s = 1 + sum(math.comb(m, j) * b[j] for j in range(1, m - 1) if b[j])
+        b.append(-s / m)
+    return b
 
 
 def bernoulli_table_mod_py(p: int) -> list[int]:

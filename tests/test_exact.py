@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from kurepa import config, exact, residues
+from kurepa import _memo, config, exact, residues
 from kurepa.errors import CapacityError, DomainError, InvariantViolation
-from oracles import left_factorials_py
+from oracles import bernoulli_exact_py, left_factorials_py
 
 
 class TestLeftFactorial:
@@ -188,6 +188,20 @@ class TestBernoulli:
     def test_cap(self):
         with pytest.raises(CapacityError):
             exact.bernoulli_exact(258)
+
+    @pytest.mark.parametrize("order, sizes", [
+        ((), ()), ((10, 100, 256), (11, 101, 257)), ((256, 10), (257, 257))])
+    def test_tangent_numbers_match_fraction_recurrence(self, order, sizes):
+        """Every B_k up to the cap equals the Fraction recurrence, read from
+        a memo filled from empty or grown through the given indices: a miss
+        fills B_0..B_n, n = min(cap, max(k, twice the memo's size))."""
+        _memo.clear_all()
+        for k, size in zip(order, sizes):
+            exact.bernoulli_exact(k)
+            assert len(exact._bern) == size, k
+        want = bernoulli_exact_py(config.EXACT_BERNOULLI_CAP)
+        assert [exact.bernoulli_exact(k)
+                for k in range(config.EXACT_BERNOULLI_CAP + 1)] == want
 
 
 def gregory_integral_oracle(n):

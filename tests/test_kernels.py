@@ -736,14 +736,15 @@ def test_unit_top_matches_scan():
 
 
 # The Bell row past its last unit index: the Touchard window Bell_p..Bell_{p+5}
-# mod p, and rows that run far past it at composite moduli.
+# mod p, and rows that run far past it, 40 values at odd primes (two slice
+# sums per value) and at composite moduli (one dot product per value).
 
 def test_touchard_window_matches_triangle_at_primes():
     for m in (2, 3, 5, 7, 101, 563):
         assert K.bell_seq_mod(m + 5, m) == bell_seq_mod_py(m + 5, m), m
 
 
-@pytest.mark.parametrize("m", [4, 9, 15, 25, 27, 30, 125])
+@pytest.mark.parametrize("m", [3, 5, 7, 101, 563, 4, 9, 15, 25, 27, 30, 125])
 def test_bell_row_past_the_unit_index_matches_triangle(m):
     top = K._unit_top(m, m)
     want = bell_seq_mod_py(top + 40, m)
