@@ -65,7 +65,6 @@ class CheckDescriptor(NamedTuple):
     statement: str
     attribution: str
     min_p: int = 3
-    max_p: Optional[int] = None  # the exact-Bernoulli checks' last prime
     run: Callable[["PrimeContext"], tuple] = None  # -> (lhs, rhs[, note])
 
 
@@ -160,8 +159,10 @@ def _c15(ctx):
 
 def _c16(ctx):
     p = ctx.p
-    pairs = [(n, k) for n, k in ((2, 1), (3, 1), (3, 2))
-             if n * (p - 1) <= config.EXACT_BERNOULLI_CAP]
+    cap = config.EXACT_BERNOULLI_CAP
+    pairs = [(n, k) for n, k in ((2, 1), (3, 1), (3, 2)) if n * (p - 1) <= cap]
+    if not pairs:
+        raise CapacityError(f"exact Bernoulli capped at index {cap} (asked {2 * (p - 1)})")
     lhs = tuple(int(fraction_residue(
         exact.bernoulli_exact(n * (p - 1)) - exact.bernoulli_exact(k * (p - 1)), p))
         for n, k in pairs)
@@ -247,17 +248,18 @@ def _c28(ctx):
     return ctx.bell_seq[ctx.p - 1], (ctx.der + 1) % ctx.p
 
 
+_SPLITS = [exact.genus_split_report(g1, g2) for g1, g2 in ((1, 1), (1, 2), (2, 2))]
+_SPLITS_NOTE = "; ".join(
+    f"claimed split (g1={s.g1},g2={s.g2}): {s.lhs} vs {s.rhs} -> {s.split_holds}"
+    for s in _SPLITS)
+
+
 def _c29(ctx):
     rep = exact._successor_report(ctx.p, *ctx.left_factorials,
                                   ctx.factorial_exact)
-    splits = [exact.genus_split_report(g1, g2)
-              for g1, g2 in ((1, 1), (1, 2), (2, 2))]
     lhs = (int(rep.step_holds), int(rep.factorial_diff_holds),
-           int(all(s.diff_form_holds for s in splits)))
-    note = "; ".join(
-        f"claimed split (g1={s.g1},g2={s.g2}): {s.lhs} vs {s.rhs} -> {s.split_holds}"
-        for s in splits)
-    return lhs, (1, 1, 1), note
+           int(all(s.diff_form_holds for s in _SPLITS)))
+    return lhs, (1, 1, 1), _SPLITS_NOTE
 
 
 def _c30(ctx):
@@ -307,11 +309,11 @@ CATALOG: dict[str, CheckDescriptor] = {d.id: d for d in [
        "!p * sum_k (-1)^k B_k/k! = sum_m B_2m/(2m)! (!(2m)-1) (mod p)",
        "Vladimirov", min_p=5, run=_c13),
     _D("C14", "assert", "W_p = B_{p-1} + 1/p - 1 (mod p), exact rationals",
-       "Glaisher/Beeger", max_p=config.EXACT_BERNOULLI_CAP + 1, run=_c14),
+       "Glaisher/Beeger", run=_c14),
     _D("C15", "assert", "p(p+1) B_{p-1} = (p-1)! (mod p^2), exact rationals",
-       "Carlitz", max_p=config.EXACT_BERNOULLI_CAP + 1, run=_c15),
+       "Carlitz", run=_c15),
     _D("C16", "assert", "(n-k) W_p = B_{n(p-1)} - B_{k(p-1)} (mod p)",
-       "Agoh", max_p=config.EXACT_BERNOULLI_CAP // 2 + 1, run=_c16),
+       "Agoh", run=_c16),
     _D("C17", "assert", "S(p,k) = 0 (mod p) for 2<=k<=p-1; S(p,1)=S(p,p)=1",
        "Lagrange/Fermat", min_p=5, run=_c17),
     _D("C18", "assert", "sum |G_n|/n = W_p + 2 q_p(2) - 1 (mod p)",
@@ -352,12 +354,13 @@ def check_ids() -> list[str]:
 
 def run_check(check_id: str, p: int,
               ctx: Optional[PrimeContext] = None) -> CheckOutcome:
-    """Evaluate one check at one prime. It is skipped as not applicable at p
-    outside [min_p, max_p], and when the record refuses a value past its cap:
-    the record raises CapacityError before it builds that value. Without a
-    ctx it reads the lone record of `residues._record` at the default caps,
-    which consecutive calls at one p share; other caps come in a ctx, and a
-    ctx at another prime than p raises DomainError."""
+    """Evaluate one check at one prime. It is skipped as not applicable at
+    p < min_p, and when a value it reads is past its cap: the record, or
+    the exact Bernoulli oracle for C14-C16, raises CapacityError before it
+    builds that value. Every cap is the `config` value, read by the record
+    when it is made and by the oracle at each call. Without a ctx it reads
+    the lone record of `residues._record`, which consecutive calls at one p
+    share; a ctx at another prime than p raises DomainError."""
     if check_id not in CATALOG:
         raise DomainError(f"unknown check id {check_id!r}")
     desc = CATALOG[check_id]
@@ -365,7 +368,7 @@ def run_check(check_id: str, p: int,
         ctx = residues._record(p)
     elif ctx.p != p:
         raise DomainError(f"record is at p = {ctx.p}, not at p = {p}")
-    if desc.min_p <= p <= (desc.max_p or p):
+    if desc.min_p <= p:
         try:
             out = desc.run(ctx)
         except CapacityError:
@@ -409,8 +412,7 @@ class CatalogResult:
         return out
 
 
-def run_catalog(lo: int, hi: int, ids: Optional[list[str]] = None,
-                **caps) -> CatalogResult:
+def run_catalog(lo: int, hi: int, ids: Optional[list[str]] = None) -> CatalogResult:
     """Run a subset (default: all) of the catalog over the primes in [lo, hi],
     each named check once per prime.
 
@@ -433,7 +435,7 @@ def run_catalog(lo: int, hi: int, ids: Optional[list[str]] = None,
         search.kurepa_zeros(hi)
     result = CatalogResult(lo, hi)
     primes = iter_primes(max(lo, 3), hi) if hi >= 3 else ()
-    for ctx in prime_contexts(primes, **caps):
+    for ctx in prime_contexts(primes):
         for check_id in ids:
             result.outcomes.append(run_check(check_id, ctx.p, ctx))
     result.outcomes.sort(key=lambda o: (o.check_id, o.p))

@@ -56,19 +56,13 @@ def _emit_rows(rows: list[dict], fmt: str, out):
 
 
 def cmd_residues(args) -> int:
-    prof = residues.residue_profile(args.p, args.pow,
-                                    bell_cap=args.bell_cap,
-                                    bern_cap=args.bernoulli_cap)
+    prof = residues.residue_profile(args.p, args.pow)
     _emit_rows([prof.as_dict()], args.format, sys.stdout)
     return EXIT_OK
 
 
-def _caps(args) -> dict:
-    return {"bell_cap": args.bell_cap, "bern_cap": args.bernoulli_cap}
-
-
 def cmd_check(args) -> int:
-    res = checks.run_catalog(args.from_, args.to, ids=[args.id], **_caps(args))
+    res = checks.run_catalog(args.from_, args.to, ids=[args.id])
     with open(args.out, "w") if args.out else nullcontext(sys.stdout) as dest:
         _emit_rows([o.as_dict() for o in res.outcomes], args.format, dest)
     kind = checks.CATALOG[args.id].kind
@@ -82,7 +76,7 @@ def cmd_check(args) -> int:
 
 def cmd_catalog(args) -> int:
     ids = None if args.ids is None else args.ids.split(",")
-    res = checks.run_catalog(args.from_, args.to, ids=ids, **_caps(args))
+    res = checks.run_catalog(args.from_, args.to, ids=ids)
     rows = [{"id": cid, **counts} for cid, counts in sorted(res.summary().items())]
     _emit_rows(rows, args.format, sys.stdout)
     for o in res.assertion_failures:
@@ -279,9 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. `--bell-cap` and `--bernoulli-cap` set their `config`
+    caps for the command alone: both are restored however it ends."""
     ap = build_parser()
     args = ap.parse_args(argv)
+    saved = config.BELL_MOD_CAP, config.BERNOULLI_MOD_CAP
     try:
+        config.BELL_MOD_CAP = getattr(args, "bell_cap", saved[0])
+        config.BERNOULLI_MOD_CAP = getattr(args, "bernoulli_cap", saved[1])
         return args.fn(args)
     except CapacityError as e:
         print(f"capacity error: {e}", file=sys.stderr)
@@ -292,6 +291,8 @@ def main(argv=None) -> int:
     except KurepaError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MISMATCH
+    finally:
+        config.BELL_MOD_CAP, config.BERNOULLI_MOD_CAP = saved
 
 
 if __name__ == "__main__":

@@ -1,11 +1,10 @@
-"""Default kernel caps and knobs.
-
-Every reader takes these values when it is called, so a change here takes
-effect at the next call. The residue record and the catalog also take the
-Bell and Bernoulli caps as arguments, which the CLI sets with `--bell-cap`
-and `--bernoulli-cap`; a cap left None is read from here when the record is
-made, before the lone record's memo key is formed. The exact caps
-`EXACT_*_CAP` take effect at the next call of an `exact` oracle.
+"""Default kernel caps and knobs, the one channel for every cap: no function
+takes a cap as an argument. Every reader takes these values when it is
+called, so a change here takes effect at the next call; a residue record
+reads the Bell and Bernoulli caps once, when it is made, and the lone
+record's memo key holds them. `exact` reads `EXACT_*_CAP` at each call, so
+the catalog's exact checks C14-C16 widen with it. The CLI's `--bell-cap` and
+`--bernoulli-cap` set the two record caps for one command and restore them.
 """
 
 # Largest n for bell_mod (O(n) when n! is a unit mod m, else read from the
@@ -13,10 +12,11 @@ made, before the lone record's memo key is formed. The exact caps
 # otherwise a divide-and-conquer series solve while n! is a unit mod m, then
 # O(n) per further value). The residue record builds Bell_{p-1} mod p^2, or
 # mod p^3 only for a reader at e = 3.
-BELL_MOD_CAP = 20000
+BELL_MOD_CAP = 100_000
 
-# Bernoulli/Gregory tables mod p (power-series inverses): largest prime p.
-BERNOULLI_MOD_CAP = 50_000
+# Bernoulli/Gregory tables mod p (power-series inverses): largest prime p;
+# also the most cells the Gregory store `residues._gregory_tables` keeps.
+BERNOULLI_MOD_CAP = 100_000
 
 # Exact rational sequences (fast-growing numerators): largest index.
 EXACT_BERNOULLI_CAP = 256

@@ -4,8 +4,8 @@
 that p is an odd prime once, builds each base value once, and derives the
 rest by reduction. The public per-prime functions check their arguments and
 read one of its fields from `_record`, which keeps the lone record in the
-memo `_records`: consecutive calls at one prime and one pair of caps share
-it, so `residue_profile(p, e)` for e = 1, 2, 3 and then
+memo `_records`: consecutive calls at one prime and one pair of `config` caps
+share it, so `residue_profile(p, e)` for e = 1, 2, 3 and then
 `gregory_mod_table(p)` build each value once. `prime_contexts` streams the
 records of a window from one block-kernel pass and never touches that memo.
 A record holds values at its own prime only; the Kurepa zeros below p that
@@ -90,20 +90,19 @@ class PrimeContext:
     mod p^2 for Gertsch, Lerch, the Fermat-quotient sum, the Bell-Wilson sum
     and Bell at e <= 2; mod p^3 only for Bell at e = 3 and sum_a a^(p-1)
     mod p^3, which share one power table. Once the p^3 value is built, the
-    p^2 one is read off it. Bell is capped at p - 1 <= bell_cap and the
-    tables at p <= bern_cap; a cap left None is read from `config` when the
-    record is made (`_caps`). Every value is a value at p: nothing here reads
+    p^2 one is read off it. Bell is capped at p - 1 <= `config.BELL_MOD_CAP`
+    and the tables at p <= `config.BERNOULLI_MOD_CAP`, both read once, when
+    the record is made. Every value is a value at p: nothing here reads
     or keeps another prime's residues, except `greg`: after the cap check it
     reads p's table from the memo `_gregory_tables`, and only on a miss
     builds it (and `factorials`) and offers it to the memo. A failed check
     or cap stores nothing: it raises again on the next read.
     """
 
-    def __init__(self, p: int, bell_cap: int | None = None,
-                 bern_cap: int | None = None):
+    def __init__(self, p: int):
         _require_odd_prime(p)
         self.p = p
-        self.bell_cap, self.bern_cap = _caps(bell_cap, bern_cap)
+        self.bell_cap, self.bern_cap = config.BELL_MOD_CAP, config.BERNOULLI_MOD_CAP
         self._agoh_even = {}  # E(y) of `agoh_sum`, by y = x^2 mod p
 
     # -- base values, built once
@@ -363,37 +362,27 @@ _records = Memo()  # the lone record, by (p, bell_cap, bern_cap); at most one
 _gregory_tables = Memo()  # every record's Gregory table, by p
 
 
-def _caps(bell_cap: int | None, bern_cap: int | None) -> tuple[int, int]:
-    """(bell_cap, bern_cap) with each None read from `config` now."""
-    return (config.BELL_MOD_CAP if bell_cap is None else bell_cap,
-            config.BERNOULLI_MOD_CAP if bern_cap is None else bern_cap)
-
-
-def _record(p: int, bell_cap: int | None = None,
-            bern_cap: int | None = None) -> PrimeContext:
+def _record(p: int) -> PrimeContext:
     """The record of a lone prime, shared with the previous call when that
-    was at the same p and caps; a miss empties `_records` before it builds.
-    The caps are filled in from `config` before the lookup, so a call that
-    names the current defaults and one that omits them share it, and a
-    changed `config` cap makes a new record."""
-    key = p, *_caps(bell_cap, bern_cap)
+    was at the same p and `config` caps, so a changed cap makes a new
+    record; a miss empties `_records` before it builds."""
+    key = p, config.BELL_MOD_CAP, config.BERNOULLI_MOD_CAP
     with _records.lock:
         if key not in _records:
             _records.clear()
-            _records[key] = PrimeContext(*key)
+            _records[key] = PrimeContext(p)
         return _records[key]
 
 
-def prime_contexts(primes: Iterable[int], **caps) -> Iterator[PrimeContext]:
+def prime_contexts(primes: Iterable[int]) -> Iterator[PrimeContext]:
     """The records of a window of odd primes, one at a time, in input order.
 
     Every prime is checked by the PrimeContext constructor before any work;
     the ((p-1)!, !p) mod p^3 columns come from one block-kernel pass. No
     record is referenced here once yielded, so its cached tables go when the
-    caller drops it. `caps` are PrimeContext keywords. The `_records` memo is
-    neither read nor filled.
+    caller drops it. The `_records` memo is neither read nor filled.
     """
-    records = deque(PrimeContext(p, **caps) for p in primes)
+    records = deque(PrimeContext(p) for p in primes)
     fs, ks = _kernels._factorial_columns([ctx.p for ctx in records], 3)
     for col in zip(fs, ks):
         records[0].columns = col
@@ -681,12 +670,10 @@ class ResidueProfile(NamedTuple):
         return {**self._asdict(), "bernoulli_sums": list(self.bernoulli_sums)}
 
 
-def residue_profile(p: int, e: int = 1, bell_cap: int | None = None,
-                    bern_cap: int | None = None) -> ResidueProfile:
+def residue_profile(p: int, e: int = 1) -> ResidueProfile:
     """Every field read from one PrimeContext, the one `_record` holds, which
-    the next call at the same p and caps reads again; a cap left None is
-    the `config` value at the call."""
-    ctx = _record(p, bell_cap, bern_cap)
+    the next call at the same p and `config` caps reads again."""
+    ctx = _record(p)
     if e not in (1, 2, 3):
         raise DomainError(f"modulus power must be 1, 2 or 3, got {e}")
     sums = ctx.bern_sums

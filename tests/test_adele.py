@@ -226,8 +226,8 @@ class TestSerialization:
 class TestCapacity:
     def test_gamma_m_cap_propagates(self):
         with pytest.raises(CapacityError,
-                           match="Gregory table: p = 50021 exceeds the cap 50000"):
-            A.gamma_M(PrimeRange(50_000, 50_100))
+                           match="Gregory table: p = 100003 exceeds the cap 100000"):
+            A.gamma_M(PrimeRange(100_000, 100_100))
 
     def test_gamma_g_cap_propagates(self):
         cap = config.BELL_MOD_CAP

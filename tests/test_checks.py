@@ -8,7 +8,7 @@ import pytest
 
 from kurepa import _kernels as K
 from kurepa import checks as C
-from kurepa import exact, factorizer, modmath, residues, search
+from kurepa import config, exact, factorizer, modmath, residues, search
 from kurepa import tables as T
 from kurepa.errors import DomainError, EmptyRangeError
 from oracles import kurepa_gcds_py
@@ -65,11 +65,23 @@ class TestRunCheck:
         built = []
         monkeypatch.setattr(K, "bernoulli_table_mod", lambda *a: built.append(a))
         monkeypatch.setattr(K, "bell_seq_mod", lambda *a: built.append(a))
-        for check_id, p, caps in (("C07", 11, {"bern_cap": 10}), ("C01", 23, {"bell_cap": 21}),
+        for check_id, p, caps in (("C07", 11, {"BERNOULLI_MOD_CAP": 10}),
+                                  ("C01", 23, {"BELL_MOD_CAP": 21}),
                                   ("C14", 263, {}), ("C16", 131, {})):
-            o = C.run_check(check_id, p, residues.PrimeContext(p, **caps))
+            with monkeypatch.context() as m:
+                for name, cap in caps.items():
+                    m.setattr(config, name, cap)
+                o = C.run_check(check_id, p, residues.PrimeContext(p))
             assert o.skipped and o.note == "not applicable", check_id
         assert built == []
+
+    def test_raised_exact_cap_widens_c14_to_c16(self, monkeypatch):
+        # C14-C16 read the exact-Bernoulli cap at each call, not at import
+        monkeypatch.setattr(config, "EXACT_BERNOULLI_CAP", 600)
+        for check_id, p in (("C14", 263), ("C15", 263), ("C16", 199)):
+            o = C.run_check(check_id, p)
+            assert not o.skipped and o.holds, (check_id, o)
+        assert len(C.run_check("C16", 199).lhs) == 3  # B_396, B_594 and B_198
 
     def test_unknown_id(self):
         with pytest.raises(DomainError):

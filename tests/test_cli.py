@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from kurepa import config
 from kurepa.cli import main
 
 
@@ -41,7 +42,7 @@ class TestResidues:
         assert row["k_mod"] == 10 and row["bell_mod"] == 11
 
     def test_capacity_exit_3(self, capsys):
-        code, _, err = run(capsys, "residues", "--p", "50021")
+        code, _, err = run(capsys, "residues", "--p", "100003")
         assert code == 3
 
 
@@ -344,6 +345,26 @@ class TestCapFlags:
         code, _, _ = run(capsys, "residues", "--p", "13",
                          "--bell-cap", "100", "--bernoulli-cap", "100")
         assert code == 0
+
+    @pytest.mark.parametrize("argv, want", [
+        (("residues", "--p", "7"), 0),
+        (("residues", "--p", "4"), 2),
+        (("residues", "--p", "23"), 3),
+        (("check", "--id", "C01", "--to", "40"), 0),
+        (("catalog", "--to", "40", "--ids", "C07"), 0),
+    ])
+    def test_flags_leave_config_as_found(self, capsys, monkeypatch, argv, want):
+        monkeypatch.setattr(config, "BELL_MOD_CAP", 1234)
+        monkeypatch.setattr(config, "BERNOULLI_MOD_CAP", 4321)
+        code, _, _ = run(capsys, *argv, "--bell-cap", "21", "--bernoulli-cap", "10")
+        assert code == want
+        assert (config.BELL_MOD_CAP, config.BERNOULLI_MOD_CAP) == (1234, 4321)
+
+    def test_flags_default_to_config(self, capsys, monkeypatch):
+        monkeypatch.setattr(config, "BELL_MOD_CAP", 21)
+        code, _, err = run(capsys, "residues", "--p", "23")
+        assert code == 3 and "exceeds the cap 21" in err
+        assert config.BELL_MOD_CAP == 21
 
     @pytest.mark.parametrize("cap, computed", [(22, True), (21, False)])
     def test_bell_cap_is_one_rule(self, capsys, cap, computed):

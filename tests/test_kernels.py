@@ -228,7 +228,7 @@ def test_gertsch_column_matches_the_record():
     primes = sieve_primes(3, 3000) + sieve_primes(32_700, 32_800)
     got = K.gertsch_column(primes, *_loop_columns(primes))
     for p, g in zip(primes, got):
-        assert g == R.PrimeContext(p, bell_cap=10 ** 6).gertsch, p
+        assert g == R.PrimeContext(p).gertsch, p
 
 
 def test_record_bell_keeps_the_explicit_sum(monkeypatch):

@@ -82,9 +82,9 @@ _SPECS = [
      ("C04", 7, (1, 2), (1, 3), False, "a note", True),
      {"note": "", "skipped": False}),
     (checks.CheckDescriptor,
-     ("id", "kind", "statement", "attribution", "min_p", "max_p", "run"),
-     ("C99", "assert", "1 = 1", "nobody", 5, 99, len),
-     {"min_p": 3, "max_p": None, "run": None}),
+     ("id", "kind", "statement", "attribution", "min_p", "run"),
+     ("C99", "assert", "1 = 1", "nobody", 5, len),
+     {"min_p": 3, "run": None}),
     (checks.CatalogResult, ("lo", "hi", "outcomes"),
      (3, 40, [checks.CheckOutcome("C01", 3, 1, 1, True)]), {"outcomes": []}),
 ]

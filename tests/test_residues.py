@@ -48,7 +48,7 @@ class TestBellDerangement:
 
     def test_bell_cap(self):
         with pytest.raises(CapacityError):
-            R.bell_mod(50_000, 7)
+            R.bell_mod(100_003, 7)
 
     def test_derangement(self):
         assert R.derangement_mod(4, 5) == int(R.kurepa_mod(5, 1))
@@ -178,9 +178,10 @@ class TestModTables:
         with pytest.raises(DomainError):
             R.bernoulli_mod_table(7).value(k)
 
-    def test_bernoulli_cap(self):
+    def test_bernoulli_cap(self, monkeypatch):
+        monkeypatch.setattr(config, "BERNOULLI_MOD_CAP", 5000)
         with pytest.raises(CapacityError):
-            PrimeContext(7919, bern_cap=5000).bern
+            PrimeContext(7919).bern
 
     def test_gregory_entries(self):
         assert R.gregory_mod_table(3).value(1) == 2          # 1/2 mod 3
@@ -468,21 +469,25 @@ def test_rows_reject_negative_index(fn):
 class TestCapEnforcement:
     def test_gertsch_cap(self):
         with pytest.raises(CapacityError):
-            R.gertsch_quotient_mod(20011)
+            R.gertsch_quotient_mod(100_003)
 
     def test_bell_wilson_sum_cap(self):
         with pytest.raises(CapacityError):
-            R.bell_wilson_sum_mod(20011)
+            R.bell_wilson_sum_mod(100_003)
+
+    def test_profile_cap(self):
+        with pytest.raises(CapacityError):
+            R.residue_profile(100_003)
 
     def test_bernoulli_sums_cap_before_table(self, monkeypatch):
         built = []
         monkeypatch.setattr(K, "bernoulli_table_mod", lambda p: built.append(p))
         with pytest.raises(CapacityError):
-            R.bernoulli_mod_table(50_021)
+            R.bernoulli_mod_table(100_003)
         for fn in (R.bernoulli_index_sums, R.bernoulli_factorial_sum_mod,
                    R.bernoulli_left_factorial_sum_mod):
             with pytest.raises(CapacityError):
-                fn(50_021)
+                fn(100_003)
         assert built == []
 
 
@@ -515,7 +520,7 @@ class TestBlockKernelPerPrime:
             for e in (1, 2):
                 assert int(R.wilson_quotient_mod(p, e)) == (f3 + 1) // p % p ** e, (p, e)
             b2 = K.bell_mod(p - 1, p * p)
-            assert PrimeContext(p, bell_cap=p).gertsch == (k3 - b2 + 1) % p ** 2 // p
+            assert PrimeContext(p).gertsch == (k3 - b2 + 1) % p ** 2 // p
             assert PrimeContext(p).columns == (f3, k3)
 
     def test_gertsch_matches_split_oracle(self):
@@ -525,7 +530,7 @@ class TestBlockKernelPerPrime:
             assert int(R.gertsch_quotient_mod(p)) == gertsch_split_py(p), p
         rng = random.Random(20261018)
         for p in rng.sample(sieve_primes(50_000, 100_000), 6):
-            assert PrimeContext(p, bell_cap=p).gertsch == gertsch_split_py(p), p
+            assert PrimeContext(p).gertsch == gertsch_split_py(p), p
 
     @pytest.mark.parametrize("c", [9, 15, 25])
     def test_composites_raise(self, c):
@@ -574,13 +579,17 @@ class TestPrimeContexts:
             assert ctx.inv == [0] + [pow(k, -1, p) for k in range(1, p)], p
             assert ctx.der == int(R.derangement_mod(p - 1, p)), p
 
-    def test_caps_reach_the_records(self):
-        ctx = next(R.prime_contexts([101], bell_cap=10, bern_cap=20))
+    def test_caps_reach_the_records(self, monkeypatch):
+        monkeypatch.setattr(config, "BELL_MOD_CAP", 10)
+        monkeypatch.setattr(config, "BERNOULLI_MOD_CAP", 20)
+        ctx = next(R.prime_contexts([101]))
+        monkeypatch.undo()  # read once, when the record is made
         with pytest.raises(CapacityError):
             ctx.gertsch
         with pytest.raises(CapacityError):
             ctx.greg
         assert ctx.wilson == int(R.wilson_quotient_mod(101))
+        assert R.gertsch_quotient_mod(101) == R.PrimeContext(101).gertsch
 
     def test_no_yielded_record_is_held(self):
         it = R.prime_contexts([3, 5, 7])
@@ -668,40 +677,39 @@ class TestLoneRecord:
     def test_same_values_as_a_fresh_record(self, monkeypatch):
         rng = random.Random(20261019)
         primes = rng.sample(sieve_primes(3, 3000), 20)
-        default = {}
+        default = config.BELL_MOD_CAP, config.BERNOULLI_MOD_CAP
         calls = [
-            lambda p, e, caps: R.kurepa_mod(p, e),
-            lambda p, e, caps: R.wilson_quotient_mod(p, min(e, 2)),
-            lambda p, e, caps: R.lerch_quotient_mod(p),
-            lambda p, e, caps: R.gertsch_quotient_mod(p),
-            lambda p, e, caps: R.agoh_giuga_mod(p),
-            lambda p, e, caps: R.bell_wilson_sum_mod(p),
-            lambda p, e, caps: R.bernoulli_mod_table(p),
-            lambda p, e, caps: R.gregory_mod_table(p),
-            lambda p, e, caps: R.bernoulli_index_sums(p),
-            lambda p, e, caps: R.bernoulli_factorial_sum_mod(p),
-            lambda p, e, caps: R.bernoulli_left_factorial_sum_mod(p),
-            lambda p, e, caps: R.special_quotient_mod(p, e + 1),
-            lambda p, e, caps: R.sun_zagier_sum(p, e + 2),
-            lambda p, e, caps: R.residue_profile(p, e, **caps),
+            lambda p, e: R.kurepa_mod(p, e),
+            lambda p, e: R.wilson_quotient_mod(p, min(e, 2)),
+            lambda p, e: R.lerch_quotient_mod(p),
+            lambda p, e: R.gertsch_quotient_mod(p),
+            lambda p, e: R.agoh_giuga_mod(p),
+            lambda p, e: R.bell_wilson_sum_mod(p),
+            lambda p, e: R.bernoulli_mod_table(p),
+            lambda p, e: R.gregory_mod_table(p),
+            lambda p, e: R.bernoulli_index_sums(p),
+            lambda p, e: R.bernoulli_factorial_sum_mod(p),
+            lambda p, e: R.bernoulli_left_factorial_sum_mod(p),
+            lambda p, e: R.special_quotient_mod(p, e + 1),
+            lambda p, e: R.sun_zagier_sum(p, e + 2),
+            lambda p, e: R.residue_profile(p, e),
         ]
         p = primes[0]
         seen = []
         for _ in range(300):
             if rng.random() < 0.5:  # half the calls stay at the previous prime
                 p = rng.choice(primes)
-            caps = rng.choice([default, {"bell_cap": config.BELL_MOD_CAP,
-                                         "bern_cap": config.BERNOULLI_MOD_CAP},
-                               {"bell_cap": p - 1, "bern_cap": p},
-                               {"bell_cap": 10, "bern_cap": 20}])
+            caps = rng.choice([default, default, (p - 1, p), (10, 20)])
+            monkeypatch.setattr(config, "BELL_MOD_CAP", caps[0])
+            monkeypatch.setattr(config, "BERNOULLI_MOD_CAP", caps[1])
             e, i = rng.choice((1, 2, 3)), rng.randrange(len(calls))
             if rng.random() < 0.1:
                 with pytest.raises(DomainError):
-                    calls[i](rng.choice((9, 15, 3001 * 3)), e, caps)
-            got = self._outcome(lambda: calls[i](p, e, caps))
+                    calls[i](rng.choice((9, 15, 3001 * 3)), e)
+            got = self._outcome(lambda: calls[i](p, e))
             with monkeypatch.context() as m:
                 m.setattr(R, "_record", PrimeContext)
-                want = self._outcome(lambda: calls[i](p, e, caps))
+                want = self._outcome(lambda: calls[i](p, e))
             assert got == want, (p, e, i, caps)
             seen.append((p, e))
         assert {e for _, e in seen} == {1, 2, 3}
@@ -715,15 +723,17 @@ class TestLoneRecord:
                     R.gertsch_quotient_mod(c)
         assert R._record(101).p == 101
 
-    def test_capacity_error_is_not_kept(self):
+    def test_capacity_error_is_not_kept(self, monkeypatch):
         p = 1009
         for _ in range(2):
-            with pytest.raises(CapacityError):
-                R.residue_profile(p, 2, bell_cap=10)
+            with monkeypatch.context() as m, pytest.raises(CapacityError):
+                m.setattr(config, "BELL_MOD_CAP", 10)
+                R.residue_profile(p, 2)
         prof = R.residue_profile(p, 2)
         assert prof.bell_mod == K.bell_seq_mod(p - 1, p * p)[p - 1]
+        monkeypatch.setattr(config, "BELL_MOD_CAP", 10)
         with pytest.raises(CapacityError):
-            R.residue_profile(p, 2, bell_cap=10)
+            R.residue_profile(p, 2)
 
     def test_config_caps_read_at_call_time(self, monkeypatch):
         p = 151
@@ -806,23 +816,23 @@ class TestGregoryStore:
         assert sorted(R._gregory_tables) == sorted(primes)
 
     def test_bound_keeps_the_first_part(self, monkeypatch):
+        # the store's bound is the records' table cap, so every table up to
+        # p = 100 is built and the first ones fill the store
         bound = 100
         monkeypatch.setattr(config, "BERNOULLI_MOD_CAP", bound)
-        # the records' own cap, which would otherwise read the lowered
-        # config value too and refuse every table past p = 100
-        cap = 200
         built = self._count_builds(monkeypatch)
-        for ctx in R.prime_contexts(iter_primes(3, 200), bern_cap=cap):
+        for ctx in R.prime_contexts(iter_primes(3, bound)):
             ctx.greg
             assert self._held_cells() <= bound
         kept = list(iter_primes(3, 23))  # 1 + 3 + ... + 21 = 82 cells; 29 adds 27
         assert sorted(R._gregory_tables) == kept
-        p = 101
-        table = PrimeContext(p, bern_cap=cap).greg
+        assert built == list(iter_primes(3, bound))
+        p = 97
+        table = PrimeContext(p).greg
         assert list(table.values) == K.gregory_table_mod(p, K._factorials(p - 1, p))[1:]
         assert p not in R._gregory_tables
         built.clear()
-        assert PrimeContext(p, bern_cap=cap).greg == table
+        assert PrimeContext(p).greg == table
         assert built == [p]  # not kept, so built again
         assert sorted(R._gregory_tables) == kept and self._held_cells() == 82
 
@@ -833,9 +843,11 @@ class TestGregoryStore:
         built = self._count_builds(monkeypatch)
         facts = []
         monkeypatch.setattr(K, "_factorials", lambda *a: facts.append(a))
-        with pytest.raises(CapacityError, match="Gregory table: p = 101 exceeds the cap 100"):
-            PrimeContext(p, bern_cap=p - 1).greg
-        res = C.run_catalog(p, p, ids=["C18", "C19"], bern_cap=p - 1)
+        with monkeypatch.context() as m:
+            m.setattr(config, "BERNOULLI_MOD_CAP", p - 1)
+            with pytest.raises(CapacityError, match="Gregory table: p = 101 exceeds the cap 100"):
+                PrimeContext(p).greg
+            res = C.run_catalog(p, p, ids=["C18", "C19"])
         assert [(o.check_id, o.skipped) for o in res.outcomes] == [("C18", True),
                                                                    ("C19", True)]
         assert list(PrimeContext(p).greg.values) == gregory_table_mod_py(p)[1:]
