@@ -22,7 +22,10 @@ reflection, which the residue record passes; called without it, the Bell
 and Stirling rows build their own. The tables' O(p^2) oracles are in
 `tests/oracles.py`, except the Stirling triangle, which also serves rows
 whose factorials are not units mod m. `bell_mod` is the O(p) explicit sum
-over the power table j^(p-1) that the residue record builds anyway. Every
+over the power table j^(p-1) that the residue record builds anyway. Where
+Fermat's theorem makes the powers constant, no table is built: the
+Stirling row S(p, .) mod p reads j^p = j off the 1/k! column, and
+Bell_{p-1} mod p, where every j^(p-1) = 1, is 1 - D_{p-1}. Every other
 power table (`_powers`) walks the memo `_factorization` of 1..N, grown by
 doubling, so no call sieves.
 (p-1)!, !p and Der_{p-1} mod p^e have one route, the run tree
@@ -440,16 +443,21 @@ def bell_mod(n: int, m: int, fact: int | None = None,
     Bell_n = sum_{j=1..n} (j^n/j!) D_{n-j}, D_t = sum_{i<=t} (-1)^i/i!,
     built with C-level accumulate and map. fact, when given, is n! mod m,
     which the record holds in its (p-1)! column, so only the backward loop
-    for 1/k! runs. pw, when given, holds j^n mod m for j = 0..n: the
-    record's tables mod p^2 and p^3, built anyway for Lerch, the
-    Fermat-quotient sum and sum_a a^(p-1); without it the call builds
-    `_powers(n, n, m)`. When n! is not a unit mod m the value is read from
-    `bell_seq_mod`."""
+    for 1/k! runs. At n = m - 1 with fact = n (so (m-1)! = -1 mod m, and m
+    is prime by Wilson's theorem) Fermat makes every j^n = 1, and the sum
+    is 1 - D_n, as sum_{j=0..n} D_{n-j}/j! = sum_{s<=n} (1-1)^s/s! = 1: no
+    power table. Otherwise pw, when given, holds j^n mod m for j = 0..n:
+    the record's table mod p^3 (or p^2 above the digit bound), built anyway
+    for Lerch, the Fermat-quotient sum and sum_a a^(p-1); without it the
+    call builds `_powers(n, n, m)`. When n! is not a unit mod m the value is
+    read from `bell_seq_mod`."""
     if fact is None:
         fact = factorial_mod(n, m)
     if n == 0 or gcd(fact, m) != 1:
         return bell_seq_mod(n, m)[n]
     inv_fact = _inverse_factorials(n, m, pow(fact, -1, m))
+    if n == m - 1 == fact:  # m prime: 1 - D_n
+        return (1 - sum(inv_fact[0::2]) + sum(inv_fact[1::2])) % m
     if pw is None:
         pw = _powers(n, n, m)
     # j pairs with D_{n-j}; pw[0] = 0^n = 0 drops the j = 0 term
@@ -526,12 +534,17 @@ def stirling2_row_mod(n: int, m: int, facts: tuple | None = None) -> list[int]:
 
     When every k! with k < n is a unit mod m (n = m = p, say),
     S(n,k) = [x^k] of (sum_j j^n x^j/j!) * (sum_i (-1)^i x^i/i!) for k < n,
-    and S(n,n) = 1. Other rows come from the O(n^2) triangle.
+    and S(n,n) = 1. At n = m that makes m prime, so j^m = j by Fermat and
+    j^m/j! = 1/(j-1)!: the first factor is the 1/k! column shifted, with no
+    power table. Other rows come from the O(n^2) triangle.
     """
     if n == 0 or _unit_top(n - 1, m) < n - 1:
         return stirling2_row_mod_py(n, m)
     _, inv_fact = facts or _factorials(n - 1, m)
-    a = [x * y % m for x, y in zip(_powers(n - 1, n, m), inv_fact)]
+    if n == m:
+        a = [0, *inv_fact[:n - 1]]
+    else:
+        a = [x * y % m for x, y in zip(_powers(n - 1, n, m), inv_fact)]
     b = [x if i % 2 == 0 else -x % m for i, x in enumerate(inv_fact)]
     return _series_mul(a, b, n, m) + [1 % m]
 

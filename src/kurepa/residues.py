@@ -24,6 +24,7 @@ primes than fit keeps its first part instead of thrashing.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from functools import cached_property
 from itertools import accumulate, repeat
@@ -76,6 +77,10 @@ def _require_odd_prime(p: int):
 # ---------------------------------------------------------------------------
 # One prime: the residue record
 
+# p^3 below this fits in one digit of a CPython int (2^30 on 64-bit builds)
+_ONE_DIGIT = 1 << sys.int_info.bits_per_digit
+
+
 class PrimeContext:
     """Every residue at one odd prime p, each built once, on first use.
 
@@ -86,11 +91,17 @@ class PrimeContext:
     `_kernels._factorials` call, which the four mod-p tables, the inverses
     and Der_{p-1} read; every quotient reduces them mod p^e. Bell_{p-1},
     which inverts the column's (p-1)! instead of building it again, and
-    the powers j^(p-1) are built at the lowest precision their readers need:
-    mod p^2 for Gertsch, Lerch, the Fermat-quotient sum, the Bell-Wilson sum
-    and Bell at e <= 2; mod p^3 only for Bell at e = 3 and sum_a a^(p-1)
-    mod p^3, which share one power table. Once the p^3 value is built, the
-    p^2 one is read off it. Bell is capped at p - 1 <= `config.BELL_MOD_CAP`
+    the powers j^(p-1) are built at the lowest precision their readers need.
+    Mod p, Fermat makes every j^(p-1) = 1, so Bell_{p-1} mod p needs no
+    power table (`bell1`); the Bell-Wilson sum reads it and builds the p^2
+    value only when p | Bell_{p-1}. Mod p^2 serves Gertsch, Lerch, the
+    Fermat-quotient sum and Bell at e = 2; mod p^3 serves Bell at e = 3 and
+    sum_a a^(p-1) mod p^3, which share one power table. Once the p^3 value
+    is built, the p^2 one is read off it. Below the digit bound, where p^3
+    fits in one digit of a CPython int (p^3 < 2^30, p <= 1021, on 64-bit
+    builds), a walk mod p^3 costs what one mod p^2 does, so the p^2 values
+    are always read off the p^3 ones: one power table and one Bell_{p-1}
+    per record. Bell is capped at p - 1 <= `config.BELL_MOD_CAP`
     and the tables at p <= `config.BERNOULLI_MOD_CAP`, both read once, when
     the record is made. Every value is a value at p: nothing here reads
     or keeps another prime's residues, except `greg`: after the cap check it
@@ -120,12 +131,17 @@ class PrimeContext:
         """(j^(p-1) mod p^3 for j = 0..p-1)."""
         return tuple(_kernels._powers(self.p - 1, self.p - 1, self.p ** 3))
 
+    def _from_p3(self, name: str) -> bool:
+        """Whether the p^2 value is read off the p^3 one: once that is
+        built, or always below the digit bound."""
+        return name in vars(self) or self.p ** 3 < _ONE_DIGIT
+
     @cached_property
     def powers2(self) -> tuple[int, ...]:
-        """(j^(p-1) mod p^2 for j = 0..p-1), read off powers3 once that is
-        built."""
+        """(j^(p-1) mod p^2 for j = 0..p-1), read off powers3 where
+        `_from_p3`."""
         m = self.p ** 2
-        if "powers3" in vars(self):
+        if self._from_p3("powers3"):
             return tuple(map(mod, self.powers3, repeat(m)))
         return tuple(_kernels._powers(self.p - 1, self.p - 1, m))
 
@@ -139,13 +155,21 @@ class PrimeContext:
 
     @cached_property
     def bell2(self) -> int:
-        """Bell_{p-1} mod p^2, read off bell3 once that is built."""
+        """Bell_{p-1} mod p^2, read off bell3 where `_from_p3`."""
         p = self.p
-        if "bell3" in vars(self):
+        if self._from_p3("bell3"):
             return self.bell3 % (p * p)
         _require_cap("Bell_(p-1): p - 1", p - 1, self.bell_cap)
         m = p * p
         return _kernels.bell_mod(p - 1, m, self.fact(m), self.powers2)
+
+    @cached_property
+    def bell1(self) -> int:
+        """Bell_{p-1} mod p, with no power table: (p-1)! = -1 (mod p) by
+        Wilson's theorem, which sends `_kernels.bell_mod` to 1 - D_{p-1}."""
+        p = self.p
+        _require_cap("Bell_(p-1): p - 1", p - 1, self.bell_cap)
+        return _kernels.bell_mod(p - 1, p, p - 1)
 
     @cached_property
     def left_factorials(self) -> tuple[int, int]:
@@ -217,7 +241,11 @@ class PrimeContext:
         return self.columns[1] % self.p ** e
 
     def bell(self, e: int) -> int:
-        """Bell_{p-1} mod p^e, e <= 3."""
+        """Bell_{p-1} mod p^e, e <= 3; at e = 1 `bell1`, unless a p^2 or p^3
+        value is already built."""
+        built = vars(self)
+        if e == 1 and "bell2" not in built and "bell3" not in built:
+            return self.bell1
         return (self.bell3 if e == 3 else self.bell2) % self.p ** e
 
     @cached_property
@@ -281,11 +309,11 @@ class PrimeContext:
 
     @cached_property
     def bell_wilson_sum(self):
-        """(Bell_{p-1}/p + W_p) mod p when p | Bell_{p-1}; FRACTIONAL otherwise."""
-        b2 = self.bell2
-        if b2 % self.p:
+        """(Bell_{p-1}/p + W_p) mod p when p | Bell_{p-1}; FRACTIONAL
+        otherwise, decided mod p, so only then is Bell_{p-1} mod p^2 built."""
+        if self.bell(1):
             return FRACTIONAL
-        return (b2 // self.p + self.wilson) % self.p
+        return (self.bell2 // self.p + self.wilson) % self.p
 
     @cached_property
     def gregory_sum(self) -> int:
@@ -681,7 +709,7 @@ def residue_profile(p: int, e: int = 1) -> ResidueProfile:
         p=p,
         e=e,
         k_mod=ctx.kurepa(e),
-        bell_mod=ctx.bell(e),
+        bell_mod=ctx.bell(max(e, 2)) % p ** e,  # the value Gertsch reads
         der_mod=ctx.der,
         wilson_q=ctx.wilson,
         gertsch_q=ctx.gertsch,

@@ -842,6 +842,40 @@ def test_bell_and_stirling_rows_mod_p_squared_at_the_unit_boundary():
         assert K.stirling2_row_mod(n, m) == K.stirling2_row_mod_py(n, m), n
 
 
+# Where Fermat's theorem makes the powers constant, the Stirling row S(p, .)
+# mod p (j^p = j) and Bell_{p-1} mod p (j^(p-1) = 1) build no power table.
+# Wilson's congruence, not Fermat's, gates both branches: at a composite
+# m = n + 1, Carmichael numbers included, Bell_n mod m keeps its old route.
+
+def test_fermat_routes_build_no_power_table(monkeypatch):
+    monkeypatch.setattr(K, "_powers", _not_called)
+    rng = random.Random(20261022)
+    for p in [2, *sieve_primes(3, 600), *sorted(rng.sample(sieve_primes(601, 3040), 2))]:
+        row = K.stirling2_row_mod_py(p, p)
+        assert K.stirling2_row_mod(p, p) == row, p
+        assert K.stirling2_row_mod(p, p, _facts(p)) == row, p
+        want = bell_seq_mod_py(p - 1, p)[p - 1]
+        assert K.bell_mod(p - 1, p) == want, p
+        assert K.bell_mod(p - 1, p, p - 1) == want, p
+
+
+@pytest.mark.parametrize("m", [4, 6, 9, 25, 561, 1105])
+def test_wilson_gates_the_fermat_routes_at_composites(monkeypatch, m):
+    if m > 25:  # Carmichael: a Fermat test would take the branch here
+        assert all(pow(j, m - 1, m) == 1 for j in range(1, m) if math.gcd(j, m) == 1)
+    rows, bell_seq = [], K.bell_seq_mod
+    monkeypatch.setattr(K, "bell_seq_mod",
+                        lambda n, mod, facts=None: rows.append(n) or bell_seq(n, mod, facts))
+    want = bell_seq_mod_py(m, m)
+    assert K.bell_mod(m - 1, m) == want[m - 1]
+    assert K.bell_mod(m - 1, m, math.factorial(m - 1) % m) == want[m - 1]
+    assert rows == [m - 1, m - 1]  # the Bell row, past the last unit index
+    # the row S(m, .) comes from the triangle, and sum_k S(m, k) = Bell_m
+    row = K.stirling2_row_mod(m, m)
+    assert row == K.stirling2_row_mod_py(m, m)
+    assert sum(row) % m == want[m]
+
+
 def test_series_tables_satisfy_congruences_at_large_prime():
     # beyond the triangles' reach: the proved congruences against W_p and
     # !p from the block kernel and q_p(2) from pow

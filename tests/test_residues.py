@@ -266,6 +266,19 @@ class TestBellWilsonSum:
         assert R.bell_wilson_sum_mod(11) is R.FRACTIONAL
         assert R.bell_wilson_sum_mod(563) is R.FRACTIONAL
 
+    @pytest.mark.parametrize("p, fractional", [(5, False), (7, False), (11, True),
+                                               (563, True), (1031, True)])
+    def test_p_squared_only_where_p_divides_bell(self, monkeypatch, p, fractional):
+        # divisibility is decided mod p, where Fermat leaves no power table
+        moduli, bell = [], K.bell_mod
+        monkeypatch.setattr(K, "bell_mod", lambda *a: moduli.append(a[1]) or bell(*a))
+        if fractional:
+            monkeypatch.setattr(K, "_powers", lambda *a: pytest.fail(f"_powers{a}"))
+        ctx = PrimeContext(p)
+        assert (ctx.bell_wilson_sum is R.FRACTIONAL) == fractional
+        assert ("bell2" in vars(ctx)) != fractional
+        assert moduli == ([p] if fractional else [p, p ** 3]), moduli
+
     def test_exact_cross_check(self):
         # p=5: Bell_4/5 + W_5 = 3 + 5 = 8 = 3 (mod 5)
         assert int(R.bell_wilson_sum_mod(5)) == (exact.bell_exact(4) // 5
@@ -416,8 +429,10 @@ class TestProfile:
 
 
 class TestPrecisionOnDemand:
-    """Bell_{p-1} and the powers j^(p-1) are built mod p^3 only for a reader
-    at e = 3; the p^2 readers share one build mod p^2."""
+    """Below the digit bound (p^3 < 2^30 on 64-bit CPython, so p <= 1021)
+    Bell_{p-1} and the powers j^(p-1) are built once, mod p^3, and the p^2
+    readers read that build. Above it they are built mod p^3 only for a
+    reader at e = 3; the p^2 readers share one build mod p^2."""
 
     @pytest.fixture
     def moduli(self, monkeypatch):
@@ -431,17 +446,29 @@ class TestPrecisionOnDemand:
 
     @pytest.mark.parametrize("e", [1, 2, 3])
     def test_profile(self, moduli, e):
-        for p in (101, 1009):
+        for p in (101, 1009, 1031, 1033):
             for calls in moduli.values():
                 calls.clear()
             R.residue_profile(p, e)
-            m = p ** 3 if e == 3 else p * p
+            m = p ** 3 if e == 3 or p ** 3 < 1 << sys.int_info.bits_per_digit else p * p
             assert moduli == {"bell_mod": [m], "_powers": [m]}, (p, e)
 
     def test_gertsch_quotient(self, moduli):
-        R.gertsch_quotient_mod(1009)
-        assert moduli["bell_mod"] == [1009 ** 2]
-        assert 1009 ** 3 not in moduli["_powers"]
+        R.gertsch_quotient_mod(1031)
+        assert moduli["bell_mod"] == [1031 ** 2]
+        assert 1031 ** 3 not in moduli["_powers"]
+        for calls in moduli.values():
+            calls.clear()
+        R.gertsch_quotient_mod(1021)
+        assert moduli == {"bell_mod": [1021 ** 3], "_powers": [1021 ** 3]}
+
+    def test_catalog(self, moduli):
+        # C06 reads the powers mod p^2, C23 mod p^3, C31 Bell mod p^2
+        assert C.run_catalog(1013, 1033).ok
+        below, above = (1013, 1019, 1021), (1031, 1033)
+        assert moduli == {"bell_mod": [*(p ** 3 for p in below), *(p ** 2 for p in above)],
+                          "_powers": [*(p ** 3 for p in below),
+                                      *(m for p in above for m in (p ** 2, p ** 3))]}
 
 
 class TestStirlingRow:
@@ -471,8 +498,10 @@ class TestCapEnforcement:
         with pytest.raises(CapacityError):
             R.gertsch_quotient_mod(100_003)
 
-    def test_bell_wilson_sum_cap(self):
-        with pytest.raises(CapacityError):
+    def test_bell_wilson_sum_cap(self, monkeypatch):
+        for name in ("bell_mod", "_powers", "_factorial_columns", "_factorials"):
+            monkeypatch.setattr(K, name, lambda *a, name=name: pytest.fail(name))
+        with pytest.raises(CapacityError, match="Bell_\\(p-1\\): p - 1 = 100002"):
             R.bell_wilson_sum_mod(100_003)
 
     def test_profile_cap(self):
@@ -658,14 +687,18 @@ class TestLoneRecord:
         bell = K.bell_mod
         monkeypatch.setattr(K, "bell_mod",
                             lambda *a: bell_moduli.append(a[1]) or bell(*a))
-        p = 101
-        profiles = [R.residue_profile(p, e) for e in (1, 2, 3)]
-        table = R.gregory_mod_table(p)
-        g = R.gertsch_quotient_mod(p)
-        assert calls == {"is_prime": 1, "_factorial_columns": 1, "_factorials": 1}
-        assert bell_moduli == [p ** 2, p ** 3]
-        assert [prof.gertsch_q for prof in profiles] == [int(g)] * 3
-        assert list(table.values) == gregory_table_mod_py(p)[1:]
+        # one build mod p^3 below the digit bound (p <= 1021), p^2 then p^3 above
+        for p, moduli in ((101, [101 ** 3]), (1031, [1031 ** 2, 1031 ** 3])):
+            for name in calls:
+                calls[name] = 0
+            bell_moduli.clear()
+            profiles = [R.residue_profile(p, e) for e in (1, 2, 3)]
+            table = R.gregory_mod_table(p)
+            g = R.gertsch_quotient_mod(p)
+            assert calls == {"is_prime": 1, "_factorial_columns": 1, "_factorials": 1}, p
+            assert bell_moduli == moduli, p
+            assert [prof.gertsch_q for prof in profiles] == [int(g)] * 3
+            assert list(table.values) == gregory_table_mod_py(p)[1:]
 
     @staticmethod
     def _outcome(fn):
