@@ -6,16 +6,13 @@ here and nowhere else. On a mismatch the test names the first prime whose
 outcomes differ and the checks whose outcomes differ; when one check
 differs, that is the first differing (id, p).
 
-Regenerating the digests is a deliberate step, taken only when an outcome
-is meant to change: `PYTHONPATH=src python tests/test_catalog_digest.py`
-prints the tables below for the current code.
+Regenerate them only when an outcome is meant to change:
+`PYTHONPATH=src python tests/test_catalog_digest.py` prints them (tests/golden.py).
 """
-
-import hashlib
-from itertools import groupby
 
 import pytest
 
+import golden
 from kurepa import _memo
 from kurepa.checks import run_catalog
 
@@ -26,35 +23,14 @@ def _line(o) -> str:
     return repr((o.check_id, o.p, o.lhs, o.rhs, o.holds, o.skipped, o.note)) + "\n"
 
 
-def _sha(lines) -> str:
-    return hashlib.sha256("".join(lines).encode()).hexdigest()
-
-
-def digests(outcomes) -> tuple[str, dict, dict]:
-    """(the digest of every outcome in (id, p) order, {check id: digest},
-    {p: digest}); the per-check and per-prime digests keep 16 hex digits."""
-    outcomes = sorted(outcomes, key=lambda o: (o.check_id, o.p))
-    by_check = {i: _sha(map(_line, g))[:16]
-                for i, g in groupby(outcomes, key=lambda o: o.check_id)}
-    by_prime = {p: _sha(map(_line, g))[:16]
-                for p, g in groupby(sorted(outcomes, key=lambda o: (o.p, o.check_id)),
-                                    key=lambda o: o.p)}
-    return _sha(map(_line, outcomes)), by_check, by_prime
+def _slice(outcomes) -> tuple[list, list]:
+    """The (check id, p) cases and their lines, in (id, p) order."""
+    found = sorted(outcomes, key=lambda o: (o.check_id, o.p))
+    return [(o.check_id, o.p) for o in found], [_line(o) for o in found]
 
 
 def first_difference(outcomes) -> str | None:
-    """None when the outcomes match the committed digests; otherwise where
-    they first differ."""
-    total, by_check, by_prime = digests(outcomes)
-    if total == DIGEST:
-        return None
-    ids = sorted(i for i in by_check.keys() | BY_CHECK.keys()
-                 if by_check.get(i) != BY_CHECK.get(i))
-    ps = sorted(p for p in by_prime.keys() | BY_PRIME.keys()
-                if by_prime.get(p) != BY_PRIME.get(p))
-    if len(ids) == 1 and ps:
-        return f"first differing outcome: ({ids[0]}, {ps[0]})"
-    return f"first differing prime: {ps[0] if ps else None}; differing checks: {ids}"
+    return golden.first_in_groups(*_slice(outcomes), DIGEST, BY_CHECK, BY_PRIME)
 
 
 @pytest.fixture(scope="module")
@@ -171,14 +147,7 @@ BY_PRIME = {
 
 if __name__ == "__main__":
     _memo.clear_all()
-    total, by_check, by_prime = digests(run_catalog(LO, HI).outcomes)
-    print(f'DIGEST = "{total}"')
-    print("BY_CHECK = {")
-    for i, d in by_check.items():
-        print(f'    "{i}": "{d}",')
-    print("}")
-    print("BY_PRIME = {")
-    items = [f'{p}: "{d}",' for p, d in by_prime.items()]
-    for k in range(0, len(items), 3):
-        print("    " + " ".join(items[k:k + 3]))
-    print("}")
+    cases, lines = _slice(run_catalog(LO, HI).outcomes)
+    golden.show("DIGEST", golden.sha(lines))
+    golden.show("BY_CHECK", golden.by_group(cases, lines, 0))
+    golden.show("BY_PRIME", golden.by_group(cases, lines, 1), per_row=3)

@@ -2,18 +2,17 @@
 in-process through `cli.main`: any change to a byte of their output fails
 the command's own case. The `search` lines drop their two timing fields.
 
-Regenerating the digests is a deliberate step, taken only when an output
-is meant to change: `PYTHONPATH=src python tests/test_cli_digests.py`
-prints the table below for the current code.
+Regenerate them only when an output is meant to change:
+`PYTHONPATH=src python tests/test_cli_digests.py` prints them (tests/golden.py).
 """
 
 import contextlib
-import hashlib
 import io
 import re
 
 import pytest
 
+import golden
 from kurepa import _memo
 from kurepa.cli import main
 
@@ -106,6 +105,7 @@ DIGESTS = {
 
 
 def stdout_of(command: str) -> str:
+    _memo.clear_all()
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(command.split())
@@ -114,18 +114,10 @@ def stdout_of(command: str) -> str:
     return _TIMING.sub("", text) if command.startswith("search ") else text
 
 
-def digest(command: str) -> str:
-    return hashlib.sha256(stdout_of(command).encode()).hexdigest()
-
-
 @pytest.mark.parametrize("command", COMMANDS)
 def test_stdout_digest(command):
-    assert digest(command) == DIGESTS.get(command), command
+    assert golden.sha(stdout_of(command)) == DIGESTS.get(command), command
 
 
 if __name__ == "__main__":
-    print("DIGESTS = {")
-    for command in COMMANDS:
-        _memo.clear_all()
-        print(f'    "{command}":\n        "{digest(command)}",')
-    print("}")
+    golden.show("DIGESTS", {c: golden.sha(stdout_of(c)) for c in COMMANDS})

@@ -6,16 +6,15 @@ covers every cell; beside it each (family, p) keeps the first 8 hex digits
 of its own, in the same order, so on a mismatch the test names the first
 differing (family, p).
 
-Regenerating the digests is a deliberate step, taken only when a value is
-meant to change: `PYTHONPATH=src python tests/test_table_digest.py`
-prints the table below for the current code.
+Regenerate them only when a value is meant to change:
+`PYTHONPATH=src python tests/test_table_digest.py` prints them (tests/golden.py).
 """
 
-import hashlib
 import random
 
 import pytest
 
+import golden
 from kurepa import _memo
 from kurepa import residues as R
 from kurepa.modmath import iter_primes
@@ -44,29 +43,14 @@ def cases() -> list[tuple[str, int]]:
     return [(name, p) for p in primes() for name, _ in FAMILIES]
 
 
-def _line(name: str, p: int, cell) -> str:
-    return repr((name, p, tuple(cell) if isinstance(cell, (list, tuple)) else cell)) + "\n"
-
-
-def digests(cells) -> tuple[str, str]:
-    """(the digest of every cell, the 8-hex digests of each in order), for
-    cells listed in `cases()` order."""
-    lines = [_line(name, p, cell) for (name, p), cell in zip(cases(), cells)]
-    return (hashlib.sha256("".join(lines).encode()).hexdigest(),
-            "".join(hashlib.sha256(s.encode()).hexdigest()[:8] for s in lines))
+def _line(case, cell) -> str:
+    return repr((*case, tuple(cell) if isinstance(cell, (list, tuple)) else cell)) + "\n"
 
 
 def first_difference(cells) -> str | None:
-    """None when the cells match the committed digests; otherwise the first
-    (family, p) whose cell differs."""
-    total, each = digests(cells)
-    if total == DIGEST:
-        return None
-    want = "".join(EACH)
-    for i, (name, p) in enumerate(cases()):
-        if each[8 * i:8 * i + 8] != want[8 * i:8 * i + 8]:
-            return f"first differing cell: ({name}, {p})"
-    return "cells differ, but no (family, p) digest does"
+    """None, or the first (family, p) whose cell differs from the digests."""
+    return golden.first_difference(cases(), map(_line, cases(), cells), DIGEST, EACH,
+                                   "first differing cell: ({}, {})")
 
 
 def compute() -> list:
@@ -94,12 +78,9 @@ def test_a_planted_cell_is_named(cells):
 
 
 if __name__ == "__main__":
-    total, each = digests(compute())
-    print(f'DIGEST = "{total}"')
-    print("EACH = [")
-    for i in range(0, len(each), 64):
-        print(f'    "{each[i:i + 64]}",')
-    print("]")
+    lines = list(map(_line, cases(), compute()))
+    golden.show("DIGEST", golden.sha(lines))
+    golden.show("EACH", golden.each(lines))
 
 
 DIGEST = "60c6e182cb6cfbf366db55806cf7f08640ad3b9dd854c138b085ce2ff1ceef6e"
