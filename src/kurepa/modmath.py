@@ -9,6 +9,7 @@ hits.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import compress
 from typing import Iterator
@@ -168,10 +169,17 @@ UNDEFINED = _Undefined()
 # ---------------------------------------------------------------------------
 # Primality
 
-# Witnesses proving Miller-Rabin deterministic for n < 3.317e24
-# (Sorenson-Webster), which covers well past 64 bits.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+# psi_k, the least strong pseudoprime to each of the first k prime bases
+# (OEIS A014233; psi_12 and psi_13 from Sorenson and Webster, Math. Comp.
+# 86 (2017) 985-1003): below psi_k the first k primes make Miller-Rabin
+# deterministic. psi_7 = psi_8 and psi_9 = psi_10 = psi_11.
+_PSI = (2047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+        3_474_749_660_383, 341_550_071_728_321, 341_550_071_728_321,
+        3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+        3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
+        3_317_044_064_679_887_385_961_981)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_DETERMINISTIC_BOUND = _PSI[-1]
 
 _SMALL_PRIME_SET = frozenset(_MR_WITNESSES)
 
@@ -258,9 +266,13 @@ def _strong_lucas_prp(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for n below ~3.3e24; Baillie-PSW beyond.
+    """Deterministic primality below psi_13 ~ 3.3e24; Baillie-PSW beyond.
 
-    No BPSW counterexample is known; below the bound the result is proven.
+    Below psi_k (`_PSI`: 2047, 1373653, 25326001, 3215031751,
+    2152302898747, 3474749660383, 341550071728321 for k = 7 and 8,
+    3825123056546413051 for k = 9 to 11, then psi_12 ~ 3.2e23 and psi_13)
+    Miller-Rabin to the first k prime bases proves the result, so every
+    n < 2047 needs base 2 alone. No BPSW counterexample is known.
     """
     if n < 2:
         return False
@@ -270,7 +282,8 @@ def is_prime(n: int) -> bool:
         if n % p == 0:
             return False
     if n < _MR_DETERMINISTIC_BOUND:
-        return not any(_miller_rabin_witness(n, a) for a in _MR_WITNESSES)
+        bases = _MR_WITNESSES[:bisect_right(_PSI, n) + 1]
+        return not any(_miller_rabin_witness(n, a) for a in bases)
     # Baillie-PSW: strong base-2 Miller-Rabin plus strong Lucas.
     if _miller_rabin_witness(n, 2):
         return False

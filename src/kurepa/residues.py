@@ -95,8 +95,9 @@ class PrimeContext:
     Mod p, Fermat makes every j^(p-1) = 1, so Bell_{p-1} mod p needs no
     power table (`bell1`); the Bell-Wilson sum reads it and builds the p^2
     value only when p | Bell_{p-1}. Mod p^2 serves Gertsch, Lerch, the
-    Fermat-quotient sum and Bell at e = 2; mod p^3 serves Bell at e = 3 and
-    sum_a a^(p-1) mod p^3, which share one power table. Once the p^3 value
+    Fermat-quotient sum and Bell at e = 2; mod p^3 serves Bell at e = 3,
+    every `residue_profile` and sum_a a^(p-1) mod p^3, which share one
+    power table. Once the p^3 value
     is built, the p^2 one is read off it. Below the digit bound, where p^3
     fits in one digit of a CPython int (p^3 < 2^30, p <= 1021, on 64-bit
     builds), a walk mod p^3 costs what one mod p^2 does, so the p^2 values
@@ -700,7 +701,10 @@ class ResidueProfile(NamedTuple):
 
 def residue_profile(p: int, e: int = 1) -> ResidueProfile:
     """Every field read from one PrimeContext, the one `_record` holds, which
-    the next call at the same p and `config` caps reads again."""
+    the next call at the same p and `config` caps reads again. Bell_{p-1}
+    is read mod p^3 at every e, so the profiles at e = 1, 2, 3 share one
+    power table and one Bell_{p-1}, and Gertsch and Lerch read their p^2
+    values off that build."""
     ctx = _record(p)
     if e not in (1, 2, 3):
         raise DomainError(f"modulus power must be 1, 2 or 3, got {e}")
@@ -709,7 +713,7 @@ def residue_profile(p: int, e: int = 1) -> ResidueProfile:
         p=p,
         e=e,
         k_mod=ctx.kurepa(e),
-        bell_mod=ctx.bell(max(e, 2)) % p ** e,  # the value Gertsch reads
+        bell_mod=ctx.bell(3) % p ** e,
         der_mod=ctx.der,
         wilson_q=ctx.wilson,
         gertsch_q=ctx.gertsch,

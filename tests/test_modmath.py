@@ -104,6 +104,37 @@ class TestIsPrime:
         for n in range(2, 5000):
             assert is_prime(n) == (n in flags)
 
+    # psi_k (OEIS A014233) is the least strong pseudoprime to the first k
+    # prime bases, so the first k bases alone would call it prime
+    @pytest.mark.parametrize("k", range(1, 14))
+    def test_psi_k_is_composite(self, k):
+        n = modmath._PSI[k - 1]
+        assert not any(modmath._miller_rabin_witness(n, a) for a in modmath._MR_WITNESSES[:k])
+        assert any(modmath._miller_rabin_witness(n, a) for a in sieve_primes(2, 47))
+        assert not is_prime(n)
+
+    def test_psi_12_factors(self):
+        assert modmath._PSI[11] == 399165290221 * 798330580441
+        assert modmath._miller_rabin_witness(modmath._PSI[11], 41)
+
+    def test_agreement_with_sieve_to_1e5(self):
+        flags = set(sieve_primes(2, 10 ** 5))
+        assert [n for n in range(10 ** 5 + 1) if is_prime(n)] == sorted(flags)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_agreement_with_sieve_around_psi_k(self, k):
+        lo, hi = max(2, modmath._PSI[k - 1] - 10 ** 4), modmath._PSI[k - 1] + 10 ** 4
+        assert [n for n in range(lo, hi + 1) if is_prime(n)] == sieve_primes(lo, hi)
+
+    @pytest.mark.parametrize("k", range(5, 14))
+    def test_agreement_with_bpsw_from_psi_k(self, k):
+        def bpsw(n):
+            return (not modmath._miller_rabin_witness(n, 2)
+                    and math.isqrt(n) ** 2 != n and modmath._strong_lucas_prp(n))
+        start = modmath._PSI[k - 1] | 1
+        for n in range(start, start + 1000, 2):
+            assert is_prime(n) == bpsw(n), n
+
 
 class TestBPSW:
     """is_prime above the deterministic Miller-Rabin bound: a strong base-2

@@ -432,7 +432,8 @@ class TestPrecisionOnDemand:
     """Below the digit bound (p^3 < 2^30 on 64-bit CPython, so p <= 1021)
     Bell_{p-1} and the powers j^(p-1) are built once, mod p^3, and the p^2
     readers read that build. Above it they are built mod p^3 only for a
-    reader at e = 3; the p^2 readers share one build mod p^2."""
+    reader at e = 3 and for a residue profile, at any e; the lone p^2
+    readers share one build mod p^2."""
 
     @pytest.fixture
     def moduli(self, monkeypatch):
@@ -450,8 +451,7 @@ class TestPrecisionOnDemand:
             for calls in moduli.values():
                 calls.clear()
             R.residue_profile(p, e)
-            m = p ** 3 if e == 3 or p ** 3 < 1 << sys.int_info.bits_per_digit else p * p
-            assert moduli == {"bell_mod": [m], "_powers": [m]}, (p, e)
+            assert moduli == {"bell_mod": [p ** 3], "_powers": [p ** 3]}, (p, e)
 
     def test_gertsch_quotient(self, moduli):
         R.gertsch_quotient_mod(1031)
@@ -687,8 +687,8 @@ class TestLoneRecord:
         bell = K.bell_mod
         monkeypatch.setattr(K, "bell_mod",
                             lambda *a: bell_moduli.append(a[1]) or bell(*a))
-        # one build mod p^3 below the digit bound (p <= 1021), p^2 then p^3 above
-        for p, moduli in ((101, [101 ** 3]), (1031, [1031 ** 2, 1031 ** 3])):
+        # one build mod p^3 on either side of the digit bound (p <= 1021)
+        for p, moduli in ((101, [101 ** 3]), (1031, [1031 ** 3])):
             for name in calls:
                 calls[name] = 0
             bell_moduli.clear()
