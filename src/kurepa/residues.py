@@ -97,13 +97,13 @@ class PrimeContext:
     value only when p | Bell_{p-1}. Mod p^2 serves Gertsch, Lerch, the
     Fermat-quotient sum and Bell at e = 2; mod p^3 serves Bell at e = 3,
     every `residue_profile` and sum_a a^(p-1) mod p^3, which share one
-    power table. Once the p^3 value
-    is built, the p^2 one is read off it. Below the digit bound, where p^3
-    fits in one digit of a CPython int (p^3 < 2^30, p <= 1021, on 64-bit
-    builds), a walk mod p^3 costs what one mod p^2 does, so the p^2 values
-    are always read off the p^3 ones: one power table and one Bell_{p-1}
-    per record. Bell is capped at p - 1 <= `config.BELL_MOD_CAP`
-    and the tables at p <= `config.BERNOULLI_MOD_CAP`, both read once, when
+    power table. Once the p^3 value is built, the p^2 one is read off it.
+    Below the digit bound, where p^3 fits in one digit of a CPython int
+    (p^3 < 2^30, p <= 1021, on 64-bit builds), a walk mod p^3 costs what
+    one mod p^2 does, so the p^2 values are always read off the p^3 ones:
+    one power table and one Bell_{p-1} per record. Bell is capped at
+    p - 1 <= `config.BELL_MOD_CAP` and the tables at
+    p <= `config.BERNOULLI_MOD_CAP`, both read once, when
     the record is made. Every value is a value at p: nothing here reads
     or keeps another prime's residues, except `greg`: after the cap check it
     reads p's table from the memo `_gregory_tables`, and only on a miss

@@ -100,26 +100,17 @@ class TestIsPrime:
         assert not is_prime((2 ** 61 - 1) ** 2)
 
     def test_agreement_with_sieve(self):
-        flags = set(sieve_primes(2, 5000))
-        for n in range(2, 5000):
-            assert is_prime(n) == (n in flags)
+        assert [n for n in range(10 ** 5 + 1) if is_prime(n)] == sieve_primes(2, 10 ** 5)
 
     # psi_k (OEIS A014233) is the least strong pseudoprime to the first k
-    # prime bases, so the first k bases alone would call it prime
+    # prime bases, so the first k bases alone would call it prime; psi_12 =
+    # 399165290221 * 798330580441 needs base 41
     @pytest.mark.parametrize("k", range(1, 14))
     def test_psi_k_is_composite(self, k):
         n = modmath._PSI[k - 1]
         assert not any(modmath._miller_rabin_witness(n, a) for a in modmath._MR_WITNESSES[:k])
         assert any(modmath._miller_rabin_witness(n, a) for a in sieve_primes(2, 47))
         assert not is_prime(n)
-
-    def test_psi_12_factors(self):
-        assert modmath._PSI[11] == 399165290221 * 798330580441
-        assert modmath._miller_rabin_witness(modmath._PSI[11], 41)
-
-    def test_agreement_with_sieve_to_1e5(self):
-        flags = set(sieve_primes(2, 10 ** 5))
-        assert [n for n in range(10 ** 5 + 1) if is_prime(n)] == sorted(flags)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_agreement_with_sieve_around_psi_k(self, k):
