@@ -9,7 +9,6 @@ hits.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import compress
 from typing import Iterator
@@ -169,17 +168,13 @@ UNDEFINED = _Undefined()
 # ---------------------------------------------------------------------------
 # Primality
 
-# psi_k, the least strong pseudoprime to each of the first k prime bases
-# (OEIS A014233; psi_12 and psi_13 from Sorenson and Webster, Math. Comp.
-# 86 (2017) 985-1003): below psi_k the first k primes make Miller-Rabin
-# deterministic. psi_7 = psi_8 and psi_9 = psi_10 = psi_11.
-_PSI = (2047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
-        3_474_749_660_383, 341_550_071_728_321, 341_550_071_728_321,
-        3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
-        3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
-        3_317_044_064_679_887_385_961_981)
+# The 13 primes 2..41 make Miller-Rabin deterministic below
+# psi_13 = 3.317e24 (Sorenson and Webster, Math. Comp. 86 (2017) 985-1003;
+# OEIS A014233), which covers well past 64 bits. The first 12 alone stop at
+# psi_12 = 318665857834031151167461 = 399165290221 * 798330580441, a strong
+# pseudoprime to 2..37 that base 41 exposes.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_DETERMINISTIC_BOUND = _PSI[-1]
+_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
 _SMALL_PRIME_SET = frozenset(_MR_WITNESSES)
 
@@ -268,11 +263,7 @@ def _strong_lucas_prp(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Deterministic primality below psi_13 ~ 3.3e24; Baillie-PSW beyond.
 
-    Below psi_k (`_PSI`: 2047, 1373653, 25326001, 3215031751,
-    2152302898747, 3474749660383, 341550071728321 for k = 7 and 8,
-    3825123056546413051 for k = 9 to 11, then psi_12 ~ 3.2e23 and psi_13)
-    Miller-Rabin to the first k prime bases proves the result, so every
-    n < 2047 needs base 2 alone. No BPSW counterexample is known.
+    No BPSW counterexample is known; below the bound the result is proven.
     """
     if n < 2:
         return False
@@ -282,8 +273,7 @@ def is_prime(n: int) -> bool:
         if n % p == 0:
             return False
     if n < _MR_DETERMINISTIC_BOUND:
-        bases = _MR_WITNESSES[:bisect_right(_PSI, n) + 1]
-        return not any(_miller_rabin_witness(n, a) for a in bases)
+        return not any(_miller_rabin_witness(n, a) for a in _MR_WITNESSES)
     # Baillie-PSW: strong base-2 Miller-Rabin plus strong Lucas.
     if _miller_rabin_witness(n, 2):
         return False

@@ -1,12 +1,11 @@
 """The one format every golden-digest test pins its values in: a SHA-256
-over a slice's lines, one line per case, beside a short digest per case or
-per group of cases that names the first differing case. Each file's
-`__main__` prints its constants through `show`, so regenerating a slice is
-`PYTHONPATH=src python tests/<file>.py`."""
+over a slice's lines, one line per case, beside a short digest per case (in
+the catalog, per check and per prime) that names the first differing case.
+Each file's `__main__` prints its constants through `show`, so regenerating
+a slice is `PYTHONPATH=src python tests/<file>.py`."""
 
 import hashlib
 import json
-from itertools import groupby
 
 
 def sha(lines) -> str:
@@ -29,29 +28,6 @@ def first_difference(cases, lines, total, want, named, width=8):
     return next((named.format(*case) for i, case in enumerate(cases)
                  if got[i * width:(i + 1) * width] != want[i * width:(i + 1) * width]),
                 "values differ, but no case's digest does")
-
-
-def by_group(cases, lines, axis: int) -> dict:
-    """{key: 16 hex digits of the SHA-256 over its lines}, keyed by each
-    case's item at `axis`; a key's lines go in case order."""
-    rows = sorted(zip(cases, lines), key=lambda cl: (cl[0][axis], cl[0]))
-    return {k: sha(line for _, line in g)[:16]
-            for k, g in groupby(rows, key=lambda cl: cl[0][axis])}
-
-
-def first_in_groups(cases, lines, total, by_check, by_prime):
-    """None when the (check id, p) lines hash to `total`; otherwise the first
-    prime and the checks whose group digests differ, or, when one check
-    differs, its first differing (id, p)."""
-    lines = list(lines)
-    if sha(lines) == total:
-        return None
-    ids, ps = (sorted(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))
-               for got, want in ((by_group(cases, lines, 0), by_check),
-                                 (by_group(cases, lines, 1), by_prime)))
-    if len(ids) == 1 and ps:
-        return f"first differing outcome: ({ids[0]}, {ps[0]})"
-    return f"first differing prime: {ps[0] if ps else None}; differing checks: {ids}"
 
 
 def show(name: str, value, per_row: int = 1):

@@ -4,8 +4,10 @@ log_A(2), ell_A(2), and G_A(k) and Z_A(k) for k = 2, 3, 4. A line per
 (constant, p) holds the residue, or "undefined" where p is in the element's
 undefined set. One digest covers every line; beside it each (constant, p)
 keeps the first 2 hex digits of its own, in the same order, so on a
-mismatch the test names the first differing (constant, p). A changed
-residue goes unnamed with chance 1/256, and the whole digest still fails.
+mismatch the test names the first (constant, p) whose short digest
+differs. A changed residue keeps its short digest with chance 1/256, so the
+case named may come after the first one that changed; the whole digest
+still fails.
 
 Regenerate them only when a residue is meant to change:
 `PYTHONPATH=src python tests/test_adele_digest.py` prints them (tests/golden.py).
@@ -49,9 +51,9 @@ def lines(els) -> list[str]:
 
 
 def first_difference(els) -> str | None:
-    """None, or the first (constant, p) whose residue differs from the digests."""
+    """None, or the first (constant, p) whose short digest differs."""
     return golden.first_difference(cases(), lines(els), DIGEST, EACH,
-                                   "first differing residue: ({}, {})", WIDTH)
+                                   "first case whose short digest differs: ({}, {})", WIDTH)
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +70,7 @@ def test_a_planted_residue_is_named(els):
     g = els["gamma_G"]
     planted = dict(els, gamma_G=A.AdeleElement(
         g.window, {**g.residues, 503: (g.residues[503] + 1) % 503}, g.undefined_at))
-    assert first_difference(planted) == "first differing residue: (gamma_G, 503)"
+    assert first_difference(planted) == "first case whose short digest differs: (gamma_G, 503)"
 
 
 if __name__ == "__main__":

@@ -10,6 +10,8 @@ Regenerate them only when an outcome is meant to change:
 `PYTHONPATH=src python tests/test_catalog_digest.py` prints them (tests/golden.py).
 """
 
+from itertools import groupby
+
 import pytest
 
 import golden
@@ -23,14 +25,31 @@ def _line(o) -> str:
     return repr((o.check_id, o.p, o.lhs, o.rhs, o.holds, o.skipped, o.note)) + "\n"
 
 
-def _slice(outcomes) -> tuple[list, list]:
-    """The (check id, p) cases and their lines, in (id, p) order."""
-    found = sorted(outcomes, key=lambda o: (o.check_id, o.p))
-    return [(o.check_id, o.p) for o in found], [_line(o) for o in found]
+def digests(outcomes) -> tuple[list[str], dict, dict]:
+    """(every outcome's line in (id, p) order, {check id: digest},
+    {p: digest}); the per-check and per-prime digests keep 16 hex digits."""
+    outcomes = sorted(outcomes, key=lambda o: (o.check_id, o.p))
+    by_check = {i: golden.sha(map(_line, g))[:16]
+                for i, g in groupby(outcomes, key=lambda o: o.check_id)}
+    by_prime = {p: golden.sha(map(_line, g))[:16]
+                for p, g in groupby(sorted(outcomes, key=lambda o: (o.p, o.check_id)),
+                                    key=lambda o: o.p)}
+    return list(map(_line, outcomes)), by_check, by_prime
 
 
 def first_difference(outcomes) -> str | None:
-    return golden.first_in_groups(*_slice(outcomes), DIGEST, BY_CHECK, BY_PRIME)
+    """None when the outcomes match the committed digests; otherwise where
+    they first differ."""
+    lines, by_check, by_prime = digests(outcomes)
+    if golden.sha(lines) == DIGEST:
+        return None
+    ids = sorted(i for i in by_check.keys() | BY_CHECK.keys()
+                 if by_check.get(i) != BY_CHECK.get(i))
+    ps = sorted(p for p in by_prime.keys() | BY_PRIME.keys()
+                if by_prime.get(p) != BY_PRIME.get(p))
+    if len(ids) == 1 and ps:
+        return f"first differing outcome: ({ids[0]}, {ps[0]})"
+    return f"first differing prime: {ps[0] if ps else None}; differing checks: {ids}"
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +166,7 @@ BY_PRIME = {
 
 if __name__ == "__main__":
     _memo.clear_all()
-    cases, lines = _slice(run_catalog(LO, HI).outcomes)
+    lines, by_check, by_prime = digests(run_catalog(LO, HI).outcomes)
     golden.show("DIGEST", golden.sha(lines))
-    golden.show("BY_CHECK", golden.by_group(cases, lines, 0))
-    golden.show("BY_PRIME", golden.by_group(cases, lines, 1), per_row=3)
+    golden.show("BY_CHECK", by_check)
+    golden.show("BY_PRIME", by_prime, per_row=3)

@@ -18,6 +18,15 @@ from kurepa.modmath import (
     sieve_upto,
 )
 
+# psi_k, the least strong pseudoprime to the first k prime bases (OEIS
+# A014233; psi_12 and psi_13 from Sorenson and Webster, Math. Comp. 86
+# (2017) 985-1003). psi_7 = psi_8 and psi_9 = psi_10 = psi_11.
+PSI = (2047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+       3_474_749_660_383, 341_550_071_728_321, 341_550_071_728_321,
+       3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+       3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
+       3_317_044_064_679_887_385_961_981)
+
 
 def brute_primes(lo, hi):
     def isp(n):
@@ -102,28 +111,26 @@ class TestIsPrime:
     def test_agreement_with_sieve(self):
         assert [n for n in range(10 ** 5 + 1) if is_prime(n)] == sieve_primes(2, 10 ** 5)
 
-    # psi_k (OEIS A014233) is the least strong pseudoprime to the first k
-    # prime bases, so the first k bases alone would call it prime; psi_12 =
-    # 399165290221 * 798330580441 needs base 41
     @pytest.mark.parametrize("k", range(1, 14))
     def test_psi_k_is_composite(self, k):
-        n = modmath._PSI[k - 1]
+        # psi_12 = 399165290221 * 798330580441 needs base 41
+        n = PSI[k - 1]
         assert not any(modmath._miller_rabin_witness(n, a) for a in modmath._MR_WITNESSES[:k])
         assert any(modmath._miller_rabin_witness(n, a) for a in sieve_primes(2, 47))
         assert not is_prime(n)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_agreement_with_sieve_around_psi_k(self, k):
-        lo, hi = max(2, modmath._PSI[k - 1] - 10 ** 4), modmath._PSI[k - 1] + 10 ** 4
+        lo, hi = max(2, PSI[k - 1] - 10 ** 4), PSI[k - 1] + 10 ** 4
         assert [n for n in range(lo, hi + 1) if is_prime(n)] == sieve_primes(lo, hi)
 
-    @pytest.mark.parametrize("k", range(5, 14))
-    def test_agreement_with_bpsw_from_psi_k(self, k):
+    # from psi_13 up is_prime runs the BPSW path itself
+    @pytest.mark.parametrize("psi", sorted(set(PSI[4:12])))
+    def test_agreement_with_bpsw_from_psi_k(self, psi):
         def bpsw(n):
             return (not modmath._miller_rabin_witness(n, 2)
                     and math.isqrt(n) ** 2 != n and modmath._strong_lucas_prp(n))
-        start = modmath._PSI[k - 1] | 1
-        for n in range(start, start + 1000, 2):
+        for n in range(psi | 1, (psi | 1) + 1000, 2):
             assert is_prime(n) == bpsw(n), n
 
 
