@@ -1,14 +1,14 @@
 """Checkpointed prime-search campaigns for the exceptional sets.
 
-A campaign is a deterministic per-prime predicate scanned over a range in
-blocks. After each block the run hands a snapshot of its full state to its
-own writer thread, which replaces a single JSON document atomically (temp
-file, fsync, rename); the newest snapshot wins, so while the run is in
-progress the file may lag the scan by the write in flight, and on return it
-is final and durable. A killed run resumes from the block boundary on disk
-to exactly the hits an uninterrupted run would have produced. A failed write
-is a CheckpointError and removes its temp file; a run killed mid-write can
-leave one, which the next write overwrites.
+A campaign is a deterministic rule over named per-prime columns, scanned
+over a range in blocks. After each block the run hands a snapshot of its
+full state to its own writer thread, which replaces a single JSON document
+atomically (temp file, fsync, rename); the newest snapshot wins, so while
+the run is in progress the file may lag the scan by the write in flight,
+and on return it is final and durable. A killed run resumes from the block
+boundary on disk to exactly the hits an uninterrupted run would have
+produced. A failed write is a CheckpointError and removes its temp file; a
+run killed mid-write can leave one, which the next write overwrites.
 """
 
 from __future__ import annotations
@@ -41,101 +41,101 @@ CHECKPOINT_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
-# Campaign predicates (block scans: primes, columns, params -> hits). A
-# campaign that declares an exponent e reads the block's columns mod p^e
-# from the run's `_kernels.run_columns` at the width it declares:
-# ((p-1)!,) alone, which the run carries at half the cost (the Wilson
-# campaigns and qpm_zero), ((p-1)!, !p) (kurepa_zero), or
-# ((p-1)!, !p, Der_{p-1}) (the gertsch campaigns). The others get None.
+# Columns and hit rules. A campaign reads named columns, one value per prime
+# of a block, which its hit rule turns into the block's hits. A column's
+# block kernel maps the block's primes and its columns of the run tree
+# `_kernels.run_columns` at exponent e and width (no tree when e is None)
+# to the column's values:
+#
+#   column    e     width  value at p
+#   wilson    2     1      W_p mod p, from (p-1)! mod p^2
+#   kurepa    1     2      !p mod p
+#   gertsch   2     3      Gertsch_p mod p, from (p-1)!, !p and Der_{p-1}
+#   q2        None  1      q_p(2) mod p
+#   q3        None  1      q_p(3) mod p, None at p = 3
+#
+# A run's tree has the largest e and width over the columns it reads.
 
-def _scan_wilson_zero(primes, cols, params):
-    ws = _kernels.wilson_column(primes, cols[0])
-    return [p for p, w in zip(primes, ws) if w == 0]
-
-
-def _scan_wieferich(primes, cols, params):
-    return [p for p in primes if _kernels.fermat_quotient(p, 2) == 0]
-
-
-def _scan_mirimanoff(primes, cols, params):
-    return [p for p in primes if p != 3 and _kernels.fermat_quotient(p, 3) == 0]
-
-
-def _scan_gertsch_wilson(primes, cols, params):
-    gs = _kernels.gertsch_column(primes, *cols)
-    ws = _kernels.wilson_column(primes, cols[0])
-    return [p for p, g, w in zip(primes, gs, ws) if g == w]
+class _Column(NamedTuple):
+    e: Optional[int]
+    width: int
+    kernel: Callable[[list[int], Optional[tuple]], list]
 
 
-def _scan_gertsch_zero(primes, cols, params):
-    gs = _kernels.gertsch_column(primes, *cols)
-    return [p for p, g in zip(primes, gs) if g == 0]
+_COLUMNS: dict[str, _Column] = {
+    "wilson": _Column(2, 1, lambda ps, cols: _kernels.wilson_column(ps, cols[0])),
+    "kurepa": _Column(1, 2, lambda ps, cols: [k % p for p, k in zip(ps, cols[1])]),
+    "gertsch": _Column(2, 3, lambda ps, cols: _kernels.gertsch_column(ps, *cols)),
+    "q2": _Column(None, 1, lambda ps, _: [_kernels.fermat_quotient(p, 2) for p in ps]),
+    "q3": _Column(None, 1, lambda ps, _: [None if p == 3 else
+                                          _kernels.fermat_quotient(p, 3) for p in ps]),
+}
 
 
-def _scan_wilson_plus_two(primes, cols, params):
+def _zeros(primes, xs):
+    return [p for p, x in zip(primes, xs) if x == 0]
+
+
+def _equal(primes, xs, ys):
+    return [p for p, x, y in zip(primes, xs, ys) if x == y]
+
+
+def _wilson_plus_two(primes, ws):
     # zeros of the alternating Bernoulli index sum, which is W_p + 2 (mod p),
     # searched as W_p = -2 so no Bernoulli table bounds the range
-    ws = _kernels.wilson_column(primes, cols[0])
     return [p for p, w in zip(primes, ws) if (w + 2) % p == 0]
 
 
-def _scan_wilson_plus_half(primes, cols, params):
+def _wilson_plus_half(primes, ws):
     # zeros of the even Bernoulli index sum = W_p + 1/2 (mod p)
-    ws = _kernels.wilson_column(primes, cols[0])
     return [p for p, w in zip(primes, ws) if (w + (p + 1) // 2) % p == 0]
 
 
-def _scan_kurepa_zero(primes, cols, params):
-    return [p for p, k in zip(primes, cols[1]) if k == 0]
-
-
-def _scan_qpm_zero(primes, cols, params):
+def _qpm_pairs(primes, ws, m_max):
     """(m, p) pairs with Q_p(m) = AG_p + q_p(m) = 0 (mod p), via AG_p = W_p+1."""
-    m_max = params["m_max"]
-    ws = _kernels.wilson_column(primes, cols[0])
-    hits = []
-    for p, w in zip(primes, ws):
-        ag = (w + 1) % p
-        for m in range(2, m_max + 1):
-            if m % p == 0:
-                continue
-            if (ag + _kernels.fermat_quotient(p, m)) % p == 0:
-                hits.append((m, p))
-    return hits
+    return [(m, p) for p, w in zip(primes, ws) for m in range(2, m_max + 1)
+            if m % p and (w + 1 + _kernels.fermat_quotient(p, m)) % p == 0]
 
 
 class _CampaignFields(NamedTuple):
     name: str
     description: str
-    scan: Callable[[list[int], Optional[tuple], dict], list]
+    # the `_COLUMNS` the hit rule reads, in the order it takes them
+    reads: tuple
+    # hit(primes, *columns, **params): one block's hits, in scan order
+    hit: Callable[..., list]
     # desk-scale expected fixture: (lo, hi, hits, mode)
     expected: Optional[tuple]
-    # the scan reads columns mod p^e; None: it reads no columns
-    e: Optional[int]
-    # the columns the scan reads, and the run carries: 1, ((p-1)!,);
-    # 2, ((p-1)!, !p); 3, ((p-1)!, !p, Der_{p-1})
-    width: int
-    # the params the scan reads, each with its default; a run's checkpoint
-    # records them, and a resume must pass the same. A campaign that takes
-    # m_max tests each m in 2..m_max at each prime, so its hits are (m, p)
-    # pairs; the others' hits are primes.
+    # the params the hit rule reads, each with its default; a run's
+    # checkpoint records them, and a resume must pass the same. With m_max
+    # the rule tests each m in 2..m_max at each prime and its hits are
+    # (m, p) pairs; the others' hits are primes.
     params: dict
 
 
 class Campaign(_CampaignFields):
-    """A campaign and its contract: the params a run takes and the hits a
-    run may hold. Every run, resume, shard merge and fixture check reads
-    them through `run_params` and `hit_key`."""
+    """A campaign and its contract: the columns it reads, the params a run
+    takes and the hits a run may hold. Every run, resume, shard merge and
+    fixture check reads them through `run_params` and `hit_key`."""
 
     __slots__ = ()
 
-    def __new__(cls, name: str, description: str,
-                scan: Callable[[list[int], Optional[tuple], dict], list],
-                expected: Optional[tuple] = None, e: Optional[int] = None,
-                width: int = 1, params: Optional[dict] = None):
+    def __new__(cls, name: str, description: str, reads: tuple,
+                hit: Callable[..., list], expected: Optional[tuple] = None,
+                params: Optional[dict] = None):
         # each campaign holds its own params dict
-        return super().__new__(cls, name, description, scan, expected, e, width,
+        return super().__new__(cls, name, description, reads, hit, expected,
                                {} if params is None else params)
+
+    @property
+    def e(self) -> Optional[int]:
+        """The run tree's exponent, the largest over `reads`; None: no tree."""
+        return max(filter(None, (_COLUMNS[c].e for c in self.reads)), default=None)
+
+    @property
+    def width(self) -> int:
+        """The run tree's width, the largest over `reads`."""
+        return max((_COLUMNS[c].width for c in self.reads), default=1)
 
     def run_params(self, params: Optional[dict]) -> dict:
         """The params of a run: each param the campaign takes, from params
@@ -175,30 +175,26 @@ class Campaign(_CampaignFields):
 
 
 CAMPAIGNS: dict[str, Campaign] = {c.name: c for c in [
-    Campaign("wilson_zero", "W_p = 0 (mod p): Wilson primes",
-             _scan_wilson_zero, expected=(3, 10_000, (5, 13, 563), "equal"), e=2),
-    Campaign("wieferich", "q_p(2) = 0 (mod p): Wieferich primes",
-             _scan_wieferich, expected=(3, 1_000_000, (1093, 3511), "equal")),
-    Campaign("mirimanoff", "q_p(3) = 0 (mod p): Mirimanoff primes",
-             _scan_mirimanoff, expected=(3, 1_100_000, (11, 1_006_003), "equal")),
-    Campaign("gertsch_wilson", "Gertsch_p = W_p (mod p)",
-             _scan_gertsch_wilson, expected=(3, 3000, (3, 7, 2887), "equal"), e=2,
-             width=3),
+    Campaign("wilson_zero", "W_p = 0 (mod p): Wilson primes", ("wilson",),
+             _zeros, expected=(3, 10_000, (5, 13, 563), "equal")),
+    Campaign("wieferich", "q_p(2) = 0 (mod p): Wieferich primes", ("q2",),
+             _zeros, expected=(3, 1_000_000, (1093, 3511), "equal")),
+    Campaign("mirimanoff", "q_p(3) = 0 (mod p): Mirimanoff primes", ("q3",),
+             _zeros, expected=(3, 1_100_000, (11, 1_006_003), "equal")),
+    Campaign("gertsch_wilson", "Gertsch_p = W_p (mod p)", ("gertsch", "wilson"),
+             _equal, expected=(3, 3000, (3, 7, 2887), "equal")),
     Campaign("gertsch_zero", "Gertsch_p = 0 (mod p): no hits known",
-             _scan_gertsch_zero, expected=(3, 3000, (), "equal"), e=2,
-             width=3),
-    Campaign("wilson_plus_two", "W_p + 2 = 0 (mod p)",
-             _scan_wilson_plus_two, expected=(3, 2000, (3, 7, 71), "equal"), e=2),
-    Campaign("wilson_plus_half", "W_p + 1/2 = 0 (mod p)",
-             _scan_wilson_plus_half, expected=(3, 1500, (3, 227, 1163), "equal"),
-             e=2),
-    Campaign("kurepa_zero", "!p = 0 (mod p): no hits known",
-             _scan_kurepa_zero, expected=(3, 100_000, (), "equal"), e=1,
-             width=2),
+             ("gertsch",), _zeros, expected=(3, 3000, (), "equal")),
+    Campaign("wilson_plus_two", "W_p + 2 = 0 (mod p)", ("wilson",),
+             _wilson_plus_two, expected=(3, 2000, (3, 7, 71), "equal")),
+    Campaign("wilson_plus_half", "W_p + 1/2 = 0 (mod p)", ("wilson",),
+             _wilson_plus_half, expected=(3, 1500, (3, 227, 1163), "equal")),
+    Campaign("kurepa_zero", "!p = 0 (mod p): no hits known", ("kurepa",),
+             _zeros, expected=(3, 100_000, (), "equal")),
     Campaign("qpm_zero", "pairs (m, p) with AG_p + q_p(m) = 0 (mod p)",
-             _scan_qpm_zero,
+             ("wilson",), _qpm_pairs,
              expected=(3, 37, ((2, 3), (6, 7), (14, 19), (5, 23), (19, 31),
-                               (20, 37)), "contains"), e=2,
+                               (20, 37)), "contains"),
              params={"m_max": 20}),
 ]}
 
@@ -395,11 +391,13 @@ def _chunked(it, size):
 
 def _scan_block(campaign: Campaign, primes: list[int], params: dict,
                 columns) -> list:
-    """The hits of one checkpoint block; `columns` is the run's
-    `_kernels.run_columns` generator, advanced here by one block, or None
-    for a campaign that reads no columns."""
+    """The hits of one checkpoint block: each column the campaign reads,
+    computed once from the block's tree columns, then its hit rule.
+    `columns` is the run's `_kernels.run_columns` generator, advanced here
+    by one block, or None for a campaign whose columns need no tree."""
     cols = None if columns is None else next(columns)
-    return campaign.scan(primes, cols, params)
+    return campaign.hit(primes, *(_COLUMNS[c].kernel(primes, cols)
+                                  for c in campaign.reads), **params)
 
 
 def _require_range(lo: int, hi: int):
@@ -427,12 +425,12 @@ def run_campaign(name: str, lo: int, hi: int, *,
     checkpoint, final and durable. A failed write raises CheckpointError
     (chained from the OSError), unless the scan itself raised first.
 
-    A campaign that reads the (p-1)! column, and !p and Der_{p-1} if its
-    width says so, sieves the run's primes up front and reads each block's columns from
-    one remainder tree over the run (`_kernels.run_columns`): it folds from
-    n = 1 to the run's first prime once, and computes a block's columns
-    only when that block is scanned. The Fermat-quotient campaigns stream
-    their primes instead.
+    A campaign that reads a tree column (`Campaign.e` is not None) sieves
+    the run's primes up front and reads each block's columns from one
+    remainder tree over the run (`_kernels.run_columns` at its e and
+    width): it folds from n = 1 to the run's first prime once, and computes
+    a block's columns only when that block is scanned. The Fermat-quotient
+    campaigns stream their primes instead.
     params are the campaign's params (`Campaign.params` holds each one's
     default; only qpm_zero takes one, m_max, an int >= 2); a name the
     campaign does not take, or a bad value, raises DomainError.

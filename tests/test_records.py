@@ -48,9 +48,10 @@ _SPECS = [
       "fermat_q2", "fermat_q3", "lerch_q", "ag_q", "bernoulli_sums"),
      (13, 1, 10, 11, 10, 8, 3, 1, 4, 12, 9, (10, 9, 2)), {}),
     (search.Campaign,
-     ("name", "description", "scan", "expected", "e", "width", "params"),
-     ("c", "a campaign", len, (3, 10, (5,), "equal"), 2, 3, {"m_max": 4}),
-     {"expected": None, "e": None, "width": 1, "params": {}}),
+     ("name", "description", "reads", "hit", "expected", "params"),
+     ("c", "a campaign", ("gertsch", "wilson"), len, (3, 10, (5,), "equal"),
+      {"m_max": 4}),
+     {"expected": None, "params": {}}),
     (search.Checkpoint,
      ("campaign", "lo", "hi", "last_p", "hits", "elapsed_s", "scanned", "params"),
      ("qpm_zero", 3, 40, 37, [(2, 3)], 1.5, 11, {"m_max": 5}),
@@ -155,6 +156,18 @@ def test_fresh_container_per_instance(cls):
         if isinstance(default, (list, dict)):
             assert getattr(a, name) == default
             assert getattr(a, name) is not getattr(b, name), name
+
+
+@pytest.mark.parametrize("reads, e, width", [
+    (("gertsch", "wilson"), 2, 3), (("kurepa",), 1, 2), (("wilson",), 2, 1),
+    (("q3",), None, 1), ((), None, 1)])
+def test_campaign_tree_is_derived_from_its_columns(reads, e, width):
+    c = search.Campaign("c", "a campaign", reads, len)
+    assert (c.e, c.width) == (e, width)
+    for name in ("e", "width"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, 1)
+    assert "e" not in c._fields and "width" not in c._fields
 
 
 def test_mutable_records_take_assignment():

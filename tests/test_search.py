@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import random
 import sys
 import threading
@@ -111,6 +112,44 @@ class TestZeroCampaignWiring:
         monkeypatch.setattr(K, "run_columns", planted)
         assert S.run_campaign(name, 2, 1100, stride=100).hits == self.PLANTED
         assert seen == list(iter_primes(3, 1100))
+
+
+class TestNamedColumns:
+    """A run computes each column a campaign reads once per block, and the
+    campaign's hit rule only reads them."""
+
+    def test_each_column_once_per_block(self, monkeypatch):
+        calls = Counter()
+        for kernel in ("gertsch_column", "wilson_column"):
+            def counted(*args, _kernel=getattr(K, kernel), _name=kernel):
+                calls[_name] += 1
+                return _kernel(*args)
+            monkeypatch.setattr(K, kernel, counted)
+        blocks = -(-len(list(iter_primes(3, 3000))) // 7)
+        assert S.run_campaign("gertsch_wilson", 3, 3000, stride=7).hits == [3, 7, 2887]
+        assert calls == {"gertsch_column": blocks, "wilson_column": blocks}
+
+    @pytest.mark.parametrize("name", sorted(S.CAMPAIGNS))
+    def test_hit_rules_call_no_column_kernel(self, monkeypatch, name):
+        campaign, primes = S.CAMPAIGNS[name], list(iter_primes(3, 600))
+        tree = (None if campaign.e is None else
+                next(K.run_columns([primes], campaign.e, campaign.width)))
+        cols = [S._COLUMNS[c].kernel(primes, tree) for c in campaign.reads]
+
+        def refused(*args):
+            raise AssertionError("a hit rule called a column kernel")
+        for kernel in ("gertsch_column", "wilson_column"):
+            monkeypatch.setattr(K, kernel, refused)
+        hits = campaign.hit(primes, *cols, **campaign.params)
+        monkeypatch.undo()
+        assert hits == S.run_campaign(name, 3, 600).hits
+
+    @pytest.mark.parametrize("name", sorted(S.CAMPAIGNS))
+    def test_campaigns_pickle_by_reference(self, name):
+        # a worker process receives its campaign through pickle, which sends
+        # each hit rule by its module-level name
+        c = S.CAMPAIGNS[name]
+        assert pickle.loads(pickle.dumps(c)) == c
 
 
 class TestKurepaZeros:
