@@ -447,10 +447,9 @@ def bell_mod(n: int, m: int, fact: int | None = None,
     is prime by Wilson's theorem) Fermat makes every j^n = 1, and the sum
     is 1 - D_n, as sum_{j=0..n} D_{n-j}/j! = sum_{s<=n} (1-1)^s/s! = 1: no
     power table. Otherwise pw, when given, holds j^n mod m for j = 0..n:
-    the record's table mod p^3 (or p^2 above the digit bound), built anyway
-    for Lerch, the Fermat-quotient sum and sum_a a^(p-1); without it the
-    call builds `_powers(n, n, m)`. When n! is not a unit mod m the value is
-    read from `bell_seq_mod`."""
+    the record's table mod p^3, built anyway for Lerch, the Fermat-quotient
+    sum and sum_a a^(p-1); without it the call builds `_powers(n, n, m)`.
+    When n! is not a unit mod m the value is read from `bell_seq_mod`."""
     if fact is None:
         fact = factorial_mod(n, m)
     if n == 0 or gcd(fact, m) != 1:

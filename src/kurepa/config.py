@@ -10,8 +10,8 @@ the catalog's exact checks C14-C16 widen with it. The CLI's `--bell-cap` and
 # Largest n for bell_mod (O(n) when n! is a unit mod m, else read from the
 # Bell row) and bell_sequence_mod (one chirp-z product at a prime modulus,
 # otherwise a divide-and-conquer series solve while n! is a unit mod m, then
-# O(n) per further value). The residue record builds Bell_{p-1} mod p^2, or
-# mod p^3 only for a reader at e = 3.
+# O(n) per further value). The residue record builds Bell_{p-1} mod p, with
+# no power table, and mod p^3, which every p^2 reader reduces.
 BELL_MOD_CAP = 100_000
 
 # Bernoulli/Gregory tables mod p (power-series inverses): largest prime p;

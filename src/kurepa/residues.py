@@ -24,7 +24,6 @@ primes than fit keeps its first part instead of thrashing.
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from functools import cached_property
 from itertools import accumulate, repeat
@@ -77,10 +76,6 @@ def _require_odd_prime(p: int):
 # ---------------------------------------------------------------------------
 # One prime: the residue record
 
-# p^3 below this fits in one digit of a CPython int (2^30 on 64-bit builds)
-_ONE_DIGIT = 1 << sys.int_info.bits_per_digit
-
-
 class PrimeContext:
     """Every residue at one odd prime p, each built once, on first use.
 
@@ -89,21 +84,15 @@ class PrimeContext:
     one for a whole window), the exact !p, !(p+1) and p! that the catalog's
     exact checks read, and k!, 1/k! mod p for k < p from one
     `_kernels._factorials` call, which the four mod-p tables, the inverses
-    and Der_{p-1} read; every quotient reduces them mod p^e. Bell_{p-1},
-    which inverts the column's (p-1)! instead of building it again, and
-    the powers j^(p-1) are built at the lowest precision their readers need.
-    Mod p, Fermat makes every j^(p-1) = 1, so Bell_{p-1} mod p needs no
-    power table (`bell1`); the Bell-Wilson sum reads it and builds the p^2
-    value only when p | Bell_{p-1}. Mod p^2 serves Gertsch, Lerch, the
-    Fermat-quotient sum and Bell at e = 2; mod p^3 serves Bell at e = 3,
-    every `residue_profile` and sum_a a^(p-1) mod p^3, which share one
-    power table. Once the p^3 value is built, the p^2 one is read off it.
-    Below the digit bound, where p^3 fits in one digit of a CPython int
-    (p^3 < 2^30, p <= 1021, on 64-bit builds), a walk mod p^3 costs what
-    one mod p^2 does, so the p^2 values are always read off the p^3 ones:
-    one power table and one Bell_{p-1} per record. Bell is capped at
-    p - 1 <= `config.BELL_MOD_CAP` and the tables at
-    p <= `config.BERNOULLI_MOD_CAP`, both read once, when
+    and Der_{p-1} read; every quotient reduces them mod p^e. The powers
+    j^(p-1) and Bell_{p-1}, which inverts the column's (p-1)! instead of
+    building it again, are built once, mod p^3, and every p^2 value
+    (Gertsch, Lerch, the Fermat-quotient sum, Bell at e = 2) is read off
+    them: one power table and one Bell_{p-1} per record. Mod p, Fermat
+    makes every j^(p-1) = 1, so Bell_{p-1} mod p needs no power table
+    (`bell1`); the Bell-Wilson sum reads it and builds the p^3 value only
+    when p | Bell_{p-1}. Bell is capped at p - 1 <= `config.BELL_MOD_CAP`
+    and the tables at p <= `config.BERNOULLI_MOD_CAP`, both read once, when
     the record is made. Every value is a value at p: nothing here reads
     or keeps another prime's residues, except `greg`: after the cap check it
     reads p's table from the memo `_gregory_tables`, and only on a miss
@@ -125,26 +114,12 @@ class PrimeContext:
         fs, ks = _kernels._factorial_columns([self.p], 3)
         return fs[0], ks[0]
 
-    # The power tables are tuples: several readers share each one.
+    # The power table is a tuple: several readers share it.
 
     @cached_property
     def powers3(self) -> tuple[int, ...]:
         """(j^(p-1) mod p^3 for j = 0..p-1)."""
         return tuple(_kernels._powers(self.p - 1, self.p - 1, self.p ** 3))
-
-    def _from_p3(self, name: str) -> bool:
-        """Whether the p^2 value is read off the p^3 one: once that is
-        built, or always below the digit bound."""
-        return name in vars(self) or self.p ** 3 < _ONE_DIGIT
-
-    @cached_property
-    def powers2(self) -> tuple[int, ...]:
-        """(j^(p-1) mod p^2 for j = 0..p-1), read off powers3 where
-        `_from_p3`."""
-        m = self.p ** 2
-        if self._from_p3("powers3"):
-            return tuple(map(mod, self.powers3, repeat(m)))
-        return tuple(_kernels._powers(self.p - 1, self.p - 1, m))
 
     @cached_property
     def bell3(self) -> int:
@@ -153,16 +128,6 @@ class PrimeContext:
         _require_cap("Bell_(p-1): p - 1", p - 1, self.bell_cap)
         m = p ** 3
         return _kernels.bell_mod(p - 1, m, self.fact(m), self.powers3)
-
-    @cached_property
-    def bell2(self) -> int:
-        """Bell_{p-1} mod p^2, read off bell3 where `_from_p3`."""
-        p = self.p
-        if self._from_p3("bell3"):
-            return self.bell3 % (p * p)
-        _require_cap("Bell_(p-1): p - 1", p - 1, self.bell_cap)
-        m = p * p
-        return _kernels.bell_mod(p - 1, m, self.fact(m), self.powers2)
 
     @cached_property
     def bell1(self) -> int:
@@ -242,12 +207,11 @@ class PrimeContext:
         return self.columns[1] % self.p ** e
 
     def bell(self, e: int) -> int:
-        """Bell_{p-1} mod p^e, e <= 3; at e = 1 `bell1`, unless a p^2 or p^3
-        value is already built."""
-        built = vars(self)
-        if e == 1 and "bell2" not in built and "bell3" not in built:
+        """Bell_{p-1} mod p^e, e <= 3: `bell1` at e = 1 until `bell3` is
+        built, `bell3` reduced otherwise."""
+        if e == 1 and "bell3" not in vars(self):
             return self.bell1
-        return (self.bell3 if e == 3 else self.bell2) % self.p ** e
+        return self.bell3 % self.p ** e
 
     @cached_property
     def wilson2(self) -> int:
@@ -267,7 +231,7 @@ class PrimeContext:
         """sum_a q_p(a) mod p, from sum_a a^(p-1) = p-1 + p * sum_a q_p(a)
         (mod p^2)."""
         p = self.p
-        num = (sum(self.powers2) - (p - 1)) % (p * p)
+        num = (self.power_sum - (p - 1)) % (p * p)
         if num % p:
             raise InvariantViolation(f"Fermat power sum != p-1 mod {p}")
         return num // p
@@ -279,19 +243,19 @@ class PrimeContext:
         Expanding prod_a (1 + p q_p(a)) = prod_a a^(p-1) = ((p-1)!)^(p-1)
         = (1 - p W_p)^(p-1) mod p^3 gives
         L_p = (sum_a q_p(a)^2 + W_p^2)/2 - W_p (mod p), so q_p(a) mod p, read
-        off the powers mod p^2, suffices. The numerator's divisibility by p
+        off the powers mod p^3, suffices. The numerator's divisibility by p
         is Lerch's congruence sum_a q_p(a) = W_p (mod p), checked first.
         """
         p, w = self.p, self.wilson
         if self.qsum != w:
             raise InvariantViolation(f"Lerch numerator not divisible by {p}")
-        q = list(map(floordiv, self.powers2[1:], repeat(p)))  # a^(p-1) = 1 + p q
+        q = list(map(floordiv, self.powers3[1:], repeat(p)))  # a^(p-1) = 1 + p q
         return ((sum(map(mul, q, q)) + w * w) * ((p + 1) // 2) - w) % p
 
     @cached_property
     def gertsch(self) -> int:
         """Gertsch_p mod p = ((!p - Bell_{p-1} + 1) mod p^2) / p."""
-        b2 = self.bell2  # first, so its cap check precedes the block kernel
+        b2 = self.bell(2)  # first, so its cap check precedes the block kernel
         return _kernels.gertsch_quotient(self.p, self.kurepa(2), b2)
 
     @cached_property
@@ -311,10 +275,10 @@ class PrimeContext:
     @cached_property
     def bell_wilson_sum(self):
         """(Bell_{p-1}/p + W_p) mod p when p | Bell_{p-1}; FRACTIONAL
-        otherwise, decided mod p, so only then is Bell_{p-1} mod p^2 built."""
+        otherwise, decided mod p, so only then is Bell_{p-1} mod p^3 built."""
         if self.bell(1):
             return FRACTIONAL
-        return (self.bell2 // self.p + self.wilson) % self.p
+        return (self.bell(2) // self.p + self.wilson) % self.p
 
     @cached_property
     def gregory_sum(self) -> int:
@@ -701,10 +665,9 @@ class ResidueProfile(NamedTuple):
 
 def residue_profile(p: int, e: int = 1) -> ResidueProfile:
     """Every field read from one PrimeContext, the one `_record` holds, which
-    the next call at the same p and `config` caps reads again. Bell_{p-1}
-    is read mod p^3 at every e, so the profiles at e = 1, 2, 3 share one
-    power table and one Bell_{p-1}, and Gertsch and Lerch read their p^2
-    values off that build."""
+    the next call at the same p and `config` caps reads again, so the
+    profiles at e = 1, 2, 3 share its one power table and one Bell_{p-1},
+    both mod p^3."""
     ctx = _record(p)
     if e not in (1, 2, 3):
         raise DomainError(f"modulus power must be 1, 2 or 3, got {e}")

@@ -331,8 +331,8 @@ def _off_by_one(monkeypatch, name):
     monkeypatch.setattr(exact, name, lambda n: original(n) + 1)
 
 
-def _corrupt_powers2(ctx):
-    ctx.powers2 = (ctx.powers2[0], ctx.powers2[1] + 1, *ctx.powers2[2:])
+def _corrupt_powers3(ctx):
+    ctx.powers3 = (ctx.powers3[0], ctx.powers3[1] + 1, *ctx.powers3[2:])
     return ctx.qsum
 
 
@@ -342,7 +342,7 @@ def _corrupt_powers2(ctx):
      lambda: exact.fermat_quotient_exact(2, 15)),
     (lambda mp: _off_by_one(mp, "left_factorial"),
      lambda: exact.gertsch_quotient_exact(7)),
-    (lambda mp: None, lambda: _corrupt_powers2(residues.PrimeContext(7))),
+    (lambda mp: None, lambda: _corrupt_powers3(residues.PrimeContext(7))),
 ], ids=["wilson", "fermat", "gertsch", "qsum"])
 def test_division_by_p_checks_its_numerator(monkeypatch, plant, quotient):
     plant(monkeypatch)

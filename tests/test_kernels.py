@@ -236,7 +236,7 @@ def test_record_bell_keeps_the_explicit_sum(monkeypatch):
     b3 = K.bell_seq_mod(p - 1, p ** 3)[p - 1]
     (g,) = K.gertsch_column([p], *_loop_columns([p]))
     monkeypatch.setattr(K, "_fermat_sum", _not_called)
-    assert R.PrimeContext(p).bell2 == b3 % p ** 2
+    assert R.PrimeContext(p).bell(2) == b3 % p ** 2
     assert R.PrimeContext(p).bell3 == b3
     assert R.PrimeContext(p).gertsch == g
 

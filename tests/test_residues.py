@@ -276,7 +276,7 @@ class TestBellWilsonSum:
             monkeypatch.setattr(K, "_powers", lambda *a: pytest.fail(f"_powers{a}"))
         ctx = PrimeContext(p)
         assert (ctx.bell_wilson_sum is R.FRACTIONAL) == fractional
-        assert ("bell2" in vars(ctx)) != fractional
+        assert ("bell3" in vars(ctx)) != fractional
         assert moduli == ([p] if fractional else [p, p ** 3]), moduli
 
     def test_exact_cross_check(self):
@@ -429,11 +429,9 @@ class TestProfile:
 
 
 class TestPrecisionOnDemand:
-    """Below the digit bound (p^3 < 2^30 on 64-bit CPython, so p <= 1021)
-    Bell_{p-1} and the powers j^(p-1) are built once, mod p^3, and the p^2
-    readers read that build. Above it they are built mod p^3 only for a
-    reader at e = 3 and for a residue profile, at any e; the lone p^2
-    readers share one build mod p^2."""
+    """Bell_{p-1} and the powers j^(p-1) are built once, mod p^3, at every
+    p, and the p^2 readers read that build; only Bell mod p, which needs no
+    power table, is built on its own."""
 
     @pytest.fixture
     def moduli(self, monkeypatch):
@@ -454,21 +452,37 @@ class TestPrecisionOnDemand:
             assert moduli == {"bell_mod": [p ** 3], "_powers": [p ** 3]}, (p, e)
 
     def test_gertsch_quotient(self, moduli):
-        R.gertsch_quotient_mod(1031)
-        assert moduli["bell_mod"] == [1031 ** 2]
-        assert 1031 ** 3 not in moduli["_powers"]
-        for calls in moduli.values():
-            calls.clear()
-        R.gertsch_quotient_mod(1021)
-        assert moduli == {"bell_mod": [1021 ** 3], "_powers": [1021 ** 3]}
+        for p in (1031, 1021):
+            for calls in moduli.values():
+                calls.clear()
+            R.gertsch_quotient_mod(p)
+            assert moduli == {"bell_mod": [p ** 3], "_powers": [p ** 3]}, p
 
     def test_catalog(self, moduli):
-        # C06 reads the powers mod p^2, C23 mod p^3, C31 Bell mod p^2
+        # C06 reads the powers, C23 their sum and C31 Bell, all off one build
         assert C.run_catalog(1013, 1033).ok
-        below, above = (1013, 1019, 1021), (1031, 1033)
-        assert moduli == {"bell_mod": [*(p ** 3 for p in below), *(p ** 2 for p in above)],
-                          "_powers": [*(p ** 3 for p in below),
-                                      *(m for p in above for m in (p ** 2, p ** 3))]}
+        primes = (1013, 1019, 1021, 1031, 1033)
+        assert moduli == {"bell_mod": [p ** 3 for p in primes],
+                          "_powers": [p ** 3 for p in primes]}
+
+    @pytest.mark.parametrize("p", [101, 1021, 1031, 10007, 32771])
+    def test_one_build_in_any_order(self, moduli, p):
+        reads = [lambda c: c.qsum, lambda c: c.lerch, lambda c: c.gertsch,
+                 lambda c: c.bell(1), lambda c: c.bell(2), lambda c: c.bell_wilson_sum,
+                 lambda c: c.power_sum, lambda c: R.residue_profile(p, 3)]
+        orders = [reads, reads[::-1]]
+        for seed in range(4):
+            orders.append(random.Random(seed).sample(reads, len(reads)))
+        for order in orders:
+            R._records.clear()
+            for calls in moduli.values():
+                calls.clear()
+            ctx = R._record(p)  # the record residue_profile reads
+            for read in order:
+                read(ctx)
+            assert moduli["_powers"] == [p ** 3]
+            assert set(moduli["bell_mod"]) <= {p, p ** 3}
+            assert moduli["bell_mod"].count(p ** 3) == 1
 
 
 class TestStirlingRow:
@@ -687,7 +701,7 @@ class TestLoneRecord:
         bell = K.bell_mod
         monkeypatch.setattr(K, "bell_mod",
                             lambda *a: bell_moduli.append(a[1]) or bell(*a))
-        # one build mod p^3 on either side of the digit bound (p <= 1021)
+        # one build mod p^3 at small and large p
         for p, moduli in ((101, [101 ** 3]), (1031, [1031 ** 3])):
             for name in calls:
                 calls[name] = 0
@@ -773,7 +787,7 @@ class TestLoneRecord:
         R.gertsch_quotient_mod(p)  # a record at the import-time caps
         monkeypatch.setattr(config, "BELL_MOD_CAP", 100)
         for call in (lambda: R.gertsch_quotient_mod(p), lambda: R.residue_profile(p),
-                     lambda: PrimeContext(p).bell2):
+                     lambda: PrimeContext(p).bell(2)):
             with pytest.raises(CapacityError, match="cap 100"):
                 call()
         monkeypatch.setattr(config, "BERNOULLI_MOD_CAP", 100)
