@@ -2,8 +2,11 @@
 
 The Bell-row, Bernoulli, Gregory and Stirling tables are power series mod m:
 `_series_mul` multiplies two coefficient lists by Kronecker substitution
-(Harvey 2009), one big-int product for short lists (KS1) and two of half
-the size for long ones (KS2), moving the coefficients in and out of their
+(Harvey 2009): one big-int product below `_KS2_TERMS` = 256 terms in the
+shorter list (KS1), two of half the size from there (KS2), and five of a
+quarter of the size from `_KS4_TERMS` = 1,000 (KS4: the Bell and Stirling
+rows from p = 1,009, the Gregory table from about 2,000 and the Bernoulli
+table from about 4,000), moving the coefficients in and out of their
 w-byte slots through 8-byte `array` words by w strided slice copies, so no
 Python loop runs per coefficient; `_series_inv` solves a series inverse's
 first coefficients directly and the rest by Newton iteration at precisions
@@ -96,6 +99,14 @@ _LEAF_TERMS = 32
 # Python 3.11 on a 2-core x86-64 host: KS2 1.0-1.2x KS1's time at 128-192
 # terms, 0.8-0.9x at 256-512).
 _KS2_TERMS = 256
+# From this many terms in the shorter operand the product is five
+# quarter-size multiplies (KS4, `_ks4`) instead of KS2's two halves. KS4's
+# time over KS2's for two random L-term operands mod a prime near L, full
+# and cut to L terms (medians of 31 interleaved calls, Python 3.11 on the
+# same host): 0.98-1.04x at L = 512, 0.97-1.01x at 768, 0.95-0.97x at
+# 1,000, 0.93-0.96x at 1,250, 0.91-0.94x at 1,500 and 0.89-0.92x at
+# 2,000-3,000.
+_KS4_TERMS = 1000
 
 
 def _series_mul(a: list[int], b: list[int], n: int, m: int) -> list[int]:
@@ -109,12 +120,14 @@ def _series_mul(a: list[int], b: list[int], n: int, m: int) -> list[int]:
     slot would make the multiply itself larger. For w <= 8 `_pack` and
     `_unpack` convert between slots and 8-byte words with w slice copies.
 
-    Below `_KS2_TERMS` terms in the shorter operand this is one product at
-    x = 2^(8w) (Harvey's KS1). From there on it is two products of half the
-    size at x = +-2^(4w) (Harvey's KS2, 2009): with the even and odd
-    coefficients packed apart, A(+-x) = E +- (O << 4w); then
-    h+ + h- = 2 sum_k c_2k 2^(8wk) and h+ - h- = 2^(4w+1) sum_k c_2k+1 2^(8wk),
-    the two halves of the product in w-byte slots again.
+    The shorter operand's length alone picks the route. Below `_KS2_TERMS`
+    terms this is one product at x = 2^(8w) (Harvey's KS1). From there on
+    it is two products of half the size at x = +-2^(4w) (Harvey's KS2,
+    2009): with the even and odd coefficients packed apart,
+    A(+-x) = E +- (O << 4w); then h+ + h- = 2 sum_k c_2k 2^(8wk) and
+    h+ - h- = 2^(4w+1) sum_k c_2k+1 2^(8wk), the two halves of the product
+    in w-byte slots again. From `_KS4_TERMS` terms on it is five products
+    of a quarter of the size, at x = +-2^(2w) and 2^(2w) i (`_ks4`).
     """
     a, b = a[:n], b[:n]
     short = min(len(a), len(b))
@@ -123,6 +136,8 @@ def _series_mul(a: list[int], b: list[int], n: int, m: int) -> list[int]:
         slots = max(n, len(a) + len(b))
         buf = (_pack(a, w) * _pack(b, w)).to_bytes(slots * w, "little")
         return _unpack(buf, n, w, m)
+    if short >= _KS4_TERMS:
+        return _ks4(a, b, n, m, w)
     s = 4 * w
     ea, oa = _pack(a[0::2], w), _pack(a[1::2], w) << s
     eb, ob = _pack(b[0::2], w), _pack(b[1::2], w) << s
@@ -134,9 +149,45 @@ def _series_mul(a: list[int], b: list[int], n: int, m: int) -> list[int]:
     return c
 
 
+def _ks4(a: list[int], b: list[int], n: int, m: int, w: int) -> list[int]:
+    """`_series_mul`'s product from five quarter-size multiplies (Harvey's
+    KS4, 2009), for a, b already cut to n terms and slots of w bytes.
+
+    With x = 2^(2w), x^4 = 2^(8w) is the slot base, and an operand whose four
+    residue classes mod 4 are packed apart as P0..P3 is
+    A(x) = E + O, A(-x) = E - O and A(ix) = E' + iO', for E, E' = P0 +- x^2 P2
+    and O, O' = x P1 +- x^3 P3. The product h = sum_r x^r Q_r, Q_r the
+    product's class r in slots, comes from h(x), h(-x) and the Gaussian
+    product h(ix) = Re + i Im, three real multiplies:
+    Q0 = (h+ + h- + 2Re)/4, x^2 Q2 = (h+ + h- - 2Re)/4,
+    x Q1 = (h+ - h- + 2Im)/4 and x^3 Q3 = (h+ - h- - 2Im)/4, all exact.
+    """
+    s = 2 * w
+
+    def points(v):  # A(x), A(-x), E' and O'
+        p0, p1, p2, p3 = [_pack(v[r::4], w) for r in range(4)]
+        e, o = p0 + (p2 << 2 * s), (p1 << s) + (p3 << 3 * s)
+        return e + o, e - o, p0 - (p2 << 2 * s), (p1 << s) - (p3 << 3 * s)
+
+    ap, am, ar, ai = points(a)
+    bp, bm, br, bi = points(b)
+    hp, hm = ap * bp, am * bm
+    rr, ii = ar * br, ai * bi
+    re2, im2 = 2 * (rr - ii), 2 * ((ar + ai) * (br + bi) - rr - ii)
+    sums, diffs = hp + hm, hp - hm
+    size = (max(n, len(a) + len(b)) + 3) // 4 * w
+    c = [0] * n
+    for r, q in enumerate(((sums + re2) >> 2, (diffs + im2) >> (2 + s),
+                           (sums - re2) >> (2 + 2 * s), (diffs - im2) >> (2 + 3 * s))):
+        c[r::4] = _unpack(q.to_bytes(size, "little"), len(range(r, n, 4)), w, m)
+    return c
+
+
 # Slots wider than a word (m^2 * len above 2^64: m above about 2^24 for 5e4
-# terms, which no production caller reaches) keep one to_bytes or from_bytes
-# per coefficient.
+# terms) keep one to_bytes or from_bytes per coefficient, under KS1, KS2 and
+# KS4 alike. No table of the record reaches them, but the public
+# `bell_sequence_mod(n, m)` does, through `_bell_solve`, at a large m that
+# is composite, or prime with n < m - 1.
 if array("Q").itemsize != 8:
     raise ImportError("kurepa needs 8-byte array('Q') items")
 # _BYTE[j]: where a native word keeps its j-th least significant byte
@@ -544,7 +595,8 @@ def stirling2_row_mod(n: int, m: int, facts: tuple | None = None) -> list[int]:
         a = [0, *inv_fact[:n - 1]]
     else:
         a = [x * y % m for x, y in zip(_powers(n - 1, n, m), inv_fact)]
-    b = [x if i % 2 == 0 else -x % m for i, x in enumerate(inv_fact)]
+    b = list(inv_fact)
+    b[1::2] = [-x % m for x in inv_fact[1::2]]
     return _series_mul(a, b, n, m) + [1 % m]
 
 

@@ -414,11 +414,15 @@ def bell_sequence_mod(n: int, m: int) -> list[int]:
     come from one chirp-z series product; otherwise Bell_k = k! [x^k] of
     exp(e^x - 1) by series products while k! is a unit mod m. Then
     Bell_{r+1} = sum_k C(r,k) Bell_k at O(r) per value (the Touchard window
-    Bell_p..Bell_{p+5} mod p, say)."""
+    Bell_p..Bell_{p+5} mod p, say). At an odd prime m with n >= m - 1 the
+    k!, 1/k! mod m pair is read from the lone record (`_record(m)`), which
+    a call at another prime replaces."""
     if n < 0:
         raise DomainError("bell needs n >= 0")
     _require_modulus(m)
     _require_cap("Bell row: n", n, config.BELL_MOD_CAP)
+    if m > 2 and _kernels._unit_top(n, m) == m - 1:  # m an odd prime, n >= m - 1
+        return _kernels.bell_seq_mod(n, m, _record(m).factorials)
     return _kernels.bell_seq_mod(n, m)
 
 
@@ -533,10 +537,14 @@ def gregory_mod_table(p: int) -> GregoryModTable:
 
 
 def stirling2_row_mod(n: int, m: int) -> list[int]:
-    """S(n,0)..S(n,n) mod m."""
+    """S(n,0)..S(n,n) mod m. At n = m an odd prime the k!, 1/k! mod m pair
+    is read from the lone record (`_record(m)`), which a call at another
+    prime replaces."""
     if n < 0:
         raise DomainError("stirling needs n >= 0")
     _require_modulus(m)
+    if n == m > 2 and _kernels._unit_top(n - 1, m) == m - 1:  # m an odd prime
+        return _kernels.stirling2_row_mod(n, m, _record(m).factorials)
     return _kernels.stirling2_row_mod(n, m)
 
 

@@ -5,6 +5,7 @@ block by block with the per-prime O(p) loops, and so do the column
 campaigns' hits; every production Fermat quotient reads one helper."""
 
 import math
+import operator
 import os
 import random
 import subprocess
@@ -548,11 +549,13 @@ def test_wilson_column_rejects_composite(block):
 # width w, so coefficients m - 1 fill a slot to within a byte of its top.
 
 def _convolution(a, b, n, m):
+    """Schoolbook: c_k = sum_i a_i b_(k-i), one C-level sum per k."""
+    a, b = a[:n], b[:n]
     c = [0] * n
-    for i, x in enumerate(a[:n]):
-        for j, y in enumerate(b[:n - i]):
-            c[i + j] += x * y
-    return [x % m for x in c]
+    for k in range(min(n, len(a) + len(b) - 1)):
+        lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
+        c[k] = sum(map(operator.mul, a[lo:hi + 1], reversed(b[k - hi:k - lo + 1]))) % m
+    return c
 
 
 _L = 25  # min(len a, len b) in every nonempty one-product case below; bits(_L) = 5
@@ -568,6 +571,18 @@ _KS2_SHAPES = [(_K - 1, _K + 1, 2 * _K - 1),  # one product; n = len a + len b -
                (_K + 1, _K + 1, _K + 2),      # n below the product's end
                (2 * _K, _K + 1, _K + 1),      # n = len b < len a
                (_K, _K + 1, 2 * _K + 9)]      # n past the product's last coefficient
+_K4 = K._KS4_TERMS
+# The shorter operand at the KS4 crossover and past it, with lengths and n
+# in every residue class mod 4 (the classes noted hold for _K4 = 0 mod 4):
+# the five-product route splits each operand and the product by class.
+_KS4_SHAPES = [(_K4 - 1, _K4 + 2, 2 * _K4 + 1),  # KS2; n = len a + len b - 1
+               (_K4, _K4, 2 * _K4 - 1),          # n = 3 (mod 4) at the crossover
+               (_K4 + 1, _K4, 2 * _K4),          # n = 0 (mod 4)
+               (_K4 + 2, _K4 + 1, 2 * _K4 + 2),  # n = 2 (mod 4), len a = 2 (mod 4)
+               (_K4 + 3, _K4 + 3, 2 * _K4 + 5),  # n = 1 (mod 4), lengths 3 (mod 4)
+               (_K4 + 1, _K4 + 2, _K4 + 3),      # n below the product's end
+               (2 * _K4, _K4 + 1, _K4 + 1),      # n = len b < len a
+               (_K4 + 2, _K4 + 3, 2 * _K4 + 13)]  # n past the product's last coefficient
 _SERIES_SHAPES = [(40, 25, 64),   # n = len a + len b - 1
                   (40, 25, 30),   # len b < n < len a
                   (25, 40, 20),   # n below both lengths
@@ -592,10 +607,18 @@ def test_series_mul_matches_convolution(m):
 
 
 # p^e on seeded primes, and one modulus whose slots are wider than a word
-@pytest.mark.parametrize("m", [p ** e for p in random.Random(20261018).sample(
-    sieve_primes(3, 60_000), 2) for e in (1, 2, 3)] + [(2 ** 61 - 1) ** 2])
+_PRODUCT_MODULI = [p ** e for p in random.Random(20261018).sample(
+    sieve_primes(3, 60_000), 2) for e in (1, 2, 3)] + [(2 ** 61 - 1) ** 2]
+
+
+@pytest.mark.parametrize("m", _PRODUCT_MODULI)
 def test_series_mul_two_products_match_convolution(m):
     _series_mul_matches_convolution(m, _KS2_SHAPES)
+
+
+@pytest.mark.parametrize("m", _PRODUCT_MODULI)
+def test_series_mul_five_products_match_convolution(m):
+    _series_mul_matches_convolution(m, _KS4_SHAPES)
 
 
 _LEAF = K._LEAF_TERMS
@@ -617,7 +640,8 @@ def test_series_inv_matches_convolution(m):
 
 # Karp and Markstein's division against the full-length inverse and one
 # product, at lengths around the leaf size, the KS2 crossover and the
-# Newton steps' halvings, with c shorter than n too.
+# Newton steps' halvings, with c shorter than n too; at n = 3000 the
+# half-length products reach KS4, as the inverse's last step does above.
 
 @pytest.mark.parametrize("m", [p ** e for p in random.Random(20261020).sample(
     sieve_primes(3, 60_000), 1) for e in (1, 2, 3)] + [(2 ** 61 - 1) ** 2])

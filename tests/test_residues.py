@@ -714,6 +714,21 @@ class TestLoneRecord:
             assert [prof.gertsch_q for prof in profiles] == [int(g)] * 3
             assert list(table.values) == gregory_table_mod_py(p)[1:]
 
+    @pytest.mark.parametrize("p", [1009, 2003, 3011])
+    def test_public_rows_read_the_records_factorials(self, p, monkeypatch):
+        R._records.clear()
+        R.residue_profile(p, 1)
+        calls = []
+        factorials = K._factorials
+        monkeypatch.setattr(K, "_factorials",
+                            lambda *a: calls.append(a) or factorials(*a))
+        rows = [R.stirling2_row_mod(p, p), R.bell_sequence_mod(p - 1, p),
+                R.bell_sequence_mod(p + 5, p)]
+        assert calls == []
+        assert rows == [K.stirling2_row_mod(p, p), K.bell_seq_mod(p - 1, p),
+                        K.bell_seq_mod(p + 5, p)]
+        assert calls == [(p - 1, p)] * 3  # the kernels alone build their own
+
     @staticmethod
     def _outcome(fn):
         try:
