@@ -35,9 +35,11 @@ doubling, so no call sieves.
 `run_columns`, one product tree over a run's primes walked once: at width
 1 ((p-1)! alone) for the Wilson campaigns and `qpm_zero`, 2 (with !p) for
 `kurepa_zero`, 3 (with Der_{p-1}) for the Gertsch campaigns. Its spans
-compose in `_then` and reduce in `_mod` alone, the seam for another
-big-int backend; `_steps`, their exact binary splitting, also gives
-`exact.left_factorial`. `wilson_column` turns the (p-1)! column mod p^2
+compose in `_then` and reduce in `_mod` alone, by `%` below `_DIV_BITS` =
+8,192 bits and from there by `_rem`, Burnikel and Ziegler's recursive
+division (1998), which needs no reciprocal and takes about 0.35x `%`'s time
+at 65,536 bits; `_steps`, their exact binary splitting,
+also gives `exact.left_factorial`. `wilson_column` turns the (p-1)! column mod p^2
 into W_p, and `gertsch_column` the width-3 columns into Gertsch_p mod p by
 one loop mod p and `_fermat_sum`'s slice sums, which read only the memo
 `_primes`: no power table, so the record stays its independent oracle.
@@ -649,10 +651,10 @@ def wilson_quotient(p: int, f: int) -> int:
 # instead of three and two. Width 3 adds d = Der_{n-1}, the derangement
 # number: step k maps d to k*d + (-1)^k, a span acts as d -> P*d + R, and
 # spans compose as (P1*P2, Q1 + P1*Q2, P2*R1 + R2). `_then` alone composes
-# two spans and `_mod` alone reduces one, so another big-integer backend
-# goes there. The states at a run's primes come from one accumulating
-# remainder tree (Costa, Gerbicz and Harvey, for Wilson quotients;
-# Andrejic, Bostan and Tatarevic, for left factorials): one product tree of
+# two spans and `_mod` alone reduces one, past `_DIV_BITS` by `_rem`. The
+# states at a run's primes come from one accumulating remainder tree
+# (Costa, Gerbicz and Harvey, for Wilson quotients; Andrejic, Bostan and
+# Tatarevic, for left factorials): one product tree of
 # p^e over all the run's primes and one walk down it. A left span is read by its right
 # sibling and by its parent's readers; it is reduced mod their product
 # where that has fewer bits than the exact span, about
@@ -662,11 +664,88 @@ def wilson_quotient(p: int, f: int) -> int:
 
 _LEAF_STEPS = 32
 
+# Recursive division: `_then` and `_mod` reduce mod a modulus of at least
+# _DIV_BITS bits by `_rem`, which leaves a quotient of at most
+# _DIV_LEAF_BITS bits to native division. `_rem`'s time over `%`'s for an
+# n-bit modulus and quotients of n/4, n/2, n and 2n bits (best of 15
+# interleaved loops, two sessions, Python 3.11 on a 2-core x86-64 host):
+# 0.99-1.03x for every shape at n = 4,096; at 6,000, 1.00-1.03x for the two
+# short quotients and 0.84-0.87x for the long ones; at 8,192, 1.00-1.01x
+# and 0.81-0.86x; 0.62-0.74x at 16,384, 0.34-0.40x at 65,536 and
+# 0.27-0.33x at 131,072. On the scan benchmark, crossovers of 4,096, 6,000
+# and 8,192 bits read level with each other. Over [3, 1e5] a 2,000-bit leaf
+# took 0.70x the time of `%` alone, and leaves of 3,000-8,000 bits
+# 0.60-0.66x.
+_DIV_BITS = 8192
+_DIV_LEAF_BITS = 4000
+
+
+def _rem(x: int, m: int) -> int:
+    """x % m for any int x and m > 0, by Burnikel and Ziegler's recursive
+    division (1998), which needs no reciprocal: a 2n-by-n division, n the
+    bits of m, is two 3n/2-by-n divisions, each one n-by-n/2 division and one
+    multiply. Karatsuba's multiply makes it sub-quadratic, where CPython
+    3.11's `%` is schoolbook. A quotient of at most `_DIV_LEAF_BITS` bits is
+    left to native division, here and in the recursion; a longer x is
+    divided in n-bit digits from the top, and x < 0 through its complement
+    ~x = -x - 1 >= 0."""
+    n = m.bit_length()
+    if x.bit_length() - n <= _DIV_LEAF_BITS:
+        return x % m
+    if x < 0:
+        return m - 1 - _rem(~x, m)
+    # the top piece has at most 2n - 1 bits, below 2^n * m; digits follow
+    j = (x.bit_length() - n) // n
+    r = _div21(x >> (j * n), m, n)[1]
+    mask = (1 << n) - 1
+    for i in range(j - 1, -1, -1):
+        r = _div21(r << n | (x >> (i * n)) & mask, m, n)[1]
+    return r
+
+
+def _div21(a: int, b: int, n: int) -> tuple[int, int]:
+    """divmod(a, b) for b of n bits and 0 <= a < 2^n * b. An odd n is made
+    even by doubling a and b, which halves the remainder back."""
+    if a.bit_length() - n <= _DIV_LEAF_BITS:
+        return divmod(a, b)
+    pad = n & 1
+    if pad:
+        a, b, n = a << 1, b << 1, n + 1
+    h = n >> 1
+    mask = (1 << h) - 1
+    b1, b2 = b >> h, b & mask
+    q1, r = _div32(a >> n, (a >> h) & mask, b, b1, b2, h)
+    q2, r = _div32(r, a & mask, b, b1, b2, h)
+    return q1 << h | q2, r >> pad
+
+
+def _div32(a12: int, a3: int, b: int, b1: int, b2: int, h: int) -> tuple[int, int]:
+    """divmod(a12 * 2^h + a3, b) for b = b1 * 2^h + b2 of 2h bits, b1 of h
+    bits, b2 and a3 below 2^h, and a quotient below 2^h.
+
+    The quotient is estimated from the top halves alone, as
+    min(a12 // b1, 2^h - 1), which b1's top bit makes at most two too large
+    (Burnikel and Ziegler, Lemma 2); each correction adds b back."""
+    if a12 >> h == b1:
+        q, r = (1 << h) - 1, a12 - (b1 << h) + b1
+    else:
+        q, r = _div21(a12, b1, h)
+    r = (r << h | a3) - q * b2
+    for _ in range(2):
+        if r >= 0:
+            break
+        q, r = q - 1, r + b
+    if r < 0:
+        raise InvariantViolation("recursive division needed a third correction")
+    return q, r
+
 
 def _then(x: tuple, y: tuple, m=None) -> tuple:
     """The steps x followed by the steps y, (P1*P2,) at width 1,
     (P1*P2, Q1 + P1*Q2) at width 2 or (P1*P2, Q1 + P1*Q2, P2*R1 + R2) at
     width 3, reduced mod m, or exact for m None."""
+    if m is not None and m.bit_length() >= _DIV_BITS:
+        return _mod(_then(x, y), m)
     if len(x) == 1:
         p = x[0] * y[0]
         return (p,) if m is None else (p % m,)
@@ -683,6 +762,8 @@ def _then(x: tuple, y: tuple, m=None) -> tuple:
 
 def _mod(x: tuple, m: int) -> tuple:
     """The state or span x reduced mod m."""
+    if m.bit_length() >= _DIV_BITS:
+        return tuple(map(_rem, x, repeat(m)))
     if len(x) == 1:
         return (x[0] % m,)
     return (x[0] % m, x[1] % m) if len(x) == 2 else (x[0] % m, x[1] % m, x[2] % m)
@@ -757,8 +838,11 @@ def run_columns(blocks: list[list[int]], e: int, width: int = 2):
     walk splits it down the tree, stepping each gap between primes once.
     The blocks only mark where the walk yields: each block's columns are
     computed when asked for, and the stride does not change the work. Over
-    [3, 2e5] mod p^2 in blocks of 10,000 primes a run took 2.2 s at width 1,
-    4.2 s at width 2 and 6.7-7.0 s at width 3 (2-core host, Python 3.11).
+    [3, 2e5] mod p^2 in blocks of 10,000 primes a run took 0.9 s at width 1,
+    1.7-2.2 s at width 2 and 3.0-3.2 s at width 3, against 2.1-2.2 s,
+    3.9-4.7 s and 5.7-7.4 s when every reduction was `%` (2-core host,
+    Python 3.11). The fold's chunks stay about M's size: half or twice that
+    measured level.
     """
     ps = [p for block in blocks for p in block]
     if not ps:

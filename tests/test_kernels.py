@@ -2,7 +2,8 @@
 reduced mod m, and each power-series table with its O(p^2) triangle or
 recurrence; the run tree behind the (p-1)!, !p and Der_{p-1} columns agrees
 block by block with the per-prime O(p) loops, and so do the column
-campaigns' hits; every production Fermat quotient reads one helper."""
+campaigns' hits; its recursive division `_rem` agrees with `%`; every
+production Fermat quotient reads one helper."""
 
 import math
 import operator
@@ -380,6 +381,114 @@ def test_width_three_then_and_mod_are_exact_reduced(x, y, r, m):
     assert K._then(x3, y3, m) == K._mod(whole, m) == tuple(v % m for v in whole)
 
 
+# `_rem`, the recursive division that `_then` and `_mod` reduce by from
+# `_DIV_BITS`-bit moduli on, against `%` and divmod: dividends below M^2 and
+# far above it, negative ones, the edges, and moduli of odd and even bit
+# length on both sides of the leaf and of the crossover.
+
+_REM_BITS = sorted({K._DIV_LEAF_BITS - 1, K._DIV_LEAF_BITS, K._DIV_LEAF_BITS + 1,
+                    K._DIV_BITS - 1, K._DIV_BITS, K._DIV_BITS + 1,
+                    4 * K._DIV_BITS + 1, 4 * K._DIV_BITS + 2})
+
+
+def _assert_rem_matches_mod(m, rng):
+    n = m.bit_length()
+    xs = [0, 1, m - 1, m, m + 1, m * m - 1, m * m, 2 * m * m - 1]
+    xs += [rng.randrange(m * m) for _ in range(4)]
+    xs += [rng.getrandbits(b) for b in (n // 2, n + 1, 2 * n - 1, 2 * n, 2 * n + 1,
+                                        3 * n - 1, 5 * n + 3)]
+    for x in xs + [-x for x in xs] + [-x - 1 for x in xs]:
+        assert K._rem(x, m) == x % m == divmod(x, m)[1], (n, x.bit_length(), x < 0)
+
+
+@pytest.mark.parametrize("bits", _REM_BITS)
+def test_rem_matches_mod(bits):
+    rng = random.Random(20261020 + bits)
+    for _ in range(3):
+        _assert_rem_matches_mod(rng.getrandbits(bits) | 1 << (bits - 1), rng)
+    _assert_rem_matches_mod((1 << bits) - 1, rng)
+    _assert_rem_matches_mod(1 << (bits - 1), rng)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_rem_matches_mod_at_run_tree_roots(e):
+    # the moduli the run tree reduces by: products of p^e over seeded windows
+    rng = random.Random(20261021 + e)
+    pool = sieve_primes(10_000, 400_000)
+    for length in (300, 700, 1500):
+        start = rng.randrange(len(pool) - length)
+        m = math.prod(p ** e for p in pool[start:start + length])
+        _assert_rem_matches_mod(m, rng)
+
+
+@pytest.mark.parametrize("bits", _REM_BITS)
+def test_div21_is_divmod(bits):
+    rng = random.Random(20261022 + bits)
+    for b in (rng.getrandbits(bits) | 1 << (bits - 1), (1 << bits) - 1, 1 << (bits - 1)):
+        for a in (0, b - 1, b, (b << bits) - 1, rng.randrange(b << bits),
+                  rng.randrange(b << (bits // 2))):
+            assert K._div21(a, b, bits) == divmod(a, b), (bits, a.bit_length())
+
+
+def _quotient_estimate(a12, b1, h):
+    """`_div32`'s first quotient, from the top halves alone."""
+    return (1 << h) - 1 if a12 >> h == b1 else a12 // b1
+
+
+def test_div32_corrects_at_most_twice():
+    # Burnikel and Ziegler's Lemma 2: with b1's top bit set the estimate is
+    # at most two too large; find seeded divisions that need 0, 1 and 2
+    # corrections, and check each against divmod
+    rng = random.Random(20261023)
+    seen = Counter()
+    for _ in range(3000):
+        h = rng.randrange(2, 12)
+        b1 = rng.randrange(1 << (h - 1), 1 << h)
+        b2 = rng.choice([rng.randrange(1 << h), (1 << h) - 1])
+        b = b1 << h | b2
+        a = rng.randrange(b << h)
+        a12, a3 = a >> h, a & ((1 << h) - 1)
+        q, r = divmod(a, b)
+        assert K._div32(a12, a3, b, b1, b2, h) == (q, r)
+        seen[_quotient_estimate(a12, b1, h) - q] += 1
+    assert set(seen) == {0, 1, 2}, seen
+    # the smallest normalized b1 against the largest b2: two corrections
+    h, b1, b2 = 8, 1 << 7, (1 << 8) - 1
+    b = b1 << h | b2
+    a12 = ((1 << h) - 1) * b1
+    assert _quotient_estimate(a12, b1, h) - (a12 << h) // b == 2
+    assert K._div32(a12, 0, b, b1, b2, h) == divmod(a12 << h, b)
+    # the largest dividend, b * 2^h - 1, whose top half equals b1: the
+    # estimate is 2^h - 1 without a division
+    a = (b << h) - 1
+    assert a >> 2 * h == b1
+    assert K._div32(a >> h, a & ((1 << h) - 1), b, b1, b2, h) == divmod(a, b)
+
+
+def test_div32_rejects_a_third_correction():
+    # b1 without its top bit breaks the lemma's bound, which is checked
+    h, b1, b2 = 8, 1, (1 << 8) - 1
+    b = b1 << h | b2
+    assert _quotient_estimate(255, b1, h) - (255 << h) // b > 2
+    with pytest.raises(InvariantViolation):
+        K._div32(255, 0, b, b1, b2, h)
+
+
+def test_then_and_mod_reduce_past_the_crossover(monkeypatch):
+    # past `_DIV_BITS` both reduce by `_rem`, below it by `%` alone
+    calls, rem = [], K._rem
+    monkeypatch.setattr(K, "_rem", lambda x, m: calls.append(m) or rem(x, m))
+    rng = random.Random(20261024)
+    for bits in (K._DIV_BITS - 1, K._DIV_BITS):
+        m = rng.getrandbits(bits) | 1 << (bits - 1)
+        for width in (1, 2, 3):
+            x = tuple(rng.randrange(-m * m, m * m) for _ in range(width))
+            y = tuple(rng.randrange(-m * m, m * m) for _ in range(width))
+            assert K._then(x, y, m) == tuple(v % m for v in K._then(x, y))
+            assert K._mod(x, m) == tuple(v % m for v in x)
+        assert bool(calls) == (bits >= K._DIV_BITS), (bits, len(calls))
+
+
 # The run-level tree: every block's columns from `run_columns` against the
 # per-prime loops, and every column campaign's hits against hits computed
 # per prime from those loops.
@@ -428,6 +537,32 @@ def test_run_columns_single_prime_runs(e):
         _assert_run_matches_loops([[p]], e)
     assert (list(K.run_columns([], e)) == list(K.run_columns([], e, 1))
             == list(K.run_columns([], e, 3)) == [])
+
+
+def test_run_columns_late_start_through_recursive_division(monkeypatch):
+    # a run past 2e5 whose root has at least `_DIV_BITS` bits at e = 1, so
+    # the fold and the top of the walk reduce by `_rem`; its columns at 10
+    # seeded primes against the loops, at e = 1, 2, 3 and widths 1-3
+    calls, rem = Counter(), K._rem
+    monkeypatch.setattr(K, "_rem", lambda x, m: calls.update([m.bit_length()]) or rem(x, m))
+    rng = random.Random(20261025)
+    pool = sieve_primes(200_000, 400_000)
+    start = rng.randrange(len(pool) - 600)
+    window = pool[start:start + 600]
+    root = math.prod(window)
+    assert root.bit_length() >= K._DIV_BITS
+    picks = sorted(rng.sample(range(len(window)), 10))
+    ps = [window[i] for i in picks]
+    blocks = _blocks(window, 128)
+    for e in (1, 2, 3):
+        fs = [K.factorial_mod(p - 1, p ** e) for p in ps]
+        ks = [kurepa_mod_py(p, p ** e) for p in ps]
+        ds = [derangement_mod_py(p - 1, p ** e) for p in ps]
+        for width, want in ((1, [fs]), (2, [fs, ks]), (3, [fs, ks, ds])):
+            calls.clear()
+            cols = [sum(c, []) for c in zip(*K.run_columns(blocks, e, width))]
+            assert [[c[i] for i in picks] for c in cols] == want, (e, width)
+            assert max(calls) == (root ** e).bit_length(), (e, width, calls)
 
 
 def test_run_columns_compute_one_block_per_step(monkeypatch):
