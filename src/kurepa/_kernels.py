@@ -34,7 +34,11 @@ doubling, so no call sieves.
 (p-1)!, !p and Der_{p-1} mod p^e have one route, the run tree
 `run_columns`, one product tree over a run's primes walked once: at width
 1 ((p-1)! alone) for the Wilson campaigns and `qpm_zero`, 2 (with !p) for
-`kurepa_zero`, 3 (with Der_{p-1}) for the Gertsch campaigns. Its spans
+`kurepa_zero`, 3 (with Der_{p-1}) for the Gertsch campaigns. Width 1 at
+e <= 3 and width 2 at e = 1 walk only to n = (p+1)/2, as Costa, Gerbicz
+and Harvey's Wilson search (2014) does, and `_unfold` reads the columns
+off h! by Morley's congruence and off (h!, !(h+1), Der_h) by Wilson's
+reflection, checking each prime. Its spans
 compose in `_then` and reduce in `_mod` alone, by `%` below `_DIV_BITS` =
 8,192 bits and from there by `_rem`, Burnikel and Ziegler's recursive
 division (1998), which needs no reciprocal and takes about 0.35x `%`'s time
@@ -644,7 +648,8 @@ def wilson_quotient(p: int, f: int) -> int:
 # and Der_{p-1} mod p^e, for a run of primes at once.
 #
 # The state at n is (f, s) = ((n-1)!, sum_{k<n} k!), and step k maps it to
-# (k*f, s + k*f); at n = p it holds ((p-1)!, !p). The steps k = a..b-1
+# (k*f, s + k*f); at n = p it holds ((p-1)!, !p), and the half routes stop
+# at n = (p+1)/2 (`_unfold`). The steps k = a..b-1
 # compose to f -> P*f, s -> s + Q*f with P = a(a+1)...(b-1) and
 # Q = sum_{j=a}^{b-1} a(a+1)...j; a state is the steps from n = 1. Width 1
 # carries (f,) and spans (P,) alone: one product and one reduction per join
@@ -801,28 +806,29 @@ def _product_tree(nodes: list, i: int, j: int) -> tuple:
     return (left[0] * right[0], left, right)
 
 
-def _walk(node: tuple, ps: list[int], i: int, j: int, x: tuple, c,
+def _walk(node: tuple, ns: list[int], i: int, j: int, x: tuple, c,
           ends: set, out: list):
-    """Append the states at ps[i], ..., ps[j-1] to out, given the state x at
-    ps[i] reduced mod node's modulus, and yield out's columns, emptying it,
-    after each index in ends, the ends of the blocks. Return the span of the
-    steps from ps[i] to ps[j] reduced mod c, the product of the moduli that
-    read it (exact for c None), or None when ps ends at j."""
+    """Append the states at the step positions ns[i], ..., ns[j-1] to out,
+    given the state x at ns[i] reduced mod node's modulus, and yield out's
+    columns, emptying it, after each index in ends, the ends of the blocks.
+    Return the span of the steps from ns[i] to ns[j] reduced mod c, the
+    product of the moduli that read it (exact for c None), or None when ns
+    ends at j."""
     if j - i == 1:
         out.append(x)
         if j in ends:
             yield tuple(map(list, zip(*out)))
             out.clear()
-        return _steps(ps[i], ps[j], len(x)) if j < len(ps) else None
+        return _steps(ns[i], ns[j], len(x)) if j < len(ns) else None
     _, left, right = node
     mid = (i + j) // 2
     # the right sibling and this span's readers read the left span; reduce
     # it mod their product only where that is smaller than the exact span
     r = None if c is None else right[0] * c
-    if r is not None and r.bit_length() >= (ps[mid] - ps[i]) * ps[mid].bit_length():
+    if r is not None and r.bit_length() >= (ns[mid] - ns[i]) * ns[mid].bit_length():
         r = None
-    span = yield from _walk(left, ps, i, mid, _mod(x, left[0]), r, ends, out)
-    rest = yield from _walk(right, ps, mid, j, _then(x, span, right[0]), c,
+    span = yield from _walk(left, ns, i, mid, _mod(x, left[0]), r, ends, out)
+    rest = yield from _walk(right, ns, mid, j, _then(x, span, right[0]), c,
                             ends, out)
     return None if rest is None else _then(span, rest, c)
 
@@ -831,37 +837,81 @@ def run_columns(blocks: list[list[int]], e: int, width: int = 2):
     """Yield ([(p-1)! mod p^e], [!p mod p^e]) for each block in turn, the
     first alone at width 1, and [Der_{p-1} mod p^e] third at width 3.
 
-    The blocks are consecutive: each lists ascending integers >= 1, all
-    below the next block's first. One product tree of p^e over the run's
-    primes is built once; the state is carried from n = 1 to the first prime
+    The blocks are consecutive: each lists ascending primes, all below the
+    next block's first. One product tree of p^e over the run's primes is
+    built once; the state is carried from n = 1 to the first step position
     modulo its root M, in chunks of exact spans of about M's size, and one
-    walk splits it down the tree, stepping each gap between primes once.
+    walk splits it down the tree, stepping each gap between positions once.
     The blocks only mark where the walk yields: each block's columns are
-    computed when asked for, and the stride does not change the work. Over
-    [3, 2e5] mod p^2 in blocks of 10,000 primes a run took 0.9 s at width 1,
-    1.7-2.2 s at width 2 and 3.0-3.2 s at width 3, against 2.1-2.2 s,
-    3.9-4.7 s and 5.7-7.4 s when every reduction was `%` (2-core host,
-    Python 3.11). The fold's chunks stay about M's size: half or twice that
-    measured level.
+    computed when asked for, and the stride does not change the work. The
+    fold's chunks are about M's size; half or twice that measured level.
+
+    Width 1 at e <= 3 and width 2 at e = 1 step to n = (p+1)/2 alone, and
+    `_unfold` reads the columns off the state there, (h!,) or
+    (h!, !(h+1), Der_h) for h = (p-1)/2, and checks each prime; width 3,
+    width 2 at e >= 2 and width 1 at e >= 4 step to n = p. Over [3, 1e6]
+    `wilson_zero` (width 1, e = 2) took 8.0 s and `kurepa_zero` (width 2,
+    e = 1) 13.7 s, against 14.7 s and 17.8 s stepping to p (medians of 5
+    alternated runs, 2-core host, Python 3.11). Over [3, 2e5] mod p^2 in
+    blocks of 10,000 primes width 3 took 3.0-3.2 s.
     """
     ps = [p for block in blocks for p in block]
     if not ps:
         return
+    half = width == 1 and e <= 3 or width == 2 and e == 1
+    ns = [(p + 1) // 2 for p in ps] if half else ps
+    carried = 3 if half and width == 2 else width
     tree = _product_tree([(p ** e,) for p in ps], 0, len(ps))
-    m, first = tree[0], ps[0]
-    x = (1 % m,) * width  # (0!, 0!, Der_0) at n = 1
+    m, first = tree[0], ns[0]
+    x = (1 % m,) * carried  # (0!, 0!, Der_0) at n = 1
     chunk = max(_LEAF_STEPS, m.bit_length() // first.bit_length())
     for a in range(1, first, chunk):
-        x = _then(x, _steps(a, min(a + chunk, first), width), m)
+        x = _then(x, _steps(a, min(a + chunk, first), carried), m)
     # the root's span has no reader: the empty product 1
-    yield from _walk(tree, ps, 0, len(ps), x, 1,
-                     set(accumulate(map(len, blocks))), [])
+    states = _walk(tree, ns, 0, len(ns), x, 1, set(accumulate(map(len, blocks))), [])
+    if half:
+        states = map(_unfold, filter(None, blocks), repeat(e), states)
+    yield from states
+
+
+def _unfold(ps: list[int], e: int, cols: tuple) -> tuple:
+    """The columns at the primes ps, ([(p-1)! mod p^e],) from cols = ([h!],)
+    at e <= 3, or ([(p-1)! mod p], [!p mod p]) from cols = ([h!], [!(h+1)],
+    [Der_h]) mod p at e = 1, the states at n = h + 1, h = (p-1)/2.
+
+    Each h! must satisfy (h!)^2 = (-1)^(h+1) (mod p), Wilson's congruence
+    by the reflection k! (p-1-k)! = (-1)^(k+1) (mod p) at k = h, or else
+    raise InvariantViolation naming p. Every composite fails it: an odd
+    one's least prime divides h!, and at an even one, where the sign read
+    from p mod 4 is +1, (h!)^2 + 1 is odd, or 2 at p = 4. Then
+    Morley's congruence (1895), (-1)^h C(p-1, h) = 4^(p-1) (mod p^3) for
+    p >= 5, gives (p-1)! = (-1)^h 4^(p-1) (h!)^2 (mod p^e). By the
+    reflection the steps past h add sum_{j<h} (-1)^(j+1)/j! = -D_{h-1}, and
+    1/h! = (-1)^(h+1) h!, so !p = !(h+1) + ((-1)^h Der_h - 1) h! (mod p).
+    p = 2, which has no h, and p = 3 at e = 3, where Morley's congruence
+    fails, are set directly."""
+    fs, ks = [], []
+    for p, x, *sd in zip(ps, *cols):
+        sgn = -1 if p & 3 == 3 else 1  # (-1)^h at an odd p
+        if p == 2 or p == 3 and e == 3:
+            fs.append(p - 1)  # (p-1)! = p - 1
+            ks.append(0)  # !2 = 0 (mod 2); p = 3 at e = 3 runs at width 1
+        elif (x * x + sgn) % p:
+            raise InvariantViolation(f"Wilson congruence failed at {p}")
+        elif sd:
+            s, d = sd
+            fs.append(p - 1)
+            ks.append((s + (sgn * d - 1) * x) % p)
+        else:
+            m = p ** e
+            fs.append(sgn * pow(4, p - 1, m) * x * x % m)
+    return (fs, ks) if len(cols) == 3 else (fs,)
 
 
 def _factorial_columns(primes, e: int) -> tuple[list[int], list[int]]:
     """((p-1)! mod p^e, !p mod p^e) for every p in primes, in input order:
-    `run_columns` with one block. Any list of integers >= 1 works:
-    unsorted, with repeats, or empty."""
+    `run_columns` with one block. Any list of primes works: unsorted, with
+    repeats, or empty. At e = 1 a composite raises InvariantViolation."""
     ps = sorted(set(primes))
     if not ps:
         return [], []

@@ -54,7 +54,10 @@ CHECKPOINT_VERSION = 1
 #   q2        None  1      q_p(2) mod p
 #   q3        None  1      q_p(3) mod p, None at p = 3
 #
-# A run's tree has the largest e and width over the columns it reads.
+# A run's tree has the largest e and width over the columns it reads. Runs
+# that read wilson or kurepa alone step to n = (p+1)/2, and the tree reads
+# (p-1)! off (h!)^2 by Morley's congruence and !p off h!, !(h+1) and Der_h
+# by Wilson's reflection, h = (p-1)/2; a gertsch run steps to n = p.
 
 class _Column(NamedTuple):
     e: Optional[int]

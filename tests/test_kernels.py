@@ -608,6 +608,68 @@ def test_run_columns_build_each_tree_node_once(monkeypatch):
     assert len(built) == len(set(built)) == 2 * len(primes) - 1
 
 
+# The half routes: width 1 at e <= 3 and width 2 at e = 1 step to
+# n = (p+1)/2 alone, and read (p-1)! mod p^e off h! by Morley's congruence
+# and !p mod p off (h!, !(h+1), Der_h) by Wilson's reflection.
+
+_HALF_ROUTES = [(1, 1), (2, 1), (3, 1), (1, 2)]  # (e, width)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_morley_congruence_below_3000(e):
+    # (-1)^h C(p-1, h) = 4^(p-1) (mod p^e), h = (p-1)/2, at every odd prime
+    # below 3000 but p = 3 at e = 3, which the run tree sets directly; the
+    # width-1 columns meet the loops in test_run_columns_match_loops
+    for p in sieve_primes(3, 3000):
+        h, m = (p - 1) // 2, p ** e
+        holds = (-1) ** h * math.comb(p - 1, h) % m == pow(4, p - 1, m)
+        assert holds == ((p, e) != (3, 3)), p
+
+
+@pytest.mark.parametrize("block, composite", [([4], 4), ([6], 6), ([9], 9), ([15], 15),
+                                              ([21], 21), ([25], 25), ([7, 9, 11], 9)])
+@pytest.mark.parametrize("e, width", [(2, 1), (1, 2)])
+def test_half_routes_reject_composite(block, composite, e, width):
+    with pytest.raises(InvariantViolation, match=rf"\b{composite}$"):
+        next(K.run_columns([block], e, width))
+
+
+@pytest.mark.parametrize("e, width", _HALF_ROUTES)
+def test_half_routes_name_a_prime_with_a_wrong_half_factorial(monkeypatch, e, width):
+    # h! + 1 in place of h! at q = 211, planted in the states the walk
+    # yields; the blocks before q's come out, and q's raises naming q
+    primes, q, walk = sieve_primes(3, 400), 211, K._walk
+    at = primes.index(q)
+
+    def planted(node, ns, i, j, *rest):
+        if (i, j) != (0, len(ns)):  # the walk's own recursion
+            return (yield from walk(node, ns, i, j, *rest))
+        done = 0
+        for cols in walk(node, ns, i, j, *rest):
+            if 0 <= at - done < len(cols[0]):
+                cols[0][at - done] += 1
+            done += len(cols[0])
+            yield cols
+
+    monkeypatch.setattr(K, "_walk", planted)
+    got = []
+    with pytest.raises(InvariantViolation, match=rf"\b{q}$"):
+        got.extend(K.run_columns(_blocks(primes, 7), e, width))
+    assert len(got) == at // 7
+
+
+def test_half_routes_step_to_half_the_largest_prime(monkeypatch):
+    # a silent fallback to the full walk would step to p_max
+    ends, steps = [], K._steps
+    monkeypatch.setattr(K, "_steps", lambda a, b, width=2: ends.append(b) or steps(a, b, width))
+    primes = sieve_primes(3, 3000)
+    top = primes[-1]
+    for e, width in _HALF_ROUTES + [(1, 3), (2, 2), (2, 3), (3, 3)]:
+        ends.clear()
+        list(K.run_columns(_blocks(primes, 7), e, width))
+        assert max(ends) == ((top + 1) // 2 if (e, width) in _HALF_ROUTES else top), (e, width)
+
+
 # the exponent e of the columns each campaign reads; None: no columns
 _COLUMN_E = {"kurepa_zero": 1, "wilson_zero": 2, "wilson_plus_two": 2,
              "wilson_plus_half": 2, "qpm_zero": 2, "gertsch_wilson": 2,
