@@ -8,12 +8,13 @@ quarter of the size from `_KS4_TERMS` = 1,000 (KS4: the Bell and Stirling
 rows from p = 1,009, the Gregory table from about 2,000 and the Bernoulli
 table from about 4,000), moving the coefficients in and out of their
 w-byte slots through 8-byte `array` words by w strided slice copies, so no
-Python loop runs per coefficient; `_series_inv` solves a series inverse's
-first coefficients directly and the rest by Newton iteration at precisions
-halved from the top down, as Buhler, Crandall, Ernvall, Metsankyla and
-Shokrollahi (2001) do for Bernoulli numbers mod p; `_series_div` divides
-by inverting only to half the quotient's length (Karp and Markstein, 1997).
-The Bernoulli table is one such division of half its length, y coth y in
+Python loop runs per coefficient. One recursion, `_series_div`, gives both a
+quotient c/s and an inverse 1/s (c = None): the first coefficients directly,
+the rest by inverting s to half the length through itself and one Karp and
+Markstein (1997) step, which for 1/s is Newton's, at precisions halved from
+the top down, as Buhler, Crandall, Ernvall, Metsankyla and Shokrollahi (2001)
+do for Bernoulli numbers mod p. The Gregory table is one such inverse, and
+the Bernoulli table one division of half its length, y coth y in
 u = y^2, since the odd B_k vanish. At a prime modulus the Bell row is a
 length-(p-1) DFT over F_p, which Bluestein's chirp-z (1970) turns into one
 product; at prime powers and composite moduli it is a divide-and-conquer
@@ -57,7 +58,7 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_right
-from itertools import accumulate, compress, islice, repeat, zip_longest
+from itertools import accumulate, chain, compress, islice, repeat, zip_longest
 from math import gcd, isqrt, prod
 from operator import add, mod, mul, neg
 
@@ -95,7 +96,7 @@ def stirling2_row_mod_py(n: int, m: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Power series mod m
 
-# Up to this many terms the Bell recurrence and the series inverse solve
+# Up to this many terms the Bell recurrence and `_series_div` solve
 # their coefficients directly, one C-level sum per coefficient.
 _LEAF_TERMS = 32
 # From this many terms in the shorter operand a series product is two
@@ -224,44 +225,33 @@ def _unpack(buf: bytes, n: int, w: int, m: int) -> list[int]:
     return [c % m for c in memoryview(out).cast("Q")]
 
 
-def _series_inv(f: list[int], n: int, m: int) -> list[int]:
-    """The first n coefficients of 1/f(x) mod m; f[0] must be a unit mod m.
+def _series_div(c: list[int] | None, s: list[int], n: int, m: int) -> list[int]:
+    """The first n coefficients of c(x)/s(x) mod m, or of 1/s(x) for
+    c = None; s[0] must be a unit mod m, and coefficients lie in [0, m).
 
-    The first coefficients, up to `_LEAF_TERMS` of them, are solved directly:
-    g_k = -g_0 sum_{j=1..k} f_j g_(k-j). Newton iteration then runs at the
-    precisions ..., ceil(n/4), ceil(n/2), n, each step from h to k <= 2h
-    terms: if f*g = 1 + x^h * e (mod x^k), then g - x^h * g*e is the
-    inverse mod x^k. No step computes a coefficient past n.
+    Up to `_LEAF_TERMS` terms each coefficient is solved directly:
+    y_k = (c_k - sum_{j=1..k} s_j y_(k-j)) / s_0. Above that, s is inverted
+    to k = ceil(n/2) terms, g, by the same recursion. For 1/s this is
+    Newton's step: if s*g = 1 + x^k * e, then 1/s = g - x^k * g*e mod x^n,
+    as n - k <= k; so the precisions halve from the top down and each level
+    makes two products, s*g and g*e. For c/s it is Karp and Markstein's
+    division (1997): y = c*g is c/s mod x^k, the residual c - s*y is
+    x^k * r, and c/s = y + x^k * g*r mod x^n. That is the products of the
+    full-length inverse and one more, c*g; none has more than n terms.
     """
-    sizes = [n]
-    while sizes[-1] > _LEAF_TERMS:
-        sizes.append((sizes[-1] + 1) // 2)
-    g0 = pow(f[0], -1, m)
-    g = [g0]
-    for k in range(1, sizes.pop()):
-        g.append(-g0 * sum(map(mul, f[1:k + 1], reversed(g))) % m)
-    for k in reversed(sizes):
-        h = len(g)
-        e = _series_mul(f, g, k, m)[h:]
-        g += [-c % m for c in _series_mul(g, e, k - h, m)]
-    return g
-
-
-def _series_div(c: list[int], s: list[int], n: int, m: int) -> list[int]:
-    """The first n coefficients of c(x)/s(x) mod m; s[0] must be a unit
-    mod m, and coefficients lie in [0, m).
-
-    Karp and Markstein's division (1997): invert s only to k = ceil(n/2)
-    terms, g; then y = c*g is c/s mod x^k, the residual c - s*y is
-    x^k * r, and c/s = y + x^k * g*r mod x^n, as n - k <= k. So the last
-    Newton step of a full-length inverse and the product after it become
-    one product s*y and two of half the length.
-    """
-    k = (n + 1) // 2
-    g = _series_inv(s, k, m)
-    y = _series_mul(c, g, k, m)
-    if k == n:
+    if n <= _LEAF_TERMS:
+        u = pow(s[0], -1, m)
+        rev = [*islice(chain(s[1:n], repeat(0)), n)][::-1]  # 0, s_(n-1), ..., s_1
+        y = []
+        for k, ck in enumerate(islice(chain([1] if c is None else c, repeat(0)), n)):
+            y.append((ck - sum(map(mul, y, rev[n - k:]))) * u % m)
         return y
+    k = (n + 1) // 2
+    g = _series_div(None, s, k, m)
+    if c is None:
+        e = _series_mul(s, g, n, m)[k:]
+        return g + [-x % m for x in _series_mul(g, e, n - k, m)]
+    y = _series_mul(c, g, k, m)
     sy = _series_mul(s, y, n, m)[k:]
     r = [(a - b) % m for a, b in zip_longest(c[k:n], sy, fillvalue=0)]
     return y + _series_mul(g, r, n - k, m)
@@ -582,7 +572,7 @@ def gregory_table_mod(p: int, facts: tuple) -> list[int]:
     fact, inv_fact = facts
     f = [(fact[k] if k % 2 == 0 else -fact[k]) * inv_fact[k + 1] % p
          for k in range(p - 1)]
-    return _series_inv(f, p - 1, p)
+    return _series_div(None, f, p - 1, p)
 
 
 def stirling2_row_mod(n: int, m: int, facts: tuple | None = None) -> list[int]:

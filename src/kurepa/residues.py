@@ -526,8 +526,8 @@ class GregoryModTable(_ModTable):
 
 def bernoulli_mod_table(p: int) -> BernoulliModTable:
     """B_k mod p for 0 <= k <= p-2: the even ones from y coth y =
-    C(u)/S(u) in u = y^2, a Newton inverse of half the table's length and
-    one big-int series product; B_1 = -1/2 and the odd ones past it are 0."""
+    C(u)/S(u) in u = y^2, one series division of half the table's length
+    (`_kernels._series_div`); B_1 = -1/2 and the odd ones past it are 0."""
     return _record(p).bern
 
 

@@ -830,15 +830,15 @@ def test_series_inv_matches_convolution(m):
                       (513, 513), (3000, 300)):
         f = [rng.randrange(m) for _ in range(length)]
         f[0] = next(u for u in range(m - 1, 0, -1) if math.gcd(u, m) == 1)
-        g = K._series_inv(f, n, m)
+        g = K._series_div(None, f, n, m)
         assert len(g) == n
         assert _convolution(f, g, n, m) == [1 % m] + [0] * (n - 1), (n, length)
 
 
-# Karp and Markstein's division against the full-length inverse and one
-# product, at lengths around the leaf size, the KS2 crossover and the
-# Newton steps' halvings, with c shorter than n too; at n = 3000 the
-# half-length products reach KS4, as the inverse's last step does above.
+# Karp and Markstein's division, c times the inverse of s, against its
+# definition s*q = c (mod x^n) by schoolbook convolution, at lengths around
+# the leaf size, the KS2 crossover and the recursion's halvings, with c
+# shorter than n too; at n = 3000 the half-length products reach KS4.
 
 @pytest.mark.parametrize("m", [p ** e for p in random.Random(20261020).sample(
     sieve_primes(3, 60_000), 1) for e in (1, 2, 3)] + [(2 ** 61 - 1) ** 2])
@@ -849,8 +849,49 @@ def test_series_div_matches_inverse_then_product(m):
         s[0] = next(u for u in range(m - 1, 0, -1) if math.gcd(u, m) == 1)
         for length in (n, n // 2, 1):
             c = [rng.randrange(m) for _ in range(length)]
-            assert (K._series_div(c, s, n, m)
-                    == K._series_mul(c, K._series_inv(s, n, m), n, m)), (n, length)
+            q = K._series_div(c, s, n, m)
+            assert len(q) == n
+            assert _convolution(s, q, n, m) == c + [0] * (n - length), (n, length)
+
+
+def _products(monkeypatch, c, s, n, m):
+    """The (len a, len b, n) of each `_series_mul` call that
+    `_series_div(c, s, n, m)` makes, each operand cut to n terms as
+    `_series_mul` cuts it, as a multiset."""
+    shapes, mul = Counter(), K._series_mul
+
+    def counted(a, b, k, m):
+        shapes[min(len(a), k), min(len(b), k), k] += 1
+        return mul(a, b, k, m)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(K, "_series_mul", counted)
+        K._series_div(c, s, n, m)
+    return shapes
+
+
+# The recursion's schedule: an inverse makes two products per level above
+# the leaf, s*g and g*e at precisions halved from the top down; a division
+# makes those of the full-length inverse and one more, c*g; a leaf makes none.
+
+@pytest.mark.parametrize("n", [33, 100, 1000, 3000])
+def test_series_div_product_schedule(monkeypatch, n):
+    m = 10007
+    rng = random.Random(n)
+    s = [rng.randrange(1, m) for _ in range(n)]
+    c = [rng.randrange(m) for _ in range(n)]
+    want, ni = Counter(), n
+    while ni > _LEAF:
+        ki = (ni + 1) // 2
+        want[ni, ki, ni] += 1
+        want[ni - ki, ni - ki, ni - ki] += 1  # g*e, g cut to n_i - k_i terms
+        ni = ki
+    assert _products(monkeypatch, None, s, n, m) == want
+    k = (n + 1) // 2
+    assert _products(monkeypatch, c, s, n, m) == want + Counter({(k, k, k): 1})
+    for short in (1, _LEAF - 1, _LEAF):
+        assert not _products(monkeypatch, None, s, short, m), short
+        assert not _products(monkeypatch, c, s, short, m), short
 
 
 # `_powers` walks the process's one factorization table, which grows to
