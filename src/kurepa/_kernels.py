@@ -43,12 +43,15 @@ reflection, checking each prime. Its spans
 compose in `_then` and reduce in `_mod` alone, by `%` below `_DIV_BITS` =
 8,192 bits and from there by `_rem`, Burnikel and Ziegler's recursive
 division (1998), which needs no reciprocal and takes about 0.35x `%`'s time
-at 65,536 bits; `_steps`, their exact binary splitting,
-also gives `exact.left_factorial`. `wilson_column` turns the (p-1)! column mod p^2
-into W_p, and `gertsch_column` the width-3 columns into Gertsch_p mod p by
-one loop mod p and `_fermat_sum`'s slice sums, which read only the memo
-`_primes`: no power table, so the record stays its independent oracle.
-The three quotients by p, `fermat_quotient`,
+at 65,536 bits; from that size on a right child's product reads its
+operands reduced mod the child's modulus. The walk forms each readers'
+product only where it keeps it, and is a generator only above a block
+end, plain recursion (`_fill`) below. `_steps`, the exact binary splitting,
+also gives `exact.left_factorial`. `wilson_column` turns the (p-1)! column
+mod p^2 into W_p by C-level passes, and `gertsch_column` the width-3
+columns into Gertsch_p mod p by one loop mod p and `_fermat_sum`'s slice
+sums, which read only the memo `_primes`: no power table, so the record
+stays its independent oracle. The three quotients by p, `fermat_quotient`,
 `wilson_quotient` and `gertsch_quotient`, each check that p divides their
 numerator and raise InvariantViolation otherwise.
 """
@@ -60,7 +63,7 @@ from array import array
 from bisect import bisect_right
 from itertools import accumulate, chain, compress, islice, repeat, zip_longest
 from math import gcd, isqrt, prod
-from operator import add, mod, mul, neg
+from operator import add, floordiv, mod, mul, neg
 
 from ._memo import Memo
 from .errors import InvariantViolation
@@ -653,9 +656,14 @@ def wilson_quotient(p: int, f: int) -> int:
 # p^e over all the run's primes and one walk down it. A left span is read by its right
 # sibling and by its parent's readers; it is reduced mod their product
 # where that has fewer bits than the exact span, about
-# (ps[mid] - ps[i]) log2 ps[mid], and kept exact below. So the top of the
-# tree reduces and its lower levels compose exact spans, whatever the
-# blocks, which only mark where the walk yields.
+# (ns[mid] - ns[i]) log2 ns[mid], and kept exact below (`_readers`, which
+# forms the product only where it can be kept). So the top of the tree
+# reduces and its lower levels compose exact spans, whatever the blocks,
+# which only mark where the walk yields. From `_DIV_BITS` on a right
+# child's state is made from the state and the left span each reduced mod
+# its modulus first (`_right_state`). A subtree with no block end inside
+# is walked by plain recursion (`_fill`), and only the nodes above a block
+# end are generators (`_walk`).
 
 _LEAF_STEPS = 32
 
@@ -796,30 +804,75 @@ def _product_tree(nodes: list, i: int, j: int) -> tuple:
     return (left[0] * right[0], left, right)
 
 
-def _walk(node: tuple, ns: list[int], i: int, j: int, x: tuple, c,
-          ends: set, out: list):
-    """Append the states at the step positions ns[i], ..., ns[j-1] to out,
-    given the state x at ns[i] reduced mod node's modulus, and yield out's
-    columns, emptying it, after each index in ends, the ends of the blocks.
-    Return the span of the steps from ns[i] to ns[j] reduced mod c, the
-    product of the moduli that read it (exact for c None), or None when ns
-    ends at j."""
+def _readers(m: int, c, ns: list[int], i: int, mid: int):
+    """The modulus the left span from ns[i] to ns[mid] is reduced by: the
+    product m*c of its readers' moduli, m its right sibling's and c the
+    product of its parent's readers (None: exact), or None, exact, where c
+    is None or m*c has at least the exact span's estimated bits,
+    (ns[mid] - ns[i]) log2 ns[mid]. m*c has bits(m) + bits(c) - 1 bits or
+    one more, so a product that cannot be kept is not formed."""
+    if c is None:
+        return None
+    bits = (ns[mid] - ns[i]) * ns[mid].bit_length()
+    if m.bit_length() + c.bit_length() - 1 >= bits:
+        return None
+    r = m * c
+    return None if r.bit_length() >= bits else r
+
+
+def _right_state(x: tuple, span: tuple, m: int) -> tuple:
+    """The state at the right child of modulus m, reduced mod m: x, the
+    state at its left sibling reduced mod their parent's modulus, followed
+    by the left span, which is exact or reduced mod all its readers. From
+    `_DIV_BITS` on x and the span are each reduced mod m first, so the
+    product is no longer than m needs. Below, the reductions cost more
+    than they save: reducing at every node took 1.04x the time over
+    windows of 7 primes below 600 at e = 2 and 3 (2-core host, Python
+    3.11)."""
+    if m.bit_length() >= _DIV_BITS:
+        x, span = _mod(x, m), _mod(span, m)
+    return _then(x, span, m)
+
+
+def _fill(node: tuple, ns: list[int], i: int, j: int, x: tuple, c, out: list):
+    """`_walk` for a subtree with no block end strictly inside (i, j): plain
+    recursion, appending its states to out and returning its span."""
     if j - i == 1:
         out.append(x)
-        if j in ends:
-            yield tuple(map(list, zip(*out)))
-            out.clear()
         return _steps(ns[i], ns[j], len(x)) if j < len(ns) else None
     _, left, right = node
     mid = (i + j) // 2
-    # the right sibling and this span's readers read the left span; reduce
-    # it mod their product only where that is smaller than the exact span
-    r = None if c is None else right[0] * c
-    if r is not None and r.bit_length() >= (ns[mid] - ns[i]) * ns[mid].bit_length():
-        r = None
-    span = yield from _walk(left, ns, i, mid, _mod(x, left[0]), r, ends, out)
-    rest = yield from _walk(right, ns, mid, j, _then(x, span, right[0]), c,
-                            ends, out)
+    span = _fill(left, ns, i, mid, _mod(x, left[0]),
+                 _readers(right[0], c, ns, i, mid), out)
+    rest = _fill(right, ns, mid, j, _right_state(x, span, right[0]), c, out)
+    return None if rest is None else _then(span, rest, c)
+
+
+def _walk(node: tuple, ns: list[int], i: int, j: int, x: tuple, c,
+          ends: list[int], out: list):
+    """Append the states at the step positions ns[i], ..., ns[j-1] to out,
+    given the state x at ns[i] reduced mod node's modulus, and yield out's
+    columns, emptying it, after each index in ends, the sorted ends of the
+    blocks. Return the span of the steps from ns[i] to ns[j] reduced mod c,
+    the product of the moduli that read it (exact for c None), or None when
+    ns ends at j.
+
+    A subtree with no block end strictly inside goes to `_fill`, so only
+    the nodes above a block end are generators; the walk yields after that
+    subtree if it ends a block."""
+    k = bisect_right(ends, i)  # the first block end past i
+    if ends[k] >= j:
+        span = _fill(node, ns, i, j, x, c, out)
+        if ends[k] == j:
+            yield tuple(map(list, zip(*out)))
+            out.clear()
+        return span
+    _, left, right = node
+    mid = (i + j) // 2
+    span = yield from _walk(left, ns, i, mid, _mod(x, left[0]),
+                            _readers(right[0], c, ns, i, mid), ends, out)
+    rest = yield from _walk(right, ns, mid, j, _right_state(x, span, right[0]),
+                            c, ends, out)
     return None if rest is None else _then(span, rest, c)
 
 
@@ -833,8 +886,10 @@ def run_columns(blocks: list[list[int]], e: int, width: int = 2):
     modulo its root M, in chunks of exact spans of about M's size, and one
     walk splits it down the tree, stepping each gap between positions once.
     The blocks only mark where the walk yields: each block's columns are
-    computed when asked for, and the stride does not change the work. The
-    fold's chunks are about M's size; half or twice that measured level.
+    computed when asked for, and the stride does not change the work. A
+    subtree with no block end inside is computed whole, so its states, and
+    the compositions that make its span, come out with the block it ends.
+    The fold's chunks are about M's size; half or twice that measured level.
 
     Width 1 at e <= 3 and width 2 at e = 1 step to n = (p+1)/2 alone, and
     `_unfold` reads the columns off the state there, (h!,) or
@@ -842,8 +897,12 @@ def run_columns(blocks: list[list[int]], e: int, width: int = 2):
     width 2 at e >= 2 and width 1 at e >= 4 step to n = p. Over [3, 1e6]
     `wilson_zero` (width 1, e = 2) took 8.0 s and `kurepa_zero` (width 2,
     e = 1) 13.7 s, against 14.7 s and 17.8 s stepping to p (medians of 5
-    alternated runs, 2-core host, Python 3.11). Over [3, 2e5] mod p^2 in
-    blocks of 10,000 primes width 3 took 3.0-3.2 s.
+    alternated runs, 2-core host, Python 3.11). Reducing a big right
+    child's operands first, forming only the readers' products that are
+    kept and walking block-free subtrees without generators took them to
+    5.8 s and 10.1 s, against 7.1 s and 11.6 s before (whole CLI runs,
+    medians of 3 alternated runs, a later session on the same host). Over
+    [3, 2e5] mod p^2 in blocks of 10,000 primes width 3 took 3.0-3.2 s.
     """
     ps = [p for block in blocks for p in block]
     if not ps:
@@ -858,7 +917,8 @@ def run_columns(blocks: list[list[int]], e: int, width: int = 2):
     for a in range(1, first, chunk):
         x = _then(x, _steps(a, min(a + chunk, first), carried), m)
     # the root's span has no reader: the empty product 1
-    states = _walk(tree, ns, 0, len(ns), x, 1, set(accumulate(map(len, blocks))), [])
+    ends = sorted(set(accumulate(map(len, blocks))))
+    states = _walk(tree, ns, 0, len(ns), x, 1, ends, [])
     if half:
         states = map(_unfold, filter(None, blocks), repeat(e), states)
     yield from states
@@ -911,8 +971,14 @@ def _factorial_columns(primes, e: int) -> tuple[list[int], list[int]]:
 
 
 def wilson_column(primes, fs) -> list[int]:
-    """W_p mod p from fs = (p-1)! mod p^2."""
-    return [wilson_quotient(p, f) % p for p, f in zip(primes, fs)]
+    """W_p mod p from fs = (p-1)! mod p^2, by C-level passes. Where some p
+    does not divide f + 1, the block is walked through `wilson_quotient`,
+    whose InvariantViolation names the first such p."""
+    ws = list(map(add, fs, repeat(1)))
+    if any(map(mod, ws, primes)):
+        for p, f in zip(primes, fs):
+            wilson_quotient(p, f)
+    return list(map(mod, map(floordiv, ws, primes), primes))
 
 
 def gertsch_column(primes, fs, ks, ds) -> list[int]:

@@ -294,10 +294,11 @@ def sieve_upto(n: int) -> list[int]:
 def iter_primes(lo: int, hi: int) -> Iterator[int]:
     """Yield the primes in [lo, hi] ascending via a segmented sieve, the
     one sieve for prime windows: its base primes up to sqrt(hi) come from
-    `sieve_upto`, which reads this generator again at sqrt(hi), and which
-    also fills `_kernels._primes`, the primes the Gertsch column and the
-    power tables read. The power tables also read `_kernels._sieve_factors`,
-    a least-prime-factor sieve of 1..N that gives each composite's
+    `sieve_upto`, which reads this generator again at sqrt(hi).
+    `_kernels._prime_table` fills the memo `_kernels._primes`, the primes
+    the Gertsch column and the power tables read, by calling `sieve_upto`.
+    The power tables also read `_kernels._sieve_factors`, a
+    least-prime-factor sieve of 1..N that gives each composite's
     factorization.
 
     Memory stays bounded by the segment length `config.SIEVE_SEGMENT`, read

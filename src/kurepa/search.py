@@ -19,6 +19,7 @@ import os
 import threading
 import time
 from contextlib import suppress
+from operator import mod
 from typing import Callable, NamedTuple, Optional
 
 from . import _kernels, config
@@ -67,7 +68,7 @@ class _Column(NamedTuple):
 
 _COLUMNS: dict[str, _Column] = {
     "wilson": _Column(2, 1, lambda ps, cols: _kernels.wilson_column(ps, cols[0])),
-    "kurepa": _Column(1, 2, lambda ps, cols: [k % p for p, k in zip(ps, cols[1])]),
+    "kurepa": _Column(1, 2, lambda ps, cols: list(map(mod, cols[1], ps))),
     "gertsch": _Column(2, 3, lambda ps, cols: _kernels.gertsch_column(ps, *cols)),
     "q2": _Column(None, 1, lambda ps, _: [_kernels.fermat_quotient(p, 2) for p in ps]),
     "q3": _Column(None, 1, lambda ps, _: [None if p == 3 else

@@ -542,7 +542,9 @@ def test_run_columns_single_prime_runs(e):
 def test_run_columns_late_start_through_recursive_division(monkeypatch):
     # a run past 2e5 whose root has at least `_DIV_BITS` bits at e = 1, so
     # the fold and the top of the walk reduce by `_rem`; its columns at 10
-    # seeded primes against the loops, at e = 1, 2, 3 and widths 1-3
+    # seeded primes against the loops, at e = 1, 2, 3, widths 1-3 and
+    # strides 1, 7 and 128, so that the walk's generators and `_fill`'s
+    # plain recursion each meet the big nodes
     calls, rem = Counter(), K._rem
     monkeypatch.setattr(K, "_rem", lambda x, m: calls.update([m.bit_length()]) or rem(x, m))
     rng = random.Random(20261025)
@@ -553,16 +555,17 @@ def test_run_columns_late_start_through_recursive_division(monkeypatch):
     assert root.bit_length() >= K._DIV_BITS
     picks = sorted(rng.sample(range(len(window)), 10))
     ps = [window[i] for i in picks]
-    blocks = _blocks(window, 128)
     for e in (1, 2, 3):
         fs = [K.factorial_mod(p - 1, p ** e) for p in ps]
         ks = [kurepa_mod_py(p, p ** e) for p in ps]
         ds = [derangement_mod_py(p - 1, p ** e) for p in ps]
         for width, want in ((1, [fs]), (2, [fs, ks]), (3, [fs, ks, ds])):
-            calls.clear()
-            cols = [sum(c, []) for c in zip(*K.run_columns(blocks, e, width))]
-            assert [[c[i] for i in picks] for c in cols] == want, (e, width)
-            assert max(calls) == (root ** e).bit_length(), (e, width, calls)
+            for stride in (1, 7, 128):
+                calls.clear()
+                blocks = _blocks(window, stride)
+                cols = [sum(c, []) for c in zip(*K.run_columns(blocks, e, width))]
+                assert [[c[i] for i in picks] for c in cols] == want, (e, width, stride)
+                assert max(calls) == (root ** e).bit_length(), (e, width, stride, calls)
 
 
 def test_run_columns_compute_one_block_per_step(monkeypatch):
@@ -606,6 +609,79 @@ def test_run_columns_build_each_tree_node_once(monkeypatch):
     primes = sieve_primes(3, 3000)
     list(K.run_columns(_blocks(primes, 7), 2))
     assert len(built) == len(set(built)) == 2 * len(primes) - 1
+
+
+# The walk's node math, shared by `_walk` and `_fill`: the readers' product
+# a left span is reduced by, and the state at a right child. The runs are
+# those of `kurepa_zero`, `wilson_zero` and the Gertsch campaigns over
+# [3, 2e4] at stride 128, whose top nodes pass `_DIV_BITS`.
+
+_NODE_RUNS = [(1, 2), (2, 1), (2, 3)]  # (e, width)
+
+
+def test_right_child_products_read_operands_reduced_mod_the_child(monkeypatch):
+    # from `_DIV_BITS` on, the product that makes a right child's state
+    # takes a state and a span each no longer than the child's modulus
+    inside, big, then, right = [], Counter(), K._then, K._right_state
+
+    def checked(x, y, m=None):
+        if inside and m is not None and m.bit_length() >= K._DIV_BITS:
+            big[m.bit_length()] += 1
+            assert max(v.bit_length() for v in x + y) <= m.bit_length()
+        return then(x, y, m)
+
+    def tracked(x, span, m):
+        inside.append(m)
+        try:
+            return right(x, span, m)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(K, "_then", checked)
+    monkeypatch.setattr(K, "_right_state", tracked)
+    blocks = _blocks(sieve_primes(3, 20_000), 128)
+    for e, width in _NODE_RUNS:
+        big.clear()
+        list(K.run_columns(blocks, e, width))
+        assert big, (e, width)
+
+
+def test_readers_product_kept_exactly_when_shorter_than_the_exact_span(monkeypatch):
+    # the reader decision against the full product R*c, recomputed here:
+    # None exactly where it has at least the exact span's estimated bits
+    kept, readers = Counter(), K._readers
+
+    def checked(m, c, ns, i, mid):
+        r = readers(m, c, ns, i, mid)
+        if c is None:
+            assert r is None
+        else:
+            full = m * c
+            short = full.bit_length() < (ns[mid] - ns[i]) * ns[mid].bit_length()
+            assert r == (full if short else None), (i, mid)
+        kept[r is not None] += 1
+        return r
+
+    monkeypatch.setattr(K, "_readers", checked)
+    primes = sieve_primes(3, 20_000)
+    for e, width in _NODE_RUNS:
+        kept.clear()
+        list(K.run_columns(_blocks(primes, 128), e, width))
+        # one decision per internal node, and both outcomes occur
+        assert kept[True] and kept[False], (e, width, kept)
+        assert kept[True] + kept[False] == len(primes) - 1, (e, width)
+
+
+@pytest.mark.parametrize("m, c", [(2 ** 19, 2 ** 20), (2 ** 19 - 1, 3 * 2 ** 19),
+                                  (2 ** 19 - 1, 2 ** 20), (2 ** 19 - 1, 2 ** 20 - 1),
+                                  (3, 5), (2 ** 40, 1), (7, None)])
+def test_readers_decide_at_the_estimate(m, c):
+    # the estimate for ns = [0, 10] is 10 * bits(10) = 40 bits: a product
+    # of 40 bits, with or without the guard's multiply-free reading, is
+    # dropped, and one of 39 bits kept
+    full = None if c is None else m * c
+    want = full if full is not None and full.bit_length() < 40 else None
+    assert K._readers(m, c, [0, 10], 0, 1) == want
 
 
 # The half routes: width 1 at e <= 3 and width 2 at e = 1 step to
@@ -737,6 +813,14 @@ def test_column_campaign_hits_match_loops(name):
 def test_wilson_column_rejects_composite(block):
     fs = next(K.run_columns([block], 2))[0]
     with pytest.raises(InvariantViolation):
+        K.wilson_column(block, fs)
+
+
+def test_wilson_column_names_the_first_failing_prime():
+    # 9 and 15 both fail Wilson's congruence; the violation names 9
+    block = [7, 9, 11, 15]
+    fs = next(K.run_columns([block], 2))[0]
+    with pytest.raises(InvariantViolation, match=r"\b9$"):
         K.wilson_column(block, fs)
 
 
