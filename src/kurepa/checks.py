@@ -159,7 +159,7 @@ def _c15(ctx):
 
 def _c16(ctx):
     p = ctx.p
-    cap = config.EXACT_BERNOULLI_CAP
+    cap = config.EXACT_INDEX_CAP
     pairs = [(n, k) for n, k in ((2, 1), (3, 1), (3, 2)) if n * (p - 1) <= cap]
     if not pairs:
         raise CapacityError(f"exact Bernoulli capped at index {cap} (asked {2 * (p - 1)})")

@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="checkpoint file path")
     p.add_argument("--resume", action="store_true",
                    help="resume from --checkpoint")
-    p.add_argument("--stride", type=int, default=config.CHECKPOINT_STRIDE,
+    p.add_argument("--stride", type=int, default=search.CHECKPOINT_STRIDE,
                    help="primes per checkpoint block")
     p.add_argument("--m-max", type=int, default=None,
                    help="qpm_zero only: largest m to test; any other "
@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factor-ln1",
                        help="factor !n - 1 for 3 <= n <= nmax")
     p.add_argument("--nmax", type=int, default=24, help="at most 30")
-    p.add_argument("--budget", type=int, default=config.FACTOR_BUDGET)
+    p.add_argument("--budget", type=int, default=factorizer.FACTOR_BUDGET)
     _add_format(p)
     p.set_defaults(fn=cmd_factor_ln1)
 

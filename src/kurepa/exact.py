@@ -67,8 +67,8 @@ def bell_sequence_exact(n: int) -> list[int]:
     """Bell_0..Bell_n via the Bell (Aitken) triangle, one row in memory."""
     if n < 0:
         raise DomainError("bell needs n >= 0")
-    if n > config.EXACT_BELL_CAP:
-        raise CapacityError(f"exact Bell capped at {config.EXACT_BELL_CAP} "
+    if n > config.EXACT_INDEX_CAP:
+        raise CapacityError(f"exact Bell capped at {config.EXACT_INDEX_CAP} "
                             f"(asked {n}); use the modular path for large indices")
     out = [1]
     row = [1]
@@ -127,19 +127,19 @@ def bernoulli_exact(k: int) -> Fraction:
     """B_k as an exact Fraction (B_1 = -1/2 convention).
 
     A miss refills the memo with B_0..B_n from `_bernoulli_upto`, for
-    n = min(EXACT_BERNOULLI_CAP, max(k, 2 * size)), so indices growing to k
+    n = min(EXACT_INDEX_CAP, max(k, 2 * size)), so indices growing to k
     refill it O(log k) times.
     """
     if k < 0:
         raise DomainError("bernoulli needs k >= 0")
-    if k > config.EXACT_BERNOULLI_CAP:
+    if k > config.EXACT_INDEX_CAP:
         raise CapacityError(
-            f"exact Bernoulli capped at index {config.EXACT_BERNOULLI_CAP} (asked {k})")
+            f"exact Bernoulli capped at index {config.EXACT_INDEX_CAP} (asked {k})")
     if k % 2 == 1 and k > 1:
         return Fraction(0)
     with _bern.lock:
         if k >= len(_bern):
-            n = min(config.EXACT_BERNOULLI_CAP, max(k, 2 * len(_bern)))
+            n = min(config.EXACT_INDEX_CAP, max(k, 2 * len(_bern)))
             _bern.update(enumerate(_bernoulli_upto(n)))
         return _bern[k]
 
@@ -172,9 +172,9 @@ def gregory_exact(n: int) -> Fraction:
     """
     if n < 0:
         raise DomainError("gregory needs n >= 0")
-    if n > config.EXACT_GREGORY_CAP:
+    if n > config.EXACT_INDEX_CAP:
         raise CapacityError(
-            f"exact Gregory capped at index {config.EXACT_GREGORY_CAP} (asked {n})")
+            f"exact Gregory capped at index {config.EXACT_INDEX_CAP} (asked {n})")
     with _greg.lock:
         if not _greg:  # seeded at first use and after clear()
             _greg.update({0: Fraction(1), 1: Fraction(1, 2)})
@@ -245,7 +245,7 @@ def _sum_fermat_quotients(p: int) -> int:
 
 def gertsch_quotient_exact(p: int) -> int:
     """(!p - Bell_{p-1} + 1) / p, always an exact integer for odd prime p;
-    Bell_{p-1} is capped at index config.EXACT_BELL_CAP.
+    Bell_{p-1} is capped at index config.EXACT_INDEX_CAP.
 
     OEIS A309483.
     """

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from . import config, search
+from . import search
 from ._memo import Memo
 from .errors import DomainError, InvariantViolation
 from .exact import factorial, left_factorial
@@ -25,6 +25,7 @@ __all__ = [
     "GcdReport",
 ]
 
+FACTOR_BUDGET = 20_000_000  # Pollard-rho multiplications per factorize() call
 _TRIAL_LIMIT = 1_000_000
 _trial_primes = Memo()  # _TRIAL_LIMIT: the primes up to it, sieved once
 
@@ -131,7 +132,7 @@ def _factor_into(n: int, budget: _Budget, out: dict[int, int]) -> int:
     return c1 * c2
 
 
-def factorize(n: int, budget: int = config.FACTOR_BUDGET) -> Factorization:
+def factorize(n: int, budget: int = FACTOR_BUDGET) -> Factorization:
     """Factor n >= 2: trial division to 1e6, then deterministic Brent rho.
 
     Exceeding the budget yields a partial result whose composite cofactor is
@@ -162,7 +163,7 @@ def factorize(n: int, budget: int = config.FACTOR_BUDGET) -> Factorization:
 
 
 def left_factorial_minus_one_table(n_max: int = 24,
-                                   budget: int = config.FACTOR_BUDGET
+                                   budget: int = FACTOR_BUDGET
                                    ) -> list[Factorization]:
     """Factor !n - 1 for 3 <= n <= n_max <= 30: the rows of
     `tables.FACTORIZATIONS`, which `tables.reproduce_table` reads from here."""

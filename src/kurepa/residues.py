@@ -261,12 +261,12 @@ class PrimeContext:
     @cached_property
     def ag(self) -> int:
         """AG_p mod p = W_p + 1, by the Glaisher congruence
-        W_p = B_{p-1} + 1/p - 1 (mod p). For p within config.EXACT_BERNOULLI_CAP
+        W_p = B_{p-1} + 1/p - 1 (mod p). For p - 1 <= config.EXACT_INDEX_CAP
         the rational (p*B_{p-1}+1)/p is also reduced mod p and the two must
         agree."""
         p = self.p
         fast = (self.wilson + 1) % p
-        if p - 1 <= config.EXACT_BERNOULLI_CAP:
+        if p - 1 <= config.EXACT_INDEX_CAP:
             r = int(fraction_residue(exact._agoh_giuga(p), p))
             if r != fast:
                 raise InvariantViolation(f"AG_{p}: exact path {r} != Wilson path {fast}")

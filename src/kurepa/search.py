@@ -22,7 +22,7 @@ from contextlib import suppress
 from operator import mod
 from typing import Callable, NamedTuple, Optional
 
-from . import _kernels, config
+from . import _kernels
 from ._memo import Memo
 from .errors import CheckpointError, DomainError, EmptyRangeError
 from .modmath import is_prime, iter_primes
@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = 1
+CHECKPOINT_STRIDE = 10_000  # primes per checkpoint block: run_campaign's default
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +413,7 @@ def _require_range(lo: int, hi: int):
 def run_campaign(name: str, lo: int, hi: int, *,
                  checkpoint_path: Optional[str] = None,
                  resume: bool = False,
-                 stride: int = config.CHECKPOINT_STRIDE,
+                 stride: int = CHECKPOINT_STRIDE,
                  workers: int = 1,
                  params: Optional[dict] = None,
                  stop_after_blocks: Optional[int] = None,

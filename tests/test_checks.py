@@ -76,8 +76,8 @@ class TestRunCheck:
         assert built == []
 
     def test_raised_exact_cap_widens_c14_to_c16(self, monkeypatch):
-        # C14-C16 read the exact-Bernoulli cap at each call, not at import
-        monkeypatch.setattr(config, "EXACT_BERNOULLI_CAP", 600)
+        # C14-C16 read the exact index cap at each call, not at import
+        monkeypatch.setattr(config, "EXACT_INDEX_CAP", 600)
         for check_id, p in (("C14", 263), ("C15", 263), ("C16", 199)):
             o = C.run_check(check_id, p)
             assert not o.skipped and o.holds, (check_id, o)

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from kurepa import config
-from kurepa.cli import main
+from kurepa import config, factorizer, search
+from kurepa.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -319,6 +319,14 @@ class TestFactorLn1:
         code, out, err = run(capsys, "factor-ln1", "--nmax", "31")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "[3, 30]" in err
+
+
+class TestDefaults:
+    def test_stride_and_budget_read_their_module_constants(self):
+        ap = build_parser()
+        assert (ap.parse_args(["search", "wilson_zero", "--to", "9"]).stride
+                == search.CHECKPOINT_STRIDE)
+        assert ap.parse_args(["factor-ln1"]).budget == factorizer.FACTOR_BUDGET
 
 
 class TestByteStability:

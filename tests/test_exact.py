@@ -69,25 +69,35 @@ class TestBell:
 
 
 class TestCapsReadAtCall:
-    """The exact caps come from `config` at each call, not at import."""
+    """The exact caps come from `config` at each call, not at import:
+    `EXACT_INDEX_CAP` bounds the Bernoulli, Gregory and Bell indices alike."""
 
     def test_lowered_caps_refuse(self, monkeypatch):
-        monkeypatch.setattr(config, "EXACT_BELL_CAP", 10)
+        monkeypatch.setattr(config, "EXACT_INDEX_CAP", 10)
         monkeypatch.setattr(config, "EXACT_POWER_SUM_CAP", 5)
         for call in (lambda: exact.bell_exact(11),
+                     lambda: exact.bernoulli_exact(11),
+                     lambda: exact.gregory_exact(11),
                      lambda: exact.gertsch_quotient_exact(13),
                      lambda: exact.lerch_quotient_exact(7)):
             with pytest.raises(CapacityError):
                 call()
         assert exact.gertsch_quotient_exact(11) == 356540
+        assert exact.bernoulli_exact(10) == Fraction(5, 66)
+        assert exact.gregory_exact(10) == Fraction(-3250433, 479001600)
         assert exact.lerch_quotient_exact(5) == 13
 
     def test_raised_caps_admit(self, monkeypatch):
-        with pytest.raises(CapacityError):
-            exact.gertsch_quotient_exact(263)
-        monkeypatch.setattr(config, "EXACT_BELL_CAP", 300)
+        for call in (lambda: exact.gertsch_quotient_exact(263),
+                     lambda: exact.bernoulli_exact(258),
+                     lambda: exact.gregory_exact(257)):
+            with pytest.raises(CapacityError):
+                call()
+        monkeypatch.setattr(config, "EXACT_INDEX_CAP", 300)
         monkeypatch.setattr(config, "EXACT_POWER_SUM_CAP", 200)
         assert exact.bell_exact(280) == sum(exact.stirling2_row(280))
+        assert exact.bernoulli_exact(258) > 0  # sign (-1)^(k/2 - 1)
+        assert exact.gregory_exact(257) > 0  # sign (-1)^(n-1)
         assert (exact.gertsch_quotient_exact(263) % 263
                 == int(residues.gertsch_quotient_mod(263)))
         lerch = exact.lerch_quotient_exact(151)
@@ -199,9 +209,9 @@ class TestBernoulli:
         for k, size in zip(order, sizes):
             exact.bernoulli_exact(k)
             assert len(exact._bern) == size, k
-        want = bernoulli_exact_py(config.EXACT_BERNOULLI_CAP)
+        want = bernoulli_exact_py(config.EXACT_INDEX_CAP)
         assert [exact.bernoulli_exact(k)
-                for k in range(config.EXACT_BERNOULLI_CAP + 1)] == want
+                for k in range(config.EXACT_INDEX_CAP + 1)] == want
 
 
 def gregory_integral_oracle(n):

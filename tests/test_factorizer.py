@@ -47,6 +47,15 @@ class TestFactorize:
         assert f.cofactor > 1 and not is_prime(f.cofactor)
         assert f.recompose() == p * p * q * q
 
+    def test_budget_is_the_parameter(self):
+        # FACTOR_BUDGET is the default of each budget parameter, its one channel
+        n = 1_000_003 * 1_000_033
+        f = F.factorize(n, budget=1)
+        assert not f.complete and f.recompose() == n
+        assert F.factorize(n).factors == ((1_000_003, 1), (1_000_033, 1))
+        for fn in (F.factorize, F.left_factorial_minus_one_table):
+            assert fn.__defaults__[-1] == F.FACTOR_BUDGET
+
     def test_determinism(self):
         n = 1_000_003 * 1_000_033 * 999_983
         assert F.factorize(n) == F.factorize(n)

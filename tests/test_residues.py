@@ -145,7 +145,7 @@ class TestDivisibilityInvariants:
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_ag_with_planted_exact_mismatch(self, monkeypatch, p):
-        assert p - 1 <= config.EXACT_BERNOULLI_CAP  # the exact path runs
+        assert p - 1 <= config.EXACT_INDEX_CAP  # the exact path runs
         ag = exact._agoh_giuga
         monkeypatch.setattr(exact, "_agoh_giuga", lambda q: ag(q) + 1)
         ctx = PrimeContext(p)
