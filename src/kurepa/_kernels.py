@@ -297,14 +297,15 @@ def _inverse_factorials(n: int, m: int, x: int) -> list[int]:
     return inv_fact
 
 
-# The factorization of 1..N that every power table walks: N, to the primes
-# <= N (an array("I")) and, for each composite j <= N in ascending order, the
-# tuple (j, q, j/q) of its least prime q and cofactor. Tuples, not arrays,
-# because the walk then unpacks ints that already exist (0.44 against 0.50
-# ms per power table at p near 1500, 2-core host, Python 3.11), at about 125
-# bytes per integer below N (25 MB at N = 2e5). The primes alone, which the
-# Gertsch column reads, are a memo of their own that the factorization
-# reads in turn (70 KB at N = 2e5), so reading them builds no composites.
+# `_primes`, the process's one list of small primes: N, to the primes <= N
+# from `modmath.sieve_upto`, read by the power tables, the Gertsch column and
+# `factorizer.factorize`. A list, not an array("I"), whose iteration makes
+# each int anew: trial division below 1e6 took 8.2 against 7.3 ms (2-core
+# host, Python 3.11). `_factorization`: N, to (j, q, j/q) for each composite
+# j <= N in ascending order, q its least prime, which every power table
+# walks. Tuples, not arrays, because the walk then unpacks ints that already
+# exist (0.44 against 0.50 ms per power table at p near 1500), at about 125
+# bytes per integer below N (25 MB at N = 2e5).
 _factorization = Memo()
 _primes = Memo()
 
@@ -323,41 +324,41 @@ def _grown(memo: Memo, n: int, build):
         return memo[top]
 
 
-def _factors(n: int) -> tuple[array, list[tuple[int, int, int]]]:
-    """(primes, composites) of the factorization table covering 1..n."""
+def _factors(n: int) -> list[tuple[int, int, int]]:
+    """The composites (j, q, j/q) of the factorization table covering 1..n."""
     return _grown(_factorization, n, _sieve_factors)
 
 
-def _prime_table(n: int) -> array:
-    """The primes up to the prime memo's bound N >= n, as an array("I")."""
-    return _grown(_primes, n, lambda top: array("I", sieve_upto(top)))
+def _prime_table(n: int) -> list[int]:
+    """The primes up to the prime memo's bound N >= n."""
+    return _grown(_primes, n, sieve_upto)
 
 
-def _sieve_factors(n: int) -> tuple[array, list[tuple[int, int, int]]]:
-    """The factorization table of 1..n: the primes, read from the prime
-    memo, and (j, q, j/q) for each composite j in ascending order, q its
-    least prime, marked by the primes up to sqrt(n), largest first."""
-    primes = _prime_table(n)
-    primes = primes[:bisect_right(primes, n)]
+def _sieve_factors(n: int) -> list[tuple[int, int, int]]:
+    """(j, q, j/q) for each composite j <= n in ascending order, q its least
+    prime, marked by the primes up to sqrt(n), largest first."""
+    root = isqrt(n)
+    primes = _prime_table(root)
     spf = [0] * (n + 1)  # the least prime factor of a composite; 0 otherwise
-    for q in reversed(primes[:bisect_right(primes, isqrt(n))]):
+    for q in reversed(primes[:bisect_right(primes, root)]):
         spf[q * q::q] = [q] * len(range(q * q, n + 1, q))
     js = compress(range(n + 1), spf)
-    return primes, [(j, q, j // q) for j, q in zip(js, filter(None, spf))]
+    return [(j, q, j // q) for j, q in zip(js, filter(None, spf))]
 
 
 def _powers(n: int, e: int, m: int) -> list[int]:
-    """[j^e mod m for j = 0..n] from the process's factorization table
-    (`_factors`): one pow per prime j, then j^e = q^e * (j/q)^e for each
+    """[j^e mod m for j = 0..n] from the process's prime and factorization
+    tables: one pow per prime j, then j^e = q^e * (j/q)^e for each
     composite j in ascending order, whose least prime q and cofactor j/q
     the table holds, so no call sieves."""
-    primes, composites = _factors(n)
+    primes = _prime_table(n)
     pw = [0] * (n + 1)
     pw[0] = pow(0, e, m)
     if n:
         pw[1] = 1 % m
     for q in primes[:bisect_right(primes, n)]:
         pw[q] = pow(q, e, m)
+    composites = _factors(n)
     # (n + 1,) sorts after every (j, q, c) with j <= n and before the rest
     for j, q, c in composites[:bisect_right(composites, (n + 1,))]:
         pw[j] = pw[q] * pw[c] % m

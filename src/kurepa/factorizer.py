@@ -9,13 +9,14 @@ flagged; a wrong factorization is never returned (recomposition is asserted).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import islice
 from typing import NamedTuple, Optional
 
-from . import search
-from ._memo import Memo
+from . import _kernels, search
 from .errors import DomainError, InvariantViolation
 from .exact import factorial, left_factorial
-from .modmath import is_prime, sieve_upto
+from .modmath import is_prime
 
 __all__ = [
     "Factorization",
@@ -27,14 +28,6 @@ __all__ = [
 
 FACTOR_BUDGET = 20_000_000  # Pollard-rho multiplications per factorize() call
 _TRIAL_LIMIT = 1_000_000
-_trial_primes = Memo()  # _TRIAL_LIMIT: the primes up to it, sieved once
-
-
-def _trial_prime_list() -> list[int]:
-    with _trial_primes.lock:
-        if not _trial_primes:
-            _trial_primes[_TRIAL_LIMIT] = sieve_upto(_TRIAL_LIMIT)
-        return _trial_primes[_TRIAL_LIMIT]
 
 
 class Factorization(NamedTuple):
@@ -133,7 +126,8 @@ def _factor_into(n: int, budget: _Budget, out: dict[int, int]) -> int:
 
 
 def factorize(n: int, budget: int = FACTOR_BUDGET) -> Factorization:
-    """Factor n >= 2: trial division to 1e6, then deterministic Brent rho.
+    """Factor n >= 2: trial division to 1e6, over the process's one prime
+    list `_kernels._primes`, then deterministic Brent rho.
 
     Exceeding the budget yields a partial result whose composite cofactor is
     reported, never a wrong factorization.
@@ -142,7 +136,8 @@ def factorize(n: int, budget: int = FACTOR_BUDGET) -> Factorization:
         raise DomainError(f"factorize needs n >= 2, got {n}")
     original = n
     found: dict[int, int] = {}
-    for p in _trial_prime_list():
+    primes = _kernels._prime_table(_TRIAL_LIMIT)
+    for p in islice(primes, bisect_right(primes, _TRIAL_LIMIT)):
         if p * p > n:
             break
         while n % p == 0:

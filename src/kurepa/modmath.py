@@ -295,11 +295,12 @@ def iter_primes(lo: int, hi: int) -> Iterator[int]:
     """Yield the primes in [lo, hi] ascending via a segmented sieve, the
     one sieve for prime windows: its base primes up to sqrt(hi) come from
     `sieve_upto`, which reads this generator again at sqrt(hi).
-    `_kernels._prime_table` fills the memo `_kernels._primes`, the primes
-    the Gertsch column and the power tables read, by calling `sieve_upto`.
-    The power tables also read `_kernels._sieve_factors`, a
-    least-prime-factor sieve of 1..N that gives each composite's
-    factorization.
+    `_kernels._prime_table` fills the memo `_kernels._primes`, the
+    process's one list of small primes, by calling `sieve_upto`: the
+    Gertsch column, the power tables and `factorizer.factorize`'s trial
+    division read it. The power tables also read `_kernels._sieve_factors`,
+    a least-prime-factor sieve that gives each composite j <= N as
+    (j, q, j/q).
 
     Memory stays bounded by the segment length `config.SIEVE_SEGMENT`, read
     at call time, plus the base primes up to sqrt(hi), so a reader that

@@ -120,8 +120,8 @@ class _CampaignFields(NamedTuple):
 
 class Campaign(_CampaignFields):
     """A campaign and its contract: the columns it reads, the params a run
-    takes and the hits a run may hold. Every run, resume, shard merge and
-    fixture check reads them through `run_params` and `hit_key`."""
+    takes and the hits a run may hold. Every run (each shard's too), resume
+    and fixture check reads them through `run_params` and `hit_key`."""
 
     __slots__ = ()
 
@@ -550,7 +550,9 @@ def run_sharded(name: str, lo: int, hi: int, shards: int, *,
                 **kwargs) -> Checkpoint:
     """Partition [lo, hi] into contiguous sub-ranges, scan each, merge.
 
-    Hits are identical to a single-range run for any shard count. Shard i
+    Hits are identical to a single-range run for any shard count: the
+    shards cover ascending ranges and each finds its hits in scan order,
+    so the merge concatenates them. Shard i
     checkpoints to f"{checkpoint_path}.shard{i}"; with resume=True every
     shard that has a file continues from it and the others start afresh.
     The merged last_p is the end of the processed prefix of [lo, hi].
@@ -580,9 +582,6 @@ def run_sharded(name: str, lo: int, hi: int, shards: int, *,
         merged.hits.extend(part.hits)
         merged.scanned += part.scanned
         merged.elapsed_s += part.elapsed_s
-    # a shard past the first unfinished one may hold hits beyond last_p
-    campaign = CAMPAIGNS[name]
-    merged.hits.sort(key=lambda h: campaign.hit_key(h, lo, hi, merged.params))
     return merged
 
 

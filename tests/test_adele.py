@@ -8,7 +8,7 @@ from kurepa import adele as A
 from kurepa import config, exact
 from kurepa import residues as R
 from kurepa.errors import CapacityError, DomainError
-from kurepa.modmath import PrimeRange, fraction_residue, iter_primes, sieve_primes
+from kurepa.modmath import PrimeRange, Residue, fraction_residue, iter_primes, sieve_primes
 from oracles import kurepa_mod_py
 
 W_SMALL = PrimeRange(3, 13)
@@ -28,6 +28,13 @@ class TestEmbedding:
         e = A.embed_rational(Fraction(1, 6), PrimeRange(3, 7))
         assert e.undefined_at == {3}
         assert e.residues == {5: 1, 7: 6}
+
+    def test_residue_reads_one_prime(self):
+        e = A.embed_rational(Fraction(1, 6), PrimeRange(3, 7))
+        assert e.residue(5) == Residue(1, 5) and e.residue(7).modulus == 7
+        assert int(e.residue(7) * 6) == 1
+        with pytest.raises(KeyError):
+            e.residue(3)  # undefined there: 3 divides the denominator
 
 
 class TestRingOps:

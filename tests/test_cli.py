@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from kurepa import config, factorizer, search
+from kurepa import checks, config, factorizer, search
 from kurepa.cli import build_parser, main
+from kurepa.errors import InvariantViolation
 
 
 def run(capsys, *argv):
@@ -110,6 +111,17 @@ class TestCatalog:
                            "--format", fmt)
         assert (code, out) == (0, "")
 
+    def test_assertion_failure_exits_1_with_a_fail_line(self, capsys, monkeypatch):
+        # a planted C05 that fails at p = 7 alone
+        planted = checks.CATALOG["C05"]._replace(
+            run=lambda ctx: (ctx.p - 1, 0 if ctx.p == 7 else ctx.p - 1))
+        monkeypatch.setitem(checks.CATALOG, "C05", planted)
+        code, out, err = run(capsys, "catalog", "--to", "13", "--ids", "C05",
+                             "--format", "json")
+        assert code == 1
+        assert json.loads(out) == [{"id": "C05", "held": 4, "failed": 1, "skipped": 0}]
+        assert err == "FAIL C05 p=7: 6 != 0\n"
+
 
 class TestTable:
     def test_gertsch(self, capsys):
@@ -167,6 +179,25 @@ class TestSearch:
         assert code == 0
         assert json.loads(out)["hits"] == [3, 7, 71]
         assert "verify pass" in err
+
+    def test_verify_against_a_failing_fixture_exits_1(self, capsys, monkeypatch):
+        # the fixture without 71: the run finds it, so verify fails
+        campaign = search.CAMPAIGNS["wilson_plus_two"]
+        monkeypatch.setitem(search.CAMPAIGNS, "wilson_plus_two", campaign._replace(
+            expected=(3, 2000, (3, 7), "equal")))
+        code, out, err = run(capsys, "search", "wilson_plus_two",
+                             "--from", "3", "--to", "2000", "--verify")
+        assert code == 1
+        assert json.loads(out)["hits"] == [3, 7, 71]
+        assert err == "# verify fail: expected (3, 7), found (3, 7, 71)\n"
+
+    def test_invariant_violation_exits_1(self, capsys, monkeypatch):
+        def planted(*args, **kwargs):
+            raise InvariantViolation("Wilson congruence failed at 7")
+        monkeypatch.setattr(search, "run_campaign", planted)
+        code, out, err = run(capsys, "search", "wilson_zero", "--to", "100")
+        assert (code, out) == (1, "")
+        assert err == "error: Wilson congruence failed at 7\n"
 
     def test_checkpoint_and_resume(self, capsys, tmp_path):
         ck = str(tmp_path / "ck.json")

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -55,6 +57,28 @@ class TestFactorize:
         assert F.factorize(n).factors == ((1_000_003, 1), (1_000_033, 1))
         for fn in (F.factorize, F.left_factorial_minus_one_table):
             assert fn.__defaults__[-1] == F.FACTOR_BUDGET
+
+    def test_rho_backtracks_and_advances_the_schedule(self):
+        # factorize trial-divides these away; called directly, rho meets a
+        # gcd of n (25, 35, 49: the backtrack) and a degenerate cycle (25,
+        # 35, 125: c += 2), and still returns a proper factor
+        src, first = inspect.getsourcelines(F._brent_rho)
+        backtrack = first + next(i for i, s in enumerate(src) if "backtrack" in s) + 1
+        advance = first + next(i for i, s in enumerate(src) if "c += 2" in s)
+        ran, outer = set(), sys.gettrace()
+
+        def lines(frame, event, arg):
+            ran.add(frame.f_lineno)
+            return lines
+
+        sys.settrace(lambda frame, event, arg:
+                     lines if frame.f_code is F._brent_rho.__code__ else None)
+        try:
+            found = {n: F._brent_rho(n, F._Budget(10 ** 6)) for n in (25, 35, 49, 125)}
+        finally:
+            sys.settrace(outer)
+        assert all(1 < d < n and n % d == 0 for n, d in found.items()), found
+        assert {backtrack, advance} <= ran
 
     def test_determinism(self):
         n = 1_000_003 * 1_000_033 * 999_983

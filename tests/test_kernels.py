@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 import threading
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 
@@ -1040,9 +1041,12 @@ def test_powers_two_threads_grow_one_table():
 
 
 def test_factorization_table_is_least_prime_and_cofactor():
-    primes, composites = K._factors(5000)
+    composites = K._factors(5000)
     top = max(K._factorization)
-    assert list(primes) == sieve_primes(2, top)
+    primes = K._prime_table(top)
+    assert type(primes) is list and max(K._primes) >= top
+    primes = primes[:bisect_right(primes, top)]
+    assert primes == sieve_primes(2, top)
     assert sorted([*primes, *(j for j, _, _ in composites)]) == list(range(2, top + 1))
     assert composites == sorted(composites)
     for j, q, c in composites:
@@ -1177,7 +1181,10 @@ def test_bell_and_stirling_rows_at_composite_moduli(m):
     # rest come from the binomial recurrence (Bell) or the triangle (Stirling)
     assert K.bell_seq_mod(120, m) == bell_seq_mod_py(120, m)
     for n in range(110):
-        assert K.stirling2_row_mod(n, m) == K.stirling2_row_mod_py(n, m), n
+        row = K.stirling2_row_mod(n, m)
+        assert row == K.stirling2_row_mod_py(n, m), n
+        # exact's triangle is the oracle that rows past the unit index lack
+        assert row == [s % m for s in exact.stirling2_row(n)], n
 
 
 def test_bell_and_stirling_rows_mod_p_squared_at_the_unit_boundary():
@@ -1185,7 +1192,9 @@ def test_bell_and_stirling_rows_mod_p_squared_at_the_unit_boundary():
     m = p * p
     assert K.bell_seq_mod(p + 6, m) == bell_seq_mod_py(p + 6, m)
     for n in (p - 1, p, p + 1):
-        assert K.stirling2_row_mod(n, m) == K.stirling2_row_mod_py(n, m), n
+        row = K.stirling2_row_mod(n, m)
+        assert row == K.stirling2_row_mod_py(n, m), n
+        assert row == [s % m for s in exact.stirling2_row(n)], n
 
 
 # Where Fermat's theorem makes the powers constant, the Stirling row S(p, .)
@@ -1219,6 +1228,7 @@ def test_wilson_gates_the_fermat_routes_at_composites(monkeypatch, m):
     # the row S(m, .) comes from the triangle, and sum_k S(m, k) = Bell_m
     row = K.stirling2_row_mod(m, m)
     assert row == K.stirling2_row_mod_py(m, m)
+    assert row == [s % m for s in exact.stirling2_row(m)]
     assert sum(row) % m == want[m]
 
 

@@ -12,8 +12,8 @@ from test_exact import bernoulli_akiyama_tanigawa, gregory_integral_oracle
 
 MEMOS = {("kurepa._kernels", "_factorization"), ("kurepa._kernels", "_primes"),
          ("kurepa.exact", "_bern"), ("kurepa.exact", "_greg"),
-         ("kurepa.factorizer", "_trial_primes"), ("kurepa.residues", "_records"),
-         ("kurepa.residues", "_gregory_tables"), ("kurepa.search", "_kurepa_prefix")}
+         ("kurepa.residues", "_records"), ("kurepa.residues", "_gregory_tables"),
+         ("kurepa.search", "_kurepa_prefix")}
 
 
 def _modules():
@@ -57,7 +57,7 @@ def test_no_module_attribute_is_rebound():
 
 def test_every_memo_is_registered_and_cleared():
     found = _found_memos()
-    assert set(found) == MEMOS
+    assert set(found) == MEMOS and len(_memo._memos) == len(MEMOS)
     assert all(any(m is memo for m in _memo._memos) for memo in found.values())
     first = _fill()
     assert all(found.values()), [k for k, m in found.items() if not m]
@@ -75,13 +75,14 @@ def test_every_memo_is_registered_and_cleared():
 
 
 def test_two_threads_sieve_the_trial_primes_once(monkeypatch):
-    calls, sieve = [], factorizer.sieve_upto
+    # the trial primes are the process's one prime list, `_kernels._primes`
+    calls, sieve = [], _kernels.sieve_upto
 
     def counted(n):
         calls.append(n)
         time.sleep(0.05)  # hold the build while the other thread arrives
         return sieve(n)
-    monkeypatch.setattr(factorizer, "sieve_upto", counted)
+    monkeypatch.setattr(_kernels, "sieve_upto", counted)
     start, got = threading.Barrier(2), [None, None]
 
     def call(i):
@@ -94,5 +95,6 @@ def test_two_threads_sieve_the_trial_primes_once(monkeypatch):
         t.join(timeout=60)
     assert not any(t.is_alive() for t in threads)
     assert calls == [factorizer._TRIAL_LIMIT]
+    assert list(_kernels._primes) == calls and not _kernels._factorization
     assert got[0] == got[1] == factorizer.factorize(10 ** 12 + 39)
     assert got[0].complete and got[0].recompose() == 10 ** 12 + 39

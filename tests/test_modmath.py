@@ -1,4 +1,5 @@
 import math
+import operator
 
 import pytest
 from hypothesis import given, strategies as st
@@ -202,6 +203,14 @@ class TestResidue:
     def test_int_comparison(self):
         assert Residue(5, 11) == 16
         assert Residue(5, 11) != 6
+
+    def test_index(self):
+        r = Residue(-2, 11)
+        assert operator.index(r) == 9 and "abcdefghijk"[r] == "j"
+        assert list(range(11))[Residue(14, 11):] == [3, 4, 5, 6, 7, 8, 9, 10]
+
+    def test_undefined_is_falsy(self):
+        assert bool(UNDEFINED) is False and not rational_residue(1, 3, 3)
 
     def test_bad_modulus(self):
         with pytest.raises(DomainError):

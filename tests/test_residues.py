@@ -12,8 +12,8 @@ import pytest
 from kurepa import _kernels as K
 from kurepa import adele as A, checks as C, config, exact, residues as R
 from kurepa.errors import CapacityError, DomainError, InvariantViolation
-from kurepa.modmath import (PrimeRange, Residue, fraction_residue, iter_primes, mod_inv,
-                            sieve_primes)
+from kurepa.modmath import (PrimeRange, Residue, fraction_residue, is_prime, iter_primes,
+                            mod_inv, sieve_primes)
 from kurepa.residues import PrimeContext
 from oracles import (bell_seq_mod_py, bernoulli_table_mod_py, gertsch_split_py,
                      gregory_table_mod_py, kurepa_gf_mod_py, kurepa_mod_py)
@@ -491,6 +491,20 @@ class TestStirlingRow:
             row = R.stirling2_row_mod(p, p)
             assert row[1] == 1 and row[p] == 1
             assert all(v == 0 for v in row[2:p])
+
+
+# The public rows off the record's branch: a composite modulus, or a prime
+# m with n < m - 1 (the Stirling row: n != m), against exact integers.
+_OFF_RECORD = [(m, n) for m in (2, 3, 4, 6, 9, 12, 25, 49, 97)
+               for n in (0, 1, 2, 5, 20, 60) if not (m > 2 and is_prime(m) and n >= m - 1)]
+
+
+@pytest.mark.parametrize("m, n", _OFF_RECORD)
+def test_public_rows_off_the_record_match_exact(m, n):
+    assert R.bell_sequence_mod(n, m) == [b % m for b in exact.bell_sequence_exact(n)]
+    assert R.stirling2_row_mod(n, m) == [s % m for s in exact.stirling2_row(n)]
+    assert R.factorial_mod(n, m) == exact.factorial(n) % m
+    assert not R._records  # neither row read or made a record
 
 
 @pytest.mark.parametrize("m", [-3, 0, 1])

@@ -208,6 +208,15 @@ class TestCheckpointing:
                             "elapsed_s", "scanned", "version"}
         assert obj["version"] == 1
 
+    def test_write_leaves_exactly_the_json(self, tmp_path):
+        # the public one-shot write, on the calling thread
+        path = str(tmp_path / "ck.json")
+        ck = S.run_campaign("wilson_zero", 3, 600)
+        ck.write(path)
+        assert _read(path) == ck.to_json()
+        assert os.listdir(tmp_path) == ["ck.json"]  # no .tmp left behind
+        assert S.load_checkpoint(path).hits == ck.hits == [5, 13, 563]
+
     def test_corrupt_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -408,6 +417,10 @@ class TestCheckpointing:
 def _read(path):
     with open(path) as fh:
         return fh.read()
+
+
+def _not_called(*args):
+    raise AssertionError(f"called with {args}")
 
 
 class TestCampaignParams:
@@ -808,28 +821,23 @@ class TestSharding:
         with pytest.raises(CheckpointError):
             S.run_sharded("wilson_zero", 3, 2000, shards=3, resume=True)
 
-    def test_merge_reads_the_hit_contract(self, monkeypatch):
-        # the merge orders the shards' hits by Campaign.hit_key, so a shard
-        # holding a hit no scan can make fails the merge
-        single = S.run_campaign("qpm_zero", 3, 37)
-        run = S.run_campaign
-
-        def planted(name, lo, hi, **kw):
-            ck = run(name, lo, hi, **kw)
-            if lo == 3:
-                ck.hits.append((21, 5))
-            return ck
-
-        assert S.run_sharded("qpm_zero", 3, 37, shards=3).hits == single.hits
-        monkeypatch.setattr(S, "run_campaign", planted)
-        with pytest.raises(DomainError):
-            S.run_sharded("qpm_zero", 3, 37, shards=3)
+    def test_merge_concatenates_the_shards_hits(self, monkeypatch):
+        # the shards scan ascending ranges in order, so the merge joins their
+        # hits as they are and re-checks none (a resume checks its file's)
+        single, parts, run = S.run_campaign("qpm_zero", 3, 37), [], S.run_campaign
+        monkeypatch.setattr(S, "run_campaign",
+                            lambda *a, **kw: parts.append(run(*a, **kw)) or parts[-1])
+        monkeypatch.setattr(S.Campaign, "hit_key", _not_called)
+        merged = S.run_sharded("qpm_zero", 3, 37, shards=3)
+        assert len(parts) == 3 and all(part.hits for part in parts)
+        assert merged.hits == [h for part in parts for h in part.hits] == single.hits
 
     def test_pair_shard_invariance(self):
         single = S.run_campaign("qpm_zero", 3, 37, params={"m_max": 20})
         sharded = S.run_sharded("qpm_zero", 3, 37, shards=3,
                                 params={"m_max": 20})
         assert sorted(sharded.hits) == sorted(single.hits)
+        assert sharded.hits == single.hits  # in scan order, (p, m)
 
 
 class TestVerify:
